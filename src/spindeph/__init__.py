@@ -10,7 +10,6 @@ brute-force global-unitary oracle for verification.
 """
 
 from .closedforms import (
-    BinomialTable,
     chu_vandermonde_exponent,
     log_det_2d_nn,
     log_det_infinite_fraction_asymptotic,
@@ -20,20 +19,14 @@ from .closedforms import (
     multiplicity_sum_si,
 )
 from .engine import (
-    DephasingSpectrum,
     EnvPopulations,
     WitnessEvaluator,
     WitnessSeries,
     bloch_evolution_matrix,
     bloch_to_density,
     bloch_vector,
-    dephasing_factor,
-    dephasing_factor_derivative,
-    dephasing_spectrum,
     detect_episodes,
     populations_from_density,
-    reduced_state,
-    witness_log_det,
 )
 from .entanglement import (
     evolve_global,
@@ -61,13 +54,11 @@ from .model import (
     config_matrix,
     ensemble_from_dict,
     ensemble_from_model,
-    enumerate_configs,
-    hamiltonian_env,
-    hamiltonian_interaction,
-    hamiltonian_system,
-    hamiltonian_total,
+    env_energies,
     load_ensemble,
+    system_energies,
     torus_block_ensemble,
+    total_energies,
 )
 from .oracle import oracle_reduced_state, oracle_superoperator, run_verification
 from .qubit import (

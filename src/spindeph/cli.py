@@ -20,13 +20,21 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import closedforms, engine, entanglement, oracle, qubit, thermal
-from .model import EnsembleSpec, SpinConfig, ensemble_from_dict, load_ensemble
+from .model import (
+    EnsembleSpec,
+    ResourceCapError,
+    SpinConfig,
+    config_index,
+    ensemble_from_dict,
+    load_ensemble,
+)
 
 CSV_FORMAT = "spindeph-csv v1"
 
@@ -35,10 +43,31 @@ class UsageError(Exception):
     pass
 
 
+# errors that malformed configurations and arguments raise while being read:
+# missing keys, values of the wrong type or range, unreadable files, sizes
+# over the enumeration cap
+_INPUT_ERRORS = (KeyError, TypeError, ValueError, ArithmeticError, OSError, ResourceCapError)
+
+
+@contextmanager
+def _reading_input():
+    """Report a malformed configuration or argument as a usage error.
+
+    Wraps only the reading of input, never a computation, so a genuine
+    fault of the program still surfaces with its traceback.
+    """
+    try:
+        yield
+    except _INPUT_ERRORS as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise UsageError(" ".join(detail.split()) or type(exc).__name__) from exc
+
+
 # ---------------------------------------------------------------------------
 # configuration handling
 
 
+@_reading_input()
 def _load_config(path: str) -> dict:
     with open(path) as fh:
         cfg = json.load(fh)
@@ -52,6 +81,7 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+@_reading_input()
 def _ensemble(cfg: dict, config_dir: Path) -> EnsembleSpec:
     if "ensemble" in cfg:
         return ensemble_from_dict(cfg["ensemble"])
@@ -60,6 +90,7 @@ def _ensemble(cfg: dict, config_dir: Path) -> EnsembleSpec:
     raise UsageError("configuration needs 'ensemble' or 'ensemble_file'")
 
 
+@_reading_input()
 def _grid(cfg: dict, override: str | None) -> np.ndarray:
     if override is not None:
         parts = override.split(":")
@@ -78,6 +109,15 @@ def _grid(cfg: dict, override: str | None) -> np.ndarray:
     return np.linspace(start, stop, points)
 
 
+@_reading_input()
+def _thermal(spec: EnsembleSpec, beta) -> engine.EnvPopulations:
+    """Gibbs populations at beta, or the ground manifold for "inf"."""
+    if isinstance(beta, str) and beta.lower() in ("inf", "infinity"):
+        return thermal.ground_state_populations(spec)
+    return thermal.thermal_populations(spec, float(beta)).populations
+
+
+@_reading_input()
 def _environment(cfg: dict, spec: EnsembleSpec) -> engine.EnvPopulations:
     doc = cfg.get("environment", {"kind": "mixed"})
     kind = doc.get("kind", "mixed")
@@ -86,10 +126,7 @@ def _environment(cfg: dict, spec: EnsembleSpec) -> engine.EnvPopulations:
     if kind == "basis":
         return thermal.basis_state(SpinConfig(tuple(doc["config"])), spec.twice_spin)
     if kind == "thermal":
-        beta = doc.get("beta", 0.0)
-        if isinstance(beta, str) and beta.lower() in ("inf", "infinity"):
-            return thermal.ground_state_populations(spec)
-        return thermal.thermal_populations(spec, float(beta)).populations
+        return _thermal(spec, doc.get("beta", 0.0))
     if kind == "explicit":
         return engine.EnvPopulations(
             n_sites=spec.n_env,
@@ -99,6 +136,7 @@ def _environment(cfg: dict, spec: EnsembleSpec) -> engine.EnvPopulations:
     raise UsageError(f"unknown environment kind {kind!r}")
 
 
+@_reading_input()
 def _state_matrix(doc: dict, n_sites: int, twice_spin: int) -> np.ndarray:
     """Density matrix from a state description document."""
     dim = (twice_spin + 1) ** n_sites
@@ -109,8 +147,6 @@ def _state_matrix(doc: dict, n_sites: int, twice_spin: int) -> np.ndarray:
     if kind == "maximally_mixed":
         return np.eye(dim, dtype=complex) / dim
     if kind == "basis":
-        from .model import config_index
-
         k = config_index(SpinConfig(tuple(doc["config"])), twice_spin)
         rho = np.zeros((dim, dim), dtype=complex)
         rho[k, k] = 1.0
@@ -215,15 +251,13 @@ def cmd_witness(args) -> int:
     return 0
 
 
+@_reading_input()
 def _parse_betas(text: str):
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        out.append(token.lower())
+    out = [token.strip().lower() for token in text.split(",") if token.strip()]
     if not out:
         raise UsageError("--betas needs at least one value")
+    for token in out:
+        float(token)  # "inf" and "infinity" parse too
     return out
 
 
@@ -234,12 +268,8 @@ def cmd_thermal_sweep(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for token in _parse_betas(args.betas):
-        if token in ("inf", "infinity"):
-            env = thermal.ground_state_populations(spec)
-            label = "inf"
-        else:
-            env = thermal.thermal_populations(spec, float(token)).populations
-            label = token
+        env = _thermal(spec, token)
+        label = "inf" if token == "infinity" else token
         series = engine.detect_episodes(
             spec, env, float(times[0]), float(times[-1]), times.size
         )
@@ -286,6 +316,7 @@ def cmd_compare_measures(args) -> int:
     return 0
 
 
+@_reading_input()
 def _parse_cut(text: str):
     if text == "global":
         return ("global", None)
@@ -339,16 +370,17 @@ def cmd_negativity(args) -> int:
 
 
 def cmd_thermo_limit(args) -> int:
-    n_list = [int(x) for x in args.n_list.split(",") if x.strip()]
+    with _reading_input():
+        n_list = [int(x) for x in args.n_list.split(",") if x.strip()]
+        jt = float(args.jt)
+        r = Fraction(args.r) if args.family == "fraction" else None
     if not n_list:
         raise UsageError("--n-list needs at least one size")
-    jt = float(args.jt)
     values = []
     if args.family == "fixed-p":
         for n in n_list:
             values.append(closedforms.log_det_infinite_range(n, args.p, 1.0, jt))
     elif args.family == "fraction":
-        r = Fraction(args.r)
         for n in n_list:
             p = r * n
             if p.denominator != 1:
@@ -390,14 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, grid=True):
+    def add_common(p):
         p.add_argument("--config", required=True, help="JSON run configuration")
-        if grid:
-            p.add_argument("--grid", help="time grid override start:stop:points (units 1/J)")
-        p.add_argument(
-            "--threads", type=int, default=1,
-            help="worker threads for negativity grids (other commands are vectorized)",
-        )
+        p.add_argument("--grid", help="time grid override start:stop:points (units 1/J)")
 
     p = sub.add_parser("witness", help="witness series and episode detection")
     add_common(p)
@@ -420,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("negativity", help="entanglement series across a cut")
     add_common(p)
     p.add_argument("--cut", help="'global' or 'system:<sites>' (default from config)")
+    p.add_argument("--threads", type=int, default=1, help="worker threads over the time grid")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_negativity)
 

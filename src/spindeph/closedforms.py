@@ -10,36 +10,20 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Union
+from typing import Union
 
 import numpy as np
 
-from .model import PowerLawRing1D, build_coupling
-
-
-class BinomialTable:
-    """Exact binomial coefficients built by the Pascal recurrence."""
-
-    def __init__(self, n_max: int = 64):
-        rows: List[List[int]] = [[1]]
-        for n in range(1, n_max + 1):
-            prev = rows[-1]
-            row = [1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1]
-            rows.append(row)
-        self.n_max = n_max
-        self._rows = rows
-
-    def choose(self, n: int, k: int) -> int:
-        if k < 0 or k > n:
-            return 0
-        if n > self.n_max:
-            raise ValueError(f"table built up to n={self.n_max}, asked for n={n}")
-        return self._rows[n][k]
+from .model import PowerLawRing1D, build_coupling, config_matrix
 
 
 def _int_times_log(exponent: int, logcos: np.ndarray) -> np.ndarray:
-    # exact integer exponent; float conversion is the only rounding step
-    return float(exponent) * logcos
+    # exact integer exponent; float(exponent) overflows past 2^1024 although
+    # the product with a small log|cos| may not, so exponents wider than 1000
+    # bits are scaled by 2^-shift first (the shift drops only bits far below
+    # double precision; for shift == 0 this is float(exponent) * logcos)
+    shift = max(exponent.bit_length() - 1000, 0)
+    return np.ldexp(float(exponent >> shift) * logcos, shift)
 
 
 def _logabs_cos(x) -> np.ndarray:
@@ -71,13 +55,11 @@ def log_det_infinite_range(n_total: int, p: int, j: float, t) -> Union[float, np
     if not 1 <= p < n_total:
         raise ValueError("need 1 <= p < n_total")
     t = np.asarray(t, dtype=float)
-    table = BinomialTable(p)
     out = np.zeros(t.shape)
     for q in range(1, p + 1):
-        # pairs with |j' - k| = q, counted once per orientation
-        mult = 2 * (n_total - p) * sum(
-            table.choose(p, k) * table.choose(p, k - q) for k in range(q, p + 1)
-        )
+        # pairs with |j' - k| = q, counted once per orientation; the k-sum
+        # sum_k C(p,k) C(p,k-q) collapses to C(2p, p-q)
+        mult = 2 * (n_total - p) * chu_vandermonde_exponent(p, q)
         out = out + _int_times_log(mult, _logabs_cos(j * t * q / n_total))
     return float(out) if out.ndim == 0 else out
 
@@ -154,12 +136,9 @@ def log_det_power_law(
     model = PowerLawRing1D(j=j_n, alpha=alpha, kac_normalization=kac_normalization)
     j_cross = build_coupling(model, n_total)[:p, p:]
     t = np.asarray(t, dtype=float)
+    v = config_matrix(p, 1).astype(float)  # twice-values, +-1
+    a, b = np.triu_indices(len(v), k=1)
     out = np.zeros(t.shape)
-    # iterate over spin-1/2 block pairs via their +-1 difference patterns
-    for a in range(1 << p):
-        sa = np.array([1.0 if (a >> i) & 1 == 0 else -1.0 for i in range(p)])
-        for b in range(a + 1, 1 << p):
-            sb = np.array([1.0 if (b >> i) & 1 == 0 else -1.0 for i in range(p)])
-            nu = 0.5 * (sa - sb) @ j_cross  # frequencies per environment site
-            out = out + 2.0 * _logabs_cos(np.multiply.outer(t, nu)).sum(axis=-1)
+    for nu in 0.5 * (v[a] - v[b]) @ j_cross:  # frequencies per environment site
+        out = out + 2.0 * _logabs_cos(np.multiply.outer(t, nu)).sum(axis=-1)
     return float(out) if out.ndim == 0 else out

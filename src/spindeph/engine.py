@@ -31,7 +31,6 @@ from .model import (
     DEFAULT_ENUM_CAP,
     EnsembleSpec,
     ResourceCapError,
-    SpinConfig,
     config_matrix,
     system_energies,
 )
@@ -76,22 +75,6 @@ def populations_from_density(rho_env: np.ndarray, n_sites: int, twice_spin: int)
     return EnvPopulations(n_sites=n_sites, twice_spin=twice_spin, weights=diag)
 
 
-@dataclass(frozen=True)
-class DephasingSpectrum:
-    """Weighted frequency list of one dephasing factor A_{s,s'}(t)."""
-
-    s: SpinConfig
-    s_prime: SpinConfig
-    weights: np.ndarray
-    omegas: np.ndarray
-
-    def conjugate_pair(self) -> "DephasingSpectrum":
-        """Spectrum of the transposed pair: same weights, negated frequencies."""
-        return DephasingSpectrum(
-            s=self.s_prime, s_prime=self.s, weights=self.weights, omegas=-self.omegas
-        )
-
-
 def _merge_frequencies(omegas: np.ndarray, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Sum weights of (near-)coincident frequencies.
 
@@ -116,56 +99,9 @@ def _merge_frequencies(omegas: np.ndarray, weights: np.ndarray) -> Tuple[np.ndar
     return out_om, out_w
 
 
-def _pair_frequencies(
-    spec: EnsembleSpec, env: EnvPopulations, cap: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Environment data shared by all pair spectra.
-
-    Returns (u, w, j_cross): twice-value rows of populated environment
-    configurations, their weights, and the cross-coupling block.
-    """
-    if env.n_sites != spec.n_env or env.twice_spin != spec.twice_spin:
-        raise ValueError("environment populations do not match the ensemble")
-    env_cfg = config_matrix(spec.n_env, spec.twice_spin, cap=cap)
-    nz = env.weights > 0.0
-    return env_cfg[nz].astype(float), env.weights[nz], spec.cross_couplings
-
-
-def dephasing_spectrum(
-    spec: EnsembleSpec,
-    env: EnvPopulations,
-    s: SpinConfig,
-    s_prime: SpinConfig,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> DephasingSpectrum:
-    """Weighted frequencies of A_{s,s'}(t), merged over equal frequencies."""
-    s.validate(spec.twice_spin)
-    s_prime.validate(spec.twice_spin)
-    if s.site_count != spec.n_system or s_prime.site_count != spec.n_system:
-        raise ValueError("pair configs must cover the system sites")
-    u, w, j_cross = _pair_frequencies(spec, env, cap)
-    dt = np.asarray(s.twice_values, dtype=float) - np.asarray(s_prime.twice_values, dtype=float)
-    nu = dt @ j_cross
-    omegas = 0.5 * (u @ nu)
-    om, wm = _merge_frequencies(omegas, w)
-    return DephasingSpectrum(s=s, s_prime=s_prime, weights=wm, omegas=om)
-
-
-def dephasing_factor(spectrum: DephasingSpectrum, t) -> complex:
-    """A(t) = sum_k w_k exp(i omega_k t); modulus at most 1, A(0) = 1."""
-    t = np.asarray(t, dtype=float)
-    phase = np.multiply.outer(t, spectrum.omegas)
-    out = np.cos(phase) @ spectrum.weights + 1j * (np.sin(phase) @ spectrum.weights)
-    return complex(out) if out.ndim == 0 else out
-
-
-def dephasing_factor_derivative(spectrum: DephasingSpectrum, t) -> complex:
-    """Exact time derivative sum_k w_k (i omega_k) exp(i omega_k t)."""
-    t = np.asarray(t, dtype=float)
-    phase = np.multiply.outer(t, spectrum.omegas)
-    wo = spectrum.weights * spectrum.omegas
-    out = -(np.sin(phase) @ wo) + 1j * (np.cos(phase) @ wo)
-    return complex(out) if out.ndim == 0 else out
+def _pair_list(dim: int) -> List[Tuple[int, int]]:
+    """Unordered configuration pairs a < b in row-major order."""
+    return [(a, b) for a in range(dim) for b in range(a + 1, dim)]
 
 
 class WitnessEvaluator:
@@ -178,25 +114,28 @@ class WitnessEvaluator:
     """
 
     def __init__(self, spec: EnsembleSpec, env: EnvPopulations, cap: int = DEFAULT_ENUM_CAP):
+        if env.n_sites != spec.n_env or env.twice_spin != spec.twice_spin:
+            raise ValueError("environment populations do not match the ensemble")
         self.spec = spec
         self.env = env
         self.dim = spec.dim_system
-        u, w, j_cross = _pair_frequencies(spec, env, cap)
+        # populated environment configurations (twice-values) and their weights
+        populated = env.weights > 0.0
+        u = config_matrix(spec.n_env, spec.twice_spin, cap=cap)[populated].astype(float)
+        w = env.weights[populated]
+        j_cross = spec.cross_couplings
         sys_cfg = config_matrix(spec.n_system, spec.twice_spin, cap=cap).astype(float)
         self.system_energies = system_energies(spec, cap=cap)
-        self._pair_index: List[Tuple[int, int]] = []
+        self._pair_index = _pair_list(self.dim)
         self._weights: List[np.ndarray] = []
         self._omegas: List[np.ndarray] = []
         self.thetas: List[float] = []
-        for a in range(self.dim):
-            for b in range(a + 1, self.dim):
-                dt = sys_cfg[a] - sys_cfg[b]
-                omegas = 0.5 * (u @ (dt @ j_cross))
-                om, wm = _merge_frequencies(omegas, w)
-                self._pair_index.append((a, b))
-                self._weights.append(wm)
-                self._omegas.append(om)
-                self.thetas.append(float(self.system_energies[b] - self.system_energies[a]))
+        for a, b in self._pair_index:
+            dt = sys_cfg[a] - sys_cfg[b]
+            om, wm = _merge_frequencies(0.5 * (u @ (dt @ j_cross)), w)
+            self._weights.append(wm)
+            self._omegas.append(om)
+            self.thetas.append(float(self.system_energies[b] - self.system_energies[a]))
         self._weights_ld = [w_.astype(np.longdouble) for w_ in self._weights]
         self._omegas_ld = [o.astype(np.longdouble) for o in self._omegas]
 
@@ -274,39 +213,8 @@ class WitnessEvaluator:
         return float(self.series([t])[1][0])
 
 
-def reduced_state(
-    spec: EnsembleSpec,
-    rho_s0: np.ndarray,
-    env: EnvPopulations,
-    t: float,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> np.ndarray:
-    """Exact subsystem state at time t for a product initial condition."""
-    return WitnessEvaluator(spec, env, cap=cap).reduced_state(rho_s0, t)
-
-
-def witness_log_det(
-    spec: EnsembleSpec,
-    env: EnvPopulations,
-    t: float,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> Tuple[float, float]:
-    """(log det M_S(t), d/dt log det M_S(t)).
-
-    log det = sum over unordered pairs of 2 log|A|; external fields and
-    intra-block couplings never enter. Returns (-inf, nan) at zeros of det.
-    """
-    ev = WitnessEvaluator(spec, env, cap=cap)
-    ld, dld = ev.series([t])
-    return float(ld[0]), float(dld[0])
-
-
 # ---------------------------------------------------------------------------
 # Bloch parametrization
-
-def _pair_list(dim: int) -> List[Tuple[int, int]]:
-    return [(a, b) for a in range(dim) for b in range(a + 1, dim)]
-
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
     """Flatten a density matrix into the real coordinate vector.

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -272,7 +272,7 @@ def torus_block_ensemble(
         n_system=block_side * block_side,
         twice_spin=twice_spin,
         couplings=mat,
-        fields=np.full(n, float(fields)),
+        fields=fields,
     )
 
 
@@ -283,15 +283,12 @@ def ensemble_from_model(
     twice_spin: int = 1,
     fields: Union[float, Sequence[float]] = 0.0,
 ) -> EnsembleSpec:
-    h = np.asarray(fields, dtype=float)
-    if h.ndim == 0:
-        h = np.full(n_total, float(h))
     return EnsembleSpec(
         n_total=n_total,
         n_system=n_system,
         twice_spin=twice_spin,
         couplings=build_coupling(model, n_total),
-        fields=h,
+        fields=fields,
     )
 
 
@@ -302,35 +299,12 @@ def config_count(site_count: int, twice_spin: int) -> int:
     return (twice_spin + 1) ** site_count
 
 
-def enumerate_configs(
-    site_count: int, twice_spin: int, cap: int = DEFAULT_ENUM_CAP
-) -> Iterator[SpinConfig]:
-    """Yield all (2S+1)**site_count configurations in lexicographic order.
-
-    Most significant site first, values descending from +S to -S. This
-    fixes the basis-index convention used by every matrix in the package.
-    """
-    total = config_count(site_count, twice_spin)
-    if total > cap:
-        raise ResourceCapError(
-            f"enumeration needs {total} configurations, cap is {cap}"
-        )
-    levels = twice_spin + 1
-    for index in range(total):
-        digits = []
-        x = index
-        for _ in range(site_count):
-            digits.append(x % levels)
-            x //= levels
-        digits.reverse()
-        yield SpinConfig(tuple(twice_spin - 2 * d for d in digits))
-
-
 def config_matrix(site_count: int, twice_spin: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
-    """All configurations as an integer array of twice-values.
+    """All (2S+1)**site_count configurations as an integer array of twice-values.
 
-    Row order matches :func:`enumerate_configs`; shape (levels**site_count,
-    site_count).
+    Rows are in lexicographic order: most significant site first, values
+    descending from +S to -S. This fixes the basis-index convention used by
+    every matrix in the package. Shape (levels**site_count, site_count).
     """
     total = config_count(site_count, twice_spin)
     if total > cap:
@@ -346,7 +320,7 @@ def config_matrix(site_count: int, twice_spin: int, cap: int = DEFAULT_ENUM_CAP)
 
 
 def config_index(config: SpinConfig, twice_spin: int) -> int:
-    """Lexicographic index of a configuration (inverse of enumerate_configs)."""
+    """Lexicographic index of a configuration: its row in :func:`config_matrix`."""
     levels = twice_spin + 1
     index = 0
     for v in config.twice_values:
@@ -358,53 +332,10 @@ def config_index(config: SpinConfig, twice_spin: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# scalar Hamiltonians
-
-def _scalar_energy(j_block: np.ndarray, h_block: np.ndarray, twice_values) -> float:
-    v = np.asarray(twice_values, dtype=float)
-    s = v / 2.0
-    return float(-(s @ j_block @ s) + h_block @ s)
-
-
-def hamiltonian_system(spec: EnsembleSpec, s: SpinConfig) -> float:
-    """Energy of the system block: -sum_ij J_ij s_i s_j + sum_i h_i s_i, i,j <= p."""
-    if s.site_count != spec.n_system:
-        raise ValueError(f"config has {s.site_count} sites, system has {spec.n_system}")
-    s.validate(spec.twice_spin)
-    p = spec.n_system
-    return _scalar_energy(spec.couplings[:p, :p], spec.fields[:p], s.twice_values)
-
-
-def hamiltonian_env(spec: EnsembleSpec, sigma: SpinConfig) -> float:
-    """Energy of the environment block, indices p..N-1, same double-sum form."""
-    if sigma.site_count != spec.n_env:
-        raise ValueError(f"config has {sigma.site_count} sites, environment has {spec.n_env}")
-    sigma.validate(spec.twice_spin)
-    p = spec.n_system
-    return _scalar_energy(spec.couplings[p:, p:], spec.fields[p:], sigma.twice_values)
-
-
-def hamiltonian_interaction(spec: EnsembleSpec, s: SpinConfig, sigma: SpinConfig) -> float:
-    """Coupling energy -2 sum_{i<=p} sum_{j>p} J_ij s_i sigma_j."""
-    if s.site_count != spec.n_system or sigma.site_count != spec.n_env:
-        raise ValueError("config lengths must match the system/environment split")
-    s.validate(spec.twice_spin)
-    sigma.validate(spec.twice_spin)
-    sv = np.asarray(s.twice_values, dtype=float) / 2.0
-    ev = np.asarray(sigma.twice_values, dtype=float) / 2.0
-    return float(-2.0 * (sv @ spec.cross_couplings @ ev))
-
-
-def hamiltonian_total(spec: EnsembleSpec, full: SpinConfig) -> float:
-    """Energy of the full ensemble evaluated on a configuration of all N sites."""
-    if full.site_count != spec.n_total:
-        raise ValueError(f"config has {full.site_count} sites, ensemble has {spec.n_total}")
-    full.validate(spec.twice_spin)
-    return _scalar_energy(spec.couplings, spec.fields, full.twice_values)
-
+# Hamiltonians, diagonal in the configuration basis
 
 def system_energies(spec: EnsembleSpec, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
-    """System energies for all configurations, indexed like enumerate_configs."""
+    """System energies for all configurations, indexed like config_matrix."""
     v = config_matrix(spec.n_system, spec.twice_spin, cap=cap).astype(float)
     p = spec.n_system
     j = spec.couplings[:p, :p]
@@ -463,7 +394,6 @@ def ensemble_from_dict(doc: dict) -> EnsembleSpec:
     n_total = int(doc["n_total"])
     n_system = int(doc["n_system"])
     twice_spin = int(doc.get("twice_spin", 1))
-    fields = doc.get("fields", 0.0)
 
     if "couplings" in doc:
         couplings = np.array(doc["couplings"], dtype=float)
@@ -471,42 +401,29 @@ def ensemble_from_dict(doc: dict) -> EnsembleSpec:
         mdoc = dict(doc["model"])
         kind = mdoc.pop("type")
         if kind == "nn_torus_2d" and "system_block_side" in mdoc:
-            block = int(mdoc.pop("system_block_side"))
-            spec = torus_block_ensemble(
+            block = torus_block_ensemble(
                 side=int(mdoc["side"]),
-                block_side=block,
+                block_side=int(mdoc["system_block_side"]),
                 j=float(mdoc.get("J", 1.0)),
-                twice_spin=twice_spin,
-                fields=float(fields) if np.ndim(fields) == 0 else 0.0,
             )
-            if np.ndim(fields) != 0:
-                spec = EnsembleSpec(
-                    n_total=spec.n_total,
-                    n_system=spec.n_system,
-                    twice_spin=twice_spin,
-                    couplings=spec.couplings,
-                    fields=np.asarray(fields, dtype=float),
-                )
-            if spec.n_system != n_system or spec.n_total != n_total:
+            if block.n_system != n_system or block.n_total != n_total:
                 raise ValueError("torus block sizes inconsistent with n_total/n_system")
-            return spec
-        try:
-            builder = _MODEL_BUILDERS[kind]
-        except KeyError:
-            raise ValueError(f"unknown coupling model type {kind!r}") from None
-        couplings = build_coupling(builder(mdoc), n_total)
+            couplings = block.couplings
+        else:
+            try:
+                builder = _MODEL_BUILDERS[kind]
+            except KeyError:
+                raise ValueError(f"unknown coupling model type {kind!r}") from None
+            couplings = build_coupling(builder(mdoc), n_total)
     else:
         raise ValueError("ensemble document needs either 'model' or 'couplings'")
 
-    h = np.asarray(fields, dtype=float)
-    if h.ndim == 0:
-        h = np.full(n_total, float(h))
     return EnsembleSpec(
         n_total=n_total,
         n_system=n_system,
         twice_spin=twice_spin,
         couplings=couplings,
-        fields=h,
+        fields=doc.get("fields", 0.0),
     )
 
 

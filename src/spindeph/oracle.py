@@ -4,7 +4,9 @@ The oracle rebuilds everything from raw global unitary evolution: reduced
 states come from evolve-then-partial-trace (no dephasing factors), and the
 Bloch evolution matrix is reconstructed column by column by pushing the
 coordinate basis operators through the map. Agreement between this path and
-the engine validates both: they share only the scalar Hamiltonians.
+the engine validates both: they share only the diagonal energy tables of
+:mod:`spindeph.model` (the engine's phases use ``system_energies``, the
+oracle's global unitary ``total_energies``, which builds on it).
 
 ``run_verification`` bundles the oracle comparisons and the structural
 invariants into a machine-readable report; the CLI exposes it as the

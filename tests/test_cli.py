@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spindeph import cli
 
@@ -181,6 +186,11 @@ def test_thermo_limit_families(tmp_path):
     assert cli.main(["thermo-limit", "--family", "fixed-p", "--n-list", "50",
                      "--out", str(out3)]) == 0
     assert len(read_csv(out3)[1]) == 1
+    # the exponents at N = 1020 exceed 2^1024; log det (about -7.02e305) does not
+    out4 = tmp_path / "big.csv"
+    assert cli.main(["thermo-limit", "--family", "fraction", "--r", "1/2",
+                     "--n-list", "1020", "--out", str(out4)]) == 0
+    assert -7.03e305 < float(read_csv(out4)[1][0][1]) < -7.02e305
 
 
 def test_verify_exit_code(tmp_path):
@@ -189,3 +199,98 @@ def test_verify_exit_code(tmp_path):
     report = json.loads(report_path.read_text())
     assert report["passed"] is True
     assert "reduced_state_max_abs_dev" in report["checks"]
+
+
+# ---------------------------------------------------------------------------
+# bad input: one "error:" line on stderr and exit 2, never a traceback
+
+
+def _expect_usage_error(argv, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
+
+
+def test_config_without_n_total_is_usage_error(tmp_path, capsys):
+    doc = dict(BASE, ensemble={k: v for k, v in BASE["ensemble"].items() if k != "n_total"})
+    cfg = write_config(tmp_path, doc)
+    msg = _expect_usage_error(["witness", "--config", cfg, "--out", str(tmp_path / "x.csv")], capsys)
+    assert "n_total" in msg
+
+
+def test_system_as_large_as_ensemble_is_usage_error(tmp_path, capsys):
+    doc = dict(BASE, ensemble=dict(BASE["ensemble"], n_system=6))
+    cfg = write_config(tmp_path, doc)
+    _expect_usage_error(["witness", "--config", cfg, "--out", str(tmp_path / "x.csv")], capsys)
+
+
+def test_missing_config_file_is_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "nope.json")
+    msg = _expect_usage_error(["witness", "--config", missing, "--out", str(tmp_path / "x.csv")], capsys)
+    assert "nope.json" in msg
+
+
+def test_malformed_grid_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE)
+    _expect_usage_error(
+        ["witness", "--config", cfg, "--out", str(tmp_path / "x.csv"), "--grid", "0:1:x"], capsys
+    )
+
+
+# Fuzzed ensemble documents: valid ones of at most 4 sites (so each runs in
+# milliseconds) with up to two keys deleted or replaced by junk.
+_DELETE = object()
+_junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 5), st.floats(-2, 2),
+    st.text("ab1 ", max_size=2), st.lists(st.integers(-1, 2), max_size=2),
+)
+_number = st.floats(-2, 2)
+_MODEL_KEYS = ("type", "J", "alpha", "kac_normalization", "side", "system_block_side")
+
+
+@st.composite
+def _ensemble_docs(draw):
+    kind = draw(st.sampled_from(
+        ["nn_ring_1d", "infinite_range", "power_law_ring_1d", "nn_torus_2d", "couplings"]
+    ))
+    n_total = 4 if kind == "nn_torus_2d" else draw(st.integers(3, 4))
+    doc = {
+        "n_total": n_total,
+        "n_system": 1 if kind == "nn_torus_2d" else draw(st.integers(1, n_total - 1)),
+        "twice_spin": draw(st.integers(1, 2)),
+        "fields": draw(st.one_of(_number, st.lists(_number, min_size=n_total, max_size=n_total))),
+    }
+    if kind == "couplings":
+        upper = np.triu(np.reshape(draw(st.lists(_number, min_size=16, max_size=16)), (4, 4)), 1)
+        doc["couplings"] = (upper + upper.T)[:n_total, :n_total].tolist()
+    else:
+        doc["model"] = {"type": kind, "J": draw(_number), "alpha": draw(_number),
+                        "kac_normalization": draw(st.booleans()), "side": 2, "system_block_side": 1}
+    for key, value in draw(st.lists(st.tuples(
+        st.sampled_from(sorted(doc) + list(_MODEL_KEYS)), st.one_of(st.just(_DELETE), _junk)
+    ), max_size=2)):
+        target = doc.get("model") if key in _MODEL_KEYS else doc
+        if isinstance(target, dict):
+            if value is _DELETE:
+                target.pop(key, None)
+            else:
+                target[key] = value
+    return doc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(_ensemble_docs(), _junk))
+def test_fuzzed_ensemble_runs_or_is_usage_error(ensemble):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), dict(BASE, ensemble=ensemble))
+        out = Path(tmp) / "w.csv"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["witness", "--config", cfg, "--grid", "0:1:3", "--out", str(out)])
+        if code == 0:
+            assert len(read_csv(out)[1]) == 3
+        else:
+            assert code == 2
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")

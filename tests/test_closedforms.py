@@ -9,16 +9,6 @@ from spindeph.engine import WitnessEvaluator
 from spindeph.model import InfiniteRange, NearestNeighborRing1D, PowerLawRing1D, ensemble_from_model
 
 
-def test_binomial_table_pascal_and_reference():
-    table = cf.BinomialTable(40)
-    for n in range(41):
-        for k in range(n + 1):
-            assert table.choose(n, k) == math.comb(n, k)
-    assert table.choose(5, 7) == 0
-    with pytest.raises(ValueError):
-        table.choose(41, 2)
-
-
 def test_multiplicity_examples():
     assert cf.multiplicity_sum_si(2, 1) == 2
     assert cf.multiplicity_sum_si(4, 2) == 6
@@ -95,6 +85,22 @@ def test_infinite_range_double_product_reference():
                 mult = (n - p) * math.comb(p, kk) * math.comb(p, jj)
                 brute += mult * np.log(np.abs(np.cos(j * t * (jj - kk) / n)))
         assert cf.log_det_infinite_range(n, p, j, t) == pytest.approx(brute, rel=1e-13, abs=1e-13)
+
+
+def test_infinite_range_exponent_beyond_double_range():
+    # at N = 1020, p = 510 the exponents 2(N-p) C(2p, p-q) exceed 2^1024 while
+    # log det (about -7e305) is finite; reference: each term in the log domain
+    n, p = 1020, 510
+    assert (2 * (n - p) * math.comb(2 * p, p - 1)).bit_length() > 1024
+    for jt in (0.5, 1.0, 1.4):
+        terms = []
+        for q in range(1, p + 1):
+            log_cos = math.log1p(-2.0 * math.sin(0.5 * jt * q / n) ** 2)
+            mult = 2 * (n - p) * math.comb(2 * p, p - q)
+            terms.append(-math.exp(math.log(mult) + math.log(-log_cos)))
+        value = cf.log_det_infinite_range(n, p, 1.0, jt)
+        assert np.isfinite(value)
+        assert value == pytest.approx(math.fsum(terms), rel=1e-12)
 
 
 def test_infinite_range_matches_engine():

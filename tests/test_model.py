@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -54,28 +55,27 @@ def test_ring_too_small():
 
 
 def test_enumeration_order_spin_half():
-    cfgs = list(model.enumerate_configs(2, 1))
-    assert [c.twice_values for c in cfgs] == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    assert model.config_matrix(2, 1).tolist() == [[1, 1], [1, -1], [-1, 1], [-1, -1]]
 
 
 def test_enumeration_order_spin_one():
-    cfgs = list(model.enumerate_configs(1, 2))
-    assert [c.twice_values for c in cfgs] == [(2,), (0,), (-2,)]
+    assert model.config_matrix(1, 2).tolist() == [[2], [0], [-2]]
 
 
 def test_enumeration_matches_matrix_and_index():
-    for sites, tw in ((3, 1), (2, 2)):
-        cfgs = list(model.enumerate_configs(sites, tw))
+    # lexicographic: most significant site first, values descending
+    for sites, tw in ((3, 1), (2, 2), (0, 1)):
+        expected = list(itertools.product(range(tw, -tw - 1, -2), repeat=sites))
         mat = model.config_matrix(sites, tw)
-        assert mat.shape == (len(cfgs), sites)
-        for k, cfg in enumerate(cfgs):
-            assert tuple(mat[k]) == cfg.twice_values
-            assert model.config_index(cfg, tw) == k
+        assert mat.shape == (len(expected), sites)
+        for k, row in enumerate(expected):
+            assert tuple(mat[k]) == row
+            assert model.config_index(model.SpinConfig(row), tw) == k
 
 
 def test_enumeration_cap():
     with pytest.raises(model.ResourceCapError, match="1024"):
-        list(model.enumerate_configs(10, 1, cap=1000))
+        model.config_matrix(10, 1, cap=1000)
 
 
 def _random_spec(rng, n_total, n_system, twice_spin=1):
@@ -91,12 +91,36 @@ def _random_spec(rng, n_total, n_system, twice_spin=1):
     )
 
 
+def double_sum(j, h, twice_values):
+    """-sum_ij J_ij s_i s_j + sum_i h_i s_i, written out term by term."""
+    s = [v / 2 for v in twice_values]
+    n = len(s)
+    pair = sum(j[a][b] * s[a] * s[b] for a in range(n) for b in range(n))
+    return -pair + sum(h[a] * s[a] for a in range(n))
+
+
+def interaction(spec, s, sigma):
+    """-2 sum_{i<=p} sum_{j>p} J_ij s_i sigma_j, written out term by term."""
+    p = spec.n_system
+    return -2.0 * sum(
+        spec.couplings[i][p + k] * (s[i] / 2) * (sigma[k] / 2)
+        for i in range(p)
+        for k in range(spec.n_env)
+    )
+
+
+def interaction_table(spec):
+    """Coupling part of total_energies: total minus system minus environment."""
+    table = model.total_energies(spec).reshape(spec.dim_system, spec.dim_env)
+    return table - model.system_energies(spec)[:, None] - model.env_energies(spec)[None, :]
+
+
 def test_hamiltonian_single_site_field():
     spec = model.EnsembleSpec(
         n_total=2, n_system=1, twice_spin=1,
         couplings=np.zeros((2, 2)), fields=[0.7, 0.0],
     )
-    assert model.hamiltonian_system(spec, model.SpinConfig((1,))) == pytest.approx(0.35)
+    assert model.system_energies(spec)[0] == pytest.approx(0.35)
 
 
 def test_hamiltonian_double_sum_convention():
@@ -106,8 +130,7 @@ def test_hamiltonian_double_sum_convention():
     spec = model.EnsembleSpec(
         n_total=3, n_system=2, twice_spin=1, couplings=j, fields=np.zeros(3)
     )
-    e = model.hamiltonian_system(spec, model.SpinConfig((1, 1)))
-    assert e == pytest.approx(-0.5)
+    assert model.system_energies(spec)[0] == pytest.approx(-0.5)  # configuration (+, +)
 
 
 def test_hamiltonian_env_open_subchain():
@@ -118,8 +141,8 @@ def test_hamiltonian_env_open_subchain():
     spec = model.EnsembleSpec(
         n_total=10, n_system=2, twice_spin=1, couplings=j, fields=np.full(10, 1.0)
     )
-    sigma = model.SpinConfig((1,) * 8)
-    assert model.hamiltonian_env(spec, sigma) == pytest.approx(9.0 / 4.0, abs=1e-14)
+    # configuration 0 is all spins up
+    assert model.env_energies(spec)[0] == pytest.approx(9.0 / 4.0, abs=1e-14)
 
 
 def test_hamiltonian_env_single_site():
@@ -129,8 +152,7 @@ def test_hamiltonian_env_single_site():
     spec = model.EnsembleSpec(
         n_total=3, n_system=2, twice_spin=1, couplings=j, fields=[0.0, 0.0, 1.2]
     )
-    assert model.hamiltonian_env(spec, model.SpinConfig((1,))) == pytest.approx(0.6)
-    assert model.hamiltonian_env(spec, model.SpinConfig((-1,))) == pytest.approx(-0.6)
+    assert model.env_energies(spec) == pytest.approx([0.6, -0.6])
 
 
 def test_hamiltonian_interaction_examples():
@@ -139,8 +161,7 @@ def test_hamiltonian_interaction_examples():
     spec = model.EnsembleSpec(
         n_total=2, n_system=1, twice_spin=1, couplings=j, fields=np.zeros(2)
     )
-    v = model.hamiltonian_interaction(spec, model.SpinConfig((1,)), model.SpinConfig((1,)))
-    assert v == pytest.approx(-1.3 / 2.0)
+    assert interaction_table(spec)[0, 0] == pytest.approx(-1.3 / 2.0)
 
     # spin-1 environment with all zero projections kills the coupling
     spec1 = model.EnsembleSpec(
@@ -148,22 +169,24 @@ def test_hamiltonian_interaction_examples():
         couplings=model.build_coupling(model.NearestNeighborRing1D(j=1.0), 3),
         fields=np.zeros(3),
     )
-    v = model.hamiltonian_interaction(spec1, model.SpinConfig((2,)), model.SpinConfig((0, 0)))
-    assert v == 0.0
+    zero = model.config_index(model.SpinConfig((0, 0)), 2)
+    assert interaction_table(spec1)[0, zero] == 0.0
 
 
 def test_hamiltonians_match_diagonal_oracle():
-    # the scalar functions are the diagonal elements of the operator forms;
-    # check against a directly assembled diagonal for random ensembles
+    # the vectorized tables are the diagonal elements of the operator forms;
+    # check them against the literal double sum for random ensembles
     rng = np.random.default_rng(42)
     for _ in range(5):
         spec = _random_spec(rng, 5, 2)
+        p = spec.n_system
+        j, h = spec.couplings, spec.fields
         es = model.system_energies(spec)
-        for k, cfg in enumerate(model.enumerate_configs(spec.n_system, 1)):
-            assert model.hamiltonian_system(spec, cfg) == pytest.approx(es[k], abs=1e-13)
+        for k, cfg in enumerate(model.config_matrix(p, 1)):
+            assert double_sum(j[:p, :p], h[:p], cfg) == pytest.approx(es[k], abs=1e-13)
         ee = model.env_energies(spec)
-        for k, cfg in enumerate(model.enumerate_configs(spec.n_env, 1)):
-            assert model.hamiltonian_env(spec, cfg) == pytest.approx(ee[k], abs=1e-13)
+        for k, cfg in enumerate(model.config_matrix(spec.n_env, 1)):
+            assert double_sum(j[p:, p:], h[p:], cfg) == pytest.approx(ee[k], abs=1e-13)
 
 
 def test_total_energy_decomposition_exhaustive():
@@ -171,23 +194,26 @@ def test_total_energy_decomposition_exhaustive():
     for n_total in (3, 4, 5, 6):
         spec = _random_spec(rng, n_total, rng.integers(1, n_total))
         p = spec.n_system
-        for full in model.enumerate_configs(n_total, 1):
-            s = model.SpinConfig(full.twice_values[:p])
-            sigma = model.SpinConfig(full.twice_values[p:])
-            parts = (
-                model.hamiltonian_system(spec, s)
-                + model.hamiltonian_env(spec, sigma)
-                + model.hamiltonian_interaction(spec, s, sigma)
-            )
-            assert parts == pytest.approx(model.hamiltonian_total(spec, full), abs=1e-12)
+        j, h = spec.couplings, spec.fields
+        es, ee = model.system_energies(spec), model.env_energies(spec)
+        cross = interaction_table(spec)
+        for full in model.config_matrix(n_total, 1):
+            s, sigma = full[:p], full[p:]
+            a = model.config_index(model.SpinConfig(s), 1)
+            b = model.config_index(model.SpinConfig(sigma), 1)
+            assert cross[a, b] == pytest.approx(interaction(spec, s, sigma), abs=1e-12)
+            parts = es[a] + ee[b] + cross[a, b]
+            assert parts == pytest.approx(double_sum(j, h, full), abs=1e-12)
 
 
 def test_total_energies_table_matches_scalars():
+    # global index s_index * dim_env + sigma_index is the lexicographic
+    # index of the full configuration
     rng = np.random.default_rng(5)
     spec = _random_spec(rng, 5, 2)
     table = model.total_energies(spec)
-    for g, full in enumerate(model.enumerate_configs(5, 1)):
-        assert table[g] == pytest.approx(model.hamiltonian_total(spec, full), abs=1e-12)
+    for g, full in enumerate(model.config_matrix(5, 1)):
+        assert table[g] == pytest.approx(double_sum(spec.couplings, spec.fields, full), abs=1e-12)
 
 
 def test_spec_validation():
@@ -243,6 +269,13 @@ def test_json_round_trip(tmp_path):
     }
     spec3 = model.ensemble_from_dict(torus)
     assert spec3.cross_couplings.sum() == 4.0
+    assert np.array_equal(spec3.couplings, model.torus_block_ensemble(3, 1).couplings)
+    fields = [0.1 * k for k in range(9)]
+    spec4 = model.ensemble_from_dict(dict(torus, twice_spin=2, fields=fields))
+    assert spec4.twice_spin == 2
+    assert np.array_equal(spec4.fields, fields)
+    with pytest.raises(ValueError):
+        model.ensemble_from_dict(dict(torus, n_system=4))
 
     with pytest.raises(ValueError):
         model.ensemble_from_dict({"n_total": 3, "n_system": 1, "model": {"type": "nope"}})

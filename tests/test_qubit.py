@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spindeph import qubit, thermal
-from spindeph.engine import WitnessEvaluator, reduced_state
+from spindeph.engine import WitnessEvaluator
 from spindeph.entanglement import trace_norm
 from spindeph.model import EnsembleSpec
 
@@ -71,7 +71,7 @@ def test_qubit_state_matches_engine():
     env = thermal.maximally_mixed(4, 1)
     rho0 = qubit.QubitState(rho11=0.62, rho12=0.21 + 0.13j)
     for t in (0.5, 2.9):
-        full = reduced_state(spec, rho0.matrix, env, t)
+        full = WitnessEvaluator(spec, env).reduced_state(rho0.matrix, t)
         fast = qubit.qubit_state(rho0, h1, j_row, t)
         assert np.max(np.abs(full - fast.matrix)) < 1e-12
 
