@@ -84,10 +84,14 @@ def _load_config(path: str) -> dict:
 @_reading_input()
 def _ensemble(cfg: dict, config_dir: Path) -> EnsembleSpec:
     if "ensemble" in cfg:
-        return ensemble_from_dict(cfg["ensemble"])
-    if "ensemble_file" in cfg:
-        return load_ensemble(config_dir / cfg["ensemble_file"])
-    raise UsageError("configuration needs 'ensemble' or 'ensemble_file'")
+        spec = ensemble_from_dict(cfg["ensemble"])
+    elif "ensemble_file" in cfg:
+        spec = load_ensemble(config_dir / cfg["ensemble_file"])
+    else:
+        raise UsageError("configuration needs 'ensemble' or 'ensemble_file'")
+    # the engine pairs up all system configurations: refuse a block too large now
+    engine.check_pair_cap(spec.dim_system)
+    return spec
 
 
 @_reading_input()
@@ -317,11 +321,14 @@ def cmd_compare_measures(args) -> int:
 
 
 @_reading_input()
-def _parse_cut(text: str):
+def _parse_cut(text: str, n_system: int):
     if text == "global":
         return ("global", None)
     if text.startswith("system:"):
-        return ("system", int(text.split(":", 1)[1]))
+        sites = int(text.split(":", 1)[1])
+        if not 1 <= sites < n_system:
+            raise UsageError(f"--cut system:<sites> needs 1 <= sites < {n_system} (system sites)")
+        return ("system", sites)
     raise UsageError("--cut wants 'global' or 'system:<sites>'")
 
 
@@ -329,14 +336,17 @@ def cmd_negativity(args) -> int:
     cfg = _load_config(args.config)
     spec = _ensemble(cfg, Path(args.config).parent)
     times = _grid(cfg, args.grid)
-    kind, cut_sites = _parse_cut(args.cut or cfg.get("cut", "global"))
+    kind, cut_sites = _parse_cut(args.cut or cfg.get("cut", "global"), spec.n_system)
 
     if kind == "global":
         if "system_state" not in cfg or "environment_state" not in cfg:
             raise UsageError("global negativity needs 'system_state' and 'environment_state'")
+        dims = (spec.dim_system, spec.dim_env)
+        if dims[0] * dims[1] > entanglement.GLOBAL_DIM_CAP:
+            raise UsageError(f"global dimension {dims[0] * dims[1]} exceeds cap "
+                             f"{entanglement.GLOBAL_DIM_CAP}")
         rho_s = _state_matrix(cfg["system_state"], spec.n_system, spec.twice_spin)
         rho_e = _state_matrix(cfg["environment_state"], spec.n_env, spec.twice_spin)
-        dims = (spec.dim_system, spec.dim_env)
 
         def one(t: float):
             g = entanglement.evolve_global(spec, rho_s, rho_e, t)
@@ -376,18 +386,21 @@ def cmd_thermo_limit(args) -> int:
         r = Fraction(args.r) if args.family == "fraction" else None
     if not n_list:
         raise UsageError("--n-list needs at least one size")
-    values = []
-    if args.family == "fixed-p":
-        for n in n_list:
-            values.append(closedforms.log_det_infinite_range(n, args.p, 1.0, jt))
-    elif args.family == "fraction":
-        for n in n_list:
+    systems = []
+    for n in n_list:
+        if args.family == "fixed-p":
+            p = args.p
+        elif args.family == "fraction":
             p = r * n
             if p.denominator != 1:
                 raise UsageError(f"r*N must be an integer, got r={r}, N={n}")
-            values.append(closedforms.log_det_infinite_range(n, int(p), 1.0, jt))
-    else:
-        raise UsageError("--family wants 'fixed-p' or 'fraction'")
+            p = int(p)
+        else:
+            raise UsageError("--family wants 'fixed-p' or 'fraction'")
+        if not 1 <= p < n:
+            raise UsageError(f"need 1 <= p < N, got p={p} for N={n}")
+        systems.append(p)
+    values = [closedforms.log_det_infinite_range(n, p, 1.0, jt) for n, p in zip(n_list, systems)]
     write_csv(args.out, ["n_total", "log_det"], [n_list, values])
     print(f"wrote {args.out}")
     return 0

@@ -5,37 +5,38 @@ A subsystem coherence between basis configurations s and s' evolves as
     rho_{s,s'}(t) = exp(i t [E_S(s') - E_S(s)]) * A_{s,s'}(t) * rho_{s,s'}(0)
 
 where the dephasing factor A_{s,s'}(t) = sum_sigma a_sigma exp(i omega t) is
-a finite weighted sum of environment phases, with frequencies
-
-    omega(sigma) = 2 sum_{j>p} sigma_j sum_{i<=p} J_ij (s_i - s'_i).
+a finite weighted sum of environment phases (twice-values s, sigma), with
+frequencies omega(sigma) = sigma . nu and nu = 1/2 (s - s') J_cross. A pair
+enters only through nu, and populations are real, so A(-nu) = conj A(nu):
+pairs fall into nu classes, the sign folded so that the first nonzero entry
+of nu is positive, and one merged spectrum per class is evaluated for all
+classes at once.
 
 Populations never move: the dynamics is purely dephasing. The Bloch-vector
 evolution matrix is block diagonal, one 2x2 rotation-dilation block per
 coherence, so its determinant is the product of |A|^2 over unordered
-configuration pairs. The determinant is kept in log space throughout; the
-closed-form exponents grow like 2^(2p) and would underflow any float.
+configuration pairs, each class counted with its multiplicity. The
+determinant is kept in log space throughout; the closed-form exponents grow
+like 2^(2p) and would underflow any float.
 
 Frequency sums are evaluated in extended precision (numpy longdouble). The
 witness needs log|A| to stay accurate near zeros of A, where a double
-precision sum loses all relative accuracy to cancellation.
+precision sum loses all relative accuracy to cancellation. Episode
+boundaries are bisected all together, one evaluation per round at every
+open midpoint; each bracket keeps its own stopping rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .model import (
-    DEFAULT_ENUM_CAP,
-    EnsembleSpec,
-    ResourceCapError,
-    config_matrix,
-    system_energies,
-)
+from .model import DEFAULT_ENUM_CAP, EnsembleSpec, ResourceCapError, config_matrix, system_energies
 
 DET_UNDERFLOW_LOG = -690.0  # exp() underflows double below roughly -745
+SERIES_BLOCK = 2**13  # time x class x frequency entries per extended-precision block
 
 
 @dataclass(frozen=True)
@@ -75,42 +76,51 @@ def populations_from_density(rho_env: np.ndarray, n_sites: int, twice_spin: int)
     return EnvPopulations(n_sites=n_sites, twice_spin=twice_spin, weights=diag)
 
 
+def check_pair_cap(dim: int, cap: int = DEFAULT_ENUM_CAP) -> None:
+    """Raise ResourceCapError when dim configurations make more than cap pairs."""
+    pairs = dim * (dim - 1) // 2
+    if pairs > cap:
+        raise ResourceCapError(
+            f"{dim} system configurations make {pairs} configuration pairs, cap is {cap}"
+        )
+
+
 def _merge_frequencies(omegas: np.ndarray, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Sum weights of (near-)coincident frequencies.
+    """Sum weights of (near-)coincident frequencies, row by row of omegas.
 
     Frequencies are exact float combinations of coupling entries, so equal
     values usually compare equal; the relative tolerance only mops up last
-    ulp differences from different summation orders.
+    ulp differences. Returns ascending (rows, F) arrays padded with weight 0.
     """
-    order = np.argsort(omegas, kind="stable")
-    om = omegas[order]
+    rows, k = omegas.shape
+    order = np.argsort(omegas, axis=1, kind="stable")
+    om = np.take_along_axis(omegas, order, axis=1)
     w = weights[order]
-    if om.size == 0:
-        return om, w
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(om))))
-    boundaries = np.nonzero(np.diff(om) > tol)[0] + 1
-    groups = np.concatenate(([0], boundaries, [om.size]))
-    out_om = np.empty(groups.size - 1)
-    out_w = np.empty(groups.size - 1)
-    for k in range(groups.size - 1):
-        a, b = groups[k], groups[k + 1]
-        out_w[k] = w[a:b].sum()
-        out_om[k] = om[a]
+    tol = 1e-12 * np.maximum(1.0, np.max(np.abs(om), axis=1))
+    first = np.ones(om.shape, dtype=bool)
+    first[:, 1:] = np.diff(om, axis=1) > tol[:, None]
+    starts = np.flatnonzero(first)
+    row = starts // k
+    counts = np.bincount(row, minlength=rows)
+    col = np.arange(starts.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    out_om = np.zeros((rows, int(counts.max())))
+    out_w = np.zeros_like(out_om)
+    out_om[row, col] = om.ravel()[starts]
+    out_w[row, col] = np.add.reduceat(w.ravel(), starts)
     return out_om, out_w
 
 
-def _pair_list(dim: int) -> List[Tuple[int, int]]:
-    """Unordered configuration pairs a < b in row-major order."""
-    return [(a, b) for a in range(dim) for b in range(a + 1, dim)]
+def _row_dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_f x[..., c, f] w[c, f], each one dot product whatever the batch."""
+    return np.matmul(x[..., None, :], w[:, :, None])[..., 0, 0]
 
 
 class WitnessEvaluator:
-    """Precomputed pair spectra for witness evaluation over many times.
+    """Merged spectra, one per nu class, for witness evaluation over many times.
 
-    Builds one merged spectrum per unordered configuration pair (i < j in
-    lexicographic order, matching the Bloch coordinate layout) and exposes
-    log det M, its time derivative, and full reduced states. Instances are
-    immutable after construction and safe to share between workers.
+    Pairs a < b are in lexicographic order, the Bloch coordinate layout.
+    Exposes log det M, its time derivative, and full reduced states.
+    Instances are immutable after construction and safe to share.
     """
 
     def __init__(self, spec: EnsembleSpec, env: EnvPopulations, cap: int = DEFAULT_ENUM_CAP):
@@ -118,99 +128,98 @@ class WitnessEvaluator:
             raise ValueError("environment populations do not match the ensemble")
         self.spec = spec
         self.env = env
-        self.dim = spec.dim_system
+        sys_cfg = config_matrix(spec.n_system, spec.twice_spin, cap=cap).astype(float)
+        self.dim = len(sys_cfg)
+        check_pair_cap(self.dim, cap)
+        self._a, self._b = np.triu_indices(self.dim, k=1)
+        energies = system_energies(spec, cap=cap)
+        self.thetas = energies[self._b] - energies[self._a]
+
+        # nu of every pair, sign folded so that its first nonzero entry is
+        # positive (+ 0.0 turns -0.0 into 0.0 before rows are compared)
+        nu = 0.5 * ((sys_cfg[self._a] - sys_cfg[self._b]) @ spec.cross_couplings)
+        lead = nu[np.arange(len(nu)), np.argmax(nu != 0.0, axis=1)]
+        self._flip = lead < 0.0
+        nu[self._flip] *= -1.0
+        classes, inverse, counts = np.unique(nu + 0.0, axis=0, return_inverse=True,
+                                             return_counts=True)
+        self._pair_class = inverse.ravel()
+        self._mult2 = 2.0 * counts.astype(np.longdouble)
+
         # populated environment configurations (twice-values) and their weights
         populated = env.weights > 0.0
         u = config_matrix(spec.n_env, spec.twice_spin, cap=cap)[populated].astype(float)
-        w = env.weights[populated]
-        j_cross = spec.cross_couplings
-        sys_cfg = config_matrix(spec.n_system, spec.twice_spin, cap=cap).astype(float)
-        self.system_energies = system_energies(spec, cap=cap)
-        self._pair_index = _pair_list(self.dim)
-        self._weights: List[np.ndarray] = []
-        self._omegas: List[np.ndarray] = []
-        self.thetas: List[float] = []
-        for a, b in self._pair_index:
-            dt = sys_cfg[a] - sys_cfg[b]
-            om, wm = _merge_frequencies(0.5 * (u @ (dt @ j_cross)), w)
-            self._weights.append(wm)
-            self._omegas.append(om)
-            self.thetas.append(float(self.system_energies[b] - self.system_energies[a]))
-        self._weights_ld = [w_.astype(np.longdouble) for w_ in self._weights]
-        self._omegas_ld = [o.astype(np.longdouble) for o in self._omegas]
+        # matrix-vector products keep the rounding of one pair's frequencies;
+        # near zeros of A, log|A| feels their last bit
+        omegas = np.array([u @ nu_class for nu_class in classes])
+        self._omegas, self._weights = _merge_frequencies(omegas, env.weights[populated])
+        self._omegas_ld = self._omegas.astype(np.longdouble)
+        self._weights_ld = self._weights.astype(np.longdouble)
+        self._wo_ld = self._weights_ld * self._omegas_ld
 
     @property
     def pair_index(self) -> List[Tuple[int, int]]:
-        return list(self._pair_index)
+        return list(zip(self._a.tolist(), self._b.tolist()))
 
     # -- double precision factors (matrix-element accuracy) ----------------
 
     def factors(self, t: float) -> np.ndarray:
         """A_{ab}(t) for every pair a < b, complex double.
 
-        Evaluated as 1 + sum_k w_k (e^{i omega_k t} - 1): the weights are a
-        distribution, so this is algebraically the same sum but exact at
-        t = 0 even when the float weights do not sum to exactly 1.
+        Evaluated per class as 1 + sum_k w_k (e^{i omega_k t} - 1): the same
+        sum for weights of a distribution, but exact at t = 0 even when the
+        float weights do not sum to 1. Flipped pairs take the conjugate.
         """
-        out = np.empty(len(self._pair_index), dtype=complex)
-        for k, (w, om) in enumerate(zip(self._weights, self._omegas)):
-            ph = om * t
-            out[k] = 1.0 + (np.cos(ph) - 1.0) @ w + 1j * (np.sin(ph) @ w)
-        return out
+        ph = self._omegas * t
+        real = 1.0 + _row_dot(np.cos(ph) - 1.0, self._weights)
+        out = (real + 1j * _row_dot(np.sin(ph), self._weights))[self._pair_class]
+        return np.where(self._flip, out.conj(), out)
 
     def reduced_state(self, rho0: np.ndarray, t: float) -> np.ndarray:
         """Evolve an initial subsystem density matrix to time t."""
         rho0 = np.asarray(rho0, dtype=complex)
         if rho0.shape != (self.dim, self.dim):
             raise ValueError(f"state must be {self.dim}x{self.dim}")
+        a, b = self._a, self._b
         rho = rho0.copy()
-        fac = self.factors(t)
-        for k, (a, b) in enumerate(self._pair_index):
-            z = fac[k] * np.exp(1j * self.thetas[k] * t)
-            rho[a, b] = rho0[a, b] * z
-            rho[b, a] = np.conj(rho[a, b])
+        rho[a, b] = rho0[a, b] * (self.factors(t) * np.exp(1j * self.thetas * t))
+        rho[b, a] = np.conj(rho[a, b])
         return rho
 
     # -- extended precision witness ----------------------------------------
 
-    def _pair_logabs_and_ratio(self, t, k: int):
-        """log|A_k| and Re(conj(A_k) A_k')/|A_k|^2 on a time array."""
-        tl = np.asarray(t, dtype=np.longdouble)
-        w = self._weights_ld[k]
-        om = self._omegas_ld[k]
-        ph = np.multiply.outer(tl, om)
-        cos = np.cos(ph)
-        sin = np.sin(ph)
-        c = cos @ w
-        s = sin @ w
-        wo = w * om
-        cd = -(sin @ wo)
-        sd = cos @ wo
-        mod2 = c * c + s * s
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logabs = 0.5 * np.log(mod2)
-            ratio = (c * cd + s * sd) / mod2
-        return logabs, ratio
-
     def series(self, times) -> Tuple[np.ndarray, np.ndarray]:
-        """(log det M, d/dt log det M) on a time grid, double precision output.
+        """(log det M, d/dt log det M) on a 1-D time grid, double precision output.
 
-        At exact zeros of any factor log det is -inf and the derivative NaN.
+        Each class adds 2 x multiplicity x (log|A|, Re(conj(A) A')/|A|^2).
+        Times go in blocks of SERIES_BLOCK entries; a time's values do not
+        depend on the other times. At exact zeros of any factor log det is
+        -inf and the derivative NaN.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        logdet = np.zeros(times.shape, dtype=np.longdouble)
-        dlogdet = np.zeros(times.shape, dtype=np.longdouble)
-        for k in range(len(self._pair_index)):
-            la, ra = self._pair_logabs_and_ratio(times, k)
-            logdet += 2.0 * la
-            dlogdet += 2.0 * ra
+        logdet = np.empty(times.shape, dtype=np.longdouble)
+        dlogdet = np.empty_like(logdet)
+        step = max(1, SERIES_BLOCK // self._omegas_ld.size)
+        for i in range(0, times.size, step):
+            ph = times[i : i + step, None, None].astype(np.longdouble) * self._omegas_ld
+            cos, sin = np.cos(ph), np.sin(ph)
+            c = _row_dot(cos, self._weights_ld)
+            s = _row_dot(sin, self._weights_ld)
+            cd = -_row_dot(sin, self._wo_ld)
+            sd = _row_dot(cos, self._wo_ld)
+            mod2 = c * c + s * s
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logdet[i : i + step] = (0.5 * np.log(mod2)) @ self._mult2
+                dlogdet[i : i + step] = ((c * cd + s * sd) / mod2) @ self._mult2
         return logdet.astype(float), dlogdet.astype(float)
 
     def log_det(self, t: float) -> float:
         return float(self.series([t])[0][0])
 
-    def dlog_det(self, t: float) -> float:
-        return float(self.series([t])[1][0])
+    def dlog_det(self, t):
+        """d/dt log det M: a float at one time, an array on an array of times."""
+        d = self.series(t)[1]
+        return float(d[0]) if np.ndim(t) == 0 else d
 
 
 # ---------------------------------------------------------------------------
@@ -226,17 +235,14 @@ def bloch_vector(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     dim = rho.shape[0]
     out = np.empty(dim * dim)
-    k = 0
-    for a, b in _pair_list(dim):
-        out[2 * k] = rho[a, b].real
-        out[2 * k + 1] = rho[a, b].imag
-        k += 1
     base = dim * (dim - 1)
+    upper = rho[np.triu_indices(dim, k=1)]
+    out[0:base:2] = upper.real
+    out[1:base:2] = upper.imag
     diag = np.diag(rho).real
-    partial = 0.0
-    for l in range(1, dim):
-        partial += diag[l - 1]
-        out[base + l - 1] = np.sqrt(2.0 / (l * (l + 1))) * (partial - l * diag[l])
+    l = np.arange(1, dim)
+    partial = np.cumsum(diag)[:-1]  # sum of the first l diagonal entries
+    out[base : dim * dim - 1] = np.sqrt(2.0 / (l * (l + 1))) * (partial - l * diag[1:])
     out[dim * dim - 1] = diag.sum()
     return out
 
@@ -248,12 +254,10 @@ def bloch_to_density(coords: np.ndarray) -> np.ndarray:
     if dim * dim != coords.size:
         raise ValueError("coordinate vector length must be a perfect square")
     rho = np.zeros((dim, dim), dtype=complex)
-    k = 0
-    for a, b in _pair_list(dim):
-        rho[a, b] = coords[2 * k] + 1j * coords[2 * k + 1]
-        rho[b, a] = np.conj(rho[a, b])
-        k += 1
     base = dim * (dim - 1)
+    a, b = np.triu_indices(dim, k=1)
+    rho[a, b] = coords[0:base:2] + 1j * coords[1:base:2]
+    rho[b, a] = np.conj(rho[a, b])
     trace = coords[dim * dim - 1]
     diag = np.empty(dim)
     partial = trace  # sum of the first l+1 diagonal entries, walked downward
@@ -283,13 +287,12 @@ def bloch_evolution_matrix(
     if dim * dim > cap:
         raise ResourceCapError(f"Bloch matrix needs dimension {dim * dim}, cap is {cap}")
     mat = np.eye(dim * dim)
-    fac = ev.factors(t)
-    for k in range(len(ev.pair_index)):
-        z = fac[k] * np.exp(1j * ev.thetas[k] * t)
-        mat[2 * k, 2 * k] = z.real
-        mat[2 * k, 2 * k + 1] = -z.imag
-        mat[2 * k + 1, 2 * k] = z.imag
-        mat[2 * k + 1, 2 * k + 1] = z.real
+    z = ev.factors(t) * np.exp(1j * ev.thetas * t)
+    re = 2 * np.arange(z.size)
+    im = re + 1
+    mat[re, re] = mat[im, im] = z.real
+    mat[re, im] = -z.imag
+    mat[im, re] = z.imag
     return mat
 
 
@@ -320,21 +323,23 @@ def _det_from_log(log_det: np.ndarray) -> np.ndarray:
     return det
 
 
-def _bisect_sign_change(fun, lo: float, hi: float, f_lo: float, rel_tol: float = 1e-9) -> float:
-    """Locate a sign change of fun in (lo, hi) by bisection."""
+def _bisect_sign_changes(fun, lo, hi, f_lo, rel_tol: float = 1e-9) -> np.ndarray:
+    """Locate a sign change of fun in each bracket (lo, hi) of the arrays.
+
+    Each round calls fun once, on the midpoints of all brackets still open.
+    """
+    lo, hi = lo.copy(), hi.copy()
     want_neg = f_lo > 0.0
-    while hi - lo > rel_tol * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
+    open_ = np.flatnonzero(hi - lo > rel_tol * np.maximum(1.0, np.abs(hi)))
+    while open_.size:
+        mid = 0.5 * (lo[open_] + hi[open_])
         f_mid = fun(mid)
-        if not np.isfinite(f_mid):
-            # singular point: the derivative flips sign across it, so narrow
-            # from whichever side keeps the bracket
-            hi = mid
-            continue
-        if (f_mid < 0.0) == want_neg:
-            hi = mid
-        else:
-            lo = mid
+        # a non-finite midpoint is a singular point: the derivative flips
+        # sign across it, so narrow from whichever side keeps the bracket
+        to_hi = ~np.isfinite(f_mid) | ((f_mid < 0.0) == want_neg[open_])
+        hi[open_[to_hi]] = mid[to_hi]
+        lo[open_[~to_hi]] = mid[~to_hi]
+        open_ = open_[hi[open_] - lo[open_] > rel_tol * np.maximum(1.0, np.abs(hi[open_]))]
     return 0.5 * (lo + hi)
 
 
@@ -349,8 +354,8 @@ def detect_episodes(
     """Witness series with non-Markovian episodes on [t_start, t_stop].
 
     Episode boundaries are refined by bisection on the sign of the
-    log-derivative to 1e-9 relative tolerance. Grid points where det is an
-    exact zero are excluded from episodes.
+    log-derivative to 1e-9 relative tolerance, all brackets together. Grid
+    points where det is an exact zero are excluded from episodes.
     """
     if not t_stop > t_start:
         raise ValueError("need t_stop > t_start")
@@ -361,22 +366,15 @@ def detect_episodes(
     log_det, dlogdet = ev.series(times)
     positive = np.isfinite(log_det) & np.isfinite(dlogdet) & (dlogdet > 0.0)
 
-    episodes: List[Tuple[float, float]] = []
-    open_start: Optional[float] = None
-    for k in range(points):
-        if positive[k] and open_start is None:
-            if k == 0:
-                open_start = times[0]
-            else:
-                open_start = _bisect_sign_change(
-                    ev.dlog_det, times[k - 1], times[k], dlogdet[k - 1]
-                )
-        elif not positive[k] and open_start is not None:
-            end = _bisect_sign_change(ev.dlog_det, times[k - 1], times[k], dlogdet[k - 1])
-            episodes.append((open_start, end))
-            open_start = None
-    if open_start is not None:
-        episodes.append((open_start, times[-1]))
+    # grid intervals where positivity changes alternate between episode
+    # starts and ends; an episode open at either end of the grid keeps it
+    k = np.flatnonzero(positive[1:] != positive[:-1]) + 1
+    edges = _bisect_sign_changes(ev.dlog_det, times[k - 1], times[k], dlogdet[k - 1]).tolist()
+    if positive[0]:
+        edges.insert(0, float(times[0]))
+    if positive[-1]:
+        edges.append(float(times[-1]))
+    episodes = list(zip(edges[::2], edges[1::2]))
 
     in_episode = np.zeros(points, dtype=bool)
     for a, b in episodes:

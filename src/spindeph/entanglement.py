@@ -44,9 +44,13 @@ def evolve_global(
     rho_e0 = np.asarray(rho_e0, dtype=complex)
     if rho_s0.shape != (spec.dim_system,) * 2 or rho_e0.shape != (spec.dim_env,) * 2:
         raise ValueError("initial factors have wrong dimensions")
-    rho0 = np.kron(rho_s0, rho_e0)
+    # product and phases in place: a second D x D temporary would make the
+    # peak memory depend on the allocator's history
+    rho = (rho_s0[:, None, :, None] * rho_e0[None, :, None, :]).reshape(dim, dim)
     u = np.exp(-1j * total_energies(spec) * t)
-    return (u[:, None] * rho0) * u.conj()[None, :]
+    np.multiply(u[:, None], rho, out=rho)
+    rho *= u.conj()[None, :]
+    return rho
 
 
 def partial_trace_env(rho: np.ndarray, dims: Tuple[int, int]) -> np.ndarray:
@@ -79,11 +83,13 @@ def _env_diagonal_blocks(rho: np.ndarray, dims: Tuple[int, int]):
     d_s, d_e = dims
     if d_e == 1:
         return None
-    r = rho.reshape(d_s, d_e, d_s, d_e)
-    scale = max(1.0, float(np.max(np.abs(rho))))
-    off = r - np.einsum("ikjk,kl->ikjl", r, np.eye(d_e))
-    if float(np.max(np.abs(off))) > 1e-14 * scale:
+    off = np.abs(rho).reshape(d_s, d_e, d_s, d_e)
+    scale = max(1.0, float(off.max()))
+    env = np.arange(d_e)
+    off[:, env, :, env] = 0.0
+    if float(off.max()) > 1e-14 * scale:
         return None
+    r = rho.reshape(d_s, d_e, d_s, d_e)
     return [r[:, k, :, k] for k in range(d_e)]
 
 
@@ -95,7 +101,9 @@ def _pure_vector(rho: np.ndarray, tol: float) -> Optional[np.ndarray]:
         return None
     psi = rho[:, j] / np.sqrt(diag[j])
     # confirm the rank-1 reconstruction before trusting it
-    if np.max(np.abs(rho - np.outer(psi, psi.conj()))) > tol:
+    resid = np.outer(psi, psi.conj())
+    resid -= rho
+    if np.max(np.abs(resid)) > tol:
         return None
     return psi
 
@@ -112,8 +120,11 @@ def negativity_details(
     """
     d_s, d_e = dims
     rho = np.asarray(rho, dtype=complex)
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(rho))):
+    skew = rho.conj().T
+    skew -= rho
+    if np.max(np.abs(skew)) > 1e-10 * max(1.0, np.max(np.abs(rho))):
         raise ValueError("negativity needs a Hermitian matrix")
+    del skew  # a D x D temporary: free it before the purity and residual ones
     purity = float(np.sum(np.abs(rho) ** 2).real)
     trace = float(np.trace(rho).real)
     if abs(trace - 1.0) < 1e-10 and abs(purity - 1.0) < purity_tol:

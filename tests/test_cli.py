@@ -238,6 +238,42 @@ def test_malformed_grid_is_usage_error(tmp_path, capsys):
     )
 
 
+def test_system_block_over_cap_is_usage_error(tmp_path, capsys):
+    # 2^21 system configurations: rejected while the ensemble is read
+    doc = dict(BASE, ensemble=dict(BASE["ensemble"], n_total=23, n_system=21))
+    cfg = write_config(tmp_path, doc)
+    msg = _expect_usage_error(["witness", "--config", cfg, "--out", str(tmp_path / "x.csv")], capsys)
+    assert "cap" in msg
+
+
+def test_thermo_limit_system_size_out_of_range_is_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    _expect_usage_error(["thermo-limit", "--family", "fixed-p", "--p", "0",
+                         "--n-list", "10", "--out", out], capsys)
+    _expect_usage_error(["thermo-limit", "--family", "fixed-p", "--p", "10",
+                         "--n-list", "100,10", "--out", out], capsys)
+    _expect_usage_error(["thermo-limit", "--family", "fraction", "--r", "1",
+                         "--n-list", "8", "--out", out], capsys)
+
+
+def test_global_negativity_over_dimension_cap_is_usage_error(tmp_path, capsys):
+    # 2^11 global configurations, over the dense cap of 1024
+    doc = dict(BASE, ensemble=dict(BASE["ensemble"], n_total=11, n_system=2),
+               system_state={"kind": "maximally_mixed"},
+               environment_state={"kind": "maximally_mixed"})
+    cfg = write_config(tmp_path, doc)
+    msg = _expect_usage_error(["negativity", "--config", cfg, "--cut", "global",
+                               "--out", str(tmp_path / "x.csv")], capsys)
+    assert "2048" in msg
+
+
+def test_negativity_cut_outside_system_is_usage_error(tmp_path, capsys):
+    # the preset's system has two sites, so a cut after three cannot be made
+    for cut in ("system:3", "system:2", "system:0"):
+        _expect_usage_error(["negativity", "--config", preset("negativity_pair_bell_ring6.json"),
+                             "--cut", cut, "--out", str(tmp_path / "x.csv")], capsys)
+
+
 # Fuzzed ensemble documents: valid ones of at most 4 sites (so each runs in
 # milliseconds) with up to two keys deleted or replaced by junk.
 _DELETE = object()

@@ -8,6 +8,7 @@ from spindeph import model, thermal
 from spindeph.engine import (
     EnvPopulations,
     WitnessEvaluator,
+    _bisect_sign_changes,
     bloch_evolution_matrix,
     bloch_to_density,
     bloch_vector,
@@ -17,10 +18,12 @@ from spindeph.engine import (
 from spindeph.model import (
     EnsembleSpec,
     NearestNeighborRing1D,
+    ResourceCapError,
     SpinConfig,
     config_index,
     config_matrix,
     ensemble_from_model,
+    system_energies,
 )
 
 
@@ -170,6 +173,159 @@ def test_factor_derivative_against_finite_difference():
     # symmetric spectrum: derivative vanishes at t=0
     mixed = WitnessEvaluator(spec, thermal.maximally_mixed(5, 1))
     assert mixed.dlog_det(0.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the nu-class kernel against a per-pair enumeration
+
+
+def enumerated_pairs(spec, env, ts):
+    """A_{ab}(t) and dA/dt for every pair a < b, each pair summed over every
+    environment configuration from its interaction energies; shape (T, pairs)."""
+    sys_cfg = config_matrix(spec.n_system, spec.twice_spin)
+    env_cfg = config_matrix(spec.n_env, spec.twice_spin)
+    energy = np.array([[interaction_energy(spec, s, sigma) for sigma in env_cfg] for s in sys_cfg])
+    factors, derivatives = [], []
+    for a in range(len(sys_cfg)):
+        for b in range(a + 1, len(sys_cfg)):
+            delta = energy[b] - energy[a]
+            terms = env.weights * np.exp(1j * np.multiply.outer(ts, delta))
+            factors.append(terms.sum(axis=1))
+            derivatives.append((1j * delta * terms).sum(axis=1))
+    return np.array(factors).T, np.array(derivatives).T
+
+
+@st.composite
+def kernel_cases(draw):
+    """Random couplings, spin 1/2 or 1, and one of four kinds of environment."""
+    twice_spin = draw(st.sampled_from([1, 2]))
+    n_system = draw(st.integers(1, 3 if twice_spin == 1 else 2))
+    n_env = draw(st.integers(1, 3))
+    n = n_system + n_env
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        j = rng.uniform(-1.0, 1.0, (n, n))  # generic: classes are the values of +-(s - s')
+    else:
+        j = rng.choice([-1.0, 0.0, 0.5, 1.0], (n, n))  # few values: classes merge
+    j = np.triu(j, 1) + np.triu(j, 1).T
+    spec = EnsembleSpec(n_total=n, n_system=n_system, twice_spin=twice_spin,
+                        couplings=j, fields=rng.uniform(-1.0, 1.0, n))
+    kind = draw(st.sampled_from(["mixed", "thermal", "basis", "explicit"]))
+    if kind == "mixed":
+        env = thermal.maximally_mixed(n_env, twice_spin)
+    elif kind == "thermal":
+        env = thermal.thermal_populations(spec, float(rng.uniform(0.1, 3.0))).populations
+    elif kind == "basis":
+        values = twice_spin - 2 * rng.integers(0, twice_spin + 1, n_env)
+        env = thermal.basis_state(SpinConfig(tuple(values)), twice_spin)
+    else:
+        w = rng.uniform(0.0, 1.0, spec.dim_env) * (rng.random(spec.dim_env) < 0.7)
+        w[0] += 0.1
+        env = EnvPopulations(n_sites=n_env, twice_spin=twice_spin, weights=w / w.sum())
+    return spec, env
+
+
+KERNEL_TIMES = np.linspace(0.0, 4.0, 9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kernel_cases())
+def test_kernel_matches_pair_enumeration(case):
+    spec, env = case
+    ev = WitnessEvaluator(spec, env)
+    ref, dref = enumerated_pairs(spec, env, KERNEL_TIMES)
+    energies = system_energies(spec)
+    a, b = np.array(ev.pair_index).T
+    rho0 = random_density(np.random.default_rng(0), ev.dim)
+    for k, t in enumerate(KERNEL_TIMES):
+        assert np.max(np.abs(ev.factors(t) - ref[k])) <= 1e-13
+        rho_t = ev.reduced_state(rho0, t)
+        expected = rho0[a, b] * ref[k] * np.exp(1j * t * (energies[b] - energies[a]))
+        assert np.max(np.abs(rho_t[a, b] - expected)) <= 1e-13
+        assert np.array_equal(rho_t[b, a], np.conj(rho_t[a, b]))
+    # log det and its derivative where no factor is near a zero
+    away = np.min(np.abs(ref), axis=1) > 1e-3
+    log_det, dlog_det = ev.series(KERNEL_TIMES[away])
+    mod2 = np.abs(ref[away]) ** 2
+    assert log_det == pytest.approx(np.log(mod2).sum(axis=1), rel=1e-10, abs=1e-12)
+    ratio = (np.conj(ref[away]) * dref[away]).real / mod2
+    assert dlog_det == pytest.approx(2.0 * ratio.sum(axis=1), rel=1e-9, abs=1e-10)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(kernel_cases())
+def test_series_value_does_not_depend_on_the_batch(case):
+    ev = WitnessEvaluator(*case)
+    ts = np.linspace(0.0, 6.0, 25)
+    log_det, dlog_det = ev.series(ts)
+    single = [ev.series([t]) for t in ts]
+    assert log_det.tobytes() == np.concatenate([s[0] for s in single]).tobytes()
+    assert dlog_det.tobytes() == np.concatenate([s[1] for s in single]).tobytes()
+    assert ev.series(ts[::-1])[1][::-1].tobytes() == dlog_det.tobytes()
+
+
+def sequential_bisect(fun, lo, hi, f_lo):
+    """One bracket, one scalar call per step: the reference for the batched
+    refinement. A non-finite midpoint narrows the bracket from above."""
+    want_neg = f_lo > 0.0
+    while hi - lo > 1e-9 * max(1.0, abs(hi)):
+        mid = 0.5 * (lo + hi)
+        f_mid = fun(mid)
+        if not np.isfinite(f_mid) or (f_mid < 0.0) == want_neg:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def sequential_episodes(ev, times):
+    """Episodes with one sequential bisection per bracket."""
+    log_det, dlog_det = ev.series(times)
+    positive = np.isfinite(log_det) & np.isfinite(dlog_det) & (dlog_det > 0.0)
+
+    def bisect(lo, hi, f_lo):
+        return sequential_bisect(ev.dlog_det, lo, hi, f_lo)
+
+    episodes, start = [], None
+    for k in range(len(times)):
+        if positive[k] and start is None:
+            start = times[0] if k == 0 else bisect(times[k - 1], times[k], dlog_det[k - 1])
+        elif not positive[k] and start is not None:
+            episodes.append((start, bisect(times[k - 1], times[k], dlog_det[k - 1])))
+            start = None
+    if start is not None:
+        episodes.append((start, times[-1]))
+    return episodes
+
+
+def test_batched_bisection_matches_sequential_bitwise():
+    spec = random_spec(np.random.default_rng(0), 8, 3)
+    env = thermal.maximally_mixed(5, 1)
+    series = detect_episodes(spec, env, 0.0, 5.0, 200)
+    reference = sequential_episodes(WitnessEvaluator(spec, env), series.times)
+    boundaries = [x for episode in series.episodes for x in episode if 0.0 < x < 5.0]
+    assert len(boundaries) >= 40
+    assert series.episodes == reference
+
+
+def test_batched_bisection_non_finite_midpoint():
+    # the first midpoint of (0, 1) is singular: both refinements keep the
+    # lower half, where cos(7t) changes sign at pi/14
+    def fun(t):
+        return np.where(t == 0.5, np.nan, np.cos(7.0 * np.asarray(t)))
+
+    lo, hi = np.array([0.0, 0.3]), np.array([1.0, 0.5])
+    batched = _bisect_sign_changes(fun, lo, hi, fun(lo))
+    reference = [sequential_bisect(lambda t: float(fun(t)), a, b, float(fun(a)))
+                 for a, b in zip(lo, hi)]
+    assert batched.tolist() == reference
+    assert batched[0] == pytest.approx(np.pi / 14, abs=1e-9)
+
+
+def test_pair_count_over_cap_raises():
+    # 8 system configurations fit a cap of 10, their 28 pairs do not
+    with pytest.raises(ResourceCapError, match="28 configuration pairs"):
+        WitnessEvaluator(ring_spec(6, 3), thermal.maximally_mixed(3, 1), cap=10)
 
 
 # ---------------------------------------------------------------------------
