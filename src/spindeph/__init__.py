@@ -29,7 +29,9 @@ from .engine import (
     populations_from_density,
 )
 from .entanglement import (
+    GlobalNegativity,
     evolve_global,
+    global_negativity_series,
     negativity,
     negativity_details,
     partial_trace_env,
@@ -37,7 +39,7 @@ from .entanglement import (
     system_internal_negativity,
     trace_norm,
 )
-from .linalg import hermitian_eigensystem, hermitian_eigenvalues, lu_det
+from .linalg import hermitian_eigenvalues, lu_det
 from .model import (
     DEFAULT_ENUM_CAP,
     CouplingModel,

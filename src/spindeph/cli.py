@@ -203,6 +203,12 @@ def _closed_form_series(name: str, cfg: dict, spec: EnsembleSpec, times: np.ndar
     model = cfg.get("ensemble", {}).get("model")
     if model is None:
         raise UsageError("--closed-form needs an ensemble built from a named model")
+    env_kind = cfg.get("environment", {}).get("kind", "mixed")
+    if spec.twice_spin != 1 or env_kind != "mixed":
+        raise UsageError(
+            f"--closed-form {name} assumes spin 1/2 and the 'mixed' environment; "
+            f"this run has spin {Fraction(spec.twice_spin, 2)} and a {env_kind!r} environment"
+        )
     j = float(model.get("J", 1.0))
     n, p = spec.n_total, spec.n_system
     if name == "nn1d":
@@ -235,13 +241,14 @@ def cmd_witness(args) -> int:
     spec = _ensemble(cfg, Path(args.config).parent)
     env = _environment(cfg, spec)
     times = _grid(cfg, args.grid)
+    if args.closed_form is not None:
+        ref = np.asarray(_closed_form_series(args.closed_form, cfg, spec, times))
     series = engine.detect_episodes(
         spec, env, float(times[0]), float(times[-1]), times.size
     )
     header = ["t", "log_det", "det", "dlogdet_dt", "in_episode"]
     columns = [series.times, series.log_det, series.det, series.dlogdet_dt, series.in_episode]
     if args.closed_form is not None:
-        ref = np.asarray(_closed_form_series(args.closed_form, cfg, spec, series.times))
         dev = series.log_det - ref
         header += ["closed_form_log_det", "log_det_deviation"]
         columns += [ref, dev]
@@ -332,50 +339,55 @@ def _parse_cut(text: str, n_system: int):
     raise UsageError("--cut wants 'global' or 'system:<sites>'")
 
 
+@contextmanager
+def _time_map(threads: int):
+    """map over a time grid: a pool's map for threads > 1, else the builtin."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            yield pool.map
+    else:
+        yield map
+
+
 def cmd_negativity(args) -> int:
     cfg = _load_config(args.config)
     spec = _ensemble(cfg, Path(args.config).parent)
     times = _grid(cfg, args.grid)
     kind, cut_sites = _parse_cut(args.cut or cfg.get("cut", "global"), spec.n_system)
 
-    if kind == "global":
-        if "system_state" not in cfg or "environment_state" not in cfg:
-            raise UsageError("global negativity needs 'system_state' and 'environment_state'")
-        dims = (spec.dim_system, spec.dim_env)
-        if dims[0] * dims[1] > entanglement.GLOBAL_DIM_CAP:
-            raise UsageError(f"global dimension {dims[0] * dims[1]} exceeds cap "
-                             f"{entanglement.GLOBAL_DIM_CAP}")
-        rho_s = _state_matrix(cfg["system_state"], spec.n_system, spec.twice_spin)
-        rho_e = _state_matrix(cfg["environment_state"], spec.n_env, spec.twice_spin)
+    with _time_map(args.threads) as map_times:
+        if kind == "global":
+            if "system_state" not in cfg or "environment_state" not in cfg:
+                raise UsageError("global negativity needs 'system_state' and 'environment_state'")
+            dims = (spec.dim_system, spec.dim_env)
+            if dims[0] * dims[1] > entanglement.GLOBAL_DIM_CAP:
+                raise UsageError(f"global dimension {dims[0] * dims[1]} exceeds cap "
+                                 f"{entanglement.GLOBAL_DIM_CAP}")
+            rho_s = _state_matrix(cfg["system_state"], spec.n_system, spec.twice_spin)
+            rho_e = _state_matrix(cfg["environment_state"], spec.n_env, spec.twice_spin)
+            result = entanglement.global_negativity_series(spec, rho_s, rho_e, times, map_times)
+            path = result.path
+            raw, min_eig, tnorm = result.negativity, result.min_eigenvalue, result.trace_norm
+        else:
+            if "system_state" not in cfg:
+                raise UsageError("system-cut negativity needs 'system_state'")
+            rho_s = _state_matrix(cfg["system_state"], spec.n_system, spec.twice_spin)
+            env = _environment(cfg, spec)
+            ev = engine.WitnessEvaluator(spec, env)
+            d_a = spec.levels**cut_sites
+            d_b = spec.levels ** (spec.n_system - cut_sites)
 
-        def one(t: float):
-            g = entanglement.evolve_global(spec, rho_s, rho_e, t)
-            return entanglement.negativity_details(g, dims)
+            def one(t: float):
+                return entanglement.negativity_details(ev.reduced_state(rho_s, t), (d_a, d_b))
 
-    else:
-        if "system_state" not in cfg:
-            raise UsageError("system-cut negativity needs 'system_state'")
-        rho_s = _state_matrix(cfg["system_state"], spec.n_system, spec.twice_spin)
-        env = _environment(cfg, spec)
-        ev = engine.WitnessEvaluator(spec, env)
-        d_a = spec.levels**cut_sites
-        d_b = spec.levels ** (spec.n_system - cut_sites)
-
-        def one(t: float):
-            return entanglement.negativity_details(ev.reduced_state(rho_s, t), (d_a, d_b))
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            details = list(pool.map(one, times))
-    else:
-        details = [one(t) for t in times]
-    raw = np.array([d[0] for d in details])
+            path = "reduced-state"
+            raw, min_eig, tnorm = np.array(list(map_times(one, times))).T
     write_csv(
         args.out,
         ["t", "negativity", "min_eigenvalue", "trace_norm"],
-        [times, np.maximum(raw, 0.0), [d[1] for d in details], [d[2] for d in details]],
+        [times, np.maximum(raw, 0.0), min_eig, tnorm],
     )
-    print(f"wrote {args.out} (max negativity {raw.max():.6g})")
+    print(f"wrote {args.out} ({path} path, max negativity {raw.max():.6g})")
     return 0
 
 

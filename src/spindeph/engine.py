@@ -156,6 +156,9 @@ class WitnessEvaluator:
         self._omegas_ld = self._omegas.astype(np.longdouble)
         self._weights_ld = self._weights.astype(np.longdouble)
         self._wo_ld = self._weights_ld * self._omegas_ld
+        # 1 - each class's weight total, summed as `series` sums at t = 0,
+        # so that A(0) = 1 exactly although float weights sum to 1 +- ulp
+        self._c_shift = 1.0 - _row_dot(np.ones_like(self._weights_ld), self._weights_ld)
 
     @property
     def pair_index(self) -> List[Tuple[int, int]]:
@@ -192,6 +195,9 @@ class WitnessEvaluator:
         """(log det M, d/dt log det M) on a 1-D time grid, double precision output.
 
         Each class adds 2 x multiplicity x (log|A|, Re(conj(A) A')/|A|^2).
+        Re A is shifted by 1 minus the class's weight total, which makes
+        both values exactly 0 at t = 0 and changes nothing when the weights
+        sum to 1 exactly.
         Times go in blocks of SERIES_BLOCK entries; a time's values do not
         depend on the other times. At exact zeros of any factor log det is
         -inf and the derivative NaN.
@@ -203,7 +209,7 @@ class WitnessEvaluator:
         for i in range(0, times.size, step):
             ph = times[i : i + step, None, None].astype(np.longdouble) * self._omegas_ld
             cos, sin = np.cos(ph), np.sin(ph)
-            c = _row_dot(cos, self._weights_ld)
+            c = _row_dot(cos, self._weights_ld) + self._c_shift
             s = _row_dot(sin, self._weights_ld)
             cd = -_row_dot(sin, self._wo_ld)
             sd = _row_dot(cos, self._wo_ld)

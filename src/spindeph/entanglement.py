@@ -5,15 +5,26 @@ global evolution is an elementwise phase on the density matrix: element
 (g, g') picks up exp(-i t [E_g - E_g']). Dense storage is fine up to the
 default dimension cap of 1024 (N = 10 spins-1/2).
 
-Negativity across the system|environment cut is (||rho^T_S||_1 - 1)/2. For
-a globally pure state the partial-transpose trace norm is (sum of Schmidt
-coefficients)^2, computed from a small Gram matrix; the generic path
-diagonalizes the partially transposed matrix with the in-package solver.
+Negativity across the system|environment cut is (||rho^T_S||_1 - 1)/2.
+For a product initial state rho_S x rho_E, `global_negativity_series`
+picks one of three paths from the two factors, once for the whole grid:
+
+- factor spectra: either factor is diagonal in the product basis. The
+  partial transpose then has the spectrum eig(rho_S) x eig(rho_E) at every
+  t (a diagonal rho_E leaves blocks w_k D_k rho_S D_k^H, a diagonal rho_S
+  is untouched by the transpose), so one small eigenproblem per factor
+  serves every time.
+- Schmidt: both factors are rank one. The evolved vector, a d_S x d_E
+  matrix, gives the Schmidt coefficients through its small Gram matrix;
+  the partial transpose of |psi><psi| has eigenvalues {l_i^2} and
+  {+- l_i l_j}, so the trace norm is (sum_i l_i)^2.
+- dense: anything else. The global matrix is built at each time and its
+  partial transpose diagonalized with the in-package solver.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -22,6 +33,9 @@ from .linalg import hermitian_eigenvalues, trace_norm
 from .model import DEFAULT_ENUM_CAP, EnsembleSpec, ResourceCapError, total_energies
 
 GLOBAL_DIM_CAP = 1024
+SCHMIDT_BLOCK = 2**16  # time x configuration entries per block of evolved vectors
+_DIAGONAL_TOL = 1e-14  # off-diagonal size, relative to the largest entry, read as zero
+_PURITY_TOL = 1e-10  # entrywise residual of a rank-one reconstruction
 
 
 def evolve_global(
@@ -72,27 +86,6 @@ def partial_transpose_system(rho: np.ndarray, dims: Tuple[int, int]) -> np.ndarr
     return np.transpose(r, (2, 1, 0, 3)).reshape(d_s * d_e, d_s * d_e)
 
 
-def _env_diagonal_blocks(rho: np.ndarray, dims: Tuple[int, int]):
-    """System-space blocks when rho is exactly diagonal in the environment.
-
-    Returns the list of d_S x d_S blocks rho[:, k, :, k] when every element
-    with differing environment indices vanishes, else None. For such states
-    the system partial transpose acts blockwise, so the full spectrum is the
-    union of the (Hermitian) block spectra.
-    """
-    d_s, d_e = dims
-    if d_e == 1:
-        return None
-    off = np.abs(rho).reshape(d_s, d_e, d_s, d_e)
-    scale = max(1.0, float(off.max()))
-    env = np.arange(d_e)
-    off[:, env, :, env] = 0.0
-    if float(off.max()) > 1e-14 * scale:
-        return None
-    r = rho.reshape(d_s, d_e, d_s, d_e)
-    return [r[:, k, :, k] for k in range(d_e)]
-
-
 def _pure_vector(rho: np.ndarray, tol: float) -> Optional[np.ndarray]:
     """Recover |psi> if rho = |psi><psi| within tol, else None."""
     diag = np.diag(rho).real
@@ -106,6 +99,21 @@ def _pure_vector(rho: np.ndarray, tol: float) -> Optional[np.ndarray]:
     if np.max(np.abs(resid)) > tol:
         return None
     return psi
+
+
+def _schmidt_details(lam2: np.ndarray) -> Tuple[float, float, float]:
+    """(negativity, minimum PT eigenvalue, PT trace norm) of a pure state.
+
+    lam2 are the ascending squared Schmidt coefficients, the eigenvalues of
+    a Gram matrix of the state's coefficient matrix.
+    """
+    # eigenvalue noise ~eps turns into sqrt(eps) Schmidt noise, so floor
+    # the squared coefficients before taking the root
+    lam2 = np.where(lam2 < 1e-14 * max(float(lam2[-1]), 0.0), 0.0, lam2)
+    lam = np.sqrt(np.clip(lam2, 0.0, None))
+    tnorm = float(lam.sum() ** 2)
+    min_eig = -float(lam[-1] * lam[-2]) if lam.size > 1 else float(lam2[0])
+    return (tnorm - 1.0) / 2.0, min_eig, tnorm
 
 
 def negativity_details(
@@ -128,26 +136,11 @@ def negativity_details(
     purity = float(np.sum(np.abs(rho) ** 2).real)
     trace = float(np.trace(rho).real)
     if abs(trace - 1.0) < 1e-10 and abs(purity - 1.0) < purity_tol:
-        psi = _pure_vector(rho, tol=1e-10)
+        psi = _pure_vector(rho, tol=_PURITY_TOL)
         if psi is not None:
-            gram = psi.reshape(d_s, d_e) @ psi.reshape(d_s, d_e).conj().T
-            lam2 = hermitian_eigenvalues(gram)
-            # eigenvalue noise ~eps turns into sqrt(eps) Schmidt noise, so
-            # floor the squared coefficients before taking the root
-            lam2 = np.where(lam2 < 1e-14 * max(float(lam2[-1]), 0.0), 0.0, lam2)
-            lam = np.sqrt(np.clip(lam2, 0.0, None))
-            tnorm = float(lam.sum() ** 2)
-            lam_desc = np.sort(lam)[::-1]
-            min_eig = -float(lam_desc[0] * lam_desc[1]) if lam.size > 1 else float(lam2[0])
-            return (tnorm - 1.0) / 2.0, min_eig, tnorm
-    blocks = _env_diagonal_blocks(rho, dims)
-    if blocks is not None:
-        # block-diagonal over the environment index: the partial transpose
-        # decomposes into per-block system transposes, eigenvalue-exactly
-        eigs = np.concatenate([hermitian_eigenvalues(b) for b in blocks])
-    else:
-        pt = partial_transpose_system(rho, dims)
-        eigs = hermitian_eigenvalues(pt)
+            m = psi.reshape(d_s, d_e)
+            return _schmidt_details(hermitian_eigenvalues(m @ m.conj().T))
+    eigs = hermitian_eigenvalues(partial_transpose_system(rho, dims))
     tnorm = float(np.sum(np.abs(eigs)))
     return (tnorm - 1.0) / 2.0, float(np.min(eigs)), tnorm
 
@@ -160,6 +153,90 @@ def negativity(rho: np.ndarray, dims: Tuple[int, int]) -> float:
     """
     value, _, _ = negativity_details(rho, dims)
     return max(value, 0.0)
+
+
+class GlobalNegativity(NamedTuple):
+    """Negativity columns on a time grid and the path that produced them."""
+
+    path: str  # "factor_spectra", "schmidt" or "dense"
+    negativity: np.ndarray  # unclamped (||rho^T_S||_1 - 1)/2
+    min_eigenvalue: np.ndarray
+    trace_norm: np.ndarray
+
+
+def _is_diagonal(rho: np.ndarray) -> bool:
+    off = np.abs(rho)
+    scale = max(1.0, float(off.max()))
+    np.fill_diagonal(off, 0.0)
+    return float(off.max()) <= _DIAGONAL_TOL * scale
+
+
+def _spectrum_and_trace_norm(rho: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Eigenvalues of a factor and its trace norm tr rho - 2 (sum of negatives).
+
+    The trace comes from the diagonal, so a PSD factor whose eigenvalues
+    carry ~eps noise still has trace norm 1 to the last bit.
+    """
+    trace = float(np.trace(rho).real)
+    eigs = np.diag(rho).real.copy() if _is_diagonal(rho) else hermitian_eigenvalues(rho)
+    return eigs, trace - 2.0 * float(eigs[eigs < 0.0].sum())
+
+
+def global_negativity_series(
+    spec: EnsembleSpec,
+    rho_s0: np.ndarray,
+    rho_e0: np.ndarray,
+    times,
+    map_times: Callable = map,
+) -> GlobalNegativity:
+    """Negativity across the system|environment cut of the evolved rho_S x rho_E.
+
+    The path is chosen once from the factors (see the module docstring).
+    Any Hermitian factors are accepted. ``map_times`` maps the per-time
+    function of the dense path over the grid (for example a thread pool's
+    map); the structured paths do not use it.
+    """
+    d_s, d_e = spec.dim_system, spec.dim_env
+    rho_s0 = np.asarray(rho_s0, dtype=complex)
+    rho_e0 = np.asarray(rho_e0, dtype=complex)
+    if rho_s0.shape != (d_s, d_s) or rho_e0.shape != (d_e, d_e):
+        raise ValueError("initial factors have wrong dimensions")
+    for rho in (rho_s0, rho_e0):
+        if np.max(np.abs(rho - rho.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(rho))):
+            raise ValueError("negativity needs Hermitian factors")
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+
+    if _is_diagonal(rho_s0) or _is_diagonal(rho_e0):
+        (eig_s, norm_s), (eig_e, norm_e) = map(_spectrum_and_trace_norm, (rho_s0, rho_e0))
+        tnorm = norm_s * norm_e
+        extremes = [np.array([e.min(), e.max()]) for e in (eig_s, eig_e)]
+        columns = ((tnorm - 1.0) / 2.0, float(np.outer(*extremes).min()), tnorm)
+        return GlobalNegativity("factor_spectra", *(np.full(times.shape, c) for c in columns))
+
+    psi_s = _pure_vector(rho_s0, tol=_PURITY_TOL)
+    psi_e = _pure_vector(rho_e0, tol=_PURITY_TOL)
+    if psi_s is not None and psi_e is not None:
+        # coefficient matrix with the smaller side first: its Gram matrix
+        # is the smaller one
+        psi0 = np.outer(psi_s, psi_e)
+        energies = total_energies(spec).reshape(d_s, d_e)
+        if d_s > d_e:
+            psi0, energies = psi0.T, energies.T
+        phase = -1j * energies
+        step = max(1, SCHMIDT_BLOCK // psi0.size)
+        details = []
+        for i in range(0, times.size, step):
+            psi = np.exp(times[i : i + step, None, None] * phase) * psi0
+            gram = psi @ psi.conj().transpose(0, 2, 1)
+            details += [_schmidt_details(hermitian_eigenvalues(g)) for g in gram]
+        path = "schmidt"
+    else:
+        dims = (d_s, d_e)
+        details = list(map_times(
+            lambda t: negativity_details(evolve_global(spec, rho_s0, rho_e0, t), dims), times
+        ))
+        path = "dense"
+    return GlobalNegativity(path, *np.array(details, dtype=float).reshape(-1, 3).T)
 
 
 def system_internal_negativity(
@@ -187,7 +264,9 @@ def system_internal_negativity(
 
 __all__ = [
     "GLOBAL_DIM_CAP",
+    "GlobalNegativity",
     "evolve_global",
+    "global_negativity_series",
     "partial_trace_env",
     "partial_transpose_system",
     "negativity",

@@ -167,6 +167,37 @@ def test_negativity_global_requires_states(tmp_path):
                      "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def _global_doc(system_state, environment_state):
+    return dict(BASE, ensemble=dict(BASE["ensemble"], n_total=5, n_system=2),
+                system_state=system_state, environment_state=environment_state,
+                grid={"start": 0.0, "stop": 3.0, "points": 7})
+
+
+_MIXED_COHERENT = {"kind": "matrix", "re": (0.25 * np.eye(4) + 0.05 * (1 - np.eye(4))).tolist()}
+
+
+@pytest.mark.parametrize("states, path", [
+    (({"kind": "uniform_superposition"}, {"kind": "maximally_mixed"}), "factor_spectra"),
+    (({"kind": "maximally_mixed"}, {"kind": "uniform_superposition"}), "factor_spectra"),
+    (({"kind": "uniform_superposition"}, {"kind": "uniform_superposition"}), "schmidt"),
+    ((_MIXED_COHERENT, {"kind": "uniform_superposition"}), "dense"),
+])
+def test_global_negativity_threads_byte_identical(tmp_path, capsys, states, path):
+    cfg = write_config(tmp_path, _global_doc(*states))
+    outs = [tmp_path / f"threads{k}.csv" for k in (1, 2)]
+    for k, out in zip((1, 2), outs):
+        assert cli.main(["negativity", "--config", cfg, "--cut", "global",
+                         "--threads", str(k), "--out", str(out)]) == 0
+        assert f"({path} path," in capsys.readouterr().out
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    header, rows = read_csv(outs[0])
+    assert header == ["t", "negativity", "min_eigenvalue", "trace_norm"] and len(rows) == 7
+    if path == "factor_spectra":
+        assert all(float(r[1]) < 1e-15 for r in rows)  # separable at every time
+    else:
+        assert max(float(r[1]) for r in rows) > 1e-3  # coherent environment entangles
+
+
 def test_thermo_limit_families(tmp_path):
     out = tmp_path / "fix.csv"
     assert cli.main(["thermo-limit", "--family", "fixed-p", "--p", "1",
@@ -265,6 +296,23 @@ def test_global_negativity_over_dimension_cap_is_usage_error(tmp_path, capsys):
     msg = _expect_usage_error(["negativity", "--config", cfg, "--cut", "global",
                                "--out", str(tmp_path / "x.csv")], capsys)
     assert "2048" in msg
+
+
+def test_closed_form_outside_its_assumptions_is_usage_error(tmp_path, capsys):
+    # every closed form assumes spin 1/2 and the maximally mixed environment;
+    # both runs below used to exit 0 with deviations of 8e2 and 3e1
+    spin1 = dict(BASE, ensemble=dict(BASE["ensemble"], n_system=2, twice_spin=2))
+    thermal = dict(BASE, environment={"kind": "thermal", "beta": 1.0})
+    for doc, word in ((spin1, "spin"), (thermal, "mixed")):
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "x.csv"
+        msg = _expect_usage_error(["witness", "--config", cfg, "--out", str(out),
+                                   "--closed-form", "nn1d"], capsys)
+        assert word in msg
+        assert not out.exists()
+        # without the closed form the same runs are valid
+        assert cli.main(["witness", "--config", cfg, "--grid", "0:1:5", "--out", str(out)]) == 0
+        out.unlink()
 
 
 def test_negativity_cut_outside_system_is_usage_error(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -263,6 +266,24 @@ def test_series_value_does_not_depend_on_the_batch(case):
     assert dlog_det.tobytes() == np.concatenate([s[1] for s in single]).tobytes()
     assert ev.series(ts[::-1])[1][::-1].tobytes() == dlog_det.tobytes()
 
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kernel_cases())
+def test_series_exact_at_t0(case):
+    # A(0) = 1 for every class even when the float weights sum to 1 +- ulp
+    log_det, dlog_det = WitnessEvaluator(*case).series([0.0])
+    assert log_det[0] == 0.0 and dlog_det[0] == 0.0
+
+
+@pytest.mark.parametrize("beta", [0.3, 1.0, 3.0])
+def test_series_exact_at_t0_thermal_ring10(beta):
+    # the shipped thermal preset read 3.2e-15, 2.5e-15, -1.1e-15 here
+    doc = json.loads(resources.files("spindeph").joinpath("presets", "thermal_ring10.json").read_text())
+    spec = model.ensemble_from_dict(doc["ensemble"])
+    env = thermal.thermal_populations(spec, beta).populations
+    log_det, dlog_det = WitnessEvaluator(spec, env).series([0.0])
+    assert log_det[0] == 0.0 and dlog_det[0] == 0.0
 
 def sequential_bisect(fun, lo, hi, f_lo):
     """One bracket, one scalar call per step: the reference for the batched

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spindeph import entanglement as ent
 from spindeph import thermal
@@ -113,18 +115,49 @@ def test_negativity_pure_schmidt_vs_dense():
         assert fast == pytest.approx(dense, abs=1e-12)
 
 
+def random_hermitian(rng, dim):
+    """Hermitian, unit Frobenius norm, in general neither PSD nor diagonal."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = g + g.conj().T
+    return h / np.linalg.norm(h)
+
+
+def random_pure(rng, dim):
+    """Rank-one projector on a vector with random moduli and random phases."""
+    psi = rng.uniform(0.2, 1.0, dim) * np.exp(2j * np.pi * rng.random(dim))
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+def dense_reference(spec, rho_s, rho_e, t):
+    """(negativity, min eigenvalue, trace norm, Schmidt weights) from the global matrix."""
+    dims = (spec.dim_system, spec.dim_env)
+    rho = ent.evolve_global(spec, rho_s, rho_e, t)
+    eigs = np.linalg.eigvalsh(ent.partial_transpose_system(rho, dims))
+    tnorm = float(np.abs(eigs).sum())
+    # for a pure global state the reduced state of the smaller side has the
+    # squared Schmidt coefficients as its eigenvalues
+    r = rho.reshape(dims * 2)
+    reduced = np.einsum("ikjk->ij", r) if dims[0] <= dims[1] else np.einsum("kikj->ij", r)
+    weights = np.linalg.eigvalsh(reduced)
+    return (tnorm - 1.0) / 2.0, float(eigs[0]), tnorm, weights
+
+
 def test_negativity_block_path_vs_dense():
+    # a diagonal rho_E leaves blocks w_k D_k rho_S D_k^H: the factor spectra
+    # path, for a non-PSD rho_S and weights of both signs
     rng = np.random.default_rng(7)
-    d_s, d_e = 4, 8
-    blocks = [random_density(rng, d_s) * w for w in rng.dirichlet(np.ones(d_e))]
-    rho = np.zeros((d_s * d_e, d_s * d_e), dtype=complex)
-    for k, b in enumerate(blocks):
-        rho[k::d_e, k::d_e] = b
-    n_block, mn_block, tn_block = ent.negativity_details(rho, (d_s, d_e))
-    pt = ent.partial_transpose_system(rho, (d_s, d_e))
-    eigs = hermitian_eigenvalues(pt)
-    assert tn_block == pytest.approx(np.sum(np.abs(eigs)), abs=1e-12)
-    assert mn_block == pytest.approx(eigs[0], abs=1e-12)
+    spec = random_spec(rng, 5, 2)
+    rho_s = random_hermitian(rng, spec.dim_system)
+    rho_e = np.diag(rng.normal(size=spec.dim_env)).astype(complex)
+    ts = np.array([0.0, 0.7, 2.9])
+    out = ent.global_negativity_series(spec, rho_s, rho_e, ts)
+    assert out.path == "factor_spectra"
+    for k, t in enumerate(ts):
+        neg, min_eig, tnorm, _ = dense_reference(spec, rho_s, rho_e, t)
+        assert out.negativity[k] == pytest.approx(neg, abs=1e-12)
+        assert out.min_eigenvalue[k] == pytest.approx(min_eig, abs=1e-12)
+        assert out.trace_norm[k] == pytest.approx(tnorm, abs=1e-12)
 
 
 def test_diagonal_environment_stays_separable():
@@ -136,9 +169,73 @@ def test_diagonal_environment_stays_separable():
         rho_s = random_density(rng, spec.dim_system)
         w = rng.dirichlet(np.ones(spec.dim_env))
         rho_e = np.diag(w).astype(complex)
-        for t in rng.uniform(0, 6, size=3):
-            g = ent.evolve_global(spec, rho_s, rho_e, t)
-            assert ent.negativity(g, (spec.dim_system, spec.dim_env)) < 1e-10
+        out = ent.global_negativity_series(spec, rho_s, rho_e, rng.uniform(0, 6, size=3))
+        assert out.path == "factor_spectra"
+        assert np.all(out.negativity < 1e-10)
+        # and the dense path agrees that nothing entangles
+        g = ent.evolve_global(spec, rho_s, rho_e, 1.3)
+        assert ent.negativity(g, (spec.dim_system, spec.dim_env)) < 1e-10
+
+
+@st.composite
+def product_states(draw):
+    """Random couplings and fields, spin 1/2 or 1, and initial factors of one
+    of four kinds, each with the path it must take."""
+    twice_spin = draw(st.sampled_from([1, 2]))
+    n_total = draw(st.integers(2, 5 if twice_spin == 1 else 3))
+    n_system = draw(st.integers(1, n_total - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    j = rng.uniform(-1.0, 1.0, (n_total, n_total))
+    j = np.triu(j, 1) + np.triu(j, 1).T
+    spec = EnsembleSpec(n_total=n_total, n_system=n_system, twice_spin=twice_spin,
+                        couplings=j, fields=rng.uniform(-1.0, 1.0, n_total))
+    d_s, d_e = spec.dim_system, spec.dim_env
+    kind = draw(st.sampled_from(["pure_pure", "diag_system", "diag_env", "mixed_pure"]))
+    if kind == "pure_pure":
+        factors, path = (random_pure(rng, d_s), random_pure(rng, d_e)), "schmidt"
+    elif kind == "diag_system":
+        factors, path = (np.diag(rng.normal(size=d_s)), random_hermitian(rng, d_e)), "factor_spectra"
+    elif kind == "diag_env":
+        factors, path = (random_hermitian(rng, d_s), np.diag(rng.normal(size=d_e))), "factor_spectra"
+    else:
+        factors, path = (random_density(rng, d_s), random_pure(rng, d_e)), "dense"
+    times = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4))
+    return spec, factors, path, np.array(times)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(product_states())
+def test_global_negativity_series_matches_dense_reference(case):
+    spec, (rho_s, rho_e), path, times = case
+    out = ent.global_negativity_series(spec, rho_s, rho_e, times)
+    assert out.path == path
+    for k, t in enumerate(times):
+        neg, min_eig, tnorm, weights = dense_reference(spec, rho_s, rho_e, t)
+        tol = 1e-12
+        if path == "schmidt" and weights.min() < 1e-4:
+            # near a product state: Schmidt coefficients below 1e-7 of the
+            # largest are dropped, each costing up to 2e-7 of the trace norm
+            tol = 2e-7 * min(spec.dim_system, spec.dim_env)
+        assert abs(out.negativity[k] - neg) <= tol
+        assert abs(out.min_eigenvalue[k] - min_eig) <= tol
+        assert abs(out.trace_norm[k] - tnorm) <= tol
+
+
+def test_global_negativity_series_bounded_blocks_and_errors(monkeypatch):
+    spec = ring(6, 2)
+    psi_s = random_pure(np.random.default_rng(11), spec.dim_system)
+    psi_e = random_pure(np.random.default_rng(12), spec.dim_env)
+    ts = np.linspace(0.0, 3.0, 7)
+    whole = ent.global_negativity_series(spec, psi_s, psi_e, ts)
+    # blocks of one time give the same values as one block of all times
+    monkeypatch.setattr(ent, "SCHMIDT_BLOCK", 1)
+    one_by_one = ent.global_negativity_series(spec, psi_s, psi_e, ts)
+    for a, b in zip(whole[1:], one_by_one[1:]):
+        assert a.tobytes() == b.tobytes()
+    with pytest.raises(ValueError):
+        ent.global_negativity_series(spec, psi_s + np.triu(np.ones((4, 4)), 1), psi_e, ts)
+    with pytest.raises(ValueError):
+        ent.global_negativity_series(spec, psi_s, psi_e[:4, :4], ts)
 
 
 def test_coherent_environment_generates_entanglement():
