@@ -167,6 +167,8 @@ def _state_matrix(doc: dict, n_sites: int, twice_spin: int) -> np.ndarray:
         rho = re + 1j * im
         if rho.shape != (dim, dim):
             raise UsageError(f"state matrix must be {dim}x{dim}")
+        if np.max(np.abs(rho - rho.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(rho))):
+            raise UsageError("state matrix must be Hermitian")
         return rho
     raise UsageError(f"unknown state kind {kind!r}")
 

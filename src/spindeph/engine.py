@@ -9,8 +9,18 @@ a finite weighted sum of environment phases (twice-values s, sigma), with
 frequencies omega(sigma) = sigma . nu and nu = 1/2 (s - s') J_cross. A pair
 enters only through nu, and populations are real, so A(-nu) = conj A(nu):
 pairs fall into nu classes, the sign folded so that the first nonzero entry
-of nu is positive, and one merged spectrum per class is evaluated for all
-classes at once.
+of nu is positive.
+
+The environment populations are a product over independent blocks of sites
+(one block per site for the maximally mixed and basis states, one block of
+all sites for a Gibbs state at beta > 0). The phase sum then factorizes:
+A = prod_blocks A_block, each A_block a sum over the configurations of that
+block alone, with nu restricted to it. Only sites with a nonzero J_cross
+column enter, so a block is marginalized onto its coupled sites and a block
+without one drops out. Each (class, block) pair is one row holding a merged
+spectrum; the rows of all classes are evaluated at once, and a class's A is
+the product of its rows. For the mixed spin-1/2 environment a row is
+cos(nu_j t), which gives the cosine products of the closed forms.
 
 Populations never move: the dynamics is purely dephasing. The Bloch-vector
 evolution matrix is block diagonal, one 2x2 rotation-dilation block per
@@ -29,40 +39,93 @@ open midpoint; each bracket keeps its own stopping rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
 from .model import DEFAULT_ENUM_CAP, EnsembleSpec, ResourceCapError, config_matrix, system_energies
 
 DET_UNDERFLOW_LOG = -690.0  # exp() underflows double below roughly -745
-SERIES_BLOCK = 2**13  # time x class x frequency entries per extended-precision block
+# time x row x frequency entries per extended-precision block; rows of a
+# product environment hold few frequencies, so the time x row temporaries
+# are about as large as a block: 2^12 ran as fast as 2^13 with half the peak
+SERIES_BLOCK = 2**12
 
 
-@dataclass(frozen=True)
+class EnvBlock(NamedTuple):
+    """Populations of a group of environment sites, independent of all others.
+
+    ``weights[k]`` is the population of the k-th configuration of ``sites``
+    in lexicographic order, the first listed site most significant.
+    """
+
+    sites: Tuple[int, ...]
+    weights: np.ndarray
+
+
 class EnvPopulations:
     """Diagonal of the initial environment state in the computational basis.
 
-    ``weights[k]`` is the population of the k-th environment configuration
-    in lexicographic order. Only these populations enter the reduced
-    dynamics; environment coherences are irrelevant to the subsystem.
+    The populations are a product over independent blocks of sites (see
+    :class:`EnvBlock`). ``EnvPopulations(n_sites, twice_spin, weights=w)``
+    is the one-block case, with w over all configurations in lexicographic
+    order; :meth:`product` gives one block per site. Only these populations
+    enter the reduced dynamics; environment coherences are irrelevant to the
+    subsystem. All arrays are read-only.
     """
 
-    n_sites: int
-    twice_spin: int
-    weights: np.ndarray
+    def __init__(self, n_sites: int, twice_spin: int, weights=None, blocks=None):
+        if (weights is None) == (blocks is None):
+            raise ValueError("give either the flat weights or the blocks")
+        if weights is not None:
+            blocks = [(range(n_sites), weights)]
+        self.n_sites = int(n_sites)
+        self.twice_spin = int(twice_spin)
+        checked = []
+        for sites, w in blocks:
+            sites = tuple(int(i) for i in sites)
+            w = np.array(w, dtype=float)
+            expected = (self.twice_spin + 1) ** len(sites)
+            if w.shape != (expected,):
+                raise ValueError(f"need {expected} weights, got {w.shape}")
+            if np.any(w < 0.0):
+                raise ValueError("populations must be nonnegative")
+            if abs(w.sum() - 1.0) > 1e-12:
+                raise ValueError(f"populations must sum to 1, got {w.sum()!r}")
+            w.flags.writeable = False
+            checked.append(EnvBlock(sites, w))
+        if sorted(i for block in checked for i in block.sites) != list(range(self.n_sites)):
+            raise ValueError("blocks must partition the environment sites")
+        self.blocks = tuple(checked)
+        self._weights = checked[0].weights if weights is not None else None
 
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        expected = (self.twice_spin + 1) ** self.n_sites
-        if w.shape != (expected,):
-            raise ValueError(f"need {expected} weights, got {w.shape}")
-        if np.any(w < 0.0):
-            raise ValueError("populations must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"populations must sum to 1, got {w.sum()!r}")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+    @classmethod
+    def product(cls, twice_spin: int, marginals) -> "EnvPopulations":
+        """Independent sites: site i has the populations ``marginals[i]``."""
+        return cls(len(marginals), twice_spin, blocks=[((i,), m) for i, m in enumerate(marginals)])
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Populations of all (2S+1)^n_sites configurations, lexicographic.
+
+        Built from the blocks on first read; raises ResourceCapError past
+        DEFAULT_ENUM_CAP configurations.
+        """
+        if self._weights is None:
+            total = (self.twice_spin + 1) ** self.n_sites
+            if total > DEFAULT_ENUM_CAP:
+                raise ResourceCapError(
+                    f"flat populations need {total} configurations, cap is {DEFAULT_ENUM_CAP}"
+                )
+            flat, order = np.ones(1), []
+            for block in self.blocks:
+                flat = np.kron(flat, block.weights)
+                order += block.sites
+            shape = (self.twice_spin + 1,) * self.n_sites
+            flat = flat.reshape(shape).transpose(np.argsort(order)).ravel()
+            flat.flags.writeable = False
+            self._weights = flat
+        return self._weights
 
 
 def populations_from_density(rho_env: np.ndarray, n_sites: int, twice_spin: int) -> EnvPopulations:
@@ -86,24 +149,25 @@ def check_pair_cap(dim: int, cap: int = DEFAULT_ENUM_CAP) -> None:
 
 
 def _merge_frequencies(omegas: np.ndarray, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Sum weights of (near-)coincident frequencies, row by row of omegas.
+    """Sum weights of (near-)coincident frequencies, row by row.
 
-    Frequencies are exact float combinations of coupling entries, so equal
-    values usually compare equal; the relative tolerance only mops up last
-    ulp differences. Returns ascending (rows, F) arrays padded with weight 0.
+    Row r has frequencies omegas[r] with weights weights[r]. Frequencies
+    are exact float combinations of coupling entries, so equal values
+    usually compare equal; the relative tolerance only mops up last ulp
+    differences. Returns ascending (rows, F) arrays padded with weight 0.
     """
     rows, k = omegas.shape
     order = np.argsort(omegas, axis=1, kind="stable")
     om = np.take_along_axis(omegas, order, axis=1)
-    w = weights[order]
-    tol = 1e-12 * np.maximum(1.0, np.max(np.abs(om), axis=1))
+    w = np.take_along_axis(weights, order, axis=1)
+    tol = 1e-12 * np.maximum(1.0, np.max(np.abs(om), axis=1, initial=0.0))
     first = np.ones(om.shape, dtype=bool)
     first[:, 1:] = np.diff(om, axis=1) > tol[:, None]
     starts = np.flatnonzero(first)
     row = starts // k
     counts = np.bincount(row, minlength=rows)
     col = np.arange(starts.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    out_om = np.zeros((rows, int(counts.max())))
+    out_om = np.zeros((rows, int(counts.max(initial=0))))
     out_w = np.zeros_like(out_om)
     out_om[row, col] = om.ravel()[starts]
     out_w[row, col] = np.add.reduceat(w.ravel(), starts)
@@ -116,7 +180,7 @@ def _row_dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 class WitnessEvaluator:
-    """Merged spectra, one per nu class, for witness evaluation over many times.
+    """Merged spectra, one per (nu class, environment block), for the witness.
 
     Pairs a < b are in lexicographic order, the Bloch coordinate layout.
     Exposes log det M, its time derivative, and full reduced states.
@@ -144,19 +208,55 @@ class WitnessEvaluator:
         classes, inverse, counts = np.unique(nu + 0.0, axis=0, return_inverse=True,
                                              return_counts=True)
         self._pair_class = inverse.ravel()
-        self._mult2 = 2.0 * counts.astype(np.longdouble)
+        self._n_classes = len(classes)
 
-        # populated environment configurations (twice-values) and their weights
-        populated = env.weights > 0.0
-        u = config_matrix(spec.n_env, spec.twice_spin, cap=cap)[populated].astype(float)
-        # matrix-vector products keep the rounding of one pair's frequencies;
-        # near zeros of A, log|A| feels their last bit
-        omegas = np.array([u @ nu_class for nu_class in classes])
-        self._omegas, self._weights = _merge_frequencies(omegas, env.weights[populated])
+        # one row per (class, environment block with a coupled site): the
+        # class's A is the product of its rows' factors. A row's spectrum is
+        # sigma . nu over the populated configurations of the block's coupled
+        # sites, weighted by their marginal populations; uncoupled sites
+        # (zero J_cross column) leave every factor unchanged
+        coupled = np.any(spec.cross_couplings != 0.0, axis=0)
+        levels = spec.twice_spin + 1
+        blocks = []  # (coupled sites, populated configurations, their weights)
+        point_sites, point_cfg, point_w = [], [], 1.0
+        for block in env.blocks:
+            keep = [k for k, site in enumerate(block.sites) if coupled[site]]
+            if not keep:
+                continue
+            w = block.weights
+            if len(keep) < len(block.sites):
+                drop = tuple(k for k in range(len(block.sites)) if k not in keep)
+                w = w.reshape((levels,) * len(block.sites)).sum(axis=drop).ravel()
+            populated = w > 0.0
+            sites = [block.sites[k] for k in keep]
+            u = config_matrix(len(keep), spec.twice_spin, cap=cap)[populated].astype(float)
+            if len(u) > 1:
+                blocks.append((sites, u, w[populated]))
+            else:
+                # a point mass is a pure phase: all of them make one row, so
+                # that opposite phases cancel exactly, as in one configuration
+                point_sites += sites
+                point_cfg.append(u[0])
+                point_w *= w[populated][0]
+        if point_sites:
+            blocks.append((point_sites, np.concatenate(point_cfg)[None, :], np.array([point_w])))
+        self._rows_per_class = len(blocks)
+        width = max((w.size for _, _, w in blocks), default=0)
+        omegas = np.zeros((len(classes), self._rows_per_class, width))
+        weights = np.zeros_like(omegas)
+        for b, (sites, u, w) in enumerate(blocks):
+            # matrix-vector products keep the rounding of one pair's
+            # frequencies; near zeros of A, log|A| feels their last bit
+            omegas[:, b, : w.size] = [u @ nu_class for nu_class in classes[:, sites]]
+            weights[:, b, : w.size] = w
+        shape = (len(classes) * self._rows_per_class, width)
+        self._omegas, self._weights = _merge_frequencies(omegas.reshape(shape), weights.reshape(shape))
         self._omegas_ld = self._omegas.astype(np.longdouble)
         self._weights_ld = self._weights.astype(np.longdouble)
         self._wo_ld = self._weights_ld * self._omegas_ld
-        # 1 - each class's weight total, summed as `series` sums at t = 0,
+        # each row carries its class's multiplicity, twice (|A|^2 per pair)
+        self._mult2 = np.repeat(2.0 * counts.astype(np.longdouble), self._rows_per_class)
+        # 1 - each row's weight total, summed as `series` sums at t = 0,
         # so that A(0) = 1 exactly although float weights sum to 1 +- ulp
         self._c_shift = 1.0 - _row_dot(np.ones_like(self._weights_ld), self._weights_ld)
 
@@ -169,13 +269,15 @@ class WitnessEvaluator:
     def factors(self, t: float) -> np.ndarray:
         """A_{ab}(t) for every pair a < b, complex double.
 
-        Evaluated per class as 1 + sum_k w_k (e^{i omega_k t} - 1): the same
+        Evaluated per row as 1 + sum_k w_k (e^{i omega_k t} - 1): the same
         sum for weights of a distribution, but exact at t = 0 even when the
-        float weights do not sum to 1. Flipped pairs take the conjugate.
+        float weights do not sum to 1. A class multiplies its rows; flipped
+        pairs take the conjugate.
         """
         ph = self._omegas * t
         real = 1.0 + _row_dot(np.cos(ph) - 1.0, self._weights)
-        out = (real + 1j * _row_dot(np.sin(ph), self._weights))[self._pair_class]
+        rows = real + 1j * _row_dot(np.sin(ph), self._weights)
+        out = rows.reshape(self._n_classes, self._rows_per_class).prod(axis=1)[self._pair_class]
         return np.where(self._flip, out.conj(), out)
 
     def reduced_state(self, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -194,10 +296,11 @@ class WitnessEvaluator:
     def series(self, times) -> Tuple[np.ndarray, np.ndarray]:
         """(log det M, d/dt log det M) on a 1-D time grid, double precision output.
 
-        Each class adds 2 x multiplicity x (log|A|, Re(conj(A) A')/|A|^2).
-        Re A is shifted by 1 minus the class's weight total, which makes
-        both values exactly 0 at t = 0 and changes nothing when the weights
-        sum to 1 exactly.
+        Each row adds 2 x its class's multiplicity x (log|A|,
+        Re(conj(A) A')/|A|^2) of its factor, so a class adds those of the
+        product of its rows. Re A is shifted by 1 minus the row's weight
+        total, which makes both values exactly 0 at t = 0 and changes
+        nothing when the weights sum to 1 exactly.
         Times go in blocks of SERIES_BLOCK entries; a time's values do not
         depend on the other times. At exact zeros of any factor log det is
         -inf and the derivative NaN.
@@ -205,7 +308,7 @@ class WitnessEvaluator:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         logdet = np.empty(times.shape, dtype=np.longdouble)
         dlogdet = np.empty_like(logdet)
-        step = max(1, SERIES_BLOCK // self._omegas_ld.size)
+        step = max(1, SERIES_BLOCK // max(1, self._omegas_ld.size))
         for i in range(0, times.size, step):
             ph = times[i : i + step, None, None].astype(np.longdouble) * self._omegas_ld
             cos, sin = np.cos(ph), np.sin(ph)

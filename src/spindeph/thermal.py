@@ -1,8 +1,10 @@
 """Initial environment populations: mixed, basis, Gibbs, ground state.
 
 The environment enters the reduced dynamics only through its initial
-populations in the computational basis, so a thermal environment is just a
-Gibbs-weighted population vector over enumerated configurations. For a ring
+populations in the computational basis. The maximally mixed and basis
+states are products of single-site populations, as is the Gibbs state at
+beta = 0; a Gibbs state at beta > 0 (and its ground-state limit) is one
+population vector over enumerated configurations. For a ring
 ensemble the environment sub-block of the coupling matrix is an open chain
 (the two ring bonds at the system boundary belong to the interaction), and
 its Gibbs weights use the stored double-sum convention: a coupling entry K
@@ -22,7 +24,6 @@ from .engine import EnvPopulations
 from .model import (
     DEFAULT_ENUM_CAP,
     EnsembleSpec,
-    ResourceCapError,
     SpinConfig,
     config_count,
     config_index,
@@ -30,27 +31,23 @@ from .model import (
 )
 
 
-def maximally_mixed(n_env: int, twice_spin: int, cap: int = DEFAULT_ENUM_CAP) -> EnvPopulations:
-    """Uniform populations 1/(2S+1)^n_env."""
-    total = config_count(n_env, twice_spin)
-    if total > cap:
-        raise ResourceCapError(f"enumeration needs {total} configurations, cap is {cap}")
-    return EnvPopulations(
-        n_sites=n_env, twice_spin=twice_spin, weights=np.full(total, 1.0 / total)
-    )
+def maximally_mixed(n_env: int, twice_spin: int) -> EnvPopulations:
+    """Uniform populations: every site 1/(2S+1) on each level, one block per site."""
+    levels = twice_spin + 1
+    return EnvPopulations.product(twice_spin, [np.full(levels, 1.0 / levels)] * n_env)
 
 
 def basis_state(sigma0: SpinConfig, twice_spin: int) -> EnvPopulations:
-    """All population on one computational basis configuration.
+    """All population on one computational basis configuration, one block per site.
 
     With such an environment every dephasing factor is a pure phase and the
     witness determinant stays exactly 1: the dynamics is Markovian.
     """
     sigma0.validate(twice_spin)
-    total = config_count(sigma0.site_count, twice_spin)
-    w = np.zeros(total)
-    w[config_index(sigma0, twice_spin)] = 1.0
-    return EnvPopulations(n_sites=sigma0.site_count, twice_spin=twice_spin, weights=w)
+    one_hot = np.eye(twice_spin + 1)
+    return EnvPopulations.product(
+        twice_spin, [one_hot[config_index(SpinConfig((v,)), twice_spin)] for v in sigma0.twice_values]
+    )
 
 
 @dataclass(frozen=True)
@@ -69,17 +66,21 @@ def thermal_populations(
 
     Weights are computed with the max-shift trick so large beta cannot
     overflow; the partition function is returned both directly and as a log.
+    At beta = 0 the state is the maximally mixed product, with no
+    enumeration.
     """
     if not np.isfinite(beta) or beta < 0.0:
         raise ValueError("beta must be finite and >= 0 (use ground_state_populations for T=0)")
-    energies = env_energies(spec, cap=cap)
-    shifted = -beta * (energies - energies.min())
-    w = np.exp(shifted)
-    norm = w.sum()
-    log_z = math.log(norm) - beta * energies.min()
-    pops = EnvPopulations(
-        n_sites=spec.n_env, twice_spin=spec.twice_spin, weights=w / norm
-    )
+    if beta == 0.0:
+        # every configuration weighs exp(0): the maximally mixed product
+        log_z = math.log(config_count(spec.n_env, spec.twice_spin))
+        pops = maximally_mixed(spec.n_env, spec.twice_spin)
+    else:
+        energies = env_energies(spec, cap=cap)
+        w = np.exp(-beta * (energies - energies.min()))
+        norm = w.sum()
+        log_z = math.log(norm) - beta * energies.min()
+        pops = EnvPopulations(n_sites=spec.n_env, twice_spin=spec.twice_spin, weights=w / norm)
     return ThermalPopulations(
         populations=pops, partition=math.exp(log_z) if log_z < 709 else math.inf,
         log_partition=log_z,

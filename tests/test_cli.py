@@ -378,3 +378,37 @@ def test_fuzzed_ensemble_runs_or_is_usage_error(ensemble):
             assert code == 2
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_non_hermitian_matrix_state_is_usage_error(tmp_path, capsys):
+    # used to pass the reading of input and end in a traceback inside the
+    # global negativity
+    lopsided = {"kind": "matrix", "re": [[0.5, 0.3], [0.0, 0.5]]}
+    doc = dict(BASE, ensemble=dict(BASE["ensemble"], n_total=4, n_system=1),
+               system_state=lopsided, environment_state={"kind": "maximally_mixed"})
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "x.csv"
+    msg = _expect_usage_error(["negativity", "--config", cfg, "--cut", "global",
+                               "--out", str(out)], capsys)
+    assert "Hermitian" in msg
+    assert not out.exists()
+
+
+def test_nn1d_closed_form_on_a_ring_past_the_enumeration_cap(tmp_path, capsys):
+    # 2^28 environment configurations: the mixed environment is a product of
+    # single-site blocks and only the two sites next to the system dephase it
+    from spindeph import thermal
+    from spindeph.model import ResourceCapError
+
+    doc = dict(BASE, ensemble=dict(BASE["ensemble"], n_total=30, n_system=2))
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "ring30.csv"
+    assert cli.main(["witness", "--config", cfg, "--grid", "0:6.283185307179586:400",
+                     "--out", str(out), "--closed-form", "nn1d"]) == 0
+    header, rows = read_csv(out)
+    t = np.array([float(r[0]) for r in rows])
+    dev = np.array([float(r[header.index("log_det_deviation")]) for r in rows])
+    away = np.abs(np.cos(t)) > 1e-3
+    assert away.sum() > 390 and np.max(np.abs(dev[away])) <= 1e-12
+    with pytest.raises(ResourceCapError):
+        thermal.maximally_mixed(28, 1).weights

@@ -23,6 +23,7 @@ from spindeph.model import (
     NearestNeighborRing1D,
     ResourceCapError,
     SpinConfig,
+    config_count,
     config_index,
     config_matrix,
     ensemble_from_model,
@@ -182,9 +183,10 @@ def test_factor_derivative_against_finite_difference():
 # the nu-class kernel against a per-pair enumeration
 
 
-def enumerated_pairs(spec, env, ts):
+def enumerated_pairs(spec, weights, ts):
     """A_{ab}(t) and dA/dt for every pair a < b, each pair summed over every
-    environment configuration from its interaction energies; shape (T, pairs)."""
+    environment configuration (populations ``weights``, lexicographic) from
+    its interaction energies; shape (T, pairs)."""
     sys_cfg = config_matrix(spec.n_system, spec.twice_spin)
     env_cfg = config_matrix(spec.n_env, spec.twice_spin)
     energy = np.array([[interaction_energy(spec, s, sigma) for sigma in env_cfg] for s in sys_cfg])
@@ -192,7 +194,7 @@ def enumerated_pairs(spec, env, ts):
     for a in range(len(sys_cfg)):
         for b in range(a + 1, len(sys_cfg)):
             delta = energy[b] - energy[a]
-            terms = env.weights * np.exp(1j * np.multiply.outer(ts, delta))
+            terms = weights * np.exp(1j * np.multiply.outer(ts, delta))
             factors.append(terms.sum(axis=1))
             derivatives.append((1j * delta * terms).sum(axis=1))
     return np.array(factors).T, np.array(derivatives).T
@@ -236,7 +238,7 @@ KERNEL_TIMES = np.linspace(0.0, 4.0, 9)
 def test_kernel_matches_pair_enumeration(case):
     spec, env = case
     ev = WitnessEvaluator(spec, env)
-    ref, dref = enumerated_pairs(spec, env, KERNEL_TIMES)
+    ref, dref = enumerated_pairs(spec, env.weights, KERNEL_TIMES)
     energies = system_energies(spec)
     a, b = np.array(ev.pair_index).T
     rho0 = random_density(np.random.default_rng(0), ev.dim)
@@ -253,6 +255,85 @@ def test_kernel_matches_pair_enumeration(case):
     assert log_det == pytest.approx(np.log(mod2).sum(axis=1), rel=1e-10, abs=1e-12)
     ratio = (np.conj(ref[away]) * dref[away]).real / mod2
     assert dlog_det == pytest.approx(2.0 * ratio.sum(axis=1), rel=1e-9, abs=1e-10)
+
+
+@st.composite
+def block_cases(draw):
+    """Random couplings and an environment of independent blocks.
+
+    Spin 1/2 or 1; sites split at random into blocks of one to three sites
+    with random populations (zeros included), so a block with an uncoupled
+    site is a correlated block the kernel marginalizes. J_cross is generic,
+    has some zero columns, or vanishes.
+    """
+    twice_spin = draw(st.sampled_from([1, 2]))
+    n_system = draw(st.integers(1, 3 if twice_spin == 1 else 2))
+    n_env = draw(st.integers(2, 5 if twice_spin == 1 else 3))
+    n = n_system + n_env
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    j = rng.uniform(-1.0, 1.0, (n, n))
+    coupling = rng.choice(["generic", "some_uncoupled", "some_uncoupled", "uncoupled"])
+    if coupling == "some_uncoupled":
+        drop = rng.random(n_env) < 0.5
+        drop[rng.integers(n_env)] = False
+        j[:n_system, n_system:][:, drop] = 0.0
+    elif coupling == "uncoupled":
+        j[:n_system, n_system:] = 0.0
+    j = np.triu(j, 1) + np.triu(j, 1).T
+    spec = EnsembleSpec(n_total=n, n_system=n_system, twice_spin=twice_spin,
+                        couplings=j, fields=rng.uniform(-1.0, 1.0, n))
+    sites = rng.permutation(n_env).tolist()
+    blocks = []
+    while sites:
+        size = int(rng.integers(1, min(3, len(sites)) + 1))
+        w = rng.uniform(0.0, 1.0, (twice_spin + 1) ** size) * (rng.random((twice_spin + 1) ** size) < 0.8)
+        w[rng.integers(w.size)] += 0.1
+        blocks.append((tuple(sites[:size]), w / w.sum()))
+        sites = sites[size:]
+    return spec, blocks
+
+
+def kronecker_weights(n_env, twice_spin, blocks):
+    """Flat populations of independent blocks: each configuration's weight is
+    the product of its blocks' populations, configuration by configuration."""
+    flat = np.ones(config_count(n_env, twice_spin))
+    for k, sigma in enumerate(config_matrix(n_env, twice_spin)):
+        for sites, w in blocks:
+            flat[k] *= w[config_index(SpinConfig(sigma[list(sites)]), twice_spin)]
+    return flat
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(block_cases())
+def test_block_kernel_matches_flat_enumeration(case):
+    spec, blocks = case
+    env = EnvPopulations(spec.n_env, spec.twice_spin, blocks=blocks)
+    flat = kronecker_weights(spec.n_env, spec.twice_spin, blocks)
+    # blocks list their sites in random order; the flat vector is lexicographic
+    assert np.allclose(env.weights, flat, rtol=1e-15, atol=0.0)
+    assert not env.weights.flags.writeable
+    ev = WitnessEvaluator(spec, env)
+    ref, dref = enumerated_pairs(spec, flat, KERNEL_TIMES)
+    energies = system_energies(spec)
+    a, b = np.array(ev.pair_index).T
+    rho0 = random_density(np.random.default_rng(1), ev.dim)
+    for k, t in enumerate(KERNEL_TIMES):
+        assert np.max(np.abs(ev.factors(t) - ref[k])) <= 1e-13
+        rho_t = ev.reduced_state(rho0, t)
+        expected = rho0[a, b] * ref[k] * np.exp(1j * t * (energies[b] - energies[a]))
+        assert np.max(np.abs(rho_t[a, b] - expected)) <= 1e-13
+    away = np.min(np.abs(ref), axis=1) > 1e-3
+    log_det, dlog_det = ev.series(KERNEL_TIMES[away])
+    mod2 = np.abs(ref[away]) ** 2
+    assert log_det == pytest.approx(np.log(mod2).sum(axis=1), rel=1e-10, abs=1e-12)
+    ratio = (np.conj(ref[away]) * dref[away]).real / mod2
+    assert dlog_det == pytest.approx(2.0 * ratio.sum(axis=1), rel=1e-9, abs=1e-10)
+    if not np.any(spec.cross_couplings):
+        # nothing couples out: no dephasing at all
+        assert np.all(ev.factors(1.3) == 1.0)
+        series = detect_episodes(spec, env, 0.0, 4.0, 9)
+        assert series.episodes == []
+        assert not np.any(series.log_det) and not np.any(series.dlogdet_dt)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -630,3 +711,9 @@ def test_env_populations_validation():
         EnvPopulations(n_sites=2, twice_spin=1, weights=np.array([0.5, 0.5, 0.1, -0.1]))
     with pytest.raises(ValueError):
         EnvPopulations(n_sites=2, twice_spin=1, weights=np.full(4, 0.3))
+    half = np.full(2, 0.5)
+    for blocks in ([((0,), half)], [((0,), half), ((0,), half)], [((0, 1), half)]):
+        with pytest.raises(ValueError):
+            EnvPopulations(n_sites=2, twice_spin=1, blocks=blocks)
+    with pytest.raises(ValueError):
+        EnvPopulations(n_sites=1, twice_spin=1)
