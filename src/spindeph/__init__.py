@@ -16,7 +16,6 @@ from .closedforms import (
     log_det_infinite_range,
     log_det_nn_1d,
     log_det_power_law,
-    multiplicity_sum_si,
 )
 from .engine import (
     EnvPopulations,
@@ -29,14 +28,14 @@ from .engine import (
     populations_from_density,
 )
 from .entanglement import (
-    GlobalNegativity,
+    NegativitySeries,
     evolve_global,
     global_negativity_series,
     negativity,
     negativity_details,
     partial_trace_env,
     partial_transpose_system,
-    system_internal_negativity,
+    system_negativity_series,
     trace_norm,
 )
 from .linalg import hermitian_eigenvalues, lu_det
@@ -71,7 +70,6 @@ from .qubit import (
     blp_trace_distance,
     dephasing_rate,
     measures_agreement_report,
-    qubit_state,
 )
 from .thermal import (
     ThermalPopulations,

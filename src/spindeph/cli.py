@@ -128,7 +128,11 @@ def _environment(cfg: dict, spec: EnsembleSpec) -> engine.EnvPopulations:
     if kind == "mixed":
         return thermal.maximally_mixed(spec.n_env, spec.twice_spin)
     if kind == "basis":
-        return thermal.basis_state(SpinConfig(tuple(doc["config"])), spec.twice_spin)
+        config = SpinConfig(tuple(doc["config"]))
+        if config.site_count != spec.n_env:
+            raise UsageError(f"basis environment config has {config.site_count} sites, "
+                             f"the environment has {spec.n_env}")
+        return thermal.basis_state(config, spec.twice_spin)
     if kind == "thermal":
         return _thermal(spec, doc.get("beta", 0.0))
     if kind == "explicit":
@@ -357,39 +361,30 @@ def cmd_negativity(args) -> int:
     times = _grid(cfg, args.grid)
     kind, cut_sites = _parse_cut(args.cut or cfg.get("cut", "global"), spec.n_system)
 
-    with _time_map(args.threads) as map_times:
-        if kind == "global":
-            if "system_state" not in cfg or "environment_state" not in cfg:
-                raise UsageError("global negativity needs 'system_state' and 'environment_state'")
-            dims = (spec.dim_system, spec.dim_env)
-            if dims[0] * dims[1] > entanglement.GLOBAL_DIM_CAP:
-                raise UsageError(f"global dimension {dims[0] * dims[1]} exceeds cap "
-                                 f"{entanglement.GLOBAL_DIM_CAP}")
-            rho_s = _state_matrix(cfg["system_state"], spec.n_system, spec.twice_spin)
-            rho_e = _state_matrix(cfg["environment_state"], spec.n_env, spec.twice_spin)
+    if kind == "global":
+        if "system_state" not in cfg or "environment_state" not in cfg:
+            raise UsageError("global negativity needs 'system_state' and 'environment_state'")
+        dims = (spec.dim_system, spec.dim_env)
+        if dims[0] * dims[1] > entanglement.GLOBAL_DIM_CAP:
+            raise UsageError(f"global dimension {dims[0] * dims[1]} exceeds cap "
+                             f"{entanglement.GLOBAL_DIM_CAP}")
+        rho_s = _state_matrix(cfg["system_state"], spec.n_system, spec.twice_spin)
+        rho_e = _state_matrix(cfg["environment_state"], spec.n_env, spec.twice_spin)
+        with _time_map(args.threads) as map_times:
             result = entanglement.global_negativity_series(spec, rho_s, rho_e, times, map_times)
-            path = result.path
-            raw, min_eig, tnorm = result.negativity, result.min_eigenvalue, result.trace_norm
-        else:
-            if "system_state" not in cfg:
-                raise UsageError("system-cut negativity needs 'system_state'")
-            rho_s = _state_matrix(cfg["system_state"], spec.n_system, spec.twice_spin)
-            env = _environment(cfg, spec)
-            ev = engine.WitnessEvaluator(spec, env)
-            d_a = spec.levels**cut_sites
-            d_b = spec.levels ** (spec.n_system - cut_sites)
-
-            def one(t: float):
-                return entanglement.negativity_details(ev.reduced_state(rho_s, t), (d_a, d_b))
-
-            path = "reduced-state"
-            raw, min_eig, tnorm = np.array(list(map_times(one, times))).T
+    else:
+        if "system_state" not in cfg:
+            raise UsageError("system-cut negativity needs 'system_state'")
+        rho_s = _state_matrix(cfg["system_state"], spec.n_system, spec.twice_spin)
+        env = _environment(cfg, spec)
+        result = entanglement.system_negativity_series(spec, rho_s, env, times, cut_sites)
+    raw = result.negativity
     write_csv(
         args.out,
         ["t", "negativity", "min_eigenvalue", "trace_norm"],
-        [times, np.maximum(raw, 0.0), min_eig, tnorm],
+        [times, np.maximum(raw, 0.0), result.min_eigenvalue, result.trace_norm],
     )
-    print(f"wrote {args.out} ({path} path, max negativity {raw.max():.6g})")
+    print(f"wrote {args.out} ({result.path} path, max negativity {raw.max():.6g})")
     return 0
 
 
@@ -474,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("negativity", help="entanglement series across a cut")
     add_common(p)
     p.add_argument("--cut", help="'global' or 'system:<sites>' (default from config)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads over the time grid")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads over the time grid of the dense global path")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_negativity)
 

@@ -64,13 +64,6 @@ def log_det_infinite_range(n_total: int, p: int, j: float, t) -> Union[float, np
     return float(out) if out.ndim == 0 else out
 
 
-def multiplicity_sum_si(p: int, k: int) -> int:
-    """Number of p-spin configurations with k down spins (sum s_i = (p-2k)/2)."""
-    if not 0 <= k <= p:
-        raise ValueError("need 0 <= k <= p")
-    return math.comb(p, k)
-
-
 def chu_vandermonde_exponent(r_n: int, q: int) -> int:
     """C(2 r_n, r_n - q), the collapsed exponent sum_k C(r_n,k) C(r_n,k-q)."""
     if not 0 <= q <= r_n:

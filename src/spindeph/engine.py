@@ -38,6 +38,7 @@ open midpoint; each bracket keeps its own stopping rule.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, NamedTuple, Tuple
 
@@ -195,7 +196,7 @@ class WitnessEvaluator:
         sys_cfg = config_matrix(spec.n_system, spec.twice_spin, cap=cap).astype(float)
         self.dim = len(sys_cfg)
         check_pair_cap(self.dim, cap)
-        self._a, self._b = np.triu_indices(self.dim, k=1)
+        self._a, self._b = _bloch_layout(self.dim)[:2]
         energies = system_energies(spec, cap=cap)
         self.thetas = energies[self._b] - energies[self._a]
 
@@ -334,6 +335,17 @@ class WitnessEvaluator:
 # ---------------------------------------------------------------------------
 # Bloch parametrization
 
+@functools.lru_cache(maxsize=None)
+def _bloch_layout(dim: int) -> Tuple[np.ndarray, ...]:
+    """Read-only (a, b) of the coherences a < b, l = 1..dim-1 and sqrt(2/(l(l+1)))."""
+    a, b = np.triu_indices(dim, k=1)
+    l = np.arange(1, dim)
+    layout = (a, b, l, np.sqrt(2.0 / (l * (l + 1))))
+    for x in layout:
+        x.flags.writeable = False
+    return layout
+
+
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
     """Flatten a density matrix into the real coordinate vector.
 
@@ -343,15 +355,15 @@ def bloch_vector(rho: np.ndarray) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=complex)
     dim = rho.shape[0]
+    a, b, l, scale = _bloch_layout(dim)
     out = np.empty(dim * dim)
     base = dim * (dim - 1)
-    upper = rho[np.triu_indices(dim, k=1)]
+    upper = rho[a, b]
     out[0:base:2] = upper.real
     out[1:base:2] = upper.imag
     diag = np.diag(rho).real
-    l = np.arange(1, dim)
     partial = np.cumsum(diag)[:-1]  # sum of the first l diagonal entries
-    out[base : dim * dim - 1] = np.sqrt(2.0 / (l * (l + 1))) * (partial - l * diag[1:])
+    out[base : dim * dim - 1] = scale * (partial - l * diag[1:])
     out[dim * dim - 1] = diag.sum()
     return out
 
@@ -362,20 +374,18 @@ def bloch_to_density(coords: np.ndarray) -> np.ndarray:
     dim = int(round(np.sqrt(coords.size)))
     if dim * dim != coords.size:
         raise ValueError("coordinate vector length must be a perfect square")
+    a, b, l, scale = _bloch_layout(dim)
     rho = np.zeros((dim, dim), dtype=complex)
     base = dim * (dim - 1)
-    a, b = np.triu_indices(dim, k=1)
     rho[a, b] = coords[0:base:2] + 1j * coords[1:base:2]
     rho[b, a] = np.conj(rho[a, b])
     trace = coords[dim * dim - 1]
-    diag = np.empty(dim)
-    partial = trace  # sum of the first l+1 diagonal entries, walked downward
-    for l in range(dim - 1, 0, -1):
-        c = coords[base + l - 1] / np.sqrt(2.0 / (l * (l + 1)))
-        diag[l] = (partial - c) / (l + 1)
-        partial -= diag[l]
-    diag[0] = partial
-    rho[np.diag_indices(dim)] = diag
+    # with S_l the sum of the first l diagonal entries, c_l = S_l - l d_l,
+    # so S_l / l = trace / dim + sum_{m >= l} c_m / (m (m + 1)) and
+    # d_l = S_(l+1) / (l + 1) - c_l / (l + 1)
+    c = coords[base : dim * dim - 1] / scale
+    mean = np.append(np.cumsum((c / (l * (l + 1)))[::-1])[::-1], 0.0) + trace / dim
+    rho[np.diag_indices(dim)] = np.append(mean[0], mean[1:] - c / (l + 1))
     return rho
 
 

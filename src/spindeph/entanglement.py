@@ -20,11 +20,14 @@ picks one of three paths from the two factors, once for the whole grid:
   {+- l_i l_j}, so the trace norm is (sum_i l_i)^2.
 - dense: anything else. The global matrix is built at each time and its
   partial transpose diagonalized with the in-package solver.
+
+`system_negativity_series` cuts inside the subsystem: exact reduced states
+go to `negativity_details` in stacks, one eigensolver call per stack.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from .linalg import hermitian_eigenvalues, trace_norm
 from .model import DEFAULT_ENUM_CAP, EnsembleSpec, ResourceCapError, total_energies
 
 GLOBAL_DIM_CAP = 1024
-SCHMIDT_BLOCK = 2**16  # time x configuration entries per block of evolved vectors
+SCHMIDT_BLOCK = 2**16  # entries per stack of evolved vectors or reduced states
 _DIAGONAL_TOL = 1e-14  # off-diagonal size, relative to the largest entry, read as zero
 _PURITY_TOL = 1e-10  # entrywise residual of a rank-one reconstruction
 
@@ -77,72 +80,84 @@ def partial_trace_env(rho: np.ndarray, dims: Tuple[int, int]) -> np.ndarray:
 
 
 def partial_transpose_system(rho: np.ndarray, dims: Tuple[int, int]) -> np.ndarray:
-    """Transpose the system indices only; Hermiticity is preserved."""
+    """Transpose the system indices only, of a matrix or of each one of a stack."""
     d_s, d_e = dims
     rho = np.asarray(rho)
-    if rho.shape != (d_s * d_e, d_s * d_e):
+    if rho.shape[-2:] != (d_s * d_e, d_s * d_e):
         raise ValueError(f"matrix shape {rho.shape} does not match dims {dims}")
-    r = rho.reshape(d_s, d_e, d_s, d_e)
-    return np.transpose(r, (2, 1, 0, 3)).reshape(d_s * d_e, d_s * d_e)
+    r = rho.reshape(rho.shape[:-2] + (d_s, d_e, d_s, d_e))
+    return np.swapaxes(r, -4, -2).reshape(rho.shape)
 
 
-def _pure_vector(rho: np.ndarray, tol: float) -> Optional[np.ndarray]:
-    """Recover |psi> if rho = |psi><psi| within tol, else None."""
-    diag = np.diag(rho).real
-    j = int(np.argmax(diag))
-    if diag[j] <= 0.0:
-        return None
-    psi = rho[:, j] / np.sqrt(diag[j])
+def _pure_vectors(rho: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(psi, ok) for a stack of matrices: rho = |psi><psi| within tol where ok."""
+    diag = np.diagonal(rho, axis1=-2, axis2=-1).real
+    j = np.argmax(diag, axis=-1)[:, None]
+    top = np.take_along_axis(diag, j, axis=-1)[:, 0]
+    ok = top > 0.0
+    column = np.take_along_axis(rho, j[:, None], axis=-1)[:, :, 0]
+    psi = column / np.sqrt(np.where(ok, top, 1.0))[:, None]
     # confirm the rank-1 reconstruction before trusting it
-    resid = np.outer(psi, psi.conj())
+    resid = psi[:, :, None] * psi.conj()[:, None, :]
     resid -= rho
-    if np.max(np.abs(resid)) > tol:
-        return None
-    return psi
+    ok &= np.max(np.abs(resid), axis=(-2, -1)) <= tol
+    return psi, ok
 
 
-def _schmidt_details(lam2: np.ndarray) -> Tuple[float, float, float]:
-    """(negativity, minimum PT eigenvalue, PT trace norm) of a pure state.
+def _schmidt_details(lam2: np.ndarray) -> np.ndarray:
+    """(negativity, minimum PT eigenvalue, PT trace norm) of pure states, (..., 3).
 
-    lam2 are the ascending squared Schmidt coefficients, the eigenvalues of
-    a Gram matrix of the state's coefficient matrix.
+    lam2 (..., k) are the ascending squared Schmidt coefficients, the
+    eigenvalues of a Gram matrix of each state's coefficient matrix.
     """
     # eigenvalue noise ~eps turns into sqrt(eps) Schmidt noise, so floor
     # the squared coefficients before taking the root
-    lam2 = np.where(lam2 < 1e-14 * max(float(lam2[-1]), 0.0), 0.0, lam2)
+    lam2 = np.where(lam2 < 1e-14 * np.maximum(lam2[..., -1:], 0.0), 0.0, lam2)
     lam = np.sqrt(np.clip(lam2, 0.0, None))
-    tnorm = float(lam.sum() ** 2)
-    min_eig = -float(lam[-1] * lam[-2]) if lam.size > 1 else float(lam2[0])
-    return (tnorm - 1.0) / 2.0, min_eig, tnorm
+    tnorm = lam.sum(axis=-1) ** 2
+    min_eig = -(lam[..., -1] * lam[..., -2]) if lam.shape[-1] > 1 else lam2[..., 0]
+    return np.stack([(tnorm - 1.0) / 2.0, min_eig, tnorm], axis=-1)
 
 
-def negativity_details(
-    rho: np.ndarray, dims: Tuple[int, int], purity_tol: float = 1e-12
-) -> Tuple[float, float, float]:
+def negativity_details(rho: np.ndarray, dims: Tuple[int, int], purity_tol: float = 1e-12):
     """(negativity, minimum PT eigenvalue, PT trace norm) for a state.
 
-    Pure states take an exact Schmidt shortcut: the partial transpose of
-    |psi><psi| has eigenvalues {l_i^2} and {+- l_i l_j}, so its trace norm
-    is (sum_i l_i)^2 and its minimum eigenvalue -max_{i<j} l_i l_j. Mixed
-    states go through the dense eigensolver.
+    rho may be a stack of states (..., D, D); the three values are then
+    arrays of the stack's shape, else floats. Pure states take an exact
+    Schmidt shortcut: the partial transpose of |psi><psi| has eigenvalues
+    {l_i^2} and {+- l_i l_j}, so its trace norm is (sum_i l_i)^2 and its
+    minimum eigenvalue -max_{i<j} l_i l_j. Mixed states go through the dense
+    eigensolver, all of a stack in one call.
     """
     d_s, d_e = dims
     rho = np.asarray(rho, dtype=complex)
-    skew = rho.conj().T
-    skew -= rho
-    if np.max(np.abs(skew)) > 1e-10 * max(1.0, np.max(np.abs(rho))):
+    stack = rho.reshape((-1,) + rho.shape[-2:])
+    skew = np.swapaxes(stack.conj(), -1, -2)
+    skew -= stack
+    scale = np.maximum(1.0, np.max(np.abs(stack), axis=(-2, -1), initial=0.0))
+    if np.any(np.max(np.abs(skew), axis=(-2, -1), initial=0.0) > 1e-10 * scale):
         raise ValueError("negativity needs a Hermitian matrix")
     del skew  # a D x D temporary: free it before the purity and residual ones
-    purity = float(np.sum(np.abs(rho) ** 2).real)
-    trace = float(np.trace(rho).real)
-    if abs(trace - 1.0) < 1e-10 and abs(purity - 1.0) < purity_tol:
-        psi = _pure_vector(rho, tol=_PURITY_TOL)
-        if psi is not None:
-            m = psi.reshape(d_s, d_e)
-            return _schmidt_details(hermitian_eigenvalues(m @ m.conj().T))
-    eigs = hermitian_eigenvalues(partial_transpose_system(rho, dims))
-    tnorm = float(np.sum(np.abs(eigs)))
-    return (tnorm - 1.0) / 2.0, float(np.min(eigs)), tnorm
+    purity = np.sum(np.abs(stack) ** 2, axis=(-2, -1))
+    trace = np.trace(stack, axis1=-2, axis2=-1).real
+    out = np.empty((len(stack), 3))
+    mixed = np.ones(len(stack), dtype=bool)
+    pure = np.flatnonzero((np.abs(trace - 1.0) < 1e-10) & (np.abs(purity - 1.0) < purity_tol))
+    if pure.size:
+        psi, ok = _pure_vectors(stack[pure], tol=_PURITY_TOL)
+        pure = pure[ok]
+        m = psi[ok].reshape(-1, d_s, d_e)
+        out[pure] = _schmidt_details(hermitian_eigenvalues(m @ m.conj().swapaxes(1, 2)))
+        mixed[pure] = False
+    if mixed.any():
+        part = stack if mixed.all() else stack[mixed]  # no copy of a lone D x D state
+        eigs = hermitian_eigenvalues(partial_transpose_system(part, dims))
+        tnorm = np.sum(np.abs(eigs), axis=-1)
+        out[mixed] = np.stack([(tnorm - 1.0) / 2.0, eigs[:, 0], tnorm], axis=-1)
+    out = out.reshape(rho.shape[:-2] + (3,))
+    if rho.ndim == 2:
+        return tuple(float(x) for x in out)
+    return out[..., 0], out[..., 1], out[..., 2]
 
 
 def negativity(rho: np.ndarray, dims: Tuple[int, int]) -> float:
@@ -155,10 +170,10 @@ def negativity(rho: np.ndarray, dims: Tuple[int, int]) -> float:
     return max(value, 0.0)
 
 
-class GlobalNegativity(NamedTuple):
+class NegativitySeries(NamedTuple):
     """Negativity columns on a time grid and the path that produced them."""
 
-    path: str  # "factor_spectra", "schmidt" or "dense"
+    path: str  # "factor_spectra", "schmidt", "dense" or "reduced-state"
     negativity: np.ndarray  # unclamped (||rho^T_S||_1 - 1)/2
     min_eigenvalue: np.ndarray
     trace_norm: np.ndarray
@@ -188,7 +203,7 @@ def global_negativity_series(
     rho_e0: np.ndarray,
     times,
     map_times: Callable = map,
-) -> GlobalNegativity:
+) -> NegativitySeries:
     """Negativity across the system|environment cut of the evolved rho_S x rho_E.
 
     The path is chosen once from the factors (see the module docstring).
@@ -211,14 +226,14 @@ def global_negativity_series(
         tnorm = norm_s * norm_e
         extremes = [np.array([e.min(), e.max()]) for e in (eig_s, eig_e)]
         columns = ((tnorm - 1.0) / 2.0, float(np.outer(*extremes).min()), tnorm)
-        return GlobalNegativity("factor_spectra", *(np.full(times.shape, c) for c in columns))
+        return NegativitySeries("factor_spectra", *(np.full(times.shape, c) for c in columns))
 
-    psi_s = _pure_vector(rho_s0, tol=_PURITY_TOL)
-    psi_e = _pure_vector(rho_e0, tol=_PURITY_TOL)
-    if psi_s is not None and psi_e is not None:
+    psi_s, pure_s = _pure_vectors(rho_s0[None], tol=_PURITY_TOL)
+    psi_e, pure_e = _pure_vectors(rho_e0[None], tol=_PURITY_TOL)
+    if pure_s[0] and pure_e[0]:
         # coefficient matrix with the smaller side first: its Gram matrix
         # is the smaller one
-        psi0 = np.outer(psi_s, psi_e)
+        psi0 = np.outer(psi_s[0], psi_e[0])
         energies = total_energies(spec).reshape(d_s, d_e)
         if d_s > d_e:
             psi0, energies = psi0.T, energies.T
@@ -227,8 +242,7 @@ def global_negativity_series(
         details = []
         for i in range(0, times.size, step):
             psi = np.exp(times[i : i + step, None, None] * phase) * psi0
-            gram = psi @ psi.conj().transpose(0, 2, 1)
-            details += [_schmidt_details(hermitian_eigenvalues(g)) for g in gram]
+            details.append(_schmidt_details(hermitian_eigenvalues(psi @ psi.conj().swapaxes(1, 2))))
         path = "schmidt"
     else:
         dims = (d_s, d_e)
@@ -236,41 +250,46 @@ def global_negativity_series(
             lambda t: negativity_details(evolve_global(spec, rho_s0, rho_e0, t), dims), times
         ))
         path = "dense"
-    return GlobalNegativity(path, *np.array(details, dtype=float).reshape(-1, 3).T)
+    return NegativitySeries(path, *np.vstack(details).reshape(-1, 3).T)
 
 
-def system_internal_negativity(
+def system_negativity_series(
     spec: EnsembleSpec,
     rho_s0: np.ndarray,
     env: EnvPopulations,
-    t: float,
+    times,
     cut_sites: int = 1,
     cap: int = DEFAULT_ENUM_CAP,
-) -> float:
-    """Negativity inside the subsystem across a site cut, at time t.
+) -> NegativitySeries:
+    """Negativity inside the subsystem across a site cut, on a time grid.
 
     The reduced state is evolved exactly, then split after ``cut_sites``
     leading sites. For two spin-1/2 sites (the 1|1 cut of a two-site
-    system) zero negativity is equivalent to separability.
+    system) zero negativity is equivalent to separability. The states go
+    to `negativity_details` in stacks of at most SCHMIDT_BLOCK entries.
     """
     if not 1 <= cut_sites < spec.n_system:
         raise ValueError("cut must leave sites on both sides")
     ev = WitnessEvaluator(spec, env, cap=cap)
-    rho_t = ev.reduced_state(rho_s0, t)
-    d_a = spec.levels**cut_sites
-    d_b = spec.levels ** (spec.n_system - cut_sites)
-    return negativity(rho_t, (d_a, d_b))
+    dims = (spec.levels**cut_sites, spec.levels ** (spec.n_system - cut_sites))
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    columns = np.empty((times.size, 3))
+    step = max(1, SCHMIDT_BLOCK // ev.dim**2)
+    for i in range(0, times.size, step):
+        states = np.array([ev.reduced_state(rho_s0, t) for t in times[i : i + step]])
+        columns[i : i + step] = np.stack(negativity_details(states, dims), axis=-1)
+    return NegativitySeries("reduced-state", *columns.T)
 
 
 __all__ = [
     "GLOBAL_DIM_CAP",
-    "GlobalNegativity",
+    "NegativitySeries",
     "evolve_global",
     "global_negativity_series",
     "partial_trace_env",
     "partial_transpose_system",
     "negativity",
     "negativity_details",
-    "system_internal_negativity",
+    "system_negativity_series",
     "trace_norm",
 ]

@@ -20,8 +20,8 @@ configuration arithmetic is exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Sequence, Union
+from dataclasses import dataclass, field
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -81,6 +81,8 @@ class EnsembleSpec:
     twice_spin: int
     couplings: np.ndarray
     fields: np.ndarray
+    # the global energy table, built on first use by total_energies
+    _energies: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.n_system < self.n_total:
@@ -299,6 +301,11 @@ def config_count(site_count: int, twice_spin: int) -> int:
     return (twice_spin + 1) ** site_count
 
 
+def _check_cap(total: int, cap: int) -> None:
+    if total > cap:
+        raise ResourceCapError(f"enumeration needs {total} configurations, cap is {cap}")
+
+
 def config_matrix(site_count: int, twice_spin: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     """All (2S+1)**site_count configurations as an integer array of twice-values.
 
@@ -306,11 +313,7 @@ def config_matrix(site_count: int, twice_spin: int, cap: int = DEFAULT_ENUM_CAP)
     descending from +S to -S. This fixes the basis-index convention used by
     every matrix in the package. Shape (levels**site_count, site_count).
     """
-    total = config_count(site_count, twice_spin)
-    if total > cap:
-        raise ResourceCapError(
-            f"enumeration needs {total} configurations, cap is {cap}"
-        )
+    _check_cap(config_count(site_count, twice_spin), cap)
     levels = twice_spin + 1
     if site_count == 0:
         return np.zeros((1, 0), dtype=np.int64)
@@ -356,14 +359,22 @@ def total_energies(spec: EnsembleSpec, cap: int = DEFAULT_ENUM_CAP) -> np.ndarra
     """Full-ensemble energies over all global configurations.
 
     The global index is s_index * dim_env + sigma_index, consistent with a
-    Kronecker product ordering system (x) environment.
+    Kronecker product ordering system (x) environment. The table is built
+    once per ensemble and kept on it, read-only; the cap on the system and
+    environment enumerations is checked on every call.
     """
-    es = system_energies(spec, cap=cap)
-    ee = env_energies(spec, cap=cap)
-    vs = config_matrix(spec.n_system, spec.twice_spin, cap=cap).astype(float)
-    ve = config_matrix(spec.n_env, spec.twice_spin, cap=cap).astype(float)
-    cross = -2.0 * 0.25 * (vs @ spec.cross_couplings @ ve.T)
-    return (es[:, None] + ee[None, :] + cross).reshape(-1)
+    for total in (spec.dim_system, spec.dim_env):
+        _check_cap(total, cap)
+    if spec._energies is None:
+        es = system_energies(spec, cap=cap)
+        ee = env_energies(spec, cap=cap)
+        vs = config_matrix(spec.n_system, spec.twice_spin, cap=cap).astype(float)
+        ve = config_matrix(spec.n_env, spec.twice_spin, cap=cap).astype(float)
+        cross = -2.0 * 0.25 * (vs @ spec.cross_couplings @ ve.T)
+        table = (es[:, None] + ee[None, :] + cross).reshape(-1)
+        table.flags.writeable = False
+        object.__setattr__(spec, "_energies", table)
+    return spec._energies
 
 
 # ---------------------------------------------------------------------------

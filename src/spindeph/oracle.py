@@ -6,7 +6,9 @@ Bloch evolution matrix is reconstructed column by column by pushing the
 coordinate basis operators through the map. Agreement between this path and
 the engine validates both: they share only the diagonal energy tables of
 :mod:`spindeph.model` (the engine's phases use ``system_energies``, the
-oracle's global unitary ``total_energies``, which builds on it).
+oracle's global unitary ``total_energies``, which builds on it). The global
+table is built once per ensemble and kept on it, so every time point and
+every superoperator column of an ensemble reads the same table.
 
 ``run_verification`` bundles the oracle comparisons and the structural
 invariants into a machine-readable report; the CLI exposes it as the
@@ -28,14 +30,9 @@ from .engine import (
     bloch_vector,
 )
 from .linalg import hermitian_eigenvalues, lu_det
-from .model import EnsembleSpec, ResourceCapError, total_energies
+from .model import EnsembleSpec, ResourceCapError
 
 SUPEROP_SYSTEM_DIM_CAP = 16
-
-
-def _global_phases(spec: EnsembleSpec, t: float, energy_override=None) -> np.ndarray:
-    energies = total_energies(spec) if energy_override is None else energy_override(spec)
-    return np.exp(-1j * energies * t)
 
 
 def oracle_reduced_state(
@@ -128,13 +125,20 @@ def run_verification(
     dev_block = 0.0
     dev_coherence = 0.0
     dev_trace = 0.0
+    # engine reduced states by dimension, one eigensolver call per stack
     min_eigenvalue = float("inf")
+    states = {}
 
-    def oracle_state(spec, rho_s0, rho_e0, t):
-        if energy_override is None:
+    def fold(dim):
+        nonlocal min_eigenvalue
+        eigs = hermitian_eigenvalues(np.array(states.pop(dim)))
+        min_eigenvalue = min(min_eigenvalue, float(eigs[:, 0].min()))
+
+    def oracle_state(spec, rho_s0, rho_e0, t, energies=None):
+        if energies is None:
             return oracle_reduced_state(spec, rho_s0, rho_e0, t)
         rho0 = np.kron(rho_s0, rho_e0)
-        u = _global_phases(spec, t, energy_override)
+        u = np.exp(-1j * energies * t)
         rho_t = (u[:, None] * rho0) * u.conj()[None, :]
         return entanglement.partial_trace_env(rho_t, (spec.dim_system, spec.dim_env))
 
@@ -148,13 +152,16 @@ def run_verification(
 
         times = rng.uniform(0.0, 6.0, size=time_points)
         rho_e_diag = np.diag(env.weights).astype(complex)
+        energies = None if energy_override is None else energy_override(spec)
         for t in times:
             engine_rho = ev.reduced_state(rho_s0, t)
-            oracle_rho = oracle_state(spec, rho_s0, rho_e_diag, t)
+            oracle_rho = oracle_state(spec, rho_s0, rho_e_diag, t, energies)
             dev_state = max(dev_state, float(np.max(np.abs(engine_rho - oracle_rho))))
             dev_trace = max(dev_trace, abs(float(np.trace(engine_rho).real) - 1.0))
-            eigs = hermitian_eigenvalues(engine_rho)
-            min_eigenvalue = min(min_eigenvalue, float(eigs[0]))
+            stack = states.setdefault(spec.dim_system, [])
+            stack.append(engine_rho)
+            if len(stack) * spec.dim_system**2 >= entanglement.SCHMIDT_BLOCK:
+                fold(spec.dim_system)
 
         # coherence independence: environment off-diagonals never reach rho_S
         g = rng.normal(size=(spec.dim_env, spec.dim_env)) + 1j * rng.normal(
@@ -168,7 +175,7 @@ def run_verification(
             float(
                 np.max(
                     np.abs(
-                        oracle_state(spec, rho_s0, rho_e_coh, t_probe)
+                        oracle_state(spec, rho_s0, rho_e_coh, t_probe, energies)
                         - ev.reduced_state(rho_s0, t_probe)
                     )
                 )
@@ -198,6 +205,8 @@ def run_verification(
             mask[base:, base:] = False
             dev_block = max(dev_block, float(np.max(np.abs(mat[mask]))))
 
+    for dim in list(states):
+        fold(dim)
     report = {
         "seed": seed,
         "specs": n_specs,

@@ -69,12 +69,6 @@ def amplitude_derivative(j_row, t):
     return float(out) if out.ndim == 0 else out
 
 
-def qubit_state(rho0: QubitState, h1: float, j_row, t: float) -> QubitState:
-    """Evolved state: populations frozen, rho12 -> rho12 A(t) exp(-i h1 t)."""
-    a = amplitude(j_row, t)
-    return QubitState(rho11=rho0.rho11, rho12=rho0.rho12 * a * np.exp(-1j * h1 * t))
-
-
 def dephasing_rate(j_row, t):
     """Canonical dephasing rate Gamma_z(t) = -A'(t) / (2 A(t)).
 

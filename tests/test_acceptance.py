@@ -281,7 +281,7 @@ def test_criterion_9_negativity_suite():
     bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
     spec6 = ensemble_from_model(NearestNeighborRing1D(j=1.0), 6, 2, fields=0.0)
     env6 = thermal.maximally_mixed(4, 1)
-    bell_start = ent.system_internal_negativity(spec6, bell, env6, 0.0)
+    bell_start = max(ent.system_negativity_series(spec6, bell, env6, [0.0]).negativity[0], 0.0)
 
     # large pure-environment run: 200 grid points under the budget
     spec10 = ensemble_from_model(NearestNeighborRing1D(j=1.0), 10, 3, fields=0.0)

@@ -412,3 +412,16 @@ def test_nn1d_closed_form_on_a_ring_past_the_enumeration_cap(tmp_path, capsys):
     assert away.sum() > 390 and np.max(np.abs(dev[away])) <= 1e-12
     with pytest.raises(ResourceCapError):
         thermal.maximally_mixed(28, 1).weights
+
+
+def test_basis_environment_with_wrong_site_count_is_usage_error(tmp_path, capsys):
+    # refused while the input is read, not with a traceback when the
+    # evaluator is built
+    for config in ([1, -1], [1, -1, 1, 1, -1]):
+        doc = dict(BASE, ensemble=dict(BASE["ensemble"], n_total=5, n_system=1),
+                   environment={"kind": "basis", "config": config})
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "x.csv"
+        msg = _expect_usage_error(["witness", "--config", cfg, "--out", str(out)], capsys)
+        assert "4" in msg and str(len(config)) in msg
+        assert not out.exists()

@@ -6,14 +6,25 @@ import pytest
 from spindeph import closedforms as cf
 from spindeph import thermal
 from spindeph.engine import WitnessEvaluator
-from spindeph.model import InfiniteRange, NearestNeighborRing1D, PowerLawRing1D, ensemble_from_model
+from spindeph.model import (
+    InfiniteRange,
+    NearestNeighborRing1D,
+    PowerLawRing1D,
+    config_matrix,
+    ensemble_from_model,
+)
 
 
 def test_multiplicity_examples():
-    assert cf.multiplicity_sum_si(2, 1) == 2
-    assert cf.multiplicity_sum_si(4, 2) == 6
+    # p-spin configurations with k down spins (sum s_i = (p - 2k)/2): the
+    # multiplicities behind the closed forms are binomial coefficients
+    assert math.comb(2, 1) == 2
+    assert math.comb(4, 2) == 6
+    for p in range(1, 13):
+        down = np.count_nonzero(config_matrix(p, 1) < 0, axis=1)
+        assert np.bincount(down, minlength=p + 1).tolist() == [math.comb(p, k) for k in range(p + 1)]
     for p in range(1, 31):
-        assert sum(cf.multiplicity_sum_si(p, k) for k in range(p + 1)) == 2**p
+        assert sum(math.comb(p, k) for k in range(p + 1)) == 2**p
 
 
 def test_chu_vandermonde_identity_exact():

@@ -501,6 +501,18 @@ def test_bloch_round_trip_property(herm):
     assert np.max(np.abs(back - herm)) <= 1e-13 * (1.0 + np.max(np.abs(herm)))
 
 
+def test_bloch_layout_built_once_and_read_only():
+    from spindeph.engine import _bloch_layout
+
+    layout = _bloch_layout(5)
+    assert _bloch_layout(5) is layout
+    assert not any(x.flags.writeable for x in layout)
+    a, b, l, scale = layout
+    assert np.array_equal(np.stack([a, b]), np.stack(np.triu_indices(5, k=1)))
+    # one-dimensional coordinates: the trace alone
+    assert bloch_to_density([0.7]) == pytest.approx(np.array([[0.7]]))
+
+
 def test_bloch_evolution_matrix_identity_and_consistency():
     rng = np.random.default_rng(17)
     spec = random_spec(rng, 6, 2)

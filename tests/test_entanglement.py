@@ -278,7 +278,9 @@ def test_witness_blind_to_entanglement_generation():
 def test_system_internal_negativity_bell_start():
     spec = ring(6, 2, fields=0.0)
     env = thermal.maximally_mixed(4, 1)
-    assert ent.system_internal_negativity(spec, BELL, env, 0.0) == pytest.approx(0.5, abs=1e-10)
+    series = ent.system_negativity_series(spec, BELL, env, [0.0])
+    assert series.path == "reduced-state"
+    assert series.negativity[0] == pytest.approx(0.5, abs=1e-10)
 
 
 def test_system_internal_negativity_size_independent():
@@ -290,8 +292,36 @@ def test_system_internal_negativity_size_independent():
     for n_total in (4, 6):
         spec = ring(n_total, 2, fields=0.0)
         env = thermal.maximally_mixed(n_total - 2, 1)
-        curves.append(np.array([ent.system_internal_negativity(spec, rho0, env, t) for t in ts]))
+        curves.append(np.maximum(ent.system_negativity_series(spec, rho0, env, ts).negativity, 0.0))
     assert np.max(np.abs(curves[0] - curves[1])) < 1e-12
+
+
+def test_system_negativity_series_matches_one_state_at_a_time(monkeypatch):
+    # the stacked path (Hermiticity check, Schmidt shortcut for the pure
+    # states, one partial-transpose solve for the mixed ones) gives the
+    # bits of one negativity_details call per state, in blocks of any size
+    rng = np.random.default_rng(12)
+    spec = ring(6, 3, fields=0.3)
+    env = thermal.maximally_mixed(3, 1)
+    ts = np.linspace(0.0, 4.0, 23)
+    ev = WitnessEvaluator(spec, env)
+    plus = np.outer(np.full(8, 8**-0.5), np.full(8, 8**-0.5)).astype(complex)
+    for rho0 in (plus, random_density(rng, 8)):
+        for cut in (1, 2):
+            dims = (2**cut, 2 ** (3 - cut))
+            single = np.array([ent.negativity_details(ev.reduced_state(rho0, t), dims) for t in ts])
+            for block in (ent.SCHMIDT_BLOCK, 64 * 5):
+                monkeypatch.setattr(ent, "SCHMIDT_BLOCK", block)
+                series = ent.system_negativity_series(spec, rho0, env, ts, cut_sites=cut)
+                stacked = np.column_stack([series.negativity, series.min_eigenvalue, series.trace_norm])
+                assert np.array_equal(stacked, single)
+    # pure states (t = 0 of a pure start) and mixed ones in one stack
+    states = np.array([ev.reduced_state(plus, t) for t in ts] + [random_density(rng, 8)])
+    both = ent.negativity_details(states, (2, 4))
+    assert np.array_equal(np.column_stack(both),
+                          np.array([ent.negativity_details(r, (2, 4)) for r in states]))
+    with pytest.raises(ValueError):
+        ent.negativity_details(np.stack([states[0], np.triu(states[1])]), (2, 4))
 
 
 def test_negativity_env_label_permutation_invariant():

@@ -216,6 +216,24 @@ def test_total_energies_table_matches_scalars():
         assert table[g] == pytest.approx(double_sum(spec.couplings, spec.fields, full), abs=1e-12)
 
 
+def test_total_energies_built_once_and_capped_on_every_call():
+    rng = np.random.default_rng(6)
+    spec = _random_spec(rng, 6, 2)
+    table = model.total_energies(spec)
+    assert model.total_energies(spec) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 0.0
+    # the cap holds for a table already built: 16 environment configurations
+    with pytest.raises(model.ResourceCapError, match="16"):
+        model.total_energies(spec, cap=8)
+    # an equal ensemble built anew has its own table, with the same values
+    twin = model.EnsembleSpec(n_total=6, n_system=2, twice_spin=1,
+                              couplings=spec.couplings, fields=spec.fields)
+    assert twin._energies is None
+    assert np.array_equal(model.total_energies(twin), table)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         model.EnsembleSpec(n_total=2, n_system=2, twice_spin=1,

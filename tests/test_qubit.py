@@ -49,31 +49,37 @@ def test_amplitude_derivative_exact():
         assert qubit.amplitude_derivative(j_row, t) == pytest.approx(fd, abs=1e-9)
 
 
+def evolved(state, h1, j_row, t):
+    """The engine's reduced state of one spin-1/2 in a maximally mixed environment."""
+    env = thermal.maximally_mixed(len(j_row), 1)
+    return WitnessEvaluator(cross_row_spec(j_row, h1=h1), env).reduced_state(state.matrix, t)
+
+
 def test_qubit_state_evolution():
     rho0 = qubit.QubitState(rho11=0.7, rho12=0.1 - 0.2j)
-    j_row = [1.0]
-    out = qubit.qubit_state(rho0, h1=0.5, j_row=j_row, t=1.2)
-    assert out.rho11 == rho0.rho11
-    assert out.rho12 == pytest.approx(rho0.rho12 * np.cos(1.2) * np.exp(-0.6j))
+    out = evolved(rho0, 0.5, [1.0], 1.2)
+    assert out[0, 0] == rho0.rho11 and out[1, 1] == pytest.approx(rho0.rho22, abs=1e-16)
+    assert out[0, 1] == pytest.approx(rho0.rho12 * np.cos(1.2) * np.exp(-0.6j))
+    assert out[1, 0] == np.conj(out[0, 1])
     # full dephasing instant for a single coupling
-    gone = qubit.qubit_state(rho0, h1=0.0, j_row=[1.0], t=np.pi / 2)
-    assert abs(gone.rho12) < 1e-16
+    gone = evolved(rho0, 0.0, [1.0], np.pi / 2)
+    assert abs(gone[0, 1]) < 1e-16
     # no coherence: stationary forever
     diag = qubit.QubitState(rho11=0.3, rho12=0.0)
-    assert qubit.qubit_state(diag, 1.0, [0.7, 0.2], 2.2).matrix == pytest.approx(diag.matrix)
+    assert evolved(diag, 1.0, [0.7, 0.2], 2.2) == pytest.approx(diag.matrix)
 
 
 def test_qubit_state_matches_engine():
+    # rho12 -> rho12 A(t) exp(-i h1 t), A the closed-form amplitude
     rng = np.random.default_rng(31)
     j_row = rng.uniform(-1, 1, size=4)
     h1 = 0.9
-    spec = cross_row_spec(j_row, h1=h1)
-    env = thermal.maximally_mixed(4, 1)
     rho0 = qubit.QubitState(rho11=0.62, rho12=0.21 + 0.13j)
     for t in (0.5, 2.9):
-        full = WitnessEvaluator(spec, env).reduced_state(rho0.matrix, t)
-        fast = qubit.qubit_state(rho0, h1, j_row, t)
-        assert np.max(np.abs(full - fast.matrix)) < 1e-12
+        full = evolved(rho0, h1, j_row, t)
+        coherence = rho0.rho12 * qubit.amplitude(j_row, t) * np.exp(-1j * h1 * t)
+        fast = qubit.QubitState(rho11=rho0.rho11, rho12=coherence).matrix
+        assert np.max(np.abs(full - fast)) < 1e-12
 
 
 def test_dephasing_rate_single_coupling():
@@ -124,8 +130,8 @@ def test_blp_distance_formula_and_oracle():
     h1 = 0.3
     for t in (0.0, 0.8, 2.2):
         d = qubit.blp_trace_distance(a_state, b_state, j_row, t)
-        ra = qubit.qubit_state(a_state, h1, j_row, t).matrix
-        rb = qubit.qubit_state(b_state, h1, j_row, t).matrix
+        ra = evolved(a_state, h1, j_row, t)
+        rb = evolved(b_state, h1, j_row, t)
         assert d == pytest.approx(0.5 * trace_norm(ra - rb), abs=1e-12)
     assert qubit.blp_trace_distance(a_state, a_state, j_row, 1.0) == 0.0
 
