@@ -21,11 +21,9 @@ from .engine import (
     EnvPopulations,
     WitnessEvaluator,
     WitnessSeries,
-    bloch_evolution_matrix,
     bloch_to_density,
     bloch_vector,
     detect_episodes,
-    populations_from_density,
 )
 from .entanglement import (
     NegativitySeries,
@@ -43,7 +41,6 @@ from .model import (
     DEFAULT_ENUM_CAP,
     CouplingModel,
     EnsembleSpec,
-    ExplicitCoupling,
     InfiniteRange,
     NearestNeighborRing1D,
     NearestNeighborTorus2D,
@@ -56,7 +53,6 @@ from .model import (
     ensemble_from_dict,
     ensemble_from_model,
     env_energies,
-    load_ensemble,
     system_energies,
     torus_block_ensemble,
     total_energies,

@@ -33,7 +33,6 @@ from .model import (
     SpinConfig,
     config_index,
     ensemble_from_dict,
-    load_ensemble,
 )
 
 CSV_FORMAT = "spindeph-csv v1"
@@ -82,16 +81,19 @@ def _load_config(path: str) -> dict:
 
 
 @_reading_input()
-def _ensemble(cfg: dict, config_dir: Path) -> EnsembleSpec:
+def _ensemble(cfg: dict, config_dir: Path) -> tuple[EnsembleSpec, dict]:
+    """The ensemble and its document, given inline or in 'ensemble_file'."""
     if "ensemble" in cfg:
-        spec = ensemble_from_dict(cfg["ensemble"])
+        doc = cfg["ensemble"]
     elif "ensemble_file" in cfg:
-        spec = load_ensemble(config_dir / cfg["ensemble_file"])
+        with open(config_dir / cfg["ensemble_file"]) as fh:
+            doc = json.load(fh)
     else:
         raise UsageError("configuration needs 'ensemble' or 'ensemble_file'")
+    spec = ensemble_from_dict(doc)
     # the engine pairs up all system configurations: refuse a block too large now
     engine.check_pair_cap(spec.dim_system)
-    return spec
+    return spec, doc
 
 
 @_reading_input()
@@ -128,11 +130,7 @@ def _environment(cfg: dict, spec: EnsembleSpec) -> engine.EnvPopulations:
     if kind == "mixed":
         return thermal.maximally_mixed(spec.n_env, spec.twice_spin)
     if kind == "basis":
-        config = SpinConfig(tuple(doc["config"]))
-        if config.site_count != spec.n_env:
-            raise UsageError(f"basis environment config has {config.site_count} sites, "
-                             f"the environment has {spec.n_env}")
-        return thermal.basis_state(config, spec.twice_spin)
+        return thermal.basis_state(_basis_config(doc, spec.n_env, spec.twice_spin), spec.twice_spin)
     if kind == "thermal":
         return _thermal(spec, doc.get("beta", 0.0))
     if kind == "explicit":
@@ -142,6 +140,15 @@ def _environment(cfg: dict, spec: EnsembleSpec) -> engine.EnvPopulations:
             weights=np.asarray(doc["weights"], dtype=float),
         )
     raise UsageError(f"unknown environment kind {kind!r}")
+
+
+def _basis_config(doc: dict, n_sites: int, twice_spin: int) -> SpinConfig:
+    """The "config" of a "basis" document, checked against its n_sites sites."""
+    config = SpinConfig(tuple(doc["config"]))
+    if config.site_count != n_sites:
+        raise UsageError(f"basis config has {config.site_count} sites, expected {n_sites}")
+    config.validate(twice_spin)
+    return config
 
 
 @_reading_input()
@@ -155,7 +162,7 @@ def _state_matrix(doc: dict, n_sites: int, twice_spin: int) -> np.ndarray:
     if kind == "maximally_mixed":
         return np.eye(dim, dtype=complex) / dim
     if kind == "basis":
-        k = config_index(SpinConfig(tuple(doc["config"])), twice_spin)
+        k = config_index(_basis_config(doc, n_sites, twice_spin), twice_spin)
         rho = np.zeros((dim, dim), dtype=complex)
         rho[k, k] = 1.0
         return rho
@@ -205,8 +212,9 @@ def write_csv(path, header, columns):
 _CLOSED_FORMS = ("nn1d", "inf", "2d", "pl", "frac-asym")
 
 
-def _closed_form_series(name: str, cfg: dict, spec: EnsembleSpec, times: np.ndarray):
-    model = cfg.get("ensemble", {}).get("model")
+def _closed_form_series(name: str, cfg: dict, ensemble_doc: dict, spec: EnsembleSpec,
+                        times: np.ndarray):
+    model = ensemble_doc.get("model")
     if model is None:
         raise UsageError("--closed-form needs an ensemble built from a named model")
     env_kind = cfg.get("environment", {}).get("kind", "mixed")
@@ -244,11 +252,11 @@ def _closed_form_series(name: str, cfg: dict, spec: EnsembleSpec, times: np.ndar
 
 def cmd_witness(args) -> int:
     cfg = _load_config(args.config)
-    spec = _ensemble(cfg, Path(args.config).parent)
+    spec, ensemble_doc = _ensemble(cfg, Path(args.config).parent)
     env = _environment(cfg, spec)
     times = _grid(cfg, args.grid)
     if args.closed_form is not None:
-        ref = np.asarray(_closed_form_series(args.closed_form, cfg, spec, times))
+        ref = np.asarray(_closed_form_series(args.closed_form, cfg, ensemble_doc, spec, times))
     series = engine.detect_episodes(
         spec, env, float(times[0]), float(times[-1]), times.size
     )
@@ -280,7 +288,7 @@ def _parse_betas(text: str):
 
 def cmd_thermal_sweep(args) -> int:
     cfg = _load_config(args.config)
-    spec = _ensemble(cfg, Path(args.config).parent)
+    spec, _ = _ensemble(cfg, Path(args.config).parent)
     times = _grid(cfg, args.grid)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -302,7 +310,7 @@ def cmd_thermal_sweep(args) -> int:
 
 def cmd_compare_measures(args) -> int:
     cfg = _load_config(args.config)
-    spec = _ensemble(cfg, Path(args.config).parent)
+    spec, _ = _ensemble(cfg, Path(args.config).parent)
     if spec.n_system != 1 or spec.twice_spin != 1:
         raise UsageError("compare-measures is defined for a single spin-1/2 system")
     env_doc = cfg.get("environment", {"kind": "mixed"})
@@ -356,8 +364,10 @@ def _time_map(threads: int):
 
 
 def cmd_negativity(args) -> int:
+    if args.threads < 1:
+        raise UsageError(f"--threads needs at least 1, got {args.threads}")
     cfg = _load_config(args.config)
-    spec = _ensemble(cfg, Path(args.config).parent)
+    spec, _ = _ensemble(cfg, Path(args.config).parent)
     times = _grid(cfg, args.grid)
     kind, cut_sites = _parse_cut(args.cut or cfg.get("cut", "global"), spec.n_system)
 

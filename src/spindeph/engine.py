@@ -129,23 +129,13 @@ class EnvPopulations:
         return self._weights
 
 
-def populations_from_density(rho_env: np.ndarray, n_sites: int, twice_spin: int) -> EnvPopulations:
-    """Extract the populations of an environment density matrix.
-
-    The reduced dynamics depends on the environment state only through this
-    diagonal, so two environment states differing by off-diagonal elements
-    produce bitwise-identical witnesses.
-    """
-    diag = np.diag(np.asarray(rho_env)).real.copy()
-    return EnvPopulations(n_sites=n_sites, twice_spin=twice_spin, weights=diag)
-
-
-def check_pair_cap(dim: int, cap: int = DEFAULT_ENUM_CAP) -> None:
-    """Raise ResourceCapError when dim configurations make more than cap pairs."""
+def check_pair_cap(dim: int) -> None:
+    """Raise ResourceCapError when dim configurations make more than DEFAULT_ENUM_CAP pairs."""
     pairs = dim * (dim - 1) // 2
-    if pairs > cap:
+    if pairs > DEFAULT_ENUM_CAP:
         raise ResourceCapError(
-            f"{dim} system configurations make {pairs} configuration pairs, cap is {cap}"
+            f"{dim} system configurations make {pairs} configuration pairs, "
+            f"cap is {DEFAULT_ENUM_CAP}"
         )
 
 
@@ -188,16 +178,16 @@ class WitnessEvaluator:
     Instances are immutable after construction and safe to share.
     """
 
-    def __init__(self, spec: EnsembleSpec, env: EnvPopulations, cap: int = DEFAULT_ENUM_CAP):
+    def __init__(self, spec: EnsembleSpec, env: EnvPopulations):
         if env.n_sites != spec.n_env or env.twice_spin != spec.twice_spin:
             raise ValueError("environment populations do not match the ensemble")
         self.spec = spec
         self.env = env
-        sys_cfg = config_matrix(spec.n_system, spec.twice_spin, cap=cap).astype(float)
+        check_pair_cap(spec.dim_system)
+        sys_cfg = config_matrix(spec.n_system, spec.twice_spin).astype(float)
         self.dim = len(sys_cfg)
-        check_pair_cap(self.dim, cap)
         self._a, self._b = _bloch_layout(self.dim)[:2]
-        energies = system_energies(spec, cap=cap)
+        energies = system_energies(spec)
         self.thetas = energies[self._b] - energies[self._a]
 
         # nu of every pair, sign folded so that its first nonzero entry is
@@ -230,7 +220,7 @@ class WitnessEvaluator:
                 w = w.reshape((levels,) * len(block.sites)).sum(axis=drop).ravel()
             populated = w > 0.0
             sites = [block.sites[k] for k in keep]
-            u = config_matrix(len(keep), spec.twice_spin, cap=cap)[populated].astype(float)
+            u = config_matrix(len(keep), spec.twice_spin)[populated].astype(float)
             if len(u) > 1:
                 blocks.append((sites, u, w[populated]))
             else:
@@ -389,32 +379,6 @@ def bloch_to_density(coords: np.ndarray) -> np.ndarray:
     return rho
 
 
-def bloch_evolution_matrix(
-    spec: EnsembleSpec,
-    env: EnvPopulations,
-    t: float,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> np.ndarray:
-    """The D^2 x D^2 real matrix mapping Bloch coordinates from 0 to t.
-
-    Block diagonal: each coherence pair picks up the 2x2 block of
-    multiplication by A_{s,s'}(t) exp(i theta t); the diagonal sector is the
-    identity because populations are conserved.
-    """
-    ev = WitnessEvaluator(spec, env, cap=cap)
-    dim = ev.dim
-    if dim * dim > cap:
-        raise ResourceCapError(f"Bloch matrix needs dimension {dim * dim}, cap is {cap}")
-    mat = np.eye(dim * dim)
-    z = ev.factors(t) * np.exp(1j * ev.thetas * t)
-    re = 2 * np.arange(z.size)
-    im = re + 1
-    mat[re, re] = mat[im, im] = z.real
-    mat[re, im] = -z.imag
-    mat[im, re] = z.imag
-    return mat
-
-
 # ---------------------------------------------------------------------------
 # witness series and episode detection
 
@@ -468,7 +432,6 @@ def detect_episodes(
     t_start: float,
     t_stop: float,
     points: int,
-    cap: int = DEFAULT_ENUM_CAP,
 ) -> WitnessSeries:
     """Witness series with non-Markovian episodes on [t_start, t_stop].
 
@@ -480,7 +443,7 @@ def detect_episodes(
         raise ValueError("need t_stop > t_start")
     if points < 2:
         raise ValueError("need at least 2 grid points")
-    ev = WitnessEvaluator(spec, env, cap=cap)
+    ev = WitnessEvaluator(spec, env)
     times = np.linspace(t_start, t_stop, points)
     log_det, dlogdet = ev.series(times)
     positive = np.isfinite(log_det) & np.isfinite(dlogdet) & (dlogdet > 0.0)

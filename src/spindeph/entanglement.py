@@ -3,7 +3,7 @@
 The full ensemble Hamiltonian is diagonal in the computational basis, so
 global evolution is an elementwise phase on the density matrix: element
 (g, g') picks up exp(-i t [E_g - E_g']). Dense storage is fine up to the
-default dimension cap of 1024 (N = 10 spins-1/2).
+dimension cap GLOBAL_DIM_CAP of 1024 (N = 10 spins-1/2).
 
 Negativity across the system|environment cut is (||rho^T_S||_1 - 1)/2.
 For a product initial state rho_S x rho_E, `global_negativity_series`
@@ -33,7 +33,7 @@ import numpy as np
 
 from .engine import EnvPopulations, WitnessEvaluator
 from .linalg import hermitian_eigenvalues, trace_norm
-from .model import DEFAULT_ENUM_CAP, EnsembleSpec, ResourceCapError, total_energies
+from .model import EnsembleSpec, ResourceCapError, total_energies
 
 GLOBAL_DIM_CAP = 1024
 SCHMIDT_BLOCK = 2**16  # entries per stack of evolved vectors or reduced states
@@ -46,7 +46,6 @@ def evolve_global(
     rho_s0: np.ndarray,
     rho_e0: np.ndarray,
     t: float,
-    dim_cap: int = GLOBAL_DIM_CAP,
 ) -> np.ndarray:
     """Unitarily evolved global matrix exp(-iHt) (rho_S x rho_E) exp(iHt).
 
@@ -55,8 +54,8 @@ def evolve_global(
     Accepts any Hermitian inputs: the map is linear, not state-restricted.
     """
     dim = spec.dim_system * spec.dim_env
-    if dim > dim_cap:
-        raise ResourceCapError(f"global dimension {dim} exceeds cap {dim_cap}")
+    if dim > GLOBAL_DIM_CAP:
+        raise ResourceCapError(f"global dimension {dim} exceeds cap {GLOBAL_DIM_CAP}")
     rho_s0 = np.asarray(rho_s0, dtype=complex)
     rho_e0 = np.asarray(rho_e0, dtype=complex)
     if rho_s0.shape != (spec.dim_system,) * 2 or rho_e0.shape != (spec.dim_env,) * 2:
@@ -259,7 +258,6 @@ def system_negativity_series(
     env: EnvPopulations,
     times,
     cut_sites: int = 1,
-    cap: int = DEFAULT_ENUM_CAP,
 ) -> NegativitySeries:
     """Negativity inside the subsystem across a site cut, on a time grid.
 
@@ -270,7 +268,7 @@ def system_negativity_series(
     """
     if not 1 <= cut_sites < spec.n_system:
         raise ValueError("cut must leave sites on both sides")
-    ev = WitnessEvaluator(spec, env, cap=cap)
+    ev = WitnessEvaluator(spec, env)
     dims = (spec.levels**cut_sites, spec.levels ** (spec.n_system - cut_sites))
     times = np.atleast_1d(np.asarray(times, dtype=float))
     columns = np.empty((times.size, 3))

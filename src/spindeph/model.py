@@ -19,7 +19,6 @@ configuration arithmetic is exact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -167,22 +166,11 @@ class NearestNeighborTorus2D:
     j: float = 1.0
 
 
-@dataclass(frozen=True)
-class ExplicitCoupling:
-    """Coupling matrix given verbatim."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _as_readonly(self.matrix))
-
-
 CouplingModel = Union[
     NearestNeighborRing1D,
     InfiniteRange,
     PowerLawRing1D,
     NearestNeighborTorus2D,
-    ExplicitCoupling,
 ]
 
 
@@ -237,13 +225,6 @@ def build_coupling(model: CouplingModel, n_total: int) -> np.ndarray:
                     b = bx * m + by
                     mat[a, b] = model.j
                     mat[b, a] = model.j
-    elif isinstance(model, ExplicitCoupling):
-        j = np.array(model.matrix, dtype=float)
-        if j.shape != (n_total, n_total):
-            raise ValueError(f"explicit matrix must be {n_total}x{n_total}")
-        if not np.array_equal(j, j.T) or np.any(np.diag(j) != 0.0):
-            raise ValueError("explicit matrix must be symmetric with zero diagonal")
-        mat = j
     else:
         raise TypeError(f"unknown coupling model {model!r}")
     return mat
@@ -301,19 +282,17 @@ def config_count(site_count: int, twice_spin: int) -> int:
     return (twice_spin + 1) ** site_count
 
 
-def _check_cap(total: int, cap: int) -> None:
-    if total > cap:
-        raise ResourceCapError(f"enumeration needs {total} configurations, cap is {cap}")
-
-
-def config_matrix(site_count: int, twice_spin: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+def config_matrix(site_count: int, twice_spin: int) -> np.ndarray:
     """All (2S+1)**site_count configurations as an integer array of twice-values.
 
     Rows are in lexicographic order: most significant site first, values
     descending from +S to -S. This fixes the basis-index convention used by
     every matrix in the package. Shape (levels**site_count, site_count).
+    Raises ResourceCapError past DEFAULT_ENUM_CAP configurations.
     """
-    _check_cap(config_count(site_count, twice_spin), cap)
+    total = config_count(site_count, twice_spin)
+    if total > DEFAULT_ENUM_CAP:
+        raise ResourceCapError(f"enumeration needs {total} configurations, cap is {DEFAULT_ENUM_CAP}")
     levels = twice_spin + 1
     if site_count == 0:
         return np.zeros((1, 0), dtype=np.int64)
@@ -337,39 +316,37 @@ def config_index(config: SpinConfig, twice_spin: int) -> int:
 # ---------------------------------------------------------------------------
 # Hamiltonians, diagonal in the configuration basis
 
-def system_energies(spec: EnsembleSpec, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+def system_energies(spec: EnsembleSpec) -> np.ndarray:
     """System energies for all configurations, indexed like config_matrix."""
-    v = config_matrix(spec.n_system, spec.twice_spin, cap=cap).astype(float)
+    v = config_matrix(spec.n_system, spec.twice_spin).astype(float)
     p = spec.n_system
     j = spec.couplings[:p, :p]
     h = spec.fields[:p]
     return -0.25 * np.einsum("ci,ij,cj->c", v, j, v) + 0.5 * (v @ h)
 
 
-def env_energies(spec: EnsembleSpec, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+def env_energies(spec: EnsembleSpec) -> np.ndarray:
     """Environment energies for all configurations, same indexing."""
-    v = config_matrix(spec.n_env, spec.twice_spin, cap=cap).astype(float)
+    v = config_matrix(spec.n_env, spec.twice_spin).astype(float)
     p = spec.n_system
     j = spec.couplings[p:, p:]
     h = spec.fields[p:]
     return -0.25 * np.einsum("ci,ij,cj->c", v, j, v) + 0.5 * (v @ h)
 
 
-def total_energies(spec: EnsembleSpec, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+def total_energies(spec: EnsembleSpec) -> np.ndarray:
     """Full-ensemble energies over all global configurations.
 
     The global index is s_index * dim_env + sigma_index, consistent with a
     Kronecker product ordering system (x) environment. The table is built
-    once per ensemble and kept on it, read-only; the cap on the system and
-    environment enumerations is checked on every call.
+    once per ensemble and kept on it, read-only; building it enumerates the
+    system and the environment, which raises past the cap.
     """
-    for total in (spec.dim_system, spec.dim_env):
-        _check_cap(total, cap)
     if spec._energies is None:
-        es = system_energies(spec, cap=cap)
-        ee = env_energies(spec, cap=cap)
-        vs = config_matrix(spec.n_system, spec.twice_spin, cap=cap).astype(float)
-        ve = config_matrix(spec.n_env, spec.twice_spin, cap=cap).astype(float)
+        es = system_energies(spec)
+        ee = env_energies(spec)
+        vs = config_matrix(spec.n_system, spec.twice_spin).astype(float)
+        ve = config_matrix(spec.n_env, spec.twice_spin).astype(float)
         cross = -2.0 * 0.25 * (vs @ spec.cross_couplings @ ve.T)
         table = (es[:, None] + ee[None, :] + cross).reshape(-1)
         table.flags.writeable = False
@@ -436,8 +413,3 @@ def ensemble_from_dict(doc: dict) -> EnsembleSpec:
         couplings=couplings,
         fields=doc.get("fields", 0.0),
     )
-
-
-def load_ensemble(path) -> EnsembleSpec:
-    with open(path) as fh:
-        return ensemble_from_dict(json.load(fh))

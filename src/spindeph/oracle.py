@@ -40,19 +40,13 @@ def oracle_reduced_state(
     rho_s0: np.ndarray,
     rho_e0: np.ndarray,
     t: float,
-    dim_cap: int = entanglement.GLOBAL_DIM_CAP,
 ) -> np.ndarray:
     """tr_E of the globally evolved product state; no dephasing factors."""
-    rho_t = entanglement.evolve_global(spec, rho_s0, rho_e0, t, dim_cap=dim_cap)
+    rho_t = entanglement.evolve_global(spec, rho_s0, rho_e0, t)
     return entanglement.partial_trace_env(rho_t, (spec.dim_system, spec.dim_env))
 
 
-def oracle_superoperator(
-    spec: EnsembleSpec,
-    env: EnvPopulations,
-    t: float,
-    dim_cap: int = entanglement.GLOBAL_DIM_CAP,
-):
+def oracle_superoperator(spec: EnsembleSpec, env: EnvPopulations, t: float):
     """Column-by-column reconstruction of the Bloch evolution matrix.
 
     Each coordinate basis operator (a Hermitian matrix, not necessarily a
@@ -71,7 +65,7 @@ def oracle_superoperator(
         coords = np.zeros(dim * dim)
         coords[k] = 1.0
         basis_op = bloch_to_density(coords)
-        image = oracle_reduced_state(spec, basis_op, rho_e0, t, dim_cap=dim_cap)
+        image = oracle_reduced_state(spec, basis_op, rho_e0, t)
         columns.append(bloch_vector(image))
     mat = np.stack(columns, axis=1)
     return mat, lu_det(mat)

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import EnvPopulations
-from .model import (
-    DEFAULT_ENUM_CAP,
-    EnsembleSpec,
-    SpinConfig,
-    config_count,
-    config_index,
-    env_energies,
-)
+from .model import EnsembleSpec, SpinConfig, config_count, config_index, env_energies
 
 
 def maximally_mixed(n_env: int, twice_spin: int) -> EnvPopulations:
@@ -52,20 +45,17 @@ def basis_state(sigma0: SpinConfig, twice_spin: int) -> EnvPopulations:
 
 @dataclass(frozen=True)
 class ThermalPopulations:
-    """Gibbs populations of the environment plus partition data."""
+    """Gibbs populations of the environment and log Z."""
 
     populations: EnvPopulations
-    partition: float
     log_partition: float
 
 
-def thermal_populations(
-    spec: EnsembleSpec, beta: float, cap: int = DEFAULT_ENUM_CAP
-) -> ThermalPopulations:
+def thermal_populations(spec: EnsembleSpec, beta: float) -> ThermalPopulations:
     """Populations exp(-beta H_E(sigma)) / Z over all environment configs.
 
     Weights are computed with the max-shift trick so large beta cannot
-    overflow; the partition function is returned both directly and as a log.
+    overflow; the partition function is returned as its log.
     At beta = 0 the state is the maximally mixed product, with no
     enumeration.
     """
@@ -76,18 +66,15 @@ def thermal_populations(
         log_z = math.log(config_count(spec.n_env, spec.twice_spin))
         pops = maximally_mixed(spec.n_env, spec.twice_spin)
     else:
-        energies = env_energies(spec, cap=cap)
+        energies = env_energies(spec)
         w = np.exp(-beta * (energies - energies.min()))
         norm = w.sum()
         log_z = math.log(norm) - beta * energies.min()
         pops = EnvPopulations(n_sites=spec.n_env, twice_spin=spec.twice_spin, weights=w / norm)
-    return ThermalPopulations(
-        populations=pops, partition=math.exp(log_z) if log_z < 709 else math.inf,
-        log_partition=log_z,
-    )
+    return ThermalPopulations(populations=pops, log_partition=log_z)
 
 
-def ground_state_populations(spec: EnsembleSpec, cap: int = DEFAULT_ENUM_CAP) -> EnvPopulations:
+def ground_state_populations(spec: EnsembleSpec) -> EnvPopulations:
     """Uniform mixture over the degenerate ground manifold of H_E.
 
     This is the beta -> infinity limit of the Gibbs family: when the ground
@@ -95,7 +82,7 @@ def ground_state_populations(spec: EnsembleSpec, cap: int = DEFAULT_ENUM_CAP) ->
     maximally mixed state on the ground set (configurations within
     1e-12 |E_min| of the minimum).
     """
-    energies = env_energies(spec, cap=cap)
+    energies = env_energies(spec)
     e_min = energies.min()
     ground = energies <= e_min + 1e-12 * abs(e_min)
     w = np.zeros(energies.size)

@@ -19,7 +19,6 @@ from spindeph.engine import (
     EnvPopulations,
     WitnessEvaluator,
     detect_episodes,
-    populations_from_density,
 )
 from spindeph.linalg import hermitian_eigenvalues
 from spindeph.model import (
@@ -201,7 +200,7 @@ def test_criterion_7_independence_invariants():
         g = rng.normal(size=(base.dim_env,) * 2) + 1j * rng.normal(size=(base.dim_env,) * 2)
         rho_env = np.diag(w) + 0.1 * (g + g.conj().T)
         np.fill_diagonal(rho_env, w)
-        pops = populations_from_density(rho_env, base.n_env, 1)
+        pops = EnvPopulations(base.n_env, 1, weights=np.diag(rho_env).real)
         ld_c, _ = WitnessEvaluator(base, pops).series(ts)
         ok = ok and ld0.tobytes() == ld_c.tobytes()
     announce(7, "independence invariants", ok, "field/intra-coupling/coherence, 20 instances each")

@@ -425,3 +425,38 @@ def test_basis_environment_with_wrong_site_count_is_usage_error(tmp_path, capsys
         msg = _expect_usage_error(["witness", "--config", cfg, "--out", str(out)], capsys)
         assert "4" in msg and str(len(config)) in msg
         assert not out.exists()
+
+
+def test_basis_state_not_matching_its_factor_is_usage_error(tmp_path, capsys):
+    # a two-site spin-1/2 system: too few sites, too many sites, and a
+    # twice-value 0 that a spin 1/2 cannot take; each used to exit 0 with a
+    # wrong state or end in an IndexError
+    for config, word in (([1], "1 sites"), ([-1, -1, -1], "3 sites"), ([0, 1], "0/2")):
+        doc = _global_doc({"kind": "basis", "config": config}, {"kind": "maximally_mixed"})
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "x.csv"
+        msg = _expect_usage_error(["negativity", "--config", cfg, "--cut", "global",
+                                   "--out", str(out)], capsys)
+        assert word in msg
+        assert not out.exists()
+
+
+def test_closed_form_reads_the_model_from_an_ensemble_file(tmp_path, capsys):
+    inline = write_config(tmp_path, BASE, "inline.json")
+    (tmp_path / "ensemble.json").write_text(json.dumps(BASE["ensemble"]))
+    doc = {k: v for k, v in BASE.items() if k != "ensemble"}
+    from_file = write_config(tmp_path, dict(doc, ensemble_file="ensemble.json"), "file.json")
+    outs = [tmp_path / "inline.csv", tmp_path / "file.csv"]
+    for cfg, out in zip((inline, from_file), outs):
+        assert cli.main(["witness", "--config", cfg, "--out", str(out),
+                         "--closed-form", "nn1d"]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_negativity_threads_below_one_is_usage_error(tmp_path, capsys):
+    for threads in ("0", "-3"):
+        out = tmp_path / "x.csv"
+        msg = _expect_usage_error(["negativity", "--config", preset("negativity_pair_bell_ring6.json"),
+                                   "--threads", threads, "--out", str(out)], capsys)
+        assert "--threads" in msg
+        assert not out.exists()

@@ -12,11 +12,9 @@ from spindeph.engine import (
     EnvPopulations,
     WitnessEvaluator,
     _bisect_sign_changes,
-    bloch_evolution_matrix,
     bloch_to_density,
     bloch_vector,
     detect_episodes,
-    populations_from_density,
 )
 from spindeph.model import (
     EnsembleSpec,
@@ -425,9 +423,9 @@ def test_batched_bisection_non_finite_midpoint():
 
 
 def test_pair_count_over_cap_raises():
-    # 8 system configurations fit a cap of 10, their 28 pairs do not
-    with pytest.raises(ResourceCapError, match="28 configuration pairs"):
-        WitnessEvaluator(ring_spec(6, 3), thermal.maximally_mixed(3, 1), cap=10)
+    # 2^11 system configurations fit the enumeration cap, their pairs do not
+    with pytest.raises(ResourceCapError, match="2096128 configuration pairs"):
+        WitnessEvaluator(ring_spec(12, 11), thermal.maximally_mixed(1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -513,21 +511,8 @@ def test_bloch_layout_built_once_and_read_only():
     assert bloch_to_density([0.7]) == pytest.approx(np.array([[0.7]]))
 
 
-def test_bloch_evolution_matrix_identity_and_consistency():
-    rng = np.random.default_rng(17)
-    spec = random_spec(rng, 6, 2)
-    env = random_populations(rng, spec)
-    assert np.array_equal(bloch_evolution_matrix(spec, env, 0.0), np.eye(16))
-    rho0 = random_density(rng, 4)
-    for t in (0.4, 2.6):
-        m = bloch_evolution_matrix(spec, env, t)
-        lhs = m @ bloch_vector(rho0)
-        rhs = bloch_vector(WitnessEvaluator(spec, env).reduced_state(rho0, t))
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
 def test_bloch_map_determinant_matches_witness():
-    from spindeph.linalg import lu_det
+    from spindeph.oracle import oracle_superoperator
 
     rng = np.random.default_rng(44)
     for p in (1, 2, 3, 4):  # D = 2, 4, 8, 16
@@ -535,7 +520,7 @@ def test_bloch_map_determinant_matches_witness():
         env = random_populations(rng, spec)
         ev = WitnessEvaluator(spec, env)
         t = float(rng.uniform(0.2, 1.5))
-        det = lu_det(bloch_evolution_matrix(spec, env, t))
+        _, det = oracle_superoperator(spec, env, t)
         ld, _ = ev.series([t])
         assert det == pytest.approx(float(np.exp(ld[0])), rel=1e-10)
 
@@ -564,15 +549,17 @@ def test_torus_interior_sites_do_not_dephase():
 def test_trivial_map_for_basis_environment():
     # basis-state environment whose effective field on the system cancels,
     # no external field, no intra-system coupling: every phase and factor is
-    # exactly 1 and the full map is the identity
+    # exactly 1 and every state is left exactly as it is
     j = np.zeros((4, 4))
     j[0, 1] = j[1, 0] = 0.9
     j[0, 2] = j[2, 0] = 0.9
     spec = EnsembleSpec(n_total=4, n_system=1, twice_spin=1, couplings=j, fields=np.zeros(4))
     env = thermal.basis_state(SpinConfig((1, -1, -1)), 1)  # sites 1, 2 opposite
+    ev = WitnessEvaluator(spec, env)
+    rho = random_density(np.random.default_rng(23), 2)
+    rho0 = 0.5 * (rho + rho.conj().T)  # Hermitian to the last bit
     for t in (0.7, 3.1):
-        m = bloch_evolution_matrix(spec, env, t)
-        assert np.max(np.abs(m - np.eye(4))) == 0.0
+        assert np.array_equal(ev.reduced_state(rho0, t), rho0)
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +647,8 @@ def test_witness_env_coherence_independence_bitwise():
     coherent = rho_env + 0.05 * (g + g.conj().T)
     np.fill_diagonal(coherent, w)
     ts = np.linspace(0, 4, 100)
-    pop_a = populations_from_density(rho_env, spec.n_env, 1)
-    pop_b = populations_from_density(coherent, spec.n_env, 1)
+    pop_a = EnvPopulations(spec.n_env, 1, weights=np.diag(rho_env).real)
+    pop_b = EnvPopulations(spec.n_env, 1, weights=np.diag(coherent).real)
     ld_a, _ = WitnessEvaluator(spec, pop_a).series(ts)
     ld_b, _ = WitnessEvaluator(spec, pop_b).series(ts)
     assert ld_a.tobytes() == ld_b.tobytes()

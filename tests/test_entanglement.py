@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from spindeph import entanglement as ent
 from spindeph import thermal
-from spindeph.engine import WitnessEvaluator, populations_from_density
+from spindeph.engine import EnvPopulations, WitnessEvaluator
 from spindeph.linalg import hermitian_eigenvalues
 from spindeph.model import (
     EnsembleSpec,
@@ -61,9 +61,10 @@ def test_evolve_global_preserves_spectrum():
 
 
 def test_evolve_global_cap():
-    spec = ring(6, 2)
-    with pytest.raises(ResourceCapError):
-        ent.evolve_global(spec, np.eye(4) / 4, np.eye(16) / 16, 0.5, dim_cap=32)
+    # 2^11 global configurations, over the dense cap of 1024
+    spec = ring(11, 2)
+    with pytest.raises(ResourceCapError, match="2048"):
+        ent.evolve_global(spec, np.eye(4) / 4, np.eye(512) / 512, 0.5)
 
 
 def test_partial_trace():
@@ -261,8 +262,8 @@ def test_witness_blind_to_entanglement_generation():
     rho_e_coherent = np.outer(chi, chi)
     rho_e_diag = np.diag(np.diag(rho_e_coherent))
 
-    pops_a = populations_from_density(rho_e_coherent, spec.n_env, 1)
-    pops_b = populations_from_density(rho_e_diag, spec.n_env, 1)
+    pops_a = EnvPopulations(spec.n_env, 1, weights=np.diag(rho_e_coherent).real)
+    pops_b = EnvPopulations(spec.n_env, 1, weights=np.diag(rho_e_diag).real)
     ts = np.linspace(0, 5, 120)
     ld_a, _ = WitnessEvaluator(spec, pops_a).series(ts)
     ld_b, _ = WitnessEvaluator(spec, pops_b).series(ts)

@@ -74,8 +74,9 @@ def test_enumeration_matches_matrix_and_index():
 
 
 def test_enumeration_cap():
-    with pytest.raises(model.ResourceCapError, match="1024"):
-        model.config_matrix(10, 1, cap=1000)
+    # 2^21 configurations, refused before any is built
+    with pytest.raises(model.ResourceCapError, match="2097152"):
+        model.config_matrix(21, 1)
 
 
 def _random_spec(rng, n_total, n_system, twice_spin=1):
@@ -216,7 +217,7 @@ def test_total_energies_table_matches_scalars():
         assert table[g] == pytest.approx(double_sum(spec.couplings, spec.fields, full), abs=1e-12)
 
 
-def test_total_energies_built_once_and_capped_on_every_call():
+def test_total_energies_built_once_and_capped():
     rng = np.random.default_rng(6)
     spec = _random_spec(rng, 6, 2)
     table = model.total_energies(spec)
@@ -224,14 +225,17 @@ def test_total_energies_built_once_and_capped_on_every_call():
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0] = 0.0
-    # the cap holds for a table already built: 16 environment configurations
-    with pytest.raises(model.ResourceCapError, match="16"):
-        model.total_energies(spec, cap=8)
     # an equal ensemble built anew has its own table, with the same values
     twin = model.EnsembleSpec(n_total=6, n_system=2, twice_spin=1,
                               couplings=spec.couplings, fields=spec.fields)
     assert twin._energies is None
     assert np.array_equal(model.total_energies(twin), table)
+    # 2^21 environment configurations: refused before the table is built
+    big = model.EnsembleSpec(n_total=22, n_system=1, twice_spin=1,
+                             couplings=np.zeros((22, 22)), fields=0.0)
+    with pytest.raises(model.ResourceCapError, match="2097152"):
+        model.total_energies(big)
+    assert big._energies is None
 
 
 def test_spec_validation():
@@ -256,7 +260,7 @@ def test_torus_block_relabeling():
     assert np.all(spec.couplings[:4, :4].sum(axis=1) == 2.0)
 
 
-def test_json_round_trip(tmp_path):
+def test_json_round_trip():
     doc = {
         "n_total": 6,
         "n_system": 2,
@@ -264,9 +268,7 @@ def test_json_round_trip(tmp_path):
         "model": {"type": "nn_ring_1d", "J": 0.8},
         "fields": 0.25,
     }
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(doc))
-    spec = model.load_ensemble(path)
+    spec = model.ensemble_from_dict(json.loads(json.dumps(doc)))
     assert spec.couplings[0, 1] == 0.8
     assert np.all(spec.fields == 0.25)
 
