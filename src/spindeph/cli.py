@@ -153,8 +153,11 @@ def _basis_config(doc: dict, n_sites: int, twice_spin: int) -> SpinConfig:
 
 @_reading_input()
 def _state_matrix(doc: dict, n_sites: int, twice_spin: int) -> np.ndarray:
-    """Density matrix from a state description document."""
+    """Density matrix from a state description document, built dense."""
     dim = (twice_spin + 1) ** n_sites
+    if dim > entanglement.GLOBAL_DIM_CAP:
+        raise UsageError(f"a state of {dim} configurations exceeds the dense cap "
+                         f"{entanglement.GLOBAL_DIM_CAP}")
     kind = doc.get("kind")
     if kind == "uniform_superposition":
         psi = np.full(dim, dim**-0.5, dtype=complex)
@@ -374,12 +377,16 @@ def cmd_negativity(args) -> int:
     if kind == "global":
         if "system_state" not in cfg or "environment_state" not in cfg:
             raise UsageError("global negativity needs 'system_state' and 'environment_state'")
-        dims = (spec.dim_system, spec.dim_env)
-        if dims[0] * dims[1] > entanglement.GLOBAL_DIM_CAP:
-            raise UsageError(f"global dimension {dims[0] * dims[1]} exceeds cap "
-                             f"{entanglement.GLOBAL_DIM_CAP}")
         rho_s = _state_matrix(cfg["system_state"], spec.n_system, spec.twice_spin)
         rho_e = _state_matrix(cfg["environment_state"], spec.n_env, spec.twice_spin)
+        dim = spec.dim_system * spec.dim_env
+        # only the dense path builds the global matrix
+        if dim > entanglement.GLOBAL_DIM_CAP and (
+            entanglement.global_negativity_path(rho_s, rho_e) == "dense"
+        ):
+            raise UsageError(f"global dimension {dim} exceeds the dense path's cap "
+                             f"{entanglement.GLOBAL_DIM_CAP}; a diagonal factor or two pure "
+                             f"factors avoid the dense path")
         with _time_map(args.threads) as map_times:
             result = entanglement.global_negativity_series(spec, rho_s, rho_e, times, map_times)
     else:

@@ -44,7 +44,14 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .model import DEFAULT_ENUM_CAP, EnsembleSpec, ResourceCapError, config_matrix, system_energies
+from .model import (
+    DEFAULT_ENUM_CAP,
+    PRODUCT_ENV_HINT,
+    EnsembleSpec,
+    ResourceCapError,
+    config_matrix,
+    system_energies,
+)
 
 DET_UNDERFLOW_LOG = -690.0  # exp() underflows double below roughly -745
 # time x row x frequency entries per extended-precision block; rows of a
@@ -116,7 +123,8 @@ class EnvPopulations:
             total = (self.twice_spin + 1) ** self.n_sites
             if total > DEFAULT_ENUM_CAP:
                 raise ResourceCapError(
-                    f"flat populations need {total} configurations, cap is {DEFAULT_ENUM_CAP}"
+                    f"flat populations need {total} configurations, cap is {DEFAULT_ENUM_CAP}; "
+                    f"{PRODUCT_ENV_HINT}"
                 )
             flat, order = np.ones(1), []
             for block in self.blocks:
@@ -257,29 +265,39 @@ class WitnessEvaluator:
 
     # -- double precision factors (matrix-element accuracy) ----------------
 
-    def factors(self, t: float) -> np.ndarray:
-        """A_{ab}(t) for every pair a < b, complex double.
+    def factors(self, t) -> np.ndarray:
+        """A_{ab}(t) for every pair a < b, complex double, shape t.shape + (pairs,).
 
         Evaluated per row as 1 + sum_k w_k (e^{i omega_k t} - 1): the same
         sum for weights of a distribution, but exact at t = 0 even when the
         float weights do not sum to 1. A class multiplies its rows; flipped
-        pairs take the conjugate.
+        pairs take the conjugate. Times go in blocks of SERIES_BLOCK
+        entries; a time's factors do not depend on the other times.
         """
-        ph = self._omegas * t
-        real = 1.0 + _row_dot(np.cos(ph) - 1.0, self._weights)
-        rows = real + 1j * _row_dot(np.sin(ph), self._weights)
-        out = rows.reshape(self._n_classes, self._rows_per_class).prod(axis=1)[self._pair_class]
-        return np.where(self._flip, out.conj(), out)
+        times = np.asarray(t, dtype=float)
+        flat = times.reshape(-1)
+        out = np.empty((flat.size, self._pair_class.size), dtype=complex)
+        step = max(1, SERIES_BLOCK // max(1, self._omegas.size))
+        for i in range(0, flat.size, step):
+            ph = flat[i : i + step, None, None] * self._omegas
+            real = 1.0 + _row_dot(np.cos(ph) - 1.0, self._weights)
+            rows = real + 1j * _row_dot(np.sin(ph), self._weights)
+            rows = rows.reshape(len(ph), self._n_classes, self._rows_per_class)
+            out[i : i + step] = rows.prod(axis=-1)[:, self._pair_class]
+        out = np.where(self._flip, out.conj(), out)
+        return out.reshape(times.shape + out.shape[-1:])
 
-    def reduced_state(self, rho0: np.ndarray, t: float) -> np.ndarray:
-        """Evolve an initial subsystem density matrix to time t."""
+    def reduced_state(self, rho0: np.ndarray, t) -> np.ndarray:
+        """Evolve an initial subsystem density matrix to time t, or to each of an array of times."""
         rho0 = np.asarray(rho0, dtype=complex)
         if rho0.shape != (self.dim, self.dim):
             raise ValueError(f"state must be {self.dim}x{self.dim}")
+        t = np.asarray(t, dtype=float)
         a, b = self._a, self._b
-        rho = rho0.copy()
-        rho[a, b] = rho0[a, b] * (self.factors(t) * np.exp(1j * self.thetas * t))
-        rho[b, a] = np.conj(rho[a, b])
+        rho = np.broadcast_to(rho0, t.shape + rho0.shape).copy()
+        upper = rho0[a, b] * (self.factors(t) * np.exp(1j * self.thetas * t[..., None]))
+        rho[..., a, b] = upper
+        rho[..., b, a] = np.conj(upper)
         return rho
 
     # -- extended precision witness ----------------------------------------
@@ -337,45 +355,48 @@ def _bloch_layout(dim: int) -> Tuple[np.ndarray, ...]:
 
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
-    """Flatten a density matrix into the real coordinate vector.
+    """Flatten a density matrix, or each of a stack (..., D, D), into real coordinates.
 
     Layout: (Re rho_ij, Im rho_ij) for each pair i < j in row-major order,
     then D-1 weighted diagonal differences, then the trace. The last entry
     is 1 for a density matrix.
     """
     rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
+    dim = rho.shape[-1]
     a, b, l, scale = _bloch_layout(dim)
-    out = np.empty(dim * dim)
+    out = np.empty(rho.shape[:-2] + (dim * dim,))
     base = dim * (dim - 1)
-    upper = rho[a, b]
-    out[0:base:2] = upper.real
-    out[1:base:2] = upper.imag
-    diag = np.diag(rho).real
-    partial = np.cumsum(diag)[:-1]  # sum of the first l diagonal entries
-    out[base : dim * dim - 1] = scale * (partial - l * diag[1:])
-    out[dim * dim - 1] = diag.sum()
+    upper = rho[..., a, b]
+    out[..., 0:base:2] = upper.real
+    out[..., 1:base:2] = upper.imag
+    diag = np.diagonal(rho, axis1=-2, axis2=-1).real
+    partial = np.cumsum(diag, axis=-1)[..., :-1]  # sum of the first l diagonal entries
+    out[..., base : dim * dim - 1] = scale * (partial - l * diag[..., 1:])
+    out[..., dim * dim - 1] = diag.sum(axis=-1)
     return out
 
 
 def bloch_to_density(coords: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`bloch_vector` (defined for any real coordinates)."""
+    """Inverse of :func:`bloch_vector` (defined for any real coordinates, or a stack (..., D^2))."""
     coords = np.asarray(coords, dtype=float)
-    dim = int(round(np.sqrt(coords.size)))
-    if dim * dim != coords.size:
+    dim = int(round(np.sqrt(coords.shape[-1])))
+    if dim * dim != coords.shape[-1]:
         raise ValueError("coordinate vector length must be a perfect square")
     a, b, l, scale = _bloch_layout(dim)
-    rho = np.zeros((dim, dim), dtype=complex)
+    rho = np.zeros(coords.shape[:-1] + (dim, dim), dtype=complex)
     base = dim * (dim - 1)
-    rho[a, b] = coords[0:base:2] + 1j * coords[1:base:2]
-    rho[b, a] = np.conj(rho[a, b])
-    trace = coords[dim * dim - 1]
+    upper = coords[..., 0:base:2] + 1j * coords[..., 1:base:2]
+    rho[..., a, b] = upper
+    rho[..., b, a] = np.conj(upper)
+    trace = coords[..., dim * dim - 1 :]
     # with S_l the sum of the first l diagonal entries, c_l = S_l - l d_l,
     # so S_l / l = trace / dim + sum_{m >= l} c_m / (m (m + 1)) and
     # d_l = S_(l+1) / (l + 1) - c_l / (l + 1)
-    c = coords[base : dim * dim - 1] / scale
-    mean = np.append(np.cumsum((c / (l * (l + 1)))[::-1])[::-1], 0.0) + trace / dim
-    rho[np.diag_indices(dim)] = np.append(mean[0], mean[1:] - c / (l + 1))
+    c = coords[..., base : dim * dim - 1] / scale
+    tail = np.cumsum((c / (l * (l + 1)))[..., ::-1], axis=-1)[..., ::-1]
+    mean = np.concatenate([tail, np.zeros_like(trace)], axis=-1) + trace / dim
+    diag = np.concatenate([mean[..., :1], mean[..., 1:] - c / (l + 1)], axis=-1)
+    rho[..., np.arange(dim), np.arange(dim)] = diag
     return rho
 
 

@@ -3,11 +3,13 @@
 The full ensemble Hamiltonian is diagonal in the computational basis, so
 global evolution is an elementwise phase on the density matrix: element
 (g, g') picks up exp(-i t [E_g - E_g']). Dense storage is fine up to the
-dimension cap GLOBAL_DIM_CAP of 1024 (N = 10 spins-1/2).
+dimension cap GLOBAL_DIM_CAP of 1024 (N = 10 spins-1/2); only the global
+matrix is held to it, so the negativity paths that never build one run
+past it.
 
 Negativity across the system|environment cut is (||rho^T_S||_1 - 1)/2.
-For a product initial state rho_S x rho_E, `global_negativity_series`
-picks one of three paths from the two factors, once for the whole grid:
+For a product initial state rho_S x rho_E, `global_negativity_path` picks
+one of three paths from the two factors, once for the whole grid:
 
 - factor spectra: either factor is diagonal in the product basis. The
   partial transpose then has the spectrum eig(rho_S) x eig(rho_E) at every
@@ -196,6 +198,20 @@ def _spectrum_and_trace_norm(rho: np.ndarray) -> Tuple[np.ndarray, float]:
     return eigs, trace - 2.0 * float(eigs[eigs < 0.0].sum())
 
 
+def global_negativity_path(rho_s0: np.ndarray, rho_e0: np.ndarray) -> str:
+    """The path `global_negativity_series` takes for these factors.
+
+    "factor_spectra" when either factor is diagonal, "schmidt" when both
+    are rank one, else "dense", the only path that builds a D x D matrix.
+    """
+    factors = [np.asarray(rho, dtype=complex) for rho in (rho_s0, rho_e0)]
+    if any(map(_is_diagonal, factors)):
+        return "factor_spectra"
+    if all(_pure_vectors(rho[None], tol=_PURITY_TOL)[1][0] for rho in factors):
+        return "schmidt"
+    return "dense"
+
+
 def global_negativity_series(
     spec: EnsembleSpec,
     rho_s0: np.ndarray,
@@ -205,10 +221,11 @@ def global_negativity_series(
 ) -> NegativitySeries:
     """Negativity across the system|environment cut of the evolved rho_S x rho_E.
 
-    The path is chosen once from the factors (see the module docstring).
-    Any Hermitian factors are accepted. ``map_times`` maps the per-time
-    function of the dense path over the grid (for example a thread pool's
-    map); the structured paths do not use it.
+    The path is chosen once from the factors by `global_negativity_path`
+    (see the module docstring). Any Hermitian factors are accepted.
+    ``map_times`` maps the per-time function of the dense path over the
+    grid (for example a thread pool's map); the structured paths do not
+    use it.
     """
     d_s, d_e = spec.dim_system, spec.dim_env
     rho_s0 = np.asarray(rho_s0, dtype=complex)
@@ -219,20 +236,19 @@ def global_negativity_series(
         if np.max(np.abs(rho - rho.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(rho))):
             raise ValueError("negativity needs Hermitian factors")
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    path = global_negativity_path(rho_s0, rho_e0)
 
-    if _is_diagonal(rho_s0) or _is_diagonal(rho_e0):
+    if path == "factor_spectra":
         (eig_s, norm_s), (eig_e, norm_e) = map(_spectrum_and_trace_norm, (rho_s0, rho_e0))
         tnorm = norm_s * norm_e
         extremes = [np.array([e.min(), e.max()]) for e in (eig_s, eig_e)]
         columns = ((tnorm - 1.0) / 2.0, float(np.outer(*extremes).min()), tnorm)
-        return NegativitySeries("factor_spectra", *(np.full(times.shape, c) for c in columns))
+        return NegativitySeries(path, *(np.full(times.shape, c) for c in columns))
 
-    psi_s, pure_s = _pure_vectors(rho_s0[None], tol=_PURITY_TOL)
-    psi_e, pure_e = _pure_vectors(rho_e0[None], tol=_PURITY_TOL)
-    if pure_s[0] and pure_e[0]:
+    if path == "schmidt":
         # coefficient matrix with the smaller side first: its Gram matrix
         # is the smaller one
-        psi0 = np.outer(psi_s[0], psi_e[0])
+        psi0 = np.outer(*(_pure_vectors(r[None], tol=_PURITY_TOL)[0][0] for r in (rho_s0, rho_e0)))
         energies = total_energies(spec).reshape(d_s, d_e)
         if d_s > d_e:
             psi0, energies = psi0.T, energies.T
@@ -242,13 +258,11 @@ def global_negativity_series(
         for i in range(0, times.size, step):
             psi = np.exp(times[i : i + step, None, None] * phase) * psi0
             details.append(_schmidt_details(hermitian_eigenvalues(psi @ psi.conj().swapaxes(1, 2))))
-        path = "schmidt"
     else:
         dims = (d_s, d_e)
         details = list(map_times(
             lambda t: negativity_details(evolve_global(spec, rho_s0, rho_e0, t), dims), times
         ))
-        path = "dense"
     return NegativitySeries(path, *np.vstack(details).reshape(-1, 3).T)
 
 
@@ -274,7 +288,7 @@ def system_negativity_series(
     columns = np.empty((times.size, 3))
     step = max(1, SCHMIDT_BLOCK // ev.dim**2)
     for i in range(0, times.size, step):
-        states = np.array([ev.reduced_state(rho_s0, t) for t in times[i : i + step]])
+        states = ev.reduced_state(rho_s0, times[i : i + step])
         columns[i : i + step] = np.stack(negativity_details(states, dims), axis=-1)
     return NegativitySeries("reduced-state", *columns.T)
 
@@ -283,6 +297,7 @@ __all__ = [
     "GLOBAL_DIM_CAP",
     "NegativitySeries",
     "evolve_global",
+    "global_negativity_path",
     "global_negativity_series",
     "partial_trace_env",
     "partial_transpose_system",

@@ -25,6 +25,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 DEFAULT_ENUM_CAP = 2**20
+# how a large environment avoids the flat enumeration
+PRODUCT_ENV_HINT = (
+    "a product environment ('mixed', 'basis', or 'thermal' at beta = 0) avoids the enumeration"
+)
 
 
 class ResourceCapError(RuntimeError):
@@ -292,7 +296,10 @@ def config_matrix(site_count: int, twice_spin: int) -> np.ndarray:
     """
     total = config_count(site_count, twice_spin)
     if total > DEFAULT_ENUM_CAP:
-        raise ResourceCapError(f"enumeration needs {total} configurations, cap is {DEFAULT_ENUM_CAP}")
+        raise ResourceCapError(
+            f"enumeration needs {total} configurations, cap is {DEFAULT_ENUM_CAP}; "
+            f"{PRODUCT_ENV_HINT}"
+        )
     levels = twice_spin + 1
     if site_count == 0:
         return np.zeros((1, 0), dtype=np.int64)
@@ -375,7 +382,7 @@ def ensemble_from_dict(doc: dict) -> EnsembleSpec:
     """Build an EnsembleSpec from its JSON document form.
 
     Expected keys: n_total, n_system, twice_spin, fields (scalar or list),
-    and either "model" ({"type": ..., ...}) or "couplings" (N x N list).
+    and exactly one of "model" ({"type": ..., ...}) or "couplings" (N x N list).
     A torus model may carry "system_block_side" to select the corner-block
     system layout.
     """
@@ -383,6 +390,8 @@ def ensemble_from_dict(doc: dict) -> EnsembleSpec:
     n_system = int(doc["n_system"])
     twice_spin = int(doc.get("twice_spin", 1))
 
+    if "couplings" in doc and "model" in doc:
+        raise ValueError("ensemble document gives both 'model' and 'couplings'; keep one")
     if "couplings" in doc:
         couplings = np.array(doc["couplings"], dtype=float)
     elif "model" in doc:

@@ -1,18 +1,18 @@
 """Brute-force verification layer, independent of all closed forms.
 
-The oracle rebuilds everything from raw global unitary evolution: reduced
-states come from evolve-then-partial-trace (no dephasing factors), and the
-Bloch evolution matrix is reconstructed column by column by pushing the
-coordinate basis operators through the map. Agreement between this path and
-the engine validates both: they share only the diagonal energy tables of
-:mod:`spindeph.model` (the engine's phases use ``system_energies``, the
-oracle's global unitary ``total_energies``, which builds on it). The global
-table is built once per ensemble and kept on it, so every time point and
-every superoperator column of an ensemble reads the same table.
+The oracle rebuilds the reduced dynamics from global unitary evolution with
+no dephasing factors. The Hamiltonian is diagonal, so with the energy table
+E as d_S x d_E and u = exp(-i E t), tr_E[U (X x rho_E) U^H] = X * M(t)
+(elementwise) with M(t) = (u diag rho_E) u^H: the entries the partial
+trace reads and no others. ``oracle_reduced_state`` takes one time or a
+1-D grid, (d_S, d_S) or (T, d_S, d_S); ``oracle_superoperator`` pushes all
+d_S^2 Bloch basis operators through one M(t) as a stack. The oracle shares
+only the energy tables of :mod:`spindeph.model` with the engine.
 
 ``run_verification`` bundles the oracle comparisons and the structural
-invariants into a machine-readable report; the CLI exposes it as the
-``verify`` command.
+invariants into a report, the CLI's ``verify``. Once per ensemble it also
+evolves a coherent rho_E densely and traces it: environment coherences
+must not reach the subsystem, and the dense path checks the contraction.
 """
 
 from __future__ import annotations
@@ -30,44 +30,47 @@ from .engine import (
     bloch_vector,
 )
 from .linalg import hermitian_eigenvalues, lu_det
-from .model import EnsembleSpec, ResourceCapError
+from .model import EnsembleSpec, ResourceCapError, total_energies
 
 SUPEROP_SYSTEM_DIM_CAP = 16
 
 
-def oracle_reduced_state(
-    spec: EnsembleSpec,
-    rho_s0: np.ndarray,
-    rho_e0: np.ndarray,
-    t: float,
-) -> np.ndarray:
-    """tr_E of the globally evolved product state; no dephasing factors."""
-    rho_t = entanglement.evolve_global(spec, rho_s0, rho_e0, t)
-    return entanglement.partial_trace_env(rho_t, (spec.dim_system, spec.dim_env))
+def _traced_phases(energies: np.ndarray, dim_system: int, env_diag: np.ndarray, t) -> np.ndarray:
+    """M(t) of the module docstring, t.shape + (d_S, d_S), in stacks of SCHMIDT_BLOCK phases."""
+    times = np.asarray(t, dtype=float)
+    flat = times.reshape(-1)
+    phase = -1j * energies.reshape(dim_system, -1)
+    out = np.empty((flat.size, dim_system, dim_system), dtype=complex)
+    step = max(1, entanglement.SCHMIDT_BLOCK // phase.size)
+    for i in range(0, flat.size, step):
+        u = np.exp(phase * flat[i : i + step, None, None])
+        out[i : i + step] = (u * env_diag) @ u.conj().swapaxes(-1, -2)
+    return out.reshape(times.shape + out.shape[-2:])
+
+
+def oracle_reduced_state(spec: EnsembleSpec, rho_s0: np.ndarray, rho_e0: np.ndarray, t):
+    """tr_E of the globally evolved product state at t, or at each time of a 1-D grid."""
+    rho_s0 = np.asarray(rho_s0, dtype=complex)
+    rho_e0 = np.asarray(rho_e0, dtype=complex)
+    if rho_s0.shape != (spec.dim_system,) * 2 or rho_e0.shape != (spec.dim_env,) * 2:
+        raise ValueError("initial factors have wrong dimensions")
+    return rho_s0 * _traced_phases(total_energies(spec), spec.dim_system, np.diagonal(rho_e0), t)
 
 
 def oracle_superoperator(spec: EnsembleSpec, env: EnvPopulations, t: float):
-    """Column-by-column reconstruction of the Bloch evolution matrix.
+    """Bloch evolution matrix: column k is the image of coordinate basis operator k.
 
-    Each coordinate basis operator (a Hermitian matrix, not necessarily a
-    state: the map is linear) is tensored with diag(env), evolved globally,
-    traced, and re-encoded as Bloch coordinates. Returns (matrix,
-    determinant) with the determinant from in-package pivoted LU.
+    The basis operators are Hermitian, not states (the map is linear), and
+    go through the map as one stack. Returns (matrix, determinant), the
+    determinant from in-package pivoted LU.
     """
     dim = spec.dim_system
     if dim > SUPEROP_SYSTEM_DIM_CAP:
         raise ResourceCapError(
             f"superoperator reconstruction capped at D={SUPEROP_SYSTEM_DIM_CAP}, got {dim}"
         )
-    rho_e0 = np.diag(env.weights).astype(complex)
-    columns = []
-    for k in range(dim * dim):
-        coords = np.zeros(dim * dim)
-        coords[k] = 1.0
-        basis_op = bloch_to_density(coords)
-        image = oracle_reduced_state(spec, basis_op, rho_e0, t)
-        columns.append(bloch_vector(image))
-    mat = np.stack(columns, axis=1)
+    traced = _traced_phases(total_energies(spec), dim, env.weights, t)
+    mat = bloch_vector(bloch_to_density(np.eye(dim * dim)) * traced).T
     return mat, lu_det(mat)
 
 
@@ -128,14 +131,6 @@ def run_verification(
         eigs = hermitian_eigenvalues(np.array(states.pop(dim)))
         min_eigenvalue = min(min_eigenvalue, float(eigs[:, 0].min()))
 
-    def oracle_state(spec, rho_s0, rho_e0, t, energies=None):
-        if energies is None:
-            return oracle_reduced_state(spec, rho_s0, rho_e0, t)
-        rho0 = np.kron(rho_s0, rho_e0)
-        u = np.exp(-1j * energies * t)
-        rho_t = (u[:, None] * rho0) * u.conj()[None, :]
-        return entanglement.partial_trace_env(rho_t, (spec.dim_system, spec.dim_env))
-
     for _ in range(n_specs):
         n_total = int(rng.integers(3, 9))
         n_system = int(rng.integers(1, min(n_total, 4)))
@@ -145,35 +140,32 @@ def run_verification(
         ev = WitnessEvaluator(spec, env)
 
         times = rng.uniform(0.0, 6.0, size=time_points)
-        rho_e_diag = np.diag(env.weights).astype(complex)
-        energies = None if energy_override is None else energy_override(spec)
-        for t in times:
-            engine_rho = ev.reduced_state(rho_s0, t)
-            oracle_rho = oracle_state(spec, rho_s0, rho_e_diag, t, energies)
-            dev_state = max(dev_state, float(np.max(np.abs(engine_rho - oracle_rho))))
-            dev_trace = max(dev_trace, abs(float(np.trace(engine_rho).real) - 1.0))
-            stack = states.setdefault(spec.dim_system, [])
-            stack.append(engine_rho)
-            if len(stack) * spec.dim_system**2 >= entanglement.SCHMIDT_BLOCK:
-                fold(spec.dim_system)
+        energies = total_energies(spec) if energy_override is None else energy_override(spec)
+        engine_rho = ev.reduced_state(rho_s0, times)
+        oracle_rho = rho_s0 * _traced_phases(energies, spec.dim_system, env.weights, times)
+        dev_state = max(dev_state, float(np.max(np.abs(engine_rho - oracle_rho))))
+        trace = np.trace(engine_rho, axis1=-2, axis2=-1).real
+        dev_trace = max(dev_trace, float(np.max(np.abs(trace - 1.0))))
+        stack = states.setdefault(spec.dim_system, [])
+        stack.extend(engine_rho)
+        if len(stack) * spec.dim_system**2 >= entanglement.SCHMIDT_BLOCK:
+            fold(spec.dim_system)
 
-        # coherence independence: environment off-diagonals never reach rho_S
+        # coherence independence: environment off-diagonals never reach
+        # rho_S; the dense evolution also cross-checks the contraction
         g = rng.normal(size=(spec.dim_env, spec.dim_env)) + 1j * rng.normal(
             size=(spec.dim_env, spec.dim_env)
         )
-        rho_e_coh = rho_e_diag + 0.1 * (g + g.conj().T) / spec.dim_env
+        rho_e_coh = 0.1 * (g + g.conj().T) / spec.dim_env
         np.fill_diagonal(rho_e_coh, env.weights)
         t_probe = float(rng.uniform(0.3, 3.0))
+        # no name holds the D x D matrix past the trace
+        probe = entanglement.partial_trace_env(
+            entanglement.evolve_global(spec, rho_s0, rho_e_coh, t_probe),
+            (spec.dim_system, spec.dim_env),
+        )
         dev_coherence = max(
-            dev_coherence,
-            float(
-                np.max(
-                    np.abs(
-                        oracle_state(spec, rho_s0, rho_e_coh, t_probe, energies)
-                        - ev.reduced_state(rho_s0, t_probe)
-                    )
-                )
-            ),
+            dev_coherence, float(np.max(np.abs(probe - ev.reduced_state(rho_s0, t_probe))))
         )
 
         # determinant dual path, at a point where det is not degenerate

@@ -288,14 +288,43 @@ def test_thermo_limit_system_size_out_of_range_is_usage_error(tmp_path, capsys):
 
 
 def test_global_negativity_over_dimension_cap_is_usage_error(tmp_path, capsys):
-    # 2^11 global configurations, over the dense cap of 1024
+    # 2^11 global configurations, over the dense cap of 1024, on the dense
+    # path: a mixed, coherent system and a pure, coherent environment
     doc = dict(BASE, ensemble=dict(BASE["ensemble"], n_total=11, n_system=2),
+               system_state=_MIXED_COHERENT,
+               environment_state={"kind": "uniform_superposition"})
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "x.csv"
+    msg = _expect_usage_error(["negativity", "--config", cfg, "--cut", "global",
+                               "--out", str(out)], capsys)
+    assert "2048" in msg and "dense" in msg
+    assert not out.exists()
+
+
+def test_global_negativity_over_dimension_cap_on_factor_spectra(tmp_path, capsys):
+    # the same 2^11 configurations with both factors mixed never build the
+    # global matrix: the product state stays separable
+    doc = dict(BASE, ensemble=dict(BASE["ensemble"], n_total=11, n_system=2),
+               system_state={"kind": "maximally_mixed"},
+               environment_state={"kind": "maximally_mixed"},
+               grid={"start": 0.0, "stop": 3.0, "points": 5})
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "x.csv"
+    assert cli.main(["negativity", "--config", cfg, "--cut", "global", "--out", str(out)]) == 0
+    assert "(factor_spectra path, max negativity 0)" in capsys.readouterr().out
+    header, rows = read_csv(out)
+    assert len(rows) == 5 and all(float(r[1]) == 0.0 for r in rows)
+
+
+def test_global_negativity_factor_over_dimension_cap_is_usage_error(tmp_path, capsys):
+    # a 2^11-configuration environment factor would itself be built dense
+    doc = dict(BASE, ensemble=dict(BASE["ensemble"], n_total=12, n_system=1),
                system_state={"kind": "maximally_mixed"},
                environment_state={"kind": "maximally_mixed"})
     cfg = write_config(tmp_path, doc)
     msg = _expect_usage_error(["negativity", "--config", cfg, "--cut", "global",
                                "--out", str(tmp_path / "x.csv")], capsys)
-    assert "2048" in msg
+    assert "2048" in msg and "1024" in msg
 
 
 def test_closed_form_outside_its_assumptions_is_usage_error(tmp_path, capsys):
@@ -313,6 +342,19 @@ def test_closed_form_outside_its_assumptions_is_usage_error(tmp_path, capsys):
         # without the closed form the same runs are valid
         assert cli.main(["witness", "--config", cfg, "--grid", "0:1:5", "--out", str(out)]) == 0
         out.unlink()
+
+
+def test_ensemble_with_model_and_couplings_is_usage_error(tmp_path, capsys):
+    # an all-zero coupling matrix next to the ring model: the closed form
+    # used to read the model and the engine the matrix, and the run exited
+    # 0 with a deviation of 1.5e1
+    ensemble = dict(BASE["ensemble"], couplings=np.zeros((6, 6)).tolist())
+    cfg = write_config(tmp_path, dict(BASE, ensemble=ensemble))
+    out = tmp_path / "x.csv"
+    msg = _expect_usage_error(["witness", "--config", cfg, "--out", str(out),
+                               "--closed-form", "nn1d"], capsys)
+    assert "'model'" in msg and "'couplings'" in msg
+    assert not out.exists()
 
 
 def test_negativity_cut_outside_system_is_usage_error(tmp_path, capsys):

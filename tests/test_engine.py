@@ -33,11 +33,11 @@ def ring_spec(n_total, n_system, fields=0.0, j=1.0):
     return ensemble_from_model(NearestNeighborRing1D(j=j), n_total, n_system, fields=fields)
 
 
-def random_spec(rng, n_total, n_system):
+def random_spec(rng, n_total, n_system, twice_spin=1):
     j = rng.uniform(-1, 1, size=(n_total, n_total))
     j = 0.5 * (j + j.T)
     np.fill_diagonal(j, 0.0)
-    return EnsembleSpec(n_total=n_total, n_system=n_system, twice_spin=1,
+    return EnsembleSpec(n_total=n_total, n_system=n_system, twice_spin=twice_spin,
                         couplings=j, fields=rng.uniform(-1, 1, size=n_total))
 
 
@@ -428,6 +428,12 @@ def test_pair_count_over_cap_raises():
         WitnessEvaluator(ring_spec(12, 11), thermal.maximally_mixed(1, 1))
 
 
+def test_flat_populations_cap_names_the_product_environment():
+    with pytest.raises(ResourceCapError, match="2097152") as err:
+        thermal.maximally_mixed(21, 1).weights
+    assert "product environment ('mixed', 'basis', or 'thermal' at beta = 0)" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # reduced state
 
@@ -454,6 +460,26 @@ def test_reduced_state_p1_closed_form():
         rho_t = ev.reduced_state(rho0, t)
         expected = rho0[0, 1] * np.cos(t) ** 2 * np.exp(-1j * 0.8 * t)
         assert rho_t[0, 1] == pytest.approx(expected, abs=1e-14)
+
+
+def test_stacked_factors_and_reduced_states_equal_per_time_bitwise():
+    # spin 1/2 and spin 1, a flat and a product environment, and more times
+    # than one block of the kernel holds
+    rng = np.random.default_rng(21)
+    for twice_spin, n_total, n_system in ((1, 6, 2), (1, 5, 3), (2, 4, 2), (2, 3, 1)):
+        spec = random_spec(rng, n_total, n_system, twice_spin)
+        rho0 = random_density(rng, spec.dim_system)
+        times = rng.uniform(0.0, 6.0, size=(2, 150))
+        for env in (random_populations(rng, spec),
+                    thermal.maximally_mixed(spec.n_env, twice_spin)):
+            ev = WitnessEvaluator(spec, env)
+            factors = ev.factors(times)
+            states = ev.reduced_state(rho0, times)
+            assert factors.shape == times.shape + (len(ev.pair_index),)
+            assert states.shape == times.shape + rho0.shape
+            for idx in np.ndindex(times.shape):
+                assert factors[idx].tobytes() == ev.factors(times[idx]).tobytes()
+                assert states[idx].tobytes() == ev.reduced_state(rho0, float(times[idx])).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +523,19 @@ def hermitian_matrices(draw):
 def test_bloch_round_trip_property(herm):
     back = bloch_to_density(bloch_vector(herm))
     assert np.max(np.abs(back - herm)) <= 1e-13 * (1.0 + np.max(np.abs(herm)))
+
+
+def test_stacked_bloch_maps_equal_per_matrix_bitwise():
+    rng = np.random.default_rng(22)
+    for dim in (2, 3, 4, 8, 9):
+        g = rng.normal(size=(2, 5, dim, dim)) + 1j * rng.normal(size=(2, 5, dim, dim))
+        herm = g + g.conj().swapaxes(-1, -2)
+        coords = bloch_vector(herm)
+        back = bloch_to_density(coords)
+        assert coords.shape == (2, 5, dim * dim) and back.shape == herm.shape
+        for idx in np.ndindex(2, 5):
+            assert coords[idx].tobytes() == bloch_vector(herm[idx]).tobytes()
+            assert back[idx].tobytes() == bloch_to_density(coords[idx]).tobytes()
 
 
 def test_bloch_layout_built_once_and_read_only():

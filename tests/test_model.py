@@ -74,9 +74,11 @@ def test_enumeration_matches_matrix_and_index():
 
 
 def test_enumeration_cap():
-    # 2^21 configurations, refused before any is built
-    with pytest.raises(model.ResourceCapError, match="2097152"):
+    # 2^21 configurations, refused before any is built; the message names
+    # the environments that are never enumerated
+    with pytest.raises(model.ResourceCapError, match="2097152") as err:
         model.config_matrix(21, 1)
+    assert "product environment ('mixed', 'basis', or 'thermal' at beta = 0)" in str(err.value)
 
 
 def _random_spec(rng, n_total, n_system, twice_spin=1):
@@ -299,3 +301,17 @@ def test_json_round_trip():
 
     with pytest.raises(ValueError):
         model.ensemble_from_dict({"n_total": 3, "n_system": 1, "model": {"type": "nope"}})
+
+
+def test_ensemble_document_with_model_and_couplings_is_refused():
+    # one of the two would build the spec and the other the closed form
+    doc = {
+        "n_total": 6,
+        "n_system": 1,
+        "model": {"type": "nn_ring_1d", "J": 1.0},
+        "couplings": np.zeros((6, 6)).tolist(),
+    }
+    with pytest.raises(ValueError, match="both 'model' and 'couplings'"):
+        model.ensemble_from_dict(doc)
+    for key in ("model", "couplings"):
+        assert model.ensemble_from_dict({k: v for k, v in doc.items() if k != key}).n_total == 6

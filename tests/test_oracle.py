@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
 
-from spindeph import oracle, thermal
-from spindeph.engine import EnvPopulations, WitnessEvaluator, bloch_vector
+from spindeph import entanglement, oracle, thermal
+from spindeph.engine import EnvPopulations, WitnessEvaluator, bloch_to_density, bloch_vector
+from spindeph.entanglement import evolve_global, partial_trace_env
+from spindeph.linalg import lu_det
 from spindeph.model import EnsembleSpec, ensemble_from_model, NearestNeighborRing1D, total_energies
 
+# (twice_spin, n_total, n_system) of random spin-1/2 and spin-1 ensembles
+CASES = ((1, 5, 2), (1, 7, 3), (1, 6, 1), (2, 4, 2), (2, 3, 1))
 
-def random_spec(rng, n_total, n_system):
+
+def random_spec(rng, n_total, n_system, twice_spin=1):
     j = rng.uniform(-1, 1, size=(n_total, n_total))
     j = 0.5 * (j + j.T)
     np.fill_diagonal(j, 0.0)
-    return EnsembleSpec(n_total=n_total, n_system=n_system, twice_spin=1,
+    return EnsembleSpec(n_total=n_total, n_system=n_system, twice_spin=twice_spin,
                         couplings=j, fields=rng.uniform(-1, 1, size=n_total))
 
 
@@ -74,6 +79,65 @@ def test_oracle_state_ignores_env_coherences():
         assert np.max(np.abs(a - b)) < 1e-12
 
 
+def test_contracted_reduced_state_equals_dense_evolution():
+    # a coherent environment: the dense path carries its off-diagonals
+    # through the evolution, the contraction never reads them
+    rng = np.random.default_rng(11)
+    for twice_spin, n_total, n_system in CASES:
+        spec = random_spec(rng, n_total, n_system, twice_spin)
+        dims = (spec.dim_system, spec.dim_env)
+        rho_s = random_density(rng, spec.dim_system)
+        rho_e = random_density(rng, spec.dim_env)
+        times = rng.uniform(0.0, 6.0, size=6)
+        grid = oracle.oracle_reduced_state(spec, rho_s, rho_e, times)
+        assert grid.shape == (times.size,) + rho_s.shape
+        for t, state in zip(times, grid):
+            dense = partial_trace_env(evolve_global(spec, rho_s, rho_e, t), dims)
+            assert np.max(np.abs(state - dense)) <= 1e-13
+
+
+def test_grid_call_equals_per_time_calls_bitwise(monkeypatch):
+    # a small stack bound splits the grid into many stacks of times
+    monkeypatch.setattr(entanglement, "SCHMIDT_BLOCK", 64)
+    rng = np.random.default_rng(12)
+    for twice_spin, n_total, n_system in CASES:
+        spec = random_spec(rng, n_total, n_system, twice_spin)
+        rho_s = random_density(rng, spec.dim_system)
+        rho_e = random_density(rng, spec.dim_env)
+        times = rng.uniform(0.0, 6.0, size=9)
+        grid = oracle.oracle_reduced_state(spec, rho_s, rho_e, times)
+        for t, state in zip(times, grid):
+            single = oracle.oracle_reduced_state(spec, rho_s, rho_e, float(t))
+            assert single.shape == rho_s.shape
+            assert single.tobytes() == state.tobytes()
+
+
+def dense_superoperator(spec, env, t):
+    """Bloch evolution matrix, one dense global evolution per basis operator."""
+    dim = spec.dim_system
+    rho_e = np.diag(env.weights).astype(complex)
+    columns = []
+    for k in range(dim * dim):
+        coords = np.zeros(dim * dim)
+        coords[k] = 1.0
+        rho_t = evolve_global(spec, bloch_to_density(coords), rho_e, t)
+        columns.append(bloch_vector(partial_trace_env(rho_t, (dim, spec.dim_env))))
+    return np.stack(columns, axis=1)
+
+
+def test_superoperator_equals_column_by_column_dense_reconstruction():
+    rng = np.random.default_rng(13)
+    for twice_spin, n_total, n_system in CASES:
+        spec = random_spec(rng, n_total, n_system, twice_spin)
+        w = rng.dirichlet(np.ones(spec.dim_env))
+        env = EnvPopulations(n_sites=spec.n_env, twice_spin=twice_spin, weights=w)
+        for t in rng.uniform(0.0, 6.0, size=2):
+            mat, det = oracle.oracle_superoperator(spec, env, float(t))
+            reference = dense_superoperator(spec, env, float(t))
+            assert np.max(np.abs(mat - reference)) <= 1e-13
+            assert det == pytest.approx(lu_det(reference), abs=1e-12)
+
+
 def test_superoperator_identity_at_t0():
     rng = np.random.default_rng(4)
     spec = random_spec(rng, 5, 2)
@@ -129,6 +193,21 @@ def test_run_verification_passes():
     report = oracle.run_verification(seed=7, n_specs=6, time_points=5)
     assert report["passed"]
     assert report["checks"]["reduced_state_max_abs_dev"]["value"] < 1e-12
+
+
+def test_run_verification_evolves_globally_once_per_ensemble(monkeypatch):
+    # only the coherence probe builds a global matrix
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    real = entanglement.evolve_global
+    monkeypatch.setattr(entanglement, "evolve_global", counting)
+    report = oracle.run_verification(seed=7, n_specs=6, time_points=5)
+    assert report["passed"]
+    assert len(calls) == 6
 
 
 def test_run_verification_catches_interaction_sign_flip():
