@@ -191,21 +191,22 @@ def _state_matrix(doc: dict, n_sites: int, twice_spin: int) -> np.ndarray:
 # CSV output
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return str(int(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+def _column_text(column):
+    """A column's values as text, formatted lazily, the format chosen once
+    from its dtype: repr for reals, decimal for integers (any size) and 0/1
+    for bools."""
+    values = np.asarray(column)
+    if values.dtype.kind == "b":
+        values = values.astype(np.int8)
+    return map(repr if values.dtype.kind == "f" else str, values.tolist())
 
 
 def write_csv(path, header, columns):
-    rows = zip(*columns)
+    rows = zip(*map(_column_text, columns))
     with open(path, "w", newline="") as fh:
         fh.write(f"# format: {CSV_FORMAT}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------

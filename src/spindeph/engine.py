@@ -29,11 +29,19 @@ configuration pairs, each class counted with its multiplicity. The
 determinant is kept in log space throughout; the closed-form exponents grow
 like 2^(2p) and would underflow any float.
 
-Frequency sums are evaluated in extended precision (numpy longdouble). The
-witness needs log|A| to stay accurate near zeros of A, where a double
-precision sum loses all relative accuracy to cancellation. Episode
-boundaries are bisected all together, one evaluation per round at every
-open midpoint; each bracket keeps its own stopping rule.
+The witness needs log|A| to stay accurate near zeros of A, where a double
+precision frequency sum loses all relative accuracy to cancellation. The
+merged rows are therefore sorted by kind. A row of one frequency (the point
+masses of basis and beta = infinity environments) is a pure phase, |A| = 1,
+and drops out of the witness. A row of two opposite frequencies +-w (a
+coupled site of a spin-1/2 product environment with both levels populated,
+or a Gibbs block with one coupled site) is evaluated in closed form in
+double, its phase t w carried exactly as a Dekker product and its rows
+summed by an error-free extraction. Every other row (Gibbs blocks of two or
+more coupled sites at beta > 0, spin > 1/2) is summed in extended precision
+(numpy longdouble). Episode boundaries are bisected all together, one
+evaluation per round at every open midpoint; each bracket keeps its own
+stopping rule.
 """
 
 from __future__ import annotations
@@ -54,9 +62,10 @@ from .model import (
 )
 
 DET_UNDERFLOW_LOG = -690.0  # exp() underflows double below roughly -745
-# time x row x frequency entries per extended-precision block; rows of a
-# product environment hold few frequencies, so the time x row temporaries
-# are about as large as a block: 2^12 ran as fast as 2^13 with half the peak
+# time x row x frequency entries per block of `factors` and `series` (a
+# two-level row counts one entry); rows of a product environment hold few
+# frequencies, so the time x row temporaries are about as large as a block:
+# 2^12 ran as fast as 2^13 with half the peak
 SERIES_BLOCK = 2**12
 
 
@@ -173,9 +182,83 @@ def _merge_frequencies(omegas: np.ndarray, weights: np.ndarray) -> Tuple[np.ndar
     return out_om, out_w
 
 
+def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split a = hi + lo, exact, each part of at most 26 significant bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _accurate_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of n terms with about one rounding.
+
+    Rump, Ogita and Oishi's extraction (2008): with sigma a power of two
+    above (n + 2) max|x|, q = (sigma + x) - sigma is exact and lies on the
+    grid of sigma's ulp, so sum q is exact in any order and x - q is exact
+    and tiny. The error is half an ulp of the sum plus a term of order
+    n^2 eps^2 max|x|, whatever the order of the terms and the other axes.
+    A non-finite term makes the sum non-finite as a plain sum would.
+    """
+    top = np.max(np.abs(x), axis=-1, keepdims=True, initial=0.0)
+    sigma = np.ldexp(1.0, np.frexp(top)[1] + (x.shape[-1] + 2).bit_length())
+    q = (sigma + x) - sigma
+    high = q.sum(axis=-1)
+    return high + np.where(np.isfinite(high), (x - q).sum(axis=-1), 0.0)
+
+
 def _row_dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_f x[..., c, f] w[c, f], each one dot product whatever the batch."""
     return np.matmul(x[..., None, :], w[:, :, None])[..., 0, 0]
+
+
+class _TwoLevelRows(NamedTuple):
+    """Rows of two frequencies +-omega, weights w+ and w-, as `series` reads them.
+
+    A = S cos x + 1 - S + i m sin x with x = omega t, S = w+ + w- and
+    m = w+ - w-.
+    """
+
+    omega: np.ndarray
+    omega_hi: np.ndarray  # Veltkamp halves of omega
+    omega_lo: np.ndarray
+    total: np.ndarray  # S
+    shift: np.ndarray  # 1 - S
+    skew: np.ndarray  # S (1 - S)
+    m2: np.ndarray  # m^2
+    k: np.ndarray  # S^2 - m^2 = 4 w+ w-
+    mult: np.ndarray  # the class's multiplicity
+
+    def terms(self, t: np.ndarray) -> np.ndarray:
+        """mult x (log|A|^2, d/dt log|A|^2) at times t, shape (2, times, rows), in double.
+
+        x = omega t is carried as the exact sum hi + lo of Dekker's product,
+        and cos x = cos hi - sin hi lo, sin x = sin hi + cos hi lo to double
+        precision, so the rounding of t omega does not reach log|A| near its
+        zeros. With k = S^2 - m^2,
+
+            |A|^2 - 1 = -k sin^2 x - 2 S (1 - S) (1 - cos x)
+            d/dt log|A|^2 = -2 omega sin x (k cos x + S (1 - S)) / |A|^2
+
+        free of cancellation; log|A|^2 is log1p of the first where
+        |A|^2 > 1/2 and log(c^2 + s^2), c = S cos x + 1 - S, elsewhere.
+        """
+        t = t[:, None]
+        hi = t * self.omega
+        t_hi, t_lo = _split(t)
+        lo = ((t_hi * self.omega_hi - hi) + t_hi * self.omega_lo + t_lo * self.omega_hi
+              + t_lo * self.omega_lo)
+        cos_hi, sin_hi = np.cos(hi), np.sin(hi)
+        cos = cos_hi - sin_hi * lo
+        sin = sin_hi + cos_hi * lo
+        sin2 = sin * sin
+        c = self.total * cos + self.shift
+        mod2 = c * c + self.m2 * sin2
+        out = np.empty((2,) + hi.shape)
+        out[0] = np.where(mod2 > 0.5, np.log1p(-(self.k * sin2) - 2.0 * self.skew * (1.0 - cos)),
+                          np.log(mod2))
+        out[1] = -2.0 * self.omega * sin * (self.k * cos + self.skew) / mod2
+        out *= self.mult
+        return out
 
 
 class WitnessEvaluator:
@@ -250,11 +333,33 @@ class WitnessEvaluator:
             weights[:, b, : w.size] = w
         shape = (len(classes) * self._rows_per_class, width)
         self._omegas, self._weights = _merge_frequencies(omegas.reshape(shape), weights.reshape(shape))
-        self._omegas_ld = self._omegas.astype(np.longdouble)
-        self._weights_ld = self._weights.astype(np.longdouble)
+
+        # `series` sorts the merged rows by kind: a row of one frequency is
+        # a pure phase and drops out; a row of two opposite frequencies +-w
+        # is evaluated in closed form in double; every other row is summed
+        # in extended precision. Each row carries its class's multiplicity.
+        mult = np.repeat(counts.astype(float), self._rows_per_class)
+        entries = np.count_nonzero(self._weights, axis=1)
+        om, wt = (np.pad(x[:, :2], ((0, 0), (0, 2 - x[:, :2].shape[1])))  # first two columns
+                  for x in (self._omegas, self._weights))
+        two_level = (entries == 2) & (om[:, 0] == -om[:, 1])
+        general = (entries > 1) & ~two_level
+        w_minus, w_plus = wt[two_level].T
+        total = w_plus + w_minus
+        # 1 - S from the exact sum (Knuth's TwoSum): where S is 1 - ulp,
+        # 1 - S decides log|A| next to |A| = 1
+        z = total - w_plus
+        shift = (1.0 - total) - ((w_plus - (total - z)) + (w_minus - z))
+        omega = om[two_level, 1]
+        self._two_level = _TwoLevelRows(
+            omega, *_split(omega), total, shift, total * shift,
+            (w_plus - w_minus) ** 2, 4.0 * w_plus * w_minus, mult[two_level])
+
+        self._omegas_ld = self._omegas[general].astype(np.longdouble)
+        self._weights_ld = self._weights[general].astype(np.longdouble)
         self._wo_ld = self._weights_ld * self._omegas_ld
-        # each row carries its class's multiplicity, twice (|A|^2 per pair)
-        self._mult2 = np.repeat(2.0 * counts.astype(np.longdouble), self._rows_per_class)
+        # twice the multiplicity (|A|^2 per pair)
+        self._mult2 = 2.0 * mult[general].astype(np.longdouble)
         # 1 - each row's weight total, summed as `series` sums at t = 0,
         # so that A(0) = 1 exactly although float weights sum to 1 +- ulp
         self._c_shift = 1.0 - _row_dot(np.ones_like(self._weights_ld), self._weights_ld)
@@ -300,7 +405,7 @@ class WitnessEvaluator:
         rho[..., b, a] = np.conj(upper)
         return rho
 
-    # -- extended precision witness ----------------------------------------
+    # -- witness -------------------------------------------------------------
 
     def series(self, times) -> Tuple[np.ndarray, np.ndarray]:
         """(log det M, d/dt log det M) on a 1-D time grid, double precision output.
@@ -315,6 +420,28 @@ class WitnessEvaluator:
         -inf and the derivative NaN.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
+        logdet, dlogdet = self._two_level_series(times)
+        if self._omegas_ld.size:
+            general, dgeneral = self._general_series(times)
+            logdet = (general + logdet).astype(float)
+            dlogdet = (dgeneral + dlogdet).astype(float)
+        return logdet, dlogdet
+
+    def _two_level_series(self, times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The two-level rows (:meth:`_TwoLevelRows.terms`) in double, each
+        time's rows summed by :func:`_accurate_sum`."""
+        rows = self._two_level
+        logdet = np.zeros(times.shape)
+        dlogdet = np.zeros(times.shape)
+        step = max(1, SERIES_BLOCK // max(1, rows.omega.size))
+        for i in range(0, times.size, step):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sums = _accurate_sum(rows.terms(times[i : i + step]))
+            logdet[i : i + step], dlogdet[i : i + step] = sums
+        return logdet, dlogdet
+
+    def _general_series(self, times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Every other row of two or more frequencies, summed in extended precision."""
         logdet = np.empty(times.shape, dtype=np.longdouble)
         dlogdet = np.empty_like(logdet)
         step = max(1, SERIES_BLOCK // max(1, self._omegas_ld.size))
@@ -329,7 +456,7 @@ class WitnessEvaluator:
             with np.errstate(divide="ignore", invalid="ignore"):
                 logdet[i : i + step] = (0.5 * np.log(mod2)) @ self._mult2
                 dlogdet[i : i + step] = ((c * cd + s * sd) / mod2) @ self._mult2
-        return logdet.astype(float), dlogdet.astype(float)
+        return logdet, dlogdet
 
     def log_det(self, t: float) -> float:
         return float(self.series([t])[0][0])

@@ -29,7 +29,7 @@ go to `negativity_details` in stacks, one eigensolver call per stack.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -48,12 +48,14 @@ def evolve_global(
     rho_s0: np.ndarray,
     rho_e0: np.ndarray,
     t: float,
+    energies: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Unitarily evolved global matrix exp(-iHt) (rho_S x rho_E) exp(iHt).
 
     rho_e0 is the full environment matrix; its coherences matter here (they
     generate entanglement) even though they never reach the reduced state.
     Accepts any Hermitian inputs: the map is linear, not state-restricted.
+    ``energies`` replaces the diagonal of H, ``total_energies(spec)``.
     """
     dim = spec.dim_system * spec.dim_env
     if dim > GLOBAL_DIM_CAP:
@@ -65,7 +67,7 @@ def evolve_global(
     # product and phases in place: a second D x D temporary would make the
     # peak memory depend on the allocator's history
     rho = (rho_s0[:, None, :, None] * rho_e0[None, :, None, :]).reshape(dim, dim)
-    u = np.exp(-1j * total_energies(spec) * t)
+    u = np.exp(-1j * (total_energies(spec) if energies is None else energies) * t)
     np.multiply(u[:, None], rho, out=rho)
     rho *= u.conj()[None, :]
     return rho

@@ -57,19 +57,23 @@ def oracle_reduced_state(spec: EnsembleSpec, rho_s0: np.ndarray, rho_e0: np.ndar
     return rho_s0 * _traced_phases(total_energies(spec), spec.dim_system, np.diagonal(rho_e0), t)
 
 
-def oracle_superoperator(spec: EnsembleSpec, env: EnvPopulations, t: float):
+def oracle_superoperator(spec: EnsembleSpec, env: EnvPopulations, t: float,
+                         energies: Optional[np.ndarray] = None):
     """Bloch evolution matrix: column k is the image of coordinate basis operator k.
 
     The basis operators are Hermitian, not states (the map is linear), and
     go through the map as one stack. Returns (matrix, determinant), the
-    determinant from in-package pivoted LU.
+    determinant from in-package pivoted LU. ``energies`` replaces the
+    global energy table, ``total_energies(spec)``.
     """
     dim = spec.dim_system
     if dim > SUPEROP_SYSTEM_DIM_CAP:
         raise ResourceCapError(
             f"superoperator reconstruction capped at D={SUPEROP_SYSTEM_DIM_CAP}, got {dim}"
         )
-    traced = _traced_phases(total_energies(spec), dim, env.weights, t)
+    if energies is None:
+        energies = total_energies(spec)
+    traced = _traced_phases(energies, dim, env.weights, t)
     mat = bloch_vector(bloch_to_density(np.eye(dim * dim)) * traced).T
     return mat, lu_det(mat)
 
@@ -111,8 +115,9 @@ def run_verification(
 
     Returns a report dict with per-check maximum deviations and a global
     ``passed`` flag. ``energy_override`` replaces the global energy table
-    used by the oracle path; it exists for fault injection, to demonstrate
-    that the suite catches a wrong Hamiltonian.
+    of every oracle path (reduced states, superoperator and the dense
+    coherence probe); it exists for fault injection, to demonstrate that
+    the suite catches a wrong Hamiltonian.
     """
     rng = np.random.default_rng(seed)
     started = time.perf_counter()
@@ -161,7 +166,7 @@ def run_verification(
         t_probe = float(rng.uniform(0.3, 3.0))
         # no name holds the D x D matrix past the trace
         probe = entanglement.partial_trace_env(
-            entanglement.evolve_global(spec, rho_s0, rho_e_coh, t_probe),
+            entanglement.evolve_global(spec, rho_s0, rho_e_coh, t_probe, energies),
             (spec.dim_system, spec.dim_env),
         )
         dev_coherence = max(
@@ -180,7 +185,7 @@ def run_verification(
                     break
             if t_det is None:
                 continue
-            mat, det_lu = oracle_superoperator(spec, env, t_det)
+            mat, det_lu = oracle_superoperator(spec, env, t_det, energies)
             det_engine = float(np.exp(log_det[0]))
             dev_det = max(dev_det, abs(det_lu - det_engine) / det_engine)
             # off-block entries of the reconstructed map must vanish

@@ -422,6 +422,30 @@ def test_batched_bisection_non_finite_midpoint():
     assert batched[0] == pytest.approx(np.pi / 14, abs=1e-9)
 
 
+def test_bisection_with_zeros_of_A_and_a_root_in_one_grid_interval():
+    # A = cos(t) cos(1.001 t): the zeros pi/2.002 and pi/2 of A and the root
+    # of the derivative between them fall in one grid interval, whose ends
+    # read - and +. The episode between the first zero and the root is
+    # narrower than the grid and lost; the refined start is a rising edge at
+    # one of the two zeros, where the derivative jumps from -inf to +inf
+    j = np.zeros((3, 3))
+    j[0, 1] = j[1, 0] = 1.0
+    j[0, 2] = j[2, 0] = 1.001
+    spec = EnsembleSpec(n_total=3, n_system=1, twice_spin=1, couplings=j, fields=np.zeros(3))
+    env = thermal.maximally_mixed(2, 1)
+    series = detect_episodes(spec, env, 0.0, 3.0, 40)
+    zeros = np.array([np.pi / 2.002, np.pi / 2])
+    k = np.searchsorted(series.times, zeros)
+    assert k[0] == k[1]
+    assert series.dlogdet_dt[k[0] - 1] < 0.0 < series.dlogdet_dt[k[0]]
+    (start, end), = series.episodes
+    assert np.min(np.abs(start - zeros)) <= 1e-9
+    ev = WitnessEvaluator(spec, env)
+    assert ev.dlog_det(start - 1e-8) < 0.0 < ev.dlog_det(start + 1e-8)
+    assert end == series.times[-1]
+    assert series.episodes == sequential_episodes(ev, series.times)
+
+
 def test_pair_count_over_cap_raises():
     # 2^11 system configurations fit the enumeration cap, their pairs do not
     with pytest.raises(ResourceCapError, match="2096128 configuration pairs"):

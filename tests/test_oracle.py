@@ -210,22 +210,44 @@ def test_run_verification_evolves_globally_once_per_ensemble(monkeypatch):
     assert len(calls) == 6
 
 
-def test_run_verification_catches_interaction_sign_flip():
-    # fault injection: oracle energies with the interaction sign flipped
-    def flipped(spec):
-        base = total_energies(spec)
-        # rebuild with the cross term negated: E = E_S + E_E - E_SE
-        from spindeph.model import config_matrix, env_energies, system_energies
+def scaled_interaction(factor):
+    """Oracle energies E_S + E_E + factor * E_SE: a wrong Hamiltonian for factor != 1."""
+    from spindeph.model import config_matrix, env_energies, system_energies
 
+    def table(spec):
         es = system_energies(spec)
         ee = env_energies(spec)
         vs = config_matrix(spec.n_system, spec.twice_spin).astype(float)
         ve = config_matrix(spec.n_env, spec.twice_spin).astype(float)
         cross = -2.0 * 0.25 * (vs @ spec.cross_couplings @ ve.T)
-        flipped_table = (es[:, None] + ee[None, :] - cross).reshape(-1)
-        assert flipped_table.shape == base.shape
-        return flipped_table
+        out = (es[:, None] + ee[None, :] + factor * cross).reshape(-1)
+        assert np.allclose(es[:, None] + ee[None, :] + cross, total_energies(spec).reshape(cross.shape))
+        return out
 
-    report = oracle.run_verification(seed=7, n_specs=3, time_points=4, energy_override=flipped)
+    return table
+
+
+def fault_checks(factor):
+    report = oracle.run_verification(seed=7, n_specs=3, time_points=4,
+                                     energy_override=scaled_interaction(factor))
     assert not report["passed"]
-    assert report["checks"]["reduced_state_max_abs_dev"]["value"] > 1e-6
+    return {name: check["value"] / check["tolerance"] for name, check in report["checks"].items()}
+
+
+def test_run_verification_catches_interaction_sign_flip():
+    # fault injection: oracle energies with the interaction sign flipped
+    ratio = fault_checks(-1.0)
+    assert ratio["reduced_state_max_abs_dev"] > 1e6
+    assert ratio["env_coherence_independence_max_abs_dev"] > 1e6
+    # the flip turns every A into its conjugate and leaves |A|, so det M
+    # cannot see it: the determinant check agrees to rounding
+    assert ratio["superoperator_det_max_rel_dev"] < 1e-3
+
+
+def test_run_verification_catches_scaled_interaction():
+    # a doubled interaction changes |A|: every oracle path fails, the
+    # superoperator determinant and the dense coherence probe included
+    ratio = fault_checks(2.0)
+    for name in ("reduced_state_max_abs_dev", "env_coherence_independence_max_abs_dev",
+                 "superoperator_det_max_rel_dev"):
+        assert ratio[name] > 1e6, name
