@@ -17,6 +17,7 @@ Outputs are deterministic: identical configuration, byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -275,7 +276,7 @@ def cmd_witness(args) -> int:
     write_csv(args.out, header, columns)
     episodes_path = args.episodes or str(Path(args.out).with_suffix(".episodes.json"))
     with open(episodes_path, "w") as fh:
-        json.dump([[a, b] for a, b in series.episodes], fh)
+        json.dump(series.episodes, fh)  # tuples write as JSON arrays
     print(f"wrote {args.out} and {episodes_path} ({len(series.episodes)} episodes)")
     return 0
 
@@ -454,7 +455,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="spindeph",
         description="Exact dephasing dynamics and non-Markovianity witnesses "

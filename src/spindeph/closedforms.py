@@ -55,12 +55,15 @@ def log_det_infinite_range(n_total: int, p: int, j: float, t) -> Union[float, np
     if not 1 <= p < n_total:
         raise ValueError("need 1 <= p < n_total")
     t = np.asarray(t, dtype=float)
+    logcos = _logabs_cos(j * t[..., None] * np.arange(1, p + 1) / n_total)
     out = np.zeros(t.shape)
+    # pairs with |j' - k| = q, counted once per orientation; the k-sum
+    # sum_k C(p,k) C(p,k-q) collapses to C(2p, p-q), and
+    # C(2p, p-q-1) = C(2p, p-q) (p-q) / (p+q+1) exactly
+    exponent = chu_vandermonde_exponent(p, 1)
     for q in range(1, p + 1):
-        # pairs with |j' - k| = q, counted once per orientation; the k-sum
-        # sum_k C(p,k) C(p,k-q) collapses to C(2p, p-q)
-        mult = 2 * (n_total - p) * chu_vandermonde_exponent(p, q)
-        out = out + _int_times_log(mult, _logabs_cos(j * t * q / n_total))
+        out = out + _int_times_log(2 * (n_total - p) * exponent, logcos[..., q - 1])
+        exponent = exponent * (p - q) // (p + q + 1)
     return float(out) if out.ndim == 0 else out
 
 

@@ -39,9 +39,16 @@ or a Gibbs block with one coupled site) is evaluated in closed form in
 double, its phase t w carried exactly as a Dekker product and its rows
 summed by an error-free extraction. Every other row (Gibbs blocks of two or
 more coupled sites at beta > 0, spin > 1/2) is summed in extended precision
-(numpy longdouble). Episode boundaries are bisected all together, one
-evaluation per round at every open midpoint; each bracket keeps its own
-stopping rule.
+(numpy longdouble).
+
+Episodes are certified where every coupled site has uniform populations
+(the maximally mixed environment, and Gibbs at beta = 0): A is then a
+product of Dirichlet kernels, its zeros are known in closed form, and each
+opens one episode whose end is the one root of the derivative before the
+next zero (see :mod:`spindeph.dirichlet`). Elsewhere episode boundaries are
+bisected between grid points where the sign of the derivative changes, all
+brackets together, one evaluation per round at every open midpoint; each
+bracket keeps its own stopping rule.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
+from . import dirichlet
 from .model import (
     DEFAULT_ENUM_CAP,
     PRODUCT_ENV_HINT,
@@ -228,7 +236,7 @@ class _TwoLevelRows(NamedTuple):
     k: np.ndarray  # S^2 - m^2 = 4 w+ w-
     mult: np.ndarray  # the class's multiplicity
 
-    def terms(self, t: np.ndarray) -> np.ndarray:
+    def terms(self, t: np.ndarray, value: bool = True) -> np.ndarray:
         """mult x (log|A|^2, d/dt log|A|^2) at times t, shape (2, times, rows), in double.
 
         x = omega t is carried as the exact sum hi + lo of Dekker's product,
@@ -241,6 +249,7 @@ class _TwoLevelRows(NamedTuple):
 
         free of cancellation; log|A|^2 is log1p of the first where
         |A|^2 > 1/2 and log(c^2 + s^2), c = S cos x + 1 - S, elsewhere.
+        With value=False only the derivative, shape (times, rows).
         """
         t = t[:, None]
         hi = t * self.omega
@@ -253,10 +262,13 @@ class _TwoLevelRows(NamedTuple):
         sin2 = sin * sin
         c = self.total * cos + self.shift
         mod2 = c * c + self.m2 * sin2
+        derivative = -2.0 * self.omega * sin * (self.k * cos + self.skew) / mod2
+        if not value:
+            return derivative * self.mult
         out = np.empty((2,) + hi.shape)
         out[0] = np.where(mod2 > 0.5, np.log1p(-(self.k * sin2) - 2.0 * self.skew * (1.0 - cos)),
                           np.log(mod2))
-        out[1] = -2.0 * self.omega * sin * (self.k * cos + self.skew) / mod2
+        out[1] = derivative
         out *= self.mult
         return out
 
@@ -301,6 +313,7 @@ class WitnessEvaluator:
         levels = spec.twice_spin + 1
         blocks = []  # (coupled sites, populated configurations, their weights)
         point_sites, point_cfg, point_w = [], [], 1.0
+        uniform = True  # every block's marginal on its coupled sites
         for block in env.blocks:
             keep = [k for k, site in enumerate(block.sites) if coupled[site]]
             if not keep:
@@ -309,6 +322,7 @@ class WitnessEvaluator:
             if len(keep) < len(block.sites):
                 drop = tuple(k for k in range(len(block.sites)) if k not in keep)
                 w = w.reshape((levels,) * len(block.sites)).sum(axis=drop).ravel()
+            uniform = uniform and bool(np.all(w == w[0]))
             populated = w > 0.0
             sites = [block.sites[k] for k in keep]
             u = config_matrix(len(keep), spec.twice_spin)[populated].astype(float)
@@ -333,6 +347,16 @@ class WitnessEvaluator:
             weights[:, b, : w.size] = w
         shape = (len(classes) * self._rows_per_class, width)
         self._omegas, self._weights = _merge_frequencies(omegas.reshape(shape), weights.reshape(shape))
+
+        # uniform marginals make each class's A a product of Dirichlet kernels
+        # D_n(|nu_j| t), one per coupled site: the distinct nonzero |nu_j|
+        # with their summed multiplicities certify the episodes
+        self._dirichlet = None
+        if uniform:
+            nu_abs = np.abs(classes[:, coupled])
+            rates, mults = _merge_frequencies(
+                nu_abs.reshape(1, -1), np.repeat(counts.astype(float), nu_abs.shape[1])[None, :])
+            self._dirichlet = (rates[rates > 0.0], mults[rates > 0.0])
 
         # `series` sorts the merged rows by kind: a row of one frequency is
         # a pure phase and drops out; a row of two opposite frequencies +-w
@@ -419,31 +443,38 @@ class WitnessEvaluator:
         depend on the other times. At exact zeros of any factor log det is
         -inf and the derivative NaN.
         """
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        logdet, dlogdet = self._two_level_series(times)
+        return self._series(np.atleast_1d(np.asarray(times, dtype=float)), True)
+
+    def _series(self, times: np.ndarray, value: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`series`; with value=False log det is None and not computed."""
+        logdet, dlogdet = self._two_level_series(times, value)
         if self._omegas_ld.size:
-            general, dgeneral = self._general_series(times)
-            logdet = (general + logdet).astype(float)
+            general, dgeneral = self._general_series(times, value)
+            if value:
+                logdet = (general + logdet).astype(float)
             dlogdet = (dgeneral + dlogdet).astype(float)
         return logdet, dlogdet
 
-    def _two_level_series(self, times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _two_level_series(self, times: np.ndarray, value: bool):
         """The two-level rows (:meth:`_TwoLevelRows.terms`) in double, each
         time's rows summed by :func:`_accurate_sum`."""
         rows = self._two_level
-        logdet = np.zeros(times.shape)
+        logdet = np.zeros(times.shape) if value else None
         dlogdet = np.zeros(times.shape)
         step = max(1, SERIES_BLOCK // max(1, rows.omega.size))
         for i in range(0, times.size, step):
             with np.errstate(divide="ignore", invalid="ignore"):
-                sums = _accurate_sum(rows.terms(times[i : i + step]))
-            logdet[i : i + step], dlogdet[i : i + step] = sums
+                sums = _accurate_sum(rows.terms(times[i : i + step], value))
+            if value:
+                logdet[i : i + step], dlogdet[i : i + step] = sums
+            else:
+                dlogdet[i : i + step] = sums
         return logdet, dlogdet
 
-    def _general_series(self, times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _general_series(self, times: np.ndarray, value: bool):
         """Every other row of two or more frequencies, summed in extended precision."""
-        logdet = np.empty(times.shape, dtype=np.longdouble)
-        dlogdet = np.empty_like(logdet)
+        logdet = np.empty(times.shape, dtype=np.longdouble) if value else None
+        dlogdet = np.empty(times.shape, dtype=np.longdouble)
         step = max(1, SERIES_BLOCK // max(1, self._omegas_ld.size))
         for i in range(0, times.size, step):
             ph = times[i : i + step, None, None].astype(np.longdouble) * self._omegas_ld
@@ -454,7 +485,8 @@ class WitnessEvaluator:
             sd = _row_dot(cos, self._wo_ld)
             mod2 = c * c + s * s
             with np.errstate(divide="ignore", invalid="ignore"):
-                logdet[i : i + step] = (0.5 * np.log(mod2)) @ self._mult2
+                if value:
+                    logdet[i : i + step] = (0.5 * np.log(mod2)) @ self._mult2
                 dlogdet[i : i + step] = ((c * cd + s * sd) / mod2) @ self._mult2
         return logdet, dlogdet
 
@@ -462,8 +494,11 @@ class WitnessEvaluator:
         return float(self.series([t])[0][0])
 
     def dlog_det(self, t):
-        """d/dt log det M: a float at one time, an array on an array of times."""
-        d = self.series(t)[1]
+        """d/dt log det M: a float at one time, an array on an array of times.
+
+        Computes the derivative alone, equal bitwise to ``series(t)[1]``.
+        """
+        d = self._series(np.atleast_1d(np.asarray(t, dtype=float)), False)[1]
         return float(d[0]) if np.ndim(t) == 0 else d
 
 
@@ -574,6 +609,23 @@ def _bisect_sign_changes(fun, lo, hi, f_lo, rel_tol: float = 1e-9) -> np.ndarray
     return 0.5 * (lo + hi)
 
 
+def _grid_episodes(ev: WitnessEvaluator, times, log_det, dlogdet) -> List[Tuple[float, float]]:
+    """Episodes from the signs of the derivative on the grid, boundaries bisected.
+
+    Grid intervals where positivity changes alternate between episode
+    starts and ends; an episode open at either end of the grid keeps it.
+    Two boundaries in one grid interval are not seen.
+    """
+    positive = np.isfinite(log_det) & np.isfinite(dlogdet) & (dlogdet > 0.0)
+    k = np.flatnonzero(positive[1:] != positive[:-1]) + 1
+    edges = _bisect_sign_changes(ev.dlog_det, times[k - 1], times[k], dlogdet[k - 1]).tolist()
+    if positive[0]:
+        edges.insert(0, float(times[0]))
+    if positive[-1]:
+        edges.append(float(times[-1]))
+    return list(zip(edges[::2], edges[1::2]))
+
+
 def detect_episodes(
     spec: EnsembleSpec,
     env: EnvPopulations,
@@ -583,9 +635,15 @@ def detect_episodes(
 ) -> WitnessSeries:
     """Witness series with non-Markovian episodes on [t_start, t_stop].
 
-    Episode boundaries are refined by bisection on the sign of the
-    log-derivative to 1e-9 relative tolerance, all brackets together. Grid
-    points where det is an exact zero are excluded from episodes.
+    Where every coupled site has uniform populations (the maximally mixed
+    environment, and Gibbs at beta = 0) the episodes are certified: the
+    zeros of A are known in closed form and each bracket between two of them
+    holds one episode end, found to 1e-9 relative tolerance; the list is
+    complete and does not depend on `points`. Elsewhere episode boundaries
+    are bisected, all brackets together, between grid points where the sign
+    of the log-derivative changes; episodes narrower than the grid can be
+    missed. Grid points where det is an exact zero are excluded from
+    episodes.
     """
     if not t_stop > t_start:
         raise ValueError("need t_stop > t_start")
@@ -594,21 +652,17 @@ def detect_episodes(
     ev = WitnessEvaluator(spec, env)
     times = np.linspace(t_start, t_stop, points)
     log_det, dlogdet = ev.series(times)
-    positive = np.isfinite(log_det) & np.isfinite(dlogdet) & (dlogdet > 0.0)
+    if ev._dirichlet is None:
+        episodes = _grid_episodes(ev, times, log_det, dlogdet)
+    else:
+        episodes = dirichlet.episodes(ev.dlog_det, *ev._dirichlet, spec.twice_spin + 1,
+                                      t_start, t_stop, dlogdet[0], dlogdet[-1])
 
-    # grid intervals where positivity changes alternate between episode
-    # starts and ends; an episode open at either end of the grid keeps it
-    k = np.flatnonzero(positive[1:] != positive[:-1]) + 1
-    edges = _bisect_sign_changes(ev.dlog_det, times[k - 1], times[k], dlogdet[k - 1]).tolist()
-    if positive[0]:
-        edges.insert(0, float(times[0]))
-    if positive[-1]:
-        edges.append(float(times[-1]))
-    episodes = list(zip(edges[::2], edges[1::2]))
-
-    in_episode = np.zeros(points, dtype=bool)
-    for a, b in episodes:
-        in_episode |= (times > a) & (times < b) & np.isfinite(log_det)
+    # the episodes are disjoint and ascending: a time lies in the last one
+    # starting before it, if that one has not ended
+    starts, ends = np.array(episodes + [(np.inf, np.inf)]).T
+    last = np.searchsorted(starts, times, side="left") - 1
+    in_episode = (last >= 0) & (times < ends[last]) & np.isfinite(log_det)
 
     return WitnessSeries(
         times=times,

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -60,6 +63,36 @@ def test_witness_deterministic_and_closed_form(tmp_path, capsys):
     episodes = json.loads((tmp_path / "a.episodes.json").read_text())
     assert len(episodes) == 2
     assert episodes[0][0] == pytest.approx(np.pi / 2, abs=1e-7)
+
+
+def test_consecutive_main_calls_share_one_parser(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    cfg = write_config(tmp_path, BASE)
+    argv = ["witness", "--config", cfg, "--grid", "0:3:40"]
+    assert cli.main(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["witness", "--config", cfg, "--closed-form", "nope", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli.main(["thermo-limit", "--family", "fixed-p", "--n-list", ",", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "--n-list needs at least one size" in capsys.readouterr().err
+    assert cli.main(argv + ["--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert (tmp_path / "a.episodes.json").read_bytes() == (tmp_path / "b.episodes.json").read_bytes()
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_mixed_witness_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma takes about 30 ms to import in a fresh process, and numpy 2.4
+    # imports it for a 1-D np.unique without optional outputs
+    cfg = write_config(tmp_path, BASE)
+    code = ("import sys; from spindeph import cli; "
+            f"rc = cli.main(['witness', '--config', {cfg!r}, '--out', {str(tmp_path / 'w.csv')!r}]); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    path = os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert run.stdout.splitlines()[-1] == "0 False"
 
 
 def test_witness_default_grid(tmp_path):

@@ -114,6 +114,22 @@ def test_infinite_range_exponent_beyond_double_range():
         assert value == pytest.approx(math.fsum(terms), rel=1e-12)
 
 
+def test_infinite_range_equals_the_termwise_sum_bitwise():
+    # one exponent C(2p, p-q) and one log|cos| per q, summed left to right:
+    # the thermo-limit CSVs do not change with how the terms are computed
+    def termwise(n, p, j, t):
+        out = np.zeros(np.shape(t))
+        for q in range(1, p + 1):
+            mult = 2 * (n - p) * math.comb(2 * p, p - q)
+            out = out + cf._int_times_log(mult, cf._logabs_cos(j * np.asarray(t) * q / n))
+        return out
+
+    for n, p, j, ts in ((2, 1, 1.0, np.linspace(0.0, 40.0, 33)), (8, 3, -0.7, np.linspace(0.0, 40.0, 33)),
+                        (20, 10, 1.3, np.linspace(0.0, 40.0, 33)), (1020, 510, 1.0, np.linspace(0.0, 1.4, 8))):
+        assert np.asarray(cf.log_det_infinite_range(n, p, j, ts)).tobytes() == termwise(n, p, j, ts).tobytes()
+        assert cf.log_det_infinite_range(n, p, j, 1.0) == float(termwise(n, p, j, 1.0))
+
+
 def test_infinite_range_matches_engine():
     ts = np.linspace(0.02, 1.25, 40)
     for n, p in ((4, 1), (6, 2), (8, 2), (8, 3)):

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spindeph import model, thermal
+from spindeph.dirichlet import ZERO_BLOCK
+from spindeph.dirichlet import zeros as dirichlet_zeros
 from spindeph.engine import (
     EnvPopulations,
     WitnessEvaluator,
     _bisect_sign_changes,
+    _grid_episodes,
     bloch_to_density,
     bloch_vector,
     detect_episodes,
@@ -344,6 +347,9 @@ def test_series_value_does_not_depend_on_the_batch(case):
     assert log_det.tobytes() == np.concatenate([s[0] for s in single]).tobytes()
     assert dlog_det.tobytes() == np.concatenate([s[1] for s in single]).tobytes()
     assert ev.series(ts[::-1])[1][::-1].tobytes() == dlog_det.tobytes()
+    # the derivative-only path
+    assert ev.dlog_det(ts).tobytes() == dlog_det.tobytes()
+    assert [ev.dlog_det(t) for t in ts] == dlog_det.tolist()
 
 
 
@@ -399,11 +405,12 @@ def sequential_episodes(ev, times):
 
 
 def test_batched_bisection_matches_sequential_bitwise():
+    # a Gibbs state at beta > 0 takes the grid route
     spec = random_spec(np.random.default_rng(0), 8, 3)
-    env = thermal.maximally_mixed(5, 1)
-    series = detect_episodes(spec, env, 0.0, 5.0, 200)
+    env = thermal.thermal_populations(spec, 1.0).populations
+    series = detect_episodes(spec, env, 0.0, 15.0, 400)
     reference = sequential_episodes(WitnessEvaluator(spec, env), series.times)
-    boundaries = [x for episode in series.episodes for x in episode if 0.0 < x < 5.0]
+    boundaries = [x for episode in series.episodes for x in episode if 0.0 < x < 15.0]
     assert len(boundaries) >= 40
     assert series.episodes == reference
 
@@ -425,9 +432,9 @@ def test_batched_bisection_non_finite_midpoint():
 def test_bisection_with_zeros_of_A_and_a_root_in_one_grid_interval():
     # A = cos(t) cos(1.001 t): the zeros pi/2.002 and pi/2 of A and the root
     # of the derivative between them fall in one grid interval, whose ends
-    # read - and +. The episode between the first zero and the root is
-    # narrower than the grid and lost; the refined start is a rising edge at
-    # one of the two zeros, where the derivative jumps from -inf to +inf
+    # read - and +. The grid bisection sees one rising edge there and loses
+    # the episode between the first zero and the root; the certified route
+    # finds both episodes
     j = np.zeros((3, 3))
     j[0, 1] = j[1, 0] = 1.0
     j[0, 2] = j[2, 0] = 1.001
@@ -438,12 +445,17 @@ def test_bisection_with_zeros_of_A_and_a_root_in_one_grid_interval():
     k = np.searchsorted(series.times, zeros)
     assert k[0] == k[1]
     assert series.dlogdet_dt[k[0] - 1] < 0.0 < series.dlogdet_dt[k[0]]
-    (start, end), = series.episodes
-    assert np.min(np.abs(start - zeros)) <= 1e-9
     ev = WitnessEvaluator(spec, env)
-    assert ev.dlog_det(start - 1e-8) < 0.0 < ev.dlog_det(start + 1e-8)
-    assert end == series.times[-1]
-    assert series.episodes == sequential_episodes(ev, series.times)
+    grid = _grid_episodes(ev, series.times, series.log_det, series.dlogdet_dt)
+    assert grid == sequential_episodes(ev, series.times)
+    (start, end), = grid
+    assert np.min(np.abs(start - zeros)) <= 1e-9 and end == 3.0
+
+    (a0, b0), (a1, b1) = series.episodes
+    assert a0 == pytest.approx(zeros[0], rel=1e-15) and a1 == pytest.approx(zeros[1], rel=1e-15)
+    assert a0 < b0 < a1
+    assert ev.dlog_det(b0 - 1e-8) > 0.0 > ev.dlog_det(b0 + 1e-8)
+    assert b1 == 3.0
 
 
 def test_pair_count_over_cap_raises():
@@ -766,6 +778,154 @@ def test_detect_episodes_validation():
         detect_episodes(spec, env, 1.0, 1.0, 100)
     with pytest.raises(ValueError):
         detect_episodes(spec, env, 0.0, 1.0, 1)
+
+
+# ---------------------------------------------------------------------------
+# certified episodes: every coupled site uniform
+
+
+def seed5_spec():
+    """N = 11, p = 3, normal couplings: 56 zeros of A in the window (0, 3]."""
+    j = np.random.default_rng(5).normal(size=(11, 11))
+    j = 0.5 * (j + j.T)
+    np.fill_diagonal(j, 0.0)
+    return EnsembleSpec(n_total=11, n_system=3, twice_spin=1, couplings=j, fields=np.zeros(11))
+
+
+def site_frequencies(spec):
+    """Distinct nonzero |nu_j| over pairs a < b and sites j, with their counts."""
+    cfg = config_matrix(spec.n_system, spec.twice_spin).astype(float)
+    a, b = np.triu_indices(len(cfg), 1)
+    nu = np.abs(0.5 * (cfg[a] - cfg[b]) @ spec.cross_couplings).ravel()
+    return np.unique(nu[nu > 0.0], return_counts=True)
+
+
+def test_certified_episodes_seed5_match_mpmath_for_any_grid():
+    mpmath = pytest.importorskip("mpmath")
+    spec, env = seed5_spec(), thermal.maximally_mixed(8, 1)
+    runs = [detect_episodes(spec, env, 0.0, 3.0, points).episodes for points in (200, 2000, 20000)]
+    assert runs[0] == runs[1] == runs[2]
+    episodes = runs[0]
+    assert len(episodes) == 56
+
+    # 40-digit references from the same float nu: A = prod cos(nu t)
+    nus, counts = site_frequencies(spec)
+    with mpmath.workdps(40):
+        rates = [(mpmath.mpf(float(v)), int(c)) for v, c in zip(nus, counts)]
+        zeros = sorted(z for v, _ in rates for k in range(int(3.0 * float(v) / np.pi + 2.0))
+                       for z in [(2 * k + 1) * mpmath.pi / (2 * v)])
+
+        def dlog_det(t):
+            return -2 * sum(c * v * mpmath.tan(v * t) for v, c in rates)
+
+        inside = [z for z in zeros if z < 3]
+        assert len(inside) == 56
+        for (start, end), zero, following in zip(episodes, inside, zeros[1:]):
+            assert abs(start - zero) <= 1e-9 * max(1, zero)
+            if end == 3.0:
+                assert dlog_det(mpmath.mpf(3)) > 0
+                continue
+            root = mpmath.findroot(dlog_det, (mpmath.mpf(end) - 1e-9, mpmath.mpf(end) + 1e-9))
+            assert zero < root < following
+            assert abs(end - root) <= 1e-9 * max(1, root)
+
+
+@st.composite
+def uniform_cases(draw):
+    """Random couplings, spin 1/2, 1 or 3/2, uniform populations, any window."""
+    twice_spin = draw(st.sampled_from([1, 2, 3]))
+    n_system = draw(st.integers(1, 2))
+    n_env = draw(st.integers(1, 3))
+    n = n_system + n_env
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    j = rng.uniform(-1.5, 1.5, (n, n))
+    j = np.triu(j, 1) + np.triu(j, 1).T
+    spec = EnsembleSpec(n_total=n, n_system=n_system, twice_spin=twice_spin,
+                        couplings=j, fields=np.zeros(n))
+    if draw(st.booleans()):
+        env = thermal.maximally_mixed(n_env, twice_spin)
+    else:  # one flat block
+        env = EnvPopulations(n_env, twice_spin, weights=np.full(spec.dim_env, 1.0 / spec.dim_env))
+    t_start = draw(st.floats(-3.0, 3.0))
+    return spec, env, t_start, t_start + draw(st.floats(0.2, 6.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(uniform_cases())
+def test_certified_episodes_rise_and_are_complete(case):
+    spec, env, t_start, t_stop = case
+    ev = WitnessEvaluator(spec, env)
+    episodes = detect_episodes(spec, env, t_start, t_stop, 50).episodes
+    for k, (a, b) in enumerate(episodes):
+        assert t_start <= a < b <= t_stop
+        assert k == 0 or episodes[k - 1][1] <= a
+        assert ev.dlog_det(0.5 * (a + b)) > 0.0
+    # a dense grid bisection finds no episode outside the list: its rising
+    # points lie in listed episodes, and its boundaries are listed ones
+    # (it may miss an end and the next start in one grid interval)
+    times = np.linspace(t_start, t_stop, 4001)
+    log_det, dlog_det = ev.series(times)
+    starts, ends = np.array(episodes + [(np.inf, np.inf)]).T
+    rising = times[np.isfinite(log_det) & (dlog_det > 0.0)]
+    last = np.searchsorted(starts, rising + 2e-9 * np.maximum(1.0, np.abs(rising))) - 1
+    assert np.all(rising <= ends[last] + 2e-9 * np.maximum(1.0, np.abs(rising)))
+    edges = np.concatenate([starts, ends])
+    for edge in np.ravel(_grid_episodes(ev, times, log_det, dlog_det)):
+        assert np.min(np.abs(edges - edge)) <= 2e-9 * max(1.0, abs(edge))
+
+
+def test_certified_windows_start_and_end_inside_episodes():
+    # det = cos^4(t): episodes ((2k+1) pi/2, (k+1) pi)
+    spec, env = ring_spec(6, 1), thermal.maximally_mixed(5, 1)
+    (a0, b0), (a1, b1) = detect_episodes(spec, env, 2.0, 5.5, 7).episodes
+    assert a0 == 2.0 and b0 == pytest.approx(np.pi, rel=1e-9)
+    assert a1 == pytest.approx(1.5 * np.pi, rel=1e-15) and b1 == 5.5
+    assert detect_episodes(spec, env, 2.0, 3.0, 5).episodes == [(2.0, 3.0)]
+    (a, b), = detect_episodes(spec, env, 2, 4, 5).episodes  # an integer window
+    assert a == 2.0 and b == pytest.approx(np.pi, rel=1e-9)
+    assert detect_episodes(spec, env, 3.2, 4.5, 5).episodes == []
+    # just past an episode end the derivative is negative: no episode, although
+    # the end's estimate may lie up to the tolerance past the true root
+    assert detect_episodes(spec, env, np.pi + 1e-11, 4.0, 5).episodes == []
+    # a window opening on a zero of A opens an episode there
+    (a, b), = detect_episodes(spec, env, 0.5 * np.pi, 3.5, 5).episodes
+    assert a == 0.5 * np.pi and b == pytest.approx(np.pi, rel=1e-9)
+
+
+def test_certified_root_solve_rounds_and_evaluations(monkeypatch):
+    spec, env = seed5_spec(), thermal.maximally_mixed(8, 1)
+    calls = []
+    dlog_det = WitnessEvaluator.dlog_det
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return dlog_det(self, t)
+
+    monkeypatch.setattr(WitnessEvaluator, "dlog_det", counted)
+    series = detect_episodes(spec, env, 0.0, 3.0, 200)
+    certified = list(calls)
+    calls.clear()
+    _grid_episodes(WitnessEvaluator(spec, env), series.times, series.log_det, series.dlogdet_dt)
+    assert len(certified) <= 12
+    assert 3 * sum(certified) <= sum(calls)
+
+
+def test_zero_blocks_stay_bounded_on_long_windows():
+    nu, mult = np.array([0.3, 1.0, np.sqrt(2.0)]), np.ones(3)
+    blocks = list(dirichlet_zeros(nu, mult, 2, 0.0, 1e4))
+    assert len(blocks) >= 8
+    assert max(zeros.size for zeros, _ in blocks) <= ZERO_BLOCK + 8
+    # each block is led by the last zero of the one before; together they
+    # hold every zero (2k+1) pi / (2 nu) once
+    for (before, _), (after, _) in zip(blocks, blocks[1:]):
+        assert after[0] == before[-1]
+    zeros = np.concatenate([blocks[0][0]] + [z[1:] for z, _ in blocks[1:]])
+    expected = np.sort(np.concatenate([(2 * np.arange(-3, int(1e4 * v / np.pi) + 3) + 1) * np.pi / (2 * v)
+                                       for v in nu]))
+    inside = (expected > 0.0) & (expected < 1e4)
+    assert np.all(np.diff(zeros) > 0.0)
+    assert np.allclose(zeros[(zeros > 0.0) & (zeros < 1e4)], expected[inside], rtol=1e-14, atol=0.0)
+    assert np.all(np.concatenate([r for _, r in blocks]) == 2.0)
 
 
 def test_env_populations_validation():
