@@ -34,9 +34,8 @@ from .entanglement import (
     partial_trace_env,
     partial_transpose_system,
     system_negativity_series,
-    trace_norm,
 )
-from .linalg import hermitian_eigenvalues, lu_det
+from .linalg import hermitian_eigenvalues, lu_det, trace_norm
 from .model import (
     DEFAULT_ENUM_CAP,
     CouplingModel,

@@ -443,12 +443,7 @@ def cmd_verify(args) -> int:
     else:
         print(text)
     for name, check in sorted(report["checks"].items()):
-        ok = (
-            check["value"] >= check["tolerance"]
-            if check.get("direction") == "min"
-            else check["value"] <= check["tolerance"]
-        )
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {check['value']:.3e}")
+        print(f"{'PASS' if oracle._check_passed(check) else 'FAIL'} {name}: {check['value']:.3e}")
     return 0 if report["passed"] else 1
 
 

@@ -1,4 +1,4 @@
-"""Certified episodes when A is a product of Dirichlet kernels.
+"""Episode boundaries: certified when A is a product of Dirichlet kernels.
 
 With uniform populations on every coupled environment site (the maximally
 mixed environment, and Gibbs at beta = 0) each site contributes to a pair's
@@ -17,6 +17,9 @@ strictly from +inf to -inf. Each zero t = k pi / (n nu), k not a multiple of
 n, opens one episode, which ends at the one root of the derivative before
 the next zero. The episode list is then exact, whatever the time grid.
 The roots of all brackets are found together by ITP around Newton steps.
+
+:func:`itp_newton` also refines the episode boundaries of the grid route,
+sign changes of the derivative between grid points, by false position.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from typing import List, Tuple
 
 import numpy as np
 
+# relative width of a refined bracket; zeros of A closer than it merge
+_REL_TOL = 1e-9
 # zeros of A per block, each bracketing one root; time x rate entries per
 # block of `second_derivative`
 ZERO_BLOCK = 2**10
@@ -36,11 +41,11 @@ def zeros(nu, mult, levels: int, t_start: float, t_stop: float):
     """Zeros of A from before t_start to past t_stop, ascending, in blocks.
 
     Near a zero z of one kernel d log det/dt ~ 2 mult / (t - z), its
-    residue. A zero closer than the bisection tolerance (1e-9 relative) to
-    the next one merges into it, residues summed. Yields (zeros, residues)
-    with about ZERO_BLOCK zeros per block, each block led by the last zero of
-    the one before; the first block holds two zeros per rate before
-    t_start, the last two past t_stop.
+    residue. A zero closer than _REL_TOL relative to the next one merges into
+    it, residues summed. Yields (zeros, residues) with about ZERO_BLOCK
+    zeros per block, each block led by the last zero of the one before; the
+    first block holds two zeros per rate before t_start, the last two past
+    t_stop.
     """
     step = np.pi / (levels * nu)
     first = np.floor(t_start / step) - 2.0
@@ -61,7 +66,7 @@ def zeros(nu, mult, levels: int, t_start: float, t_stop: float):
         order = np.argsort(z, kind="stable")
         z, r = z[order], r[order]
         last = np.ones(z.size, dtype=bool)
-        last[:-1] = z[1:] - z[:-1] > 1e-9 * np.maximum(1.0, np.abs(z[1:]))
+        last[:-1] = z[1:] - z[:-1] > _REL_TOL * np.maximum(1.0, np.abs(z[1:]))
         z, residues = z[last], np.bincount(np.cumsum(last) - last, r)
         yield z, residues
 
@@ -79,26 +84,33 @@ def second_derivative(nu, mult, levels: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def itp_newton(fun, slope, lo, hi, res_lo, res_hi, rel_tol: float = 1e-9) -> np.ndarray:
-    """The root of fun in each bracket (lo, hi) of the arrays, at poles of fun on both ends.
+def itp_newton(fun, lo, hi, g_lo, g_hi, slope=None) -> np.ndarray:
+    """A root of fun in each bracket (lo, hi) of the arrays, all brackets together.
 
-    fun falls from +inf to -inf, like res_lo / (t - lo) and -res_hi / (hi - t)
-    next to the poles. ITP (Oliveira and Takahashi, ACM TOMS 47(1), 2021;
-    kappa1 = 0.2 / width, kappa2 = 2, n0 = 1) to a final bracket of rel_tol
-    relative width: a bracket takes at most one round more than bisection
-    would. The estimate ITP truncates and projects is a Newton step on the
-    pole-free g = fun (t - lo) (hi - t) / (hi - lo) from the last point, g'
-    from `slope` = fun'; before the first point, or where Newton leaves the
-    bracket, false position on g, which is res_lo and -res_hi at the ends.
-    The truncation moves at least a quarter of the tolerance, so that a
-    converged estimate also closes the far side. Each round calls fun and
-    slope once, on all brackets still open.
+    ITP (Oliveira and Takahashi, ACM TOMS 47(1), 2021; kappa1 = 0.2 / width,
+    kappa2 = 2, n0 = 1) to a final bracket of _REL_TOL relative width: a
+    bracket takes at most one round more than bisection would. ITP truncates
+    and projects an estimate of the root; the truncation moves at least a
+    quarter of the tolerance, so that a converged estimate also closes the
+    far side. Each round calls fun, and slope, once on all brackets still
+    open; a bracket's result does not depend on the others.
+
+    g_lo and g_hi, of opposite signs, are g at the ends. Without `slope`,
+    g = fun and the estimate is false position on fun; a non-finite value
+    marks a singular point, across which fun changes sign, and the bracket
+    narrows from above. With `slope` = fun', fun falls from +inf to -inf
+    between poles at lo and hi, and g = fun (t - lo) (hi - t) / (hi - lo) is
+    pole-free, its end values the residues there. The estimate is then a
+    Newton step on g from the last point, or false position on g before the
+    first point and where Newton leaves the bracket; an exact zero of A
+    (NaN) belongs to the nearer pole.
     """
     width = hi - lo
     left, right = lo.copy(), hi.copy()
-    g_left, g_right = res_lo.copy(), -res_hi
+    g_left, g_right = g_lo.copy(), g_hi.copy()
+    sign = np.where(g_lo > 0.0, 1.0, -1.0)  # sign * fun falls across the root
     x, g, dg = (np.full(lo.shape, np.nan) for _ in range(3))
-    eps = 0.5 * rel_tol * np.maximum(1.0, np.minimum(np.abs(lo), np.abs(hi)))
+    eps = 0.5 * _REL_TOL * np.maximum(1.0, np.minimum(np.abs(lo), np.abs(hi)))
     open_ = np.flatnonzero(width > 2.0 * eps)
     budget = np.ceil(np.log2(width[open_] / (2.0 * eps[open_]))) + 1.0
     rounds = 0
@@ -115,12 +127,16 @@ def itp_newton(fun, slope, lo, hi, res_lo, res_hi, rel_tol: float = 1e-9) -> np.
         radius = e * 2.0 ** (budget - rounds) - 0.5 * (b - a)
         t = x[open_] = np.where(np.abs(est - mid) <= radius, est, mid - sigma * radius)
         f = fun(t)
-        # an exact zero of A belongs to the nearer pole
-        f = np.where(np.isnan(f), np.where(t < mid, np.inf, -np.inf), f)
-        after, before = t - lo[open_], hi[open_] - t
-        with np.errstate(invalid="ignore"):
-            g[open_] = f * after * before / width[open_]
-            dg[open_] = (slope(t) * after * before + f * (before - after)) / width[open_]
+        if slope is None:
+            g[open_] = f
+            f = np.where(np.isfinite(f), sign[open_] * f, -np.inf)
+        else:
+            # an exact zero of A belongs to the nearer pole
+            f = np.where(np.isnan(f), np.where(t < mid, np.inf, -np.inf), f)
+            after, before = t - lo[open_], hi[open_] - t
+            with np.errstate(invalid="ignore"):
+                g[open_] = f * after * before / width[open_]
+                dg[open_] = (slope(t) * after * before + f * (before - after)) / width[open_]
         up, down = open_[f > 0.0], open_[f < 0.0]
         left[up], g_left[up] = x[up], g[up]
         right[down], g_right[down] = x[down], g[down]
@@ -149,8 +165,8 @@ def episodes(dlog_det, nu, mult, levels: int, t_start: float, t_stop: float,
         # a bracket across t_stop has its root past it if d_stop > 0
         solve = ~((hi > t_stop) & (d_stop > 0.0))
         end = np.full(lo.shape, t_stop, dtype=float)
-        end[solve] = itp_newton(dlog_det, lambda t: second_derivative(nu, mult, levels, t),
-                                lo[solve], hi[solve], r_lo[solve], r_hi[solve])
+        end[solve] = itp_newton(dlog_det, lo[solve], hi[solve], r_lo[solve], -r_hi[solve],
+                                slope=lambda t: second_derivative(nu, mult, levels, t))
         start, end = np.maximum(lo, t_start), np.minimum(end, t_stop)
         inside = start < end
         found += zip(start[inside].tolist(), end[inside].tolist())

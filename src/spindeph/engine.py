@@ -46,8 +46,9 @@ Episodes are certified where every coupled site has uniform populations
 product of Dirichlet kernels, its zeros are known in closed form, and each
 opens one episode whose end is the one root of the derivative before the
 next zero (see :mod:`spindeph.dirichlet`). Elsewhere episode boundaries are
-bisected between grid points where the sign of the derivative changes, all
-brackets together, one evaluation per round at every open midpoint; each
+the sign changes of the derivative between grid points. Both routes refine
+their brackets with the one ITP root finder of :mod:`spindeph.dirichlet`,
+all brackets together, one evaluation per round at every open bracket; each
 bracket keeps its own stopping rule.
 """
 
@@ -589,36 +590,19 @@ def _det_from_log(log_det: np.ndarray) -> np.ndarray:
     return det
 
 
-def _bisect_sign_changes(fun, lo, hi, f_lo, rel_tol: float = 1e-9) -> np.ndarray:
-    """Locate a sign change of fun in each bracket (lo, hi) of the arrays.
-
-    Each round calls fun once, on the midpoints of all brackets still open.
-    """
-    lo, hi = lo.copy(), hi.copy()
-    want_neg = f_lo > 0.0
-    open_ = np.flatnonzero(hi - lo > rel_tol * np.maximum(1.0, np.abs(hi)))
-    while open_.size:
-        mid = 0.5 * (lo[open_] + hi[open_])
-        f_mid = fun(mid)
-        # a non-finite midpoint is a singular point: the derivative flips
-        # sign across it, so narrow from whichever side keeps the bracket
-        to_hi = ~np.isfinite(f_mid) | ((f_mid < 0.0) == want_neg[open_])
-        hi[open_[to_hi]] = mid[to_hi]
-        lo[open_[~to_hi]] = mid[~to_hi]
-        open_ = open_[hi[open_] - lo[open_] > rel_tol * np.maximum(1.0, np.abs(hi[open_]))]
-    return 0.5 * (lo + hi)
-
-
 def _grid_episodes(ev: WitnessEvaluator, times, log_det, dlogdet) -> List[Tuple[float, float]]:
-    """Episodes from the signs of the derivative on the grid, boundaries bisected.
+    """Episodes from the signs of the derivative on the grid, boundaries refined.
 
     Grid intervals where positivity changes alternate between episode
     starts and ends; an episode open at either end of the grid keeps it.
-    Two boundaries in one grid interval are not seen.
+    Two boundaries in one grid interval are not seen. Each boundary is the
+    sign change in its interval, found by :func:`dirichlet.itp_newton` from
+    the grid values at both ends.
     """
     positive = np.isfinite(log_det) & np.isfinite(dlogdet) & (dlogdet > 0.0)
     k = np.flatnonzero(positive[1:] != positive[:-1]) + 1
-    edges = _bisect_sign_changes(ev.dlog_det, times[k - 1], times[k], dlogdet[k - 1]).tolist()
+    edges = dirichlet.itp_newton(ev.dlog_det, times[k - 1], times[k], dlogdet[k - 1], dlogdet[k])
+    edges = edges.tolist()
     if positive[0]:
         edges.insert(0, float(times[0]))
     if positive[-1]:
@@ -640,10 +624,10 @@ def detect_episodes(
     zeros of A are known in closed form and each bracket between two of them
     holds one episode end, found to 1e-9 relative tolerance; the list is
     complete and does not depend on `points`. Elsewhere episode boundaries
-    are bisected, all brackets together, between grid points where the sign
-    of the log-derivative changes; episodes narrower than the grid can be
-    missed. Grid points where det is an exact zero are excluded from
-    episodes.
+    are the sign changes of the log-derivative between grid points, refined
+    by false position within ITP to the same tolerance, all brackets
+    together; episodes narrower than the grid can be missed. Grid points
+    where det is an exact zero are excluded from episodes.
     """
     if not t_stop > t_start:
         raise ValueError("need t_stop > t_start")

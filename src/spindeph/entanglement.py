@@ -34,13 +34,14 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .engine import EnvPopulations, WitnessEvaluator
-from .linalg import hermitian_eigenvalues, trace_norm
+from .linalg import hermitian_eigenvalues
 from .model import EnsembleSpec, ResourceCapError, total_energies
 
 GLOBAL_DIM_CAP = 1024
 SCHMIDT_BLOCK = 2**16  # entries per stack of evolved vectors or reduced states
 _DIAGONAL_TOL = 1e-14  # off-diagonal size, relative to the largest entry, read as zero
 _PURITY_TOL = 1e-10  # entrywise residual of a rank-one reconstruction
+_PURE_STATE_TOL = 1e-12  # |purity - 1| below which a state may be pure
 
 
 def evolve_global(
@@ -122,7 +123,7 @@ def _schmidt_details(lam2: np.ndarray) -> np.ndarray:
     return np.stack([(tnorm - 1.0) / 2.0, min_eig, tnorm], axis=-1)
 
 
-def negativity_details(rho: np.ndarray, dims: Tuple[int, int], purity_tol: float = 1e-12):
+def negativity_details(rho: np.ndarray, dims: Tuple[int, int]):
     """(negativity, minimum PT eigenvalue, PT trace norm) for a state.
 
     rho may be a stack of states (..., D, D); the three values are then
@@ -145,7 +146,7 @@ def negativity_details(rho: np.ndarray, dims: Tuple[int, int], purity_tol: float
     trace = np.trace(stack, axis1=-2, axis2=-1).real
     out = np.empty((len(stack), 3))
     mixed = np.ones(len(stack), dtype=bool)
-    pure = np.flatnonzero((np.abs(trace - 1.0) < 1e-10) & (np.abs(purity - 1.0) < purity_tol))
+    pure = np.flatnonzero((np.abs(trace - 1.0) < 1e-10) & (np.abs(purity - 1.0) < _PURE_STATE_TOL))
     if pure.size:
         psi, ok = _pure_vectors(stack[pure], tol=_PURITY_TOL)
         pure = pure[ok]
@@ -306,5 +307,4 @@ __all__ = [
     "negativity",
     "negativity_details",
     "system_negativity_series",
-    "trace_norm",
 ]

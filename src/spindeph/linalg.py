@@ -23,6 +23,7 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 _SECTIONS = 8  # subintervals per multisection step: 7 Sturm counts, 3 bits
 _STURM_BUFFER = 2**15  # pivots held between two counts of their signs
+_HERMITICITY_TOL = 1e-10  # |a - a^H|, relative to the largest entry (at least 1)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -192,12 +193,12 @@ def tridiagonal_eigen(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-def hermitian_eigenvalues(a: np.ndarray, hermiticity_tol: float = 1e-10) -> np.ndarray:
+def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues (..., n) of a Hermitian matrix or a stack (..., n, n)."""
     a = np.asarray(a)
     scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1), initial=0.0))
     defect = np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2)), axis=(-2, -1), initial=0.0)
-    if np.any(defect > hermiticity_tol * scale):
+    if np.any(defect > _HERMITICITY_TOL * scale):
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.sort(tridiagonal_eigen(*householder_tridiagonalize(a)), axis=-1)
 

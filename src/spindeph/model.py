@@ -323,22 +323,22 @@ def config_index(config: SpinConfig, twice_spin: int) -> int:
 # ---------------------------------------------------------------------------
 # Hamiltonians, diagonal in the configuration basis
 
+def _energies(spec: EnsembleSpec, sites: slice) -> np.ndarray:
+    """Energies of a slice of sites alone, indexed like config_matrix."""
+    j = spec.couplings[sites, sites]
+    h = spec.fields[sites]
+    v = config_matrix(h.size, spec.twice_spin).astype(float)
+    return -0.25 * np.einsum("ci,ij,cj->c", v, j, v) + 0.5 * (v @ h)
+
+
 def system_energies(spec: EnsembleSpec) -> np.ndarray:
     """System energies for all configurations, indexed like config_matrix."""
-    v = config_matrix(spec.n_system, spec.twice_spin).astype(float)
-    p = spec.n_system
-    j = spec.couplings[:p, :p]
-    h = spec.fields[:p]
-    return -0.25 * np.einsum("ci,ij,cj->c", v, j, v) + 0.5 * (v @ h)
+    return _energies(spec, slice(None, spec.n_system))
 
 
 def env_energies(spec: EnsembleSpec) -> np.ndarray:
     """Environment energies for all configurations, same indexing."""
-    v = config_matrix(spec.n_env, spec.twice_spin).astype(float)
-    p = spec.n_system
-    j = spec.couplings[p:, p:]
-    h = spec.fields[p:]
-    return -0.25 * np.einsum("ci,ij,cj->c", v, j, v) + 0.5 * (v @ h)
+    return _energies(spec, slice(spec.n_system, None))
 
 
 def total_energies(spec: EnsembleSpec) -> np.ndarray:

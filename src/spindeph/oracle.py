@@ -105,6 +105,14 @@ def _random_populations(rng: np.random.Generator, spec: EnsembleSpec) -> EnvPopu
     )
 
 
+def _check_passed(check: dict) -> bool:
+    """Whether a check of a verification report holds: value <= tolerance,
+    or value >= tolerance for direction "min"."""
+    if check.get("direction") == "min":
+        return check["value"] >= check["tolerance"]
+    return check["value"] <= check["tolerance"]
+
+
 def run_verification(
     seed: int = 2024,
     n_specs: int = 50,
@@ -219,11 +227,5 @@ def run_verification(
             },
         },
     }
-    passed = all(
-        c["value"] >= c["tolerance"]
-        if c.get("direction") == "min"
-        else c["value"] <= c["tolerance"]
-        for c in report["checks"].values()
-    )
-    report["passed"] = passed
+    report["passed"] = all(map(_check_passed, report["checks"].values()))
     return report

@@ -31,3 +31,10 @@ def test_no_public_function_takes_a_cap():
     offenders = [name for name, fn in seen.items()
                  if {"cap", "dim_cap"} & set(inspect.signature(fn).parameters)]
     assert offenders == []
+
+
+def test_no_public_function_takes_a_tolerance():
+    # each tolerance has one value in use, a module constant where it applies
+    offenders = [name for name, fn in _public_callables()
+                 if any(p.endswith("_tol") for p in inspect.signature(fn).parameters)]
+    assert offenders == []

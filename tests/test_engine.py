@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spindeph import model, thermal
-from spindeph.dirichlet import ZERO_BLOCK
+from spindeph.dirichlet import ZERO_BLOCK, itp_newton
 from spindeph.dirichlet import zeros as dirichlet_zeros
 from spindeph.engine import (
     EnvPopulations,
     WitnessEvaluator,
-    _bisect_sign_changes,
     _grid_episodes,
     bloch_to_density,
     bloch_vector,
@@ -404,37 +403,85 @@ def sequential_episodes(ev, times):
     return episodes
 
 
-def test_batched_bisection_matches_sequential_bitwise():
-    # a Gibbs state at beta > 0 takes the grid route
+def assert_boundaries_close(episodes, reference):
+    """Same count of episodes, every boundary within 1e-9 relative."""
+    assert len(episodes) == len(reference)
+    got, want = np.ravel(episodes), np.ravel(reference)
+    assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+
+def gibbs_grid_case():
+    """A Gibbs state at beta > 0, which takes the grid route, and its grid brackets."""
     spec = random_spec(np.random.default_rng(0), 8, 3)
     env = thermal.thermal_populations(spec, 1.0).populations
     series = detect_episodes(spec, env, 0.0, 15.0, 400)
+    d = series.dlogdet_dt
+    positive = np.isfinite(series.log_det) & np.isfinite(d) & (d > 0.0)
+    k = np.flatnonzero(positive[1:] != positive[:-1]) + 1
+    return spec, env, series, (series.times[k - 1], series.times[k], d[k - 1], d[k])
+
+
+def test_grid_brackets_batched_equal_one_at_a_time_bitwise():
+    spec, env, _, (lo, hi, f_lo, f_hi) = gibbs_grid_case()
+    ev = WitnessEvaluator(spec, env)
+    assert lo.size >= 40
+    batched = itp_newton(ev.dlog_det, lo, hi, f_lo, f_hi)
+    single = [itp_newton(ev.dlog_det, lo[i : i + 1], hi[i : i + 1], f_lo[i : i + 1], f_hi[i : i + 1])[0]
+              for i in range(lo.size)]
+    assert batched.tolist() == single
+
+
+def test_grid_episodes_match_sequential_bisection():
+    spec, env, series, _ = gibbs_grid_case()
     reference = sequential_episodes(WitnessEvaluator(spec, env), series.times)
     boundaries = [x for episode in series.episodes for x in episode if 0.0 < x < 15.0]
     assert len(boundaries) >= 40
-    assert series.episodes == reference
+    assert_boundaries_close(series.episodes, reference)
 
 
-def test_batched_bisection_non_finite_midpoint():
-    # the first midpoint of (0, 1) is singular: both refinements keep the
-    # lower half, where cos(7t) changes sign at pi/14
+def counted_dlog_det(monkeypatch):
+    """The list of array sizes WitnessEvaluator.dlog_det is called on, one per call."""
+    calls = []
+    dlog_det = WitnessEvaluator.dlog_det
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return dlog_det(self, t)
+
+    monkeypatch.setattr(WitnessEvaluator, "dlog_det", counted)
+    return calls
+
+
+def test_grid_route_rounds(monkeypatch):
+    # bisection takes 25 rounds here
+    spec, env, _, _ = gibbs_grid_case()
+    calls = counted_dlog_det(monkeypatch)
+    detect_episodes(spec, env, 0.0, 15.0, 400)
+    assert 0 < len(calls) <= 12
+
+
+def test_grid_refinement_narrows_past_non_finite_values():
+    # fun is NaN from 0.4 on, a singular point at 0.4. The falling bracket
+    # (0, 1) narrows from above past the NaN values to the root pi/14 of
+    # cos(7t); the rising bracket (0.3, 0.5) has no root and closes on 0.4
     def fun(t):
-        return np.where(t == 0.5, np.nan, np.cos(7.0 * np.asarray(t)))
+        return np.where(t >= 0.4, np.nan, np.cos(7.0 * np.asarray(t)))
 
     lo, hi = np.array([0.0, 0.3]), np.array([1.0, 0.5])
-    batched = _bisect_sign_changes(fun, lo, hi, fun(lo))
-    reference = [sequential_bisect(lambda t: float(fun(t)), a, b, float(fun(a)))
-                 for a, b in zip(lo, hi)]
-    assert batched.tolist() == reference
+    batched = itp_newton(fun, lo, hi, fun(lo), fun(hi))
+    single = [itp_newton(fun, lo[i : i + 1], hi[i : i + 1], fun(lo[i : i + 1]), fun(hi[i : i + 1]))[0]
+              for i in range(2)]
+    assert batched.tolist() == single
     assert batched[0] == pytest.approx(np.pi / 14, abs=1e-9)
+    assert batched[1] == pytest.approx(0.4, abs=1e-9)
 
 
 def test_bisection_with_zeros_of_A_and_a_root_in_one_grid_interval():
     # A = cos(t) cos(1.001 t): the zeros pi/2.002 and pi/2 of A and the root
     # of the derivative between them fall in one grid interval, whose ends
-    # read - and +. The grid bisection sees one rising edge there and loses
-    # the episode between the first zero and the root; the certified route
-    # finds both episodes
+    # read - and +. The grid route sees one rising edge there, refines it
+    # to either zero and loses the episode between the first zero and the
+    # root; the certified route finds both episodes
     j = np.zeros((3, 3))
     j[0, 1] = j[1, 0] = 1.0
     j[0, 2] = j[2, 0] = 1.001
@@ -446,9 +493,7 @@ def test_bisection_with_zeros_of_A_and_a_root_in_one_grid_interval():
     assert k[0] == k[1]
     assert series.dlogdet_dt[k[0] - 1] < 0.0 < series.dlogdet_dt[k[0]]
     ev = WitnessEvaluator(spec, env)
-    grid = _grid_episodes(ev, series.times, series.log_det, series.dlogdet_dt)
-    assert grid == sequential_episodes(ev, series.times)
-    (start, end), = grid
+    (start, end), = _grid_episodes(ev, series.times, series.log_det, series.dlogdet_dt)
     assert np.min(np.abs(start - zeros)) <= 1e-9 and end == 3.0
 
     (a0, b0), (a1, b1) = series.episodes
@@ -860,9 +905,9 @@ def test_certified_episodes_rise_and_are_complete(case):
         assert t_start <= a < b <= t_stop
         assert k == 0 or episodes[k - 1][1] <= a
         assert ev.dlog_det(0.5 * (a + b)) > 0.0
-    # a dense grid bisection finds no episode outside the list: its rising
-    # points lie in listed episodes, and its boundaries are listed ones
-    # (it may miss an end and the next start in one grid interval)
+    # the grid route on a dense grid finds no episode outside the list: its
+    # rising points lie in listed episodes, and its boundaries are listed
+    # ones (it may miss an end and the next start in one grid interval)
     times = np.linspace(t_start, t_stop, 4001)
     log_det, dlog_det = ev.series(times)
     starts, ends = np.array(episodes + [(np.inf, np.inf)]).T
@@ -894,20 +939,11 @@ def test_certified_windows_start_and_end_inside_episodes():
 
 def test_certified_root_solve_rounds_and_evaluations(monkeypatch):
     spec, env = seed5_spec(), thermal.maximally_mixed(8, 1)
-    calls = []
-    dlog_det = WitnessEvaluator.dlog_det
-
-    def counted(self, t):
-        calls.append(np.size(t))
-        return dlog_det(self, t)
-
-    monkeypatch.setattr(WitnessEvaluator, "dlog_det", counted)
-    series = detect_episodes(spec, env, 0.0, 3.0, 200)
-    certified = list(calls)
-    calls.clear()
-    _grid_episodes(WitnessEvaluator(spec, env), series.times, series.log_det, series.dlogdet_dt)
-    assert len(certified) <= 12
-    assert 3 * sum(certified) <= sum(calls)
+    calls = counted_dlog_det(monkeypatch)
+    detect_episodes(spec, env, 0.0, 3.0, 200)
+    # the grid route on this grid took 1,306 evaluations by bisection
+    assert len(calls) <= 12
+    assert sum(calls) <= 435
 
 
 def test_zero_blocks_stay_bounded_on_long_windows():

@@ -3,7 +3,7 @@ import pytest
 
 from spindeph import qubit, thermal
 from spindeph.engine import WitnessEvaluator
-from spindeph.entanglement import trace_norm
+from spindeph.linalg import trace_norm
 from spindeph.model import EnsembleSpec
 
 
