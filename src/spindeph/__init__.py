@@ -35,7 +35,7 @@ from .entanglement import (
     partial_transpose_system,
     system_negativity_series,
 )
-from .linalg import hermitian_eigenvalues, lu_det, trace_norm
+from .linalg import hermitian_eigenvalues, lowest_eigenvalues, lu_det, trace_norm
 from .model import (
     DEFAULT_ENUM_CAP,
     CouplingModel,

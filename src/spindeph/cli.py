@@ -109,6 +109,8 @@ def _grid(cfg: dict, override: str | None) -> np.ndarray:
         start = float(g.get("start", 0.0))
         stop = float(g.get("stop", 2.0 * np.pi))
         points = int(g.get("points", 1000))
+    if not np.isfinite([start, stop, stop - start]).all():
+        raise UsageError("grid bounds and their span must be finite")
     if points < 2:
         raise UsageError("grid needs at least 2 points")
     if not stop > start:
@@ -412,6 +414,8 @@ def cmd_thermo_limit(args) -> int:
         n_list = [int(x) for x in args.n_list.split(",") if x.strip()]
         jt = float(args.jt)
         r = Fraction(args.r) if args.family == "fraction" else None
+    if not np.isfinite(jt):
+        raise UsageError(f"--jt must be finite, got {args.jt}")
     if not n_list:
         raise UsageError("--n-list needs at least one size")
     systems = []
@@ -435,6 +439,10 @@ def cmd_thermo_limit(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.specs < 1:
+        raise UsageError(f"--specs needs at least 1 ensemble, got {args.specs}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     report = oracle.run_verification(seed=args.seed, n_specs=args.specs)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:

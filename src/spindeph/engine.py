@@ -191,6 +191,22 @@ def _merge_frequencies(omegas: np.ndarray, weights: np.ndarray) -> Tuple[np.ndar
     return out_om, out_w
 
 
+def _row_classes(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows in lexicographic order, each row's class and each class's count.
+
+    What ``np.unique(rows, axis=0, return_inverse=True, return_counts=True)``
+    returns for rows without NaN or -0, from one lexsort (first column
+    most significant) and a mask of the rows that differ from the previous one.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse, np.diff(np.append(np.flatnonzero(new), len(rows)))
+
+
 def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Veltkamp's split a = hi + lo, exact, each part of at most 26 significant bits."""
     c = 134217729.0 * a  # 2^27 + 1
@@ -300,9 +316,7 @@ class WitnessEvaluator:
         lead = nu[np.arange(len(nu)), np.argmax(nu != 0.0, axis=1)]
         self._flip = lead < 0.0
         nu[self._flip] *= -1.0
-        classes, inverse, counts = np.unique(nu + 0.0, axis=0, return_inverse=True,
-                                             return_counts=True)
-        self._pair_class = inverse.ravel()
+        classes, self._pair_class, counts = _row_classes(nu + 0.0)
         self._n_classes = len(classes)
 
         # one row per (class, environment block with a coupled site): the

@@ -4,13 +4,16 @@ The eigensolver takes one matrix or a stack (..., n, n). Householder
 reflections reduce each matrix to a real symmetric tridiagonal; the
 tridiagonals are split into unreduced blocks, and the eigenvalues of all
 blocks are found together by Sturm-count multisection (Barth, Martin &
-Wilkinson 1967; LAPACK dstebz). Only eigenvalues are computed.
+Wilkinson 1967; LAPACK dstebz). Only eigenvalues are computed;
+``lowest_eigenvalues`` refines only the lowest one of each block. The LU
+determinant also takes one matrix or a stack.
 
 Accuracy contract: every eigenvalue is within a small multiple of
 n eps ||A||_2 of the exact one (the tests hold each member of a stack to
 (n + 8) eps ||A||_2 of numpy's eigvalsh, itself a few eps ||A||_2 off).
-Every step acts on one matrix at a time or elementwise, so a matrix's
-eigenvalues are bitwise the same alone and inside any stack.
+Every step acts on one matrix at a time or elementwise, on a C-ordered
+copy, so a matrix's eigenvalues are bitwise the same alone and inside any
+stack, whatever the memory layout of the input.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ def householder_tridiagonalize(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """
     a = np.asarray(a)
     shape, n = a.shape[:-2], a.shape[-1]
-    block = np.array(a.reshape((int(np.prod(shape)), n, n)), dtype=complex)
+    # a C-ordered copy: the BLAS products round differently on other layouts
+    block = np.array(a.reshape((int(np.prod(shape)), n, n)), dtype=complex, order="C")
     d = np.zeros((len(block), n))
     e = np.zeros((len(block), max(n - 1, 0)))
     # a column x with |x| <= eps (max|d| + max e) over the entries reduced so
@@ -110,6 +114,84 @@ def _sturm_counts(diag: np.ndarray, off2: np.ndarray, x: np.ndarray) -> np.ndarr
     return count
 
 
+def _block_eigenvalues(d: np.ndarray, e: np.ndarray, count=None):
+    """Split tridiagonals d (m, n), e (m, n-1) into blocks; refine their eigenvalues.
+
+    Returns (first, starts, sizes, mid): ``first`` (m, n) marks the first
+    row of every block, ``starts`` and ``sizes`` give the flat index of the
+    first row and the size of every block of two or more rows, and
+    ``mid[b, k]`` is the k-th eigenvalue of block b for k < count (every
+    k < the largest block size when count is None; past a block's size,
+    padding). See :func:`tridiagonal_eigen`.
+    """
+    m, n = d.shape
+    # the deflation test, with an absolute floor (a purely relative one
+    # never fires in noise-level null spaces); a coupling whose square
+    # underflows splits too
+    norm = np.max(np.abs(d), axis=1, initial=0.0) + np.max(e, axis=1, initial=0.0)
+    split = (e <= _EPS * np.maximum(np.abs(d[:, :-1]) + np.abs(d[:, 1:]), norm[:, None])) | (
+        e * e == 0.0
+    )
+    # blocks in the flat layout, one tridiagonal after the other: a block
+    # starts on the first row of a matrix and after every split
+    first = np.ones(d.shape, dtype=bool)
+    first[:, 1:] = split
+    starts = np.flatnonzero(first)
+    sizes = np.diff(np.append(starts, d.size))
+    starts, sizes = starts[sizes > 1], sizes[sizes > 1]
+    if not starts.size:
+        return first, starts, sizes, np.empty((0, count or 0))
+
+    # rows x blocks, padded past a block's end with d = +inf and coupling 0,
+    # whose pivots are never negative (the coupling out of a block is 0)
+    width = int(sizes.max())
+    rows = np.arange(width)[:, None]
+    inside = rows < sizes
+    index = np.where(inside, starts + rows, 0)
+    diag = np.where(inside, d.ravel()[index], np.inf)
+    coupling = np.append(np.where(split, 0.0, e), np.zeros((m, 1)), axis=1).ravel()
+    coupling = np.where(inside, coupling[index], 0.0)
+    # widened Gershgorin interval [low, low + width0] of each block
+    radius = coupling.copy()
+    radius[1:] += coupling[:-1]
+    low = np.min(np.where(inside, diag - radius, np.inf), axis=0)
+    high = np.max(np.where(inside, diag + radius, -np.inf), axis=0)
+    pad = 2.1 * _EPS * np.maximum(np.abs(low), np.abs(high)) * sizes + _TINY
+    low -= pad
+    width0 = high - low + pad
+    tol = _EPS * norm[starts // n] + _TINY
+    steps = np.ceil(np.log(np.maximum(width0 / tol, 1.0)) / np.log(_SECTIONS)).astype(int)
+
+    # one bracket [lo, lo + h] per (block, eigenvalue index k); padding
+    # brackets take no step. A bracket's steps read only its own block and
+    # its own k, so refining fewer k changes none of them
+    k = np.arange(width if count is None else count)
+    steps = np.where(k < sizes[:, None], steps[:, None], 0)
+    lo = np.repeat(low[:, None], len(k), axis=1)
+    h = np.repeat(width0[:, None], len(k), axis=1)
+    diag, off2 = diag[:, :, None, None], (coupling * coupling)[:, :, None, None]
+    frac = np.arange(1, _SECTIONS) / _SECTIONS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(int(steps.max())):
+            live = steps > step
+            points = lo[:, :, None] + h[:, :, None] * frac
+            # j points lie below the k-th eigenvalue: it is in the j-th
+            # subinterval, [points[j - 1], points[j]]
+            j = np.add.reduce(_sturm_counts(diag, off2, points) <= k[:, None], axis=-1)
+            lo = np.where(live, lo + h * (j / _SECTIONS), lo)
+            h = np.where(live, h / _SECTIONS, h)
+    return first, starts, sizes, lo + 0.5 * h + 0.0
+
+
+def _flat_tridiagonals(d: np.ndarray, e: np.ndarray):
+    """(shape of d, d as (m, n), |e| as (m, n-1)), with -0 turned into +0 in d."""
+    d = np.asarray(d, dtype=float) + 0.0
+    shape, n = d.shape, d.shape[-1]
+    d = d.reshape((int(np.prod(shape[:-1])), n))
+    e = np.abs(np.asarray(e, dtype=float)).reshape((len(d), max(n - 1, 0)))
+    return shape, d, e
+
+
 def tridiagonal_eigen(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Unsorted eigenvalues (..., n) of real symmetric tridiagonals.
 
@@ -127,80 +209,45 @@ def tridiagonal_eigen(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     at the point x = +0 would give: adding +0.0 to the diagonal turns -0
     into +0 and changes nothing else.
     """
-    d = np.asarray(d, dtype=float) + 0.0
-    shape, n = d.shape, d.shape[-1]
-    d = d.reshape((int(np.prod(shape[:-1])), n))
-    e = np.abs(np.asarray(e, dtype=float)).reshape((len(d), max(n - 1, 0)))
+    shape, d, e = _flat_tridiagonals(d, e)
     out = d.copy()
-    if n < 2:
-        return out.reshape(shape)
-    # the deflation test, with an absolute floor (a purely relative one
-    # never fires in noise-level null spaces); a coupling whose square
-    # underflows splits too
-    norm = np.max(np.abs(d), axis=1) + np.max(e, axis=1)
-    split = (e <= _EPS * np.maximum(np.abs(d[:, :-1]) + np.abs(d[:, 1:]), norm[:, None])) | (
-        e * e == 0.0
-    )
-    # blocks in the flat layout, one tridiagonal after the other: a block
-    # starts on the first row of a matrix and after every split
-    first = np.ones(d.shape, dtype=bool)
-    first[:, 1:] = split
-    starts = np.flatnonzero(first)
-    sizes = np.diff(np.append(starts, d.size))
-    starts, sizes = starts[sizes > 1], sizes[sizes > 1]
-    if not starts.size:
-        return out.reshape(shape)
-
-    # rows x blocks, padded past a block's end with d = +inf and coupling 0,
-    # whose pivots are never negative (the coupling out of a block is 0)
-    width = int(sizes.max())
-    rows = np.arange(width)[:, None]
-    inside = rows < sizes
-    index = np.where(inside, starts + rows, 0)
-    diag = np.where(inside, d.ravel()[index], np.inf)
-    coupling = np.append(np.where(split, 0.0, e), np.zeros((len(d), 1)), axis=1).ravel()
-    coupling = np.where(inside, coupling[index], 0.0)
-    # widened Gershgorin interval [low, low + width0] of each block
-    radius = coupling.copy()
-    radius[1:] += coupling[:-1]
-    low = np.min(np.where(inside, diag - radius, np.inf), axis=0)
-    high = np.max(np.where(inside, diag + radius, -np.inf), axis=0)
-    pad = 2.1 * _EPS * np.maximum(np.abs(low), np.abs(high)) * sizes + _TINY
-    low -= pad
-    width0 = high - low + pad
-    tol = _EPS * norm[starts // n] + _TINY
-    steps = np.ceil(np.log(np.maximum(width0 / tol, 1.0)) / np.log(_SECTIONS)).astype(int)
-
-    # one bracket [lo, lo + h] per (block, eigenvalue index k); padding
-    # brackets take no step
-    k = np.arange(width)
+    _, starts, sizes, mid = _block_eigenvalues(d, e)
+    k = np.arange(mid.shape[-1])
     real = k < sizes[:, None]
-    steps = np.where(real, steps[:, None], 0)
-    lo = np.repeat(low[:, None], width, axis=1)
-    h = np.repeat(width0[:, None], width, axis=1)
-    diag, off2 = diag[:, :, None, None], (coupling * coupling)[:, :, None, None]
-    frac = np.arange(1, _SECTIONS) / _SECTIONS
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for step in range(int(steps.max())):
-            live = steps > step
-            points = lo[:, :, None] + h[:, :, None] * frac
-            # j points lie below the k-th eigenvalue: it is in the j-th
-            # subinterval, [points[j - 1], points[j]]
-            j = np.add.reduce(_sturm_counts(diag, off2, points) <= k[:, None], axis=-1)
-            lo = np.where(live, lo + h * (j / _SECTIONS), lo)
-            h = np.where(live, h / _SECTIONS, h)
-    out.ravel()[(starts[:, None] + k)[real]] = (lo + 0.5 * h + 0.0)[real]
+    out.ravel()[(starts[:, None] + k)[real]] = mid[real]
     return out.reshape(shape)
 
 
-def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues (..., n) of a Hermitian matrix or a stack (..., n, n)."""
+def _checked(a: np.ndarray) -> np.ndarray:
+    """a as an array, after checking that every matrix of it is Hermitian."""
     a = np.asarray(a)
     scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1), initial=0.0))
     defect = np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2)), axis=(-2, -1), initial=0.0)
     if np.any(defect > _HERMITICITY_TOL * scale):
         raise ValueError("matrix is not Hermitian within tolerance")
-    return np.sort(tridiagonal_eigen(*householder_tridiagonalize(a)), axis=-1)
+    return a
+
+
+def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (..., n) of a Hermitian matrix or a stack (..., n, n)."""
+    return np.sort(tridiagonal_eigen(*householder_tridiagonalize(_checked(a))), axis=-1)
+
+
+def lowest_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalue (...) of a Hermitian matrix or of each of a stack (..., n, n).
+
+    Equal bitwise to ``hermitian_eigenvalues(a)[..., 0]``: a tridiagonal's
+    lowest eigenvalue is the least of its blocks' lowest ones, so only the
+    k = 0 bracket of each block of two or more rows is refined, by the same
+    steps as when all are.
+    """
+    shape, d, e = _flat_tridiagonals(*householder_tridiagonalize(_checked(a)))
+    first, starts, _, mid = _block_eigenvalues(d, e, 1)
+    # a row that does not start a block holds one of its block's upper
+    # eigenvalues: NaN there, which fmin skips as the sort puts NaN last
+    low = np.where(first, d, np.nan)
+    low.ravel()[starts] = mid[:, 0]
+    return np.fmin.reduce(low, axis=-1).reshape(shape[:-1])
 
 
 def trace_norm(a: np.ndarray) -> float:
@@ -208,21 +255,33 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.sum(np.abs(hermitian_eigenvalues(a))))
 
 
-def lu_det(a: np.ndarray) -> float:
-    """Determinant of a real square matrix via LU with partial pivoting."""
+def lu_det(a: np.ndarray):
+    """Determinant of a real square matrix, or of each of a stack (..., n, n).
+
+    LU with partial pivoting. A single matrix gives a float, a stack an
+    array of shape a.shape[:-2]. Each member takes its own pivots and the
+    same arithmetic as alone, elementwise, so its determinant is bitwise
+    what it gets alone; a member whose pivot column is zero gives exactly
+    0.0, whatever its remaining elimination does, and reaches no other.
+    """
     a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
-    sign = 1.0
-    for k in range(n - 1):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[piv, k] == 0.0:
-            return 0.0
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            sign = -sign
-        factors = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k + 1 :] -= np.outer(factors, a[k, k + 1 :])
-        a[k + 1 :, k] = 0.0
-    return sign * float(np.prod(np.diag(a)))
+    shape, n = a.shape[:-2], a.shape[-1]
+    a = a.reshape((-1, n, n))
+    members = np.arange(len(a))
+    sign = np.ones(len(a))
+    singular = np.zeros(len(a), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n - 1):
+            piv = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
+            singular |= a[members, piv, k] == 0.0
+            # rows k and piv swap; columns before k are never read again
+            row = a[members, piv, k:]
+            a[members, piv, k:] = a[:, k, k:]
+            a[:, k, k:] = row
+            sign[piv != k] *= -1.0
+            factors = a[:, k + 1 :, k] / a[:, k, k, None]
+            a[:, k + 1 :, k + 1 :] -= factors[:, :, None] * a[:, k, None, k + 1 :]
+    det = np.where(singular, 0.0, sign * np.prod(np.diagonal(a, axis1=1, axis2=2), axis=-1))
+    return float(det[0]) if not shape else det.reshape(shape)

@@ -13,6 +13,12 @@ only the energy tables of :mod:`spindeph.model` with the engine.
 invariants into a report, the CLI's ``verify``. Once per ensemble it also
 evolves a coherent rho_E densely and traces it: environment coherences
 must not reach the subsystem, and the dense path checks the contraction.
+It evaluates the engine once per ensemble, at the grid times and the probe
+time together, and gathers the engine's reduced states and the Bloch
+matrices by size into stacks of at most ``entanglement.SCHMIDT_BLOCK``
+entries: one ``lowest_eigenvalues`` call per stack for the positivity
+check and one ``lu_det`` call per stack for the determinant check, each
+member bitwise as alone.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .engine import (
     bloch_to_density,
     bloch_vector,
 )
-from .linalg import hermitian_eigenvalues, lu_det
+from .linalg import lowest_eigenvalues, lu_det
 from .model import EnsembleSpec, ResourceCapError, total_energies
 
 SUPEROP_SYSTEM_DIM_CAP = 16
@@ -57,6 +63,20 @@ def oracle_reduced_state(spec: EnsembleSpec, rho_s0: np.ndarray, rho_e0: np.ndar
     return rho_s0 * _traced_phases(total_energies(spec), spec.dim_system, np.diagonal(rho_e0), t)
 
 
+def _bloch_matrix(spec: EnsembleSpec, env: EnvPopulations, t: float,
+                  energies: Optional[np.ndarray]) -> np.ndarray:
+    """The matrix of :func:`oracle_superoperator`, without its determinant."""
+    dim = spec.dim_system
+    if dim > SUPEROP_SYSTEM_DIM_CAP:
+        raise ResourceCapError(
+            f"superoperator reconstruction capped at D={SUPEROP_SYSTEM_DIM_CAP}, got {dim}"
+        )
+    if energies is None:
+        energies = total_energies(spec)
+    traced = _traced_phases(energies, dim, env.weights, t)
+    return bloch_vector(bloch_to_density(np.eye(dim * dim)) * traced).T
+
+
 def oracle_superoperator(spec: EnsembleSpec, env: EnvPopulations, t: float,
                          energies: Optional[np.ndarray] = None):
     """Bloch evolution matrix: column k is the image of coordinate basis operator k.
@@ -66,15 +86,7 @@ def oracle_superoperator(spec: EnsembleSpec, env: EnvPopulations, t: float,
     determinant from in-package pivoted LU. ``energies`` replaces the
     global energy table, ``total_energies(spec)``.
     """
-    dim = spec.dim_system
-    if dim > SUPEROP_SYSTEM_DIM_CAP:
-        raise ResourceCapError(
-            f"superoperator reconstruction capped at D={SUPEROP_SYSTEM_DIM_CAP}, got {dim}"
-        )
-    if energies is None:
-        energies = total_energies(spec)
-    traced = _traced_phases(energies, dim, env.weights, t)
-    mat = bloch_vector(bloch_to_density(np.eye(dim * dim)) * traced).T
+    mat = _bloch_matrix(spec, env, t, energies)
     return mat, lu_det(mat)
 
 
@@ -135,14 +147,27 @@ def run_verification(
     dev_block = 0.0
     dev_coherence = 0.0
     dev_trace = 0.0
-    # engine reduced states by dimension, one eigensolver call per stack
     min_eigenvalue = float("inf")
-    states = {}
+    # engine reduced states, and superoperator matrices with the engine's
+    # determinant, by system dimension: one linalg call per stack
+    states, dets = {}, {}
 
-    def fold(dim):
+    def fold_states(dim):
         nonlocal min_eigenvalue
-        eigs = hermitian_eigenvalues(np.array(states.pop(dim)))
-        min_eigenvalue = min(min_eigenvalue, float(eigs[:, 0].min()))
+        low = lowest_eigenvalues(states.pop(dim))
+        min_eigenvalue = min(min_eigenvalue, float(low.min()))
+
+    def fold_dets(dim):
+        nonlocal dev_det
+        mats, engine_dets = zip(*dets.pop(dim))
+        for det_lu, det_engine in zip(lu_det(mats).tolist(), engine_dets):
+            dev_det = max(dev_det, abs(det_lu - det_engine) / det_engine)
+
+    def push(stacks, fold, dim, items, entries):
+        stack = stacks.setdefault(dim, [])
+        stack.extend(items)
+        if len(stack) * entries >= entanglement.SCHMIDT_BLOCK:
+            fold(dim)
 
     for _ in range(n_specs):
         n_total = int(rng.integers(3, 9))
@@ -151,39 +176,38 @@ def run_verification(
         env = _random_populations(rng, spec)
         rho_s0 = _random_density(rng, spec.dim_system)
         ev = WitnessEvaluator(spec, env)
+        dim = spec.dim_system
 
         times = rng.uniform(0.0, 6.0, size=time_points)
         energies = total_energies(spec) if energy_override is None else energy_override(spec)
-        engine_rho = ev.reduced_state(rho_s0, times)
-        oracle_rho = rho_s0 * _traced_phases(energies, spec.dim_system, env.weights, times)
-        dev_state = max(dev_state, float(np.max(np.abs(engine_rho - oracle_rho))))
-        trace = np.trace(engine_rho, axis1=-2, axis2=-1).real
-        dev_trace = max(dev_trace, float(np.max(np.abs(trace - 1.0))))
-        stack = states.setdefault(spec.dim_system, [])
-        stack.extend(engine_rho)
-        if len(stack) * spec.dim_system**2 >= entanglement.SCHMIDT_BLOCK:
-            fold(spec.dim_system)
-
-        # coherence independence: environment off-diagonals never reach
-        # rho_S; the dense evolution also cross-checks the contraction
+        # a coherent rho_E for the probe below, drawn before the engine runs
         g = rng.normal(size=(spec.dim_env, spec.dim_env)) + 1j * rng.normal(
             size=(spec.dim_env, spec.dim_env)
         )
         rho_e_coh = 0.1 * (g + g.conj().T) / spec.dim_env
         np.fill_diagonal(rho_e_coh, env.weights)
         t_probe = float(rng.uniform(0.3, 3.0))
-        # no name holds the D x D matrix past the trace
+        # the engine at the grid times and the probe time in one call
+        engine_all = ev.reduced_state(rho_s0, np.append(times, t_probe))
+        engine_rho = engine_all[:-1]
+        oracle_rho = rho_s0 * _traced_phases(energies, dim, env.weights, times)
+        dev_state = max(dev_state, float(np.max(np.abs(engine_rho - oracle_rho))))
+        trace = np.trace(engine_rho, axis1=-2, axis2=-1).real
+        dev_trace = max(dev_trace, float(np.max(np.abs(trace - 1.0))))
+        push(states, fold_states, dim, engine_rho, dim**2)
+
+        # coherence independence: environment off-diagonals never reach
+        # rho_S; the dense evolution also cross-checks the contraction.
+        # No name holds the D x D matrix past the trace
         probe = entanglement.partial_trace_env(
             entanglement.evolve_global(spec, rho_s0, rho_e_coh, t_probe, energies),
-            (spec.dim_system, spec.dim_env),
+            (dim, spec.dim_env),
         )
-        dev_coherence = max(
-            dev_coherence, float(np.max(np.abs(probe - ev.reduced_state(rho_s0, t_probe))))
-        )
+        dev_coherence = max(dev_coherence, float(np.max(np.abs(probe - engine_all[-1]))))
 
         # determinant dual path, at a point where det is not degenerate
         # (a relative comparison at det ~ 0 would be meaningless)
-        if spec.dim_system <= 8:
+        if dim <= 8:
             t_det = None
             for _ in range(40):
                 t_try = float(rng.uniform(0.05, 3.0))
@@ -193,9 +217,8 @@ def run_verification(
                     break
             if t_det is None:
                 continue
-            mat, det_lu = oracle_superoperator(spec, env, t_det, energies)
-            det_engine = float(np.exp(log_det[0]))
-            dev_det = max(dev_det, abs(det_lu - det_engine) / det_engine)
+            mat = _bloch_matrix(spec, env, t_det, energies)
+            push(dets, fold_dets, dim, [(mat, float(np.exp(log_det[0])))], mat.size)
             # off-block entries of the reconstructed map must vanish
             mask = np.ones_like(mat, dtype=bool)
             for k in range(len(ev.pair_index)):
@@ -205,7 +228,9 @@ def run_verification(
             dev_block = max(dev_block, float(np.max(np.abs(mat[mask]))))
 
     for dim in list(states):
-        fold(dim)
+        fold_states(dim)
+    for dim in list(dets):
+        fold_dets(dim)
     report = {
         "seed": seed,
         "specs": n_specs,

@@ -302,6 +302,37 @@ def test_malformed_grid_is_usage_error(tmp_path, capsys):
     )
 
 
+def test_non_finite_grid_is_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    cfg = write_config(tmp_path, BASE)
+    for grid in ("0:inf:10", "-inf:1:10", "0:nan:10", "-1e308:1e308:10"):
+        msg = _expect_usage_error(["witness", "--config", cfg, "--out", out, f"--grid={grid}"], capsys)
+        assert "finite" in msg
+    # the JSON reader takes Infinity and NaN
+    for bound in ("start", "stop"):
+        doc = dict(BASE, grid=dict(BASE["grid"], **{bound: float("inf")}))
+        cfg = write_config(tmp_path, doc, name=f"{bound}.json")
+        _expect_usage_error(["witness", "--config", cfg, "--out", out], capsys)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_non_finite_jt_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for jt in ("nan", "inf", "-inf"):
+        msg = _expect_usage_error(["thermo-limit", "--family", "fixed-p", "--n-list", "10",
+                                   f"--jt={jt}", "--out", str(out)], capsys)
+        assert "--jt" in msg
+    assert not out.exists()
+
+
+def test_verify_specs_and_seed_out_of_range_are_usage_errors(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    for argv in (["--specs", "0"], ["--specs", "-3"], ["--seed", "-1"]):
+        msg = _expect_usage_error(["verify", *argv, "--out", str(out)], capsys)
+        assert argv[0] in msg
+    assert not out.exists()
+
+
 def test_system_block_over_cap_is_usage_error(tmp_path, capsys):
     # 2^21 system configurations: rejected while the ensemble is read
     doc = dict(BASE, ensemble=dict(BASE["ensemble"], n_total=23, n_system=21))

@@ -975,3 +975,28 @@ def test_env_populations_validation():
             EnvPopulations(n_sites=2, twice_spin=1, blocks=blocks)
     with pytest.raises(ValueError):
         EnvPopulations(n_sites=1, twice_spin=1)
+
+
+def test_nu_classes_as_numpy_unique():
+    # the evaluator groups pairs into nu classes as np.unique(axis=0) would
+    # (a test-local reference): same classes, order, pair classes and counts
+    from spindeph.engine import _row_classes
+
+    rng = np.random.default_rng(31)
+    zero = EnsembleSpec(n_total=6, n_system=3, twice_spin=1, couplings=np.zeros((6, 6)), fields=0.2)
+    specs = [random_spec(rng, 7, 3), random_spec(rng, 5, 2, twice_spin=2), ring_spec(14, 5),
+             ring_spec(9, 3), zero]
+    for spec in specs:
+        cfg = config_matrix(spec.n_system, spec.twice_spin).astype(float)
+        a, b = np.triu_indices(len(cfg), k=1)
+        nu = 0.5 * ((cfg[a] - cfg[b]) @ spec.cross_couplings)
+        lead = nu[np.arange(len(nu)), np.argmax(nu != 0.0, axis=1)]
+        nu[lead < 0.0] *= -1.0
+        classes, inverse, counts = np.unique(nu + 0.0, axis=0, return_inverse=True,
+                                             return_counts=True)
+        mine = _row_classes(nu + 0.0)
+        assert np.array_equal(mine[0], classes)
+        assert np.array_equal(mine[1], inverse.ravel())
+        assert np.array_equal(mine[2], counts)
+        ev = WitnessEvaluator(spec, thermal.maximally_mixed(spec.n_env, spec.twice_spin))
+        assert np.array_equal(ev._pair_class, inverse.ravel())

@@ -123,6 +123,14 @@ def _stack_cases(rng, n, members=3):
     identity = (q * -1.0) @ np.swapaxes(q.conj(), -1, -2)
     sparse = herm(members, n, n) * (rng.random(size=(members, n, n)) < 0.3)
     sparse = sparse + np.swapaxes(sparse.conj(), -1, -2)
+    # two diagonal blocks, as they stand (the tridiagonal splits where they
+    # meet) and with rows and columns interleaved; the fancy indexing
+    # leaves that stack Fortran-ordered
+    half = n // 2
+    split = np.zeros((members, n, n), dtype=complex)
+    split[:, :half, :half] = herm(members, half, half)
+    split[:, half:, half:] = 3.0 * herm(members, n - half, n - half)
+    interleave = np.argsort(np.arange(n) % 2, kind="stable")
     return {
         "random": herm(members, n, n),
         "rank_one": psi @ np.swapaxes(psi.conj(), -1, -2),
@@ -132,6 +140,8 @@ def _stack_cases(rng, n, members=3):
         "zero": np.zeros((members, n, n), dtype=complex),
         "diagonal": np.apply_along_axis(np.diag, -1, rng.normal(size=(members, n))),
         "sparse": sparse,
+        "split": split,
+        "split_interleaved": split[:, interleave][:, :, interleave],
     }
 
 
@@ -149,6 +159,69 @@ def test_stack_members_within_n_eps_norm(n):
         for a, mine in zip(stack, vals):
             err = np.max(np.abs(mine - np.linalg.eigvalsh(a)))
             assert err <= (n + 8) * EPS * np.linalg.norm(a, 2), (kind, err)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 200])
+def test_stack_members_lowest_eigenvalue_and_det_bitwise_as_alone(n):
+    # the lowest eigenvalue is the first of all eigenvalues, and lu_det of
+    # each member is what it gets alone, bitwise, alone and in a stack
+    rng = np.random.default_rng(100 + n)
+    for kind, stack in _stack_cases(rng, n, members=2 if n > 100 else 4).items():
+        low = linalg.lowest_eigenvalues(stack)
+        dets = linalg.lu_det(stack.real)
+        assert low.shape == dets.shape == stack.shape[:1], kind
+        for a, mine, det in zip(stack, low, dets):
+            first = linalg.hermitian_eigenvalues(a)[..., 0]
+            assert np.array_equal(_bits(first), _bits(mine)), kind
+            assert np.array_equal(_bits(first), _bits(linalg.lowest_eigenvalues(a))), kind
+            alone = linalg.lu_det(a.real)
+            assert isinstance(alone, float), kind
+            assert np.array_equal(_bits(alone), _bits(det)), kind
+
+
+def _reference_lu_det(a):
+    """One matrix at a time, row swaps and rank-1 updates as written in textbooks."""
+    a = np.array(a, dtype=float)
+    n, sign = len(a), 1.0
+    for k in range(n - 1):
+        piv = k + int(np.argmax(np.abs(a[k:, k])))
+        if a[piv, k] == 0.0:
+            return 0.0
+        if piv != k:
+            a[[k, piv]] = a[[piv, k]]
+            sign = -sign
+        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k] / a[k, k], a[k, k + 1 :])
+    return sign * float(np.prod(np.diag(a)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+def test_lu_det_stack_bitwise_as_reference_loop(n):
+    rng = np.random.default_rng(200 + n)
+    stack = rng.normal(size=(6, n, n)) * 10.0 ** rng.integers(-8, 8, size=(6, 1, 1))
+    stack[1] = np.round(stack[1])  # ties between pivot candidates
+    stack[2, :, n // 2] = 0.0
+    dets = linalg.lu_det(stack)
+    for a, det in zip(stack, dets):
+        assert _bits(_reference_lu_det(a)) == _bits(det)
+
+
+def test_lu_det_stack_with_singular_member_and_permutations():
+    rng = np.random.default_rng(8)
+    regular = rng.normal(size=(5, 5))
+    singular = rng.normal(size=(5, 5))
+    singular[:, 2] = 0.0  # a zero pivot column at step 2
+    odd, even = np.eye(5)[[1, 0, 2, 3, 4]], np.eye(5)[[1, 2, 0, 3, 4]]
+    stack = np.stack([regular, singular, odd, even, regular[::-1]])
+    dets = linalg.lu_det(stack)
+    assert dets.shape == (5,)
+    assert _bits(dets[1]) == _bits(0.0)
+    assert dets[2] == -1.0 and dets[3] == 1.0
+    assert dets[4] == pytest.approx(linalg.lu_det(regular), rel=1e-13)  # two row swaps
+    for a, det in zip(stack, dets):
+        assert _bits(linalg.lu_det(a)) == _bits(det)
+    assert linalg.lu_det(stack.reshape(5, 1, 5, 5)).shape == (5, 1)
+    with pytest.raises(ValueError):
+        linalg.lu_det(np.ones((2, 3)))
 
 
 def test_stack_shape_and_order():
@@ -194,7 +267,19 @@ def test_stack_eigenvalues_bitwise_as_alone(stack):
     # reversed stack: nothing of one member reaches another
     together = linalg.hermitian_eigenvalues(stack)
     reversed_ = linalg.hermitian_eigenvalues(stack[::-1])[::-1]
+    assert np.array_equal(_bits(together[:, 0]), _bits(linalg.lowest_eigenvalues(stack)))
     for a, mine, rev in zip(stack, together, reversed_):
         alone = linalg.hermitian_eigenvalues(a)
         assert np.array_equal(_bits(alone), _bits(mine))
         assert np.array_equal(_bits(alone), _bits(rev))
+
+
+def test_eigenvalues_do_not_depend_on_memory_layout():
+    # a Fortran-ordered matrix or stack gives the bits of its C-ordered copy
+    rng = np.random.default_rng(9)
+    for shape in ((12, 12), (3, 12, 12)):
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        a = g + np.swapaxes(g.conj(), -1, -2)
+        f = np.asfortranarray(a)
+        for fn in (linalg.hermitian_eigenvalues, linalg.lowest_eigenvalues):
+            assert np.array_equal(_bits(fn(f)), _bits(fn(a)))

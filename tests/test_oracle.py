@@ -251,3 +251,23 @@ def test_run_verification_catches_scaled_interaction():
     for name in ("reduced_state_max_abs_dev", "env_coherence_independence_max_abs_dev",
                  "superoperator_det_max_rel_dev"):
         assert ratio[name] > 1e6, name
+
+
+@pytest.mark.parametrize("block", [None, 256])
+def test_run_verification_stacks_change_no_value(monkeypatch, block):
+    # the stacked determinants and the lowest-eigenvalue path against
+    # per-matrix reference paths: the same report but for the time taken;
+    # a small stack bound folds the stacks inside the loop
+    from spindeph import linalg
+
+    if block is not None:
+        monkeypatch.setattr(entanglement, "SCHMIDT_BLOCK", block)
+    runs = ((3, 12), (7, 6))
+    stacked = [oracle.run_verification(seed=seed, n_specs=n) for seed, n in runs]
+    monkeypatch.setattr(oracle, "lu_det", lambda a: np.array([linalg.lu_det(m) for m in a]))
+    monkeypatch.setattr(oracle, "lowest_eigenvalues",
+                        lambda a: linalg.hermitian_eigenvalues(a)[..., 0])
+    single = [oracle.run_verification(seed=seed, n_specs=n) for seed, n in runs]
+    for a, b in zip(stacked, single):
+        a.pop("elapsed_seconds"), b.pop("elapsed_seconds")
+        assert repr(a) == repr(b)
