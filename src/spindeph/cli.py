@@ -197,7 +197,9 @@ def _state_matrix(doc: dict, n_sites: int, twice_spin: int) -> np.ndarray:
 def _column_text(column):
     """A column's values as text, formatted lazily, the format chosen once
     from its dtype: repr for reals, decimal for integers (any size) and 0/1
-    for bools."""
+    for bools. A list of strings is a column formatted already."""
+    if isinstance(column, list) and column and isinstance(column[0], str):
+        return column
     values = np.asarray(column)
     if values.dtype.kind == "b":
         values = values.astype(np.int8)
@@ -299,6 +301,7 @@ def cmd_thermal_sweep(args) -> int:
     times = _grid(cfg, args.grid)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    t_text = None  # every file has the same time column: format it once
     for token in _parse_betas(args.betas):
         env = _thermal(spec, token)
         label = "inf" if token == "infinity" else token
@@ -306,10 +309,11 @@ def cmd_thermal_sweep(args) -> int:
             spec, env, float(times[0]), float(times[-1]), times.size
         )
         path = out_dir / f"witness_beta_{label}.csv"
+        t_text = t_text or list(_column_text(series.times))
         write_csv(
             path,
             ["t", "log_det", "det", "dlogdet_dt", "in_episode"],
-            [series.times, series.log_det, series.det, series.dlogdet_dt, series.in_episode],
+            [t_text, series.log_det, series.det, series.dlogdet_dt, series.in_episode],
         )
         print(f"wrote {path} ({len(series.episodes)} episodes)")
     return 0
@@ -458,39 +462,61 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Unbuilt:
+    """Stands in for the parser of a subcommand that is not built."""
+
+    def add_argument(self, *args, **kwargs):
+        pass
+
+    set_defaults = add_argument
+
+
+_COMMANDS = ("witness", "thermal-sweep", "compare-measures", "negativity", "thermo-limit", "verify")
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing leaves it unchanged."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged.
+
+    With a command, only that subcommand's parser is built: its help, its
+    usage errors and the top-level usage line read as the full parser's.
+    """
     parser = argparse.ArgumentParser(
         prog="spindeph",
         description="Exact dephasing dynamics and non-Markovianity witnesses "
         "for spin subsystems of pairwise-ZZ ensembles.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the usage line lists every subcommand, whichever are built
+    choices = "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if command is None else choices)
+
+    def add_parser(name, help_text):
+        return sub.add_parser(name, help=help_text) if command in (None, name) else _Unbuilt()
 
     def add_common(p):
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--grid", help="time grid override start:stop:points (units 1/J)")
 
-    p = sub.add_parser("witness", help="witness series and episode detection")
+    p = add_parser("witness", "witness series and episode detection")
     add_common(p)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--episodes", help="episode JSON path (default: derived from --out)")
     p.add_argument("--closed-form", choices=_CLOSED_FORMS, help="add comparison columns")
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("thermal-sweep", help="one witness CSV per inverse temperature")
+    p = add_parser("thermal-sweep", "one witness CSV per inverse temperature")
     add_common(p)
     p.add_argument("--betas", required=True, help="comma list, e.g. 0,1,3,inf (units 1/J)")
     p.add_argument("--out-dir", required=True, help="output directory")
     p.set_defaults(func=cmd_thermal_sweep)
 
-    p = sub.add_parser("compare-measures", help="geometric vs RHP vs BLP flags (p=1)")
+    p = add_parser("compare-measures", "geometric vs RHP vs BLP flags (p=1)")
     add_common(p)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_compare_measures)
 
-    p = sub.add_parser("negativity", help="entanglement series across a cut")
+    p = add_parser("negativity", "entanglement series across a cut")
     add_common(p)
     p.add_argument("--cut", help="'global' or 'system:<sites>' (default from config)")
     p.add_argument("--threads", type=int, default=1,
@@ -498,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_negativity)
 
-    p = sub.add_parser("thermo-limit", help="closed-form log det versus ensemble size")
+    p = add_parser("thermo-limit", "closed-form log det versus ensemble size")
     p.add_argument("--family", required=True, choices=("fixed-p", "fraction"))
     p.add_argument("--n-list", required=True, help="comma list of ensemble sizes")
     p.add_argument("--p", type=int, default=1, help="system size for fixed-p")
@@ -507,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_thermo_limit)
 
-    p = sub.add_parser("verify", help="run the oracle verification suite")
+    p = add_parser("verify", "run the oracle verification suite")
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--specs", type=int, default=50, help="number of random ensembles")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -517,7 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -30,16 +30,21 @@ determinant is kept in log space throughout; the closed-form exponents grow
 like 2^(2p) and would underflow any float.
 
 The witness needs log|A| to stay accurate near zeros of A, where a double
-precision frequency sum loses all relative accuracy to cancellation. The
-merged rows are therefore sorted by kind. A row of one frequency (the point
-masses of basis and beta = infinity environments) is a pure phase, |A| = 1,
-and drops out of the witness. A row of two opposite frequencies +-w (a
-coupled site of a spin-1/2 product environment with both levels populated,
-or a Gibbs block with one coupled site) is evaluated in closed form in
-double, its phase t w carried exactly as a Dekker product and its rows
-summed by an error-free extraction. Every other row (Gibbs blocks of two or
-more coupled sites at beta > 0, spin > 1/2) is summed in extended precision
-(numpy longdouble).
+precision frequency sum loses all relative accuracy to cancellation, and
+near |A| = 1, where log|A|^2 is tiny. Everything runs in double, with
+error-free transformations in place of wider floats. A row of one
+frequency (the point masses of basis and beta = infinity environments) is
+a pure phase, |A| = 1, and drops out of the witness. Every other row is
+normalized by its weight total and written over its distinct rates: its
+frequencies and their differences are formed from integer configurations
+times nu as compensated dot products (Dot2), each phase t r is carried
+exactly as a Dekker product, and the rows of a time are summed by an
+error-free extraction. A row of at most PAIRWISE_MAX = 16 frequencies
+(the two-level rows of spin-1/2 product environments, and every
+nearest-neighbour Gibbs block up to spin 3/2) takes the pairwise form
+1 - |A|^2 = 4 sum_{k<l} w_k w_l sin^2((omega_k - omega_l) t / 2), whose
+terms share one sign; a wider row (a flat Gibbs block on random couplings)
+takes c and s from accurate sums.
 
 Episodes are certified where every coupled site has uniform populations
 (the maximally mixed environment, and Gibbs at beta = 0): A is then a
@@ -71,11 +76,17 @@ from .model import (
 )
 
 DET_UNDERFLOW_LOG = -690.0  # exp() underflows double below roughly -745
-# time x row x frequency entries per block of `factors` and `series` (a
-# two-level row counts one entry); rows of a product environment hold few
+# time x row x frequency entries per block of `factors`, time x row x rate
+# entries per block of `series`; rows of a product environment hold few
 # frequencies, so the time x row temporaries are about as large as a block:
 # 2^12 ran as fast as 2^13 with half the peak
 SERIES_BLOCK = 2**12
+# rows of at most this many merged frequencies take the pairwise form, wider
+# ones the wide form (see _Rows). On 13 rows of random frequencies over 1000
+# times, pairwise costs 1.2, 1.7, 2.1, 3.2 and 4.8 times wide at 4, 8, 16,
+# 32 and 64 frequencies; 16 keeps nearest-neighbour blocks up to spin 3/2
+# pairwise, accurate to ulps next to |A| = 1
+PAIRWISE_MAX = 16
 
 
 class EnvBlock(NamedTuple):
@@ -214,8 +225,8 @@ def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
-def _accurate_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis of n terms with about one rounding.
+def _accurate_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sum over an axis (the last by default) of n terms with about one rounding.
 
     Rump, Ogita and Oishi's extraction (2008): with sigma a power of two
     above (n + 2) max|x|, q = (sigma + x) - sigma is exact and lies on the
@@ -224,11 +235,11 @@ def _accurate_sum(x: np.ndarray) -> np.ndarray:
     n^2 eps^2 max|x|, whatever the order of the terms and the other axes.
     A non-finite term makes the sum non-finite as a plain sum would.
     """
-    top = np.max(np.abs(x), axis=-1, keepdims=True, initial=0.0)
-    sigma = np.ldexp(1.0, np.frexp(top)[1] + (x.shape[-1] + 2).bit_length())
+    top = np.max(np.abs(x), axis=axis, keepdims=True, initial=0.0)
+    sigma = np.ldexp(1.0, np.frexp(top)[1] + (x.shape[axis] + 2).bit_length())
     q = (sigma + x) - sigma
-    high = q.sum(axis=-1)
-    return high + np.where(np.isfinite(high), (x - q).sum(axis=-1), 0.0)
+    high = q.sum(axis=axis)
+    return high + np.where(np.isfinite(high), (x - q).sum(axis=axis), 0.0)
 
 
 def _row_dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -236,58 +247,165 @@ def _row_dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(x[..., None, :], w[:, :, None])[..., 0, 0]
 
 
-class _TwoLevelRows(NamedTuple):
-    """Rows of two frequencies +-omega, weights w+ and w-, as `series` reads them.
+def _two_sum(a, b):
+    """Knuth's TwoSum: a + b = s + e exactly."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
 
-    A = S cos x + 1 - S + i m sin x with x = omega t, S = w+ + w- and
-    m = w+ - w-.
+
+def _dot2(u: np.ndarray, nu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """sum_j u[..., j] nu[..., j] as an unevaluated sum hi + lo, to about twice double precision.
+
+    Ogita, Rump and Oishi's Dot2 (2005). u holds small integers (twice spin
+    values and their differences), so u nu splits exactly into p + e with
+    Veltkamp halves of nu alone.
+    """
+    nu_hi, nu_lo = _split(nu)
+    p = u * nu
+    e = (u * nu_hi - p) + u * nu_lo
+    hi, lo = p[..., 0], e[..., 0]
+    for j in range(1, u.shape[-1]):
+        hi, q = _two_sum(hi, p[..., j])
+        lo = lo + (q + e[..., j])
+    return _two_sum(hi, lo)
+
+
+class _Rows(NamedTuple):
+    """Witness rows with the same number of distinct rates, as `series` reads them.
+
+    A row is A = sum_k w_k e^{i omega_k t} / S with S = sum_k w_k, so that
+    |A| <= 1 and A(0) = 1 although float weights sum to 1 +- ulp. It is
+    written over its distinct rates r_j >= 0, each carried as
+    rate + rate_lo: Re A = sum_j wc_j cos(r_j t), Im A = sum_j ws_j sin(r_j t).
+    A pairwise row also holds the half differences |omega_k - omega_l| / 2
+    among its rates, and with them
+
+        1 - |A|^2 = sum_j sq_j sin^2(r_j t)
+        d|A|^2/dt = sum_j sc_j sin(r_j t) cos(r_j t)
+
+    where sq and sc sum 4 w_k w_l / S^2 and -8 w_k w_l r / S^2 over the
+    pairs k < l. A wide row holds Re A' = sum_j dc_j sin(r_j t) and
+    Im A' = sum_j ds_j cos(r_j t). Arrays are (rates, rows, 1), mult is
+    (rows, 1); ws and ds are None where every row is symmetric (ws = 0).
     """
 
-    omega: np.ndarray
-    omega_hi: np.ndarray  # Veltkamp halves of omega
-    omega_lo: np.ndarray
-    total: np.ndarray  # S
-    shift: np.ndarray  # 1 - S
-    skew: np.ndarray  # S (1 - S)
-    m2: np.ndarray  # m^2
-    k: np.ndarray  # S^2 - m^2 = 4 w+ w-
+    rate: np.ndarray
+    rate_lo: np.ndarray
+    wc: np.ndarray
+    ws: np.ndarray
     mult: np.ndarray  # the class's multiplicity
+    sq: np.ndarray = None  # pairwise rows
+    sc: np.ndarray = None
+    dc: np.ndarray = None  # wide rows
+    ds: np.ndarray = None
 
     def terms(self, t: np.ndarray, value: bool = True) -> np.ndarray:
-        """mult x (log|A|^2, d/dt log|A|^2) at times t, shape (2, times, rows), in double.
+        """mult x (log|A|^2, d/dt log|A|^2) at times t, shape (2, rows, times), in double.
 
-        x = omega t is carried as the exact sum hi + lo of Dekker's product,
-        and cos x = cos hi - sin hi lo, sin x = sin hi + cos hi lo to double
-        precision, so the rounding of t omega does not reach log|A| near its
-        zeros. With k = S^2 - m^2,
-
-            |A|^2 - 1 = -k sin^2 x - 2 S (1 - S) (1 - cos x)
-            d/dt log|A|^2 = -2 omega sin x (k cos x + S (1 - S)) / |A|^2
-
-        free of cancellation; log|A|^2 is log1p of the first where
-        |A|^2 > 1/2 and log(c^2 + s^2), c = S cos x + 1 - S, elsewhere.
-        With value=False only the derivative, shape (times, rows).
+        Each phase r t is carried as the exact sum hi + lo of Dekker's
+        product (plus t rate_lo), and cos = cos hi - sin hi lo, sin = sin hi
+        + cos hi lo to double precision, so the rounding of t r does not
+        reach log|A| near its zeros. log|A|^2 is log1p(-x), x = 1 - |A|^2,
+        where |A|^2 > 1/2 and log(c^2 + s^2) elsewhere. A pairwise row's x
+        is a sum of terms of one sign. A wide row's x is v (2 - v) - s^2
+        with v = 1 - c = sum_j wc_j (1 - cos(r_j t)), again of one sign,
+        and its c, s and derivative sums are taken by :func:`_accurate_sum`.
+        With value=False only the derivative, shape (rows, times).
         """
-        t = t[:, None]
-        hi = t * self.omega
-        t_hi, t_lo = _split(t)
-        lo = ((t_hi * self.omega_hi - hi) + t_hi * self.omega_lo + t_lo * self.omega_hi
-              + t_lo * self.omega_lo)
+        hi = t * self.rate
+        (t_hi, t_lo), (r_hi, r_lo) = _split(t), _split(self.rate)
+        lo = ((t_hi * r_hi - hi) + t_hi * r_lo + t_lo * r_hi + t_lo * r_lo) + t * self.rate_lo
         cos_hi, sin_hi = np.cos(hi), np.sin(hi)
         cos = cos_hi - sin_hi * lo
         sin = sin_hi + cos_hi * lo
-        sin2 = sin * sin
-        c = self.total * cos + self.shift
-        mod2 = c * c + self.m2 * sin2
-        derivative = -2.0 * self.omega * sin * (self.k * cos + self.skew) / mod2
+        if self.sq is not None:
+            c = np.sum(self.wc * cos, axis=0)
+            mod2 = c * c
+            if self.ws is not None:
+                s = np.sum(self.ws * sin, axis=0)
+                mod2 = mod2 + s * s
+            derivative = np.sum((self.sc * sin) * cos, axis=0) / mod2
+            x = np.sum(self.sq * (sin * sin), axis=0) if value else None
+        else:
+            c = _accurate_sum(self.wc * cos, axis=0)
+            mod2 = c * c
+            slope = c * _accurate_sum(self.dc * sin, axis=0)
+            if value:
+                # v = 1 - c from 1 - cos without cancellation
+                v = np.sum(self.wc * np.where(cos > 0.0, sin * sin / (1.0 + cos), 1.0 - cos), axis=0)
+                x = v * (2.0 - v)
+            if self.ws is not None:
+                s = _accurate_sum(self.ws * sin, axis=0)
+                mod2 = mod2 + s * s
+                x = x - s * s if value else None
+                slope = slope + s * _accurate_sum(self.ds * cos, axis=0)
+            derivative = 2.0 * slope / mod2
         if not value:
             return derivative * self.mult
-        out = np.empty((2,) + hi.shape)
-        out[0] = np.where(mod2 > 0.5, np.log1p(-(self.k * sin2) - 2.0 * self.skew * (1.0 - cos)),
-                          np.log(mod2))
+        out = np.empty((2,) + derivative.shape)
+        out[0] = np.where(mod2 > 0.5, np.log1p(-x), np.log(mod2))
         out[1] = derivative
         out *= self.mult
         return out
+
+
+def _witness_rows(weights: np.ndarray, configs: np.ndarray, nu: np.ndarray, mult: np.ndarray,
+                  wide: bool) -> List[_Rows]:
+    """The rows of one form, grouped by their number of distinct rates.
+
+    Row r has the frequencies configs[r] . nu[r] with the weights weights[r]
+    (0 pads). Frequencies and pair differences are formed from integer
+    configurations by :func:`_dot2`; equal rates share one phase.
+    """
+    rows, width = weights.shape
+    total = _accurate_sum(weights)[:, None]
+    hi, lo = _dot2(configs, nu[:, None, :])
+    sign = np.where(hi < 0.0, -1.0, 1.0)
+    rates, rates_lo, valid = [np.abs(hi)], [sign * lo], [weights > 0.0]
+    if not wide:
+        k, l = np.triu_indices(width, 1)
+        d_hi, d_lo = _dot2(configs[:, l] - configs[:, k], nu[:, None, :])
+        rates.append(0.5 * np.abs(d_hi))
+        rates_lo.append(0.5 * np.where(d_hi < 0.0, -d_lo, d_lo))
+        valid.append((weights[:, k] > 0.0) & (weights[:, l] > 0.0) & (d_hi != 0.0))
+    rates, rates_lo, valid = (np.concatenate(x, axis=1) for x in (rates, rates_lo, valid))
+
+    # sort each row's candidate rates, padding last, and number the distinct ones
+    order = np.lexsort((rates_lo, np.where(valid, rates, np.inf)), axis=1)
+    s_hi, s_lo, new = (np.take_along_axis(x, order, axis=1) for x in (rates, rates_lo, valid))
+    new[:, 1:] &= (s_hi[:, 1:] != s_hi[:, :-1]) | (s_lo[:, 1:] != s_lo[:, :-1])
+    slot = np.empty_like(order)
+    np.put_along_axis(slot, order, np.cumsum(new, axis=1) - 1, axis=1)
+    count = new.sum(axis=1)
+    n_rates = int(count.max(initial=0))
+    flat = (np.arange(rows)[:, None] * n_rates + slot)[valid]
+    n_pairs = valid.shape[1] - width
+
+    def gather(values, pairs=False):
+        """Each rate's sum of its frequencies' (or, with pairs=True, its pairs') values."""
+        values = np.pad(values, ((0, 0), (width, 0) if pairs else (0, n_pairs)))
+        return np.bincount(flat, values[valid], minlength=rows * n_rates).reshape(rows, n_rates)
+
+    rate, rate_lo = np.zeros((2, rows * n_rates))
+    rate[flat], rate_lo[flat] = rates[valid], rates_lo[valid]
+    rate, rate_lo = rate.reshape(rows, n_rates), rate_lo.reshape(rows, n_rates)
+    fields = dict(rate=rate, rate_lo=rate_lo, wc=gather(weights) / total,
+                  ws=gather(sign * weights) / total)
+    if wide:
+        fields.update(dc=-rate * fields["wc"], ds=rate * fields["ws"])
+    else:
+        ww = 4.0 * weights[:, k] * weights[:, l]
+        fields.update(sq=gather(ww, pairs=True) / (total * total),
+                      sc=gather(-(ww * np.abs(d_hi)), pairs=True) / (total * total))
+    groups = []
+    for n in sorted(set(count.tolist())):
+        members = count == n
+        group = {key: np.ascontiguousarray(x[members, :n].T)[:, :, None] for key, x in fields.items()}
+        if not np.any(group["ws"]):
+            group.update(ws=None, ds=None)
+        groups.append(_Rows(mult=mult[members, None], **group))
+    return groups
 
 
 class WitnessEvaluator:
@@ -353,15 +471,21 @@ class WitnessEvaluator:
             blocks.append((point_sites, np.concatenate(point_cfg)[None, :], np.array([point_w])))
         self._rows_per_class = len(blocks)
         width = max((w.size for _, _, w in blocks), default=0)
+        sites_max = max((len(sites) for sites, _, _ in blocks), default=0)
         omegas = np.zeros((len(classes), self._rows_per_class, width))
         weights = np.zeros_like(omegas)
+        configs = np.zeros((self._rows_per_class, width, sites_max))
+        nus = np.zeros((len(classes), self._rows_per_class, sites_max))
         for b, (sites, u, w) in enumerate(blocks):
             # matrix-vector products keep the rounding of one pair's
             # frequencies; near zeros of A, log|A| feels their last bit
             omegas[:, b, : w.size] = [u @ nu_class for nu_class in classes[:, sites]]
             weights[:, b, : w.size] = w
+            configs[b, : w.size, : len(sites)] = u
+            nus[:, b, : len(sites)] = classes[:, sites]
         shape = (len(classes) * self._rows_per_class, width)
-        self._omegas, self._weights = _merge_frequencies(omegas.reshape(shape), weights.reshape(shape))
+        weights = weights.reshape(shape)
+        self._omegas, self._weights = _merge_frequencies(omegas.reshape(shape), weights)
 
         # uniform marginals make each class's A a product of Dirichlet kernels
         # D_n(|nu_j| t), one per coupled site: the distinct nonzero |nu_j|
@@ -373,35 +497,24 @@ class WitnessEvaluator:
                 nu_abs.reshape(1, -1), np.repeat(counts.astype(float), nu_abs.shape[1])[None, :])
             self._dirichlet = (rates[rates > 0.0], mults[rates > 0.0])
 
-        # `series` sorts the merged rows by kind: a row of one frequency is
-        # a pure phase and drops out; a row of two opposite frequencies +-w
-        # is evaluated in closed form in double; every other row is summed
-        # in extended precision. Each row carries its class's multiplicity.
+        # `series` takes every row of two or more distinct frequencies, each
+        # with its class's multiplicity, in one pass; a row of one frequency
+        # is a pure phase and drops out. A row of at most PAIRWISE_MAX
+        # populated configurations takes the pairwise form, a wider one the
+        # wide form; both form frequencies from the configurations times nu
         mult = np.repeat(counts.astype(float), self._rows_per_class)
-        entries = np.count_nonzero(self._weights, axis=1)
-        om, wt = (np.pad(x[:, :2], ((0, 0), (0, 2 - x[:, :2].shape[1])))  # first two columns
-                  for x in (self._omegas, self._weights))
-        two_level = (entries == 2) & (om[:, 0] == -om[:, 1])
-        general = (entries > 1) & ~two_level
-        w_minus, w_plus = wt[two_level].T
-        total = w_plus + w_minus
-        # 1 - S from the exact sum (Knuth's TwoSum): where S is 1 - ulp,
-        # 1 - S decides log|A| next to |A| = 1
-        z = total - w_plus
-        shift = (1.0 - total) - ((w_plus - (total - z)) + (w_minus - z))
-        omega = om[two_level, 1]
-        self._two_level = _TwoLevelRows(
-            omega, *_split(omega), total, shift, total * shift,
-            (w_plus - w_minus) ** 2, 4.0 * w_plus * w_minus, mult[two_level])
-
-        self._omegas_ld = self._omegas[general].astype(np.longdouble)
-        self._weights_ld = self._weights[general].astype(np.longdouble)
-        self._wo_ld = self._weights_ld * self._omegas_ld
-        # twice the multiplicity (|A|^2 per pair)
-        self._mult2 = 2.0 * mult[general].astype(np.longdouble)
-        # 1 - each row's weight total, summed as `series` sums at t = 0,
-        # so that A(0) = 1 exactly although float weights sum to 1 +- ulp
-        self._c_shift = 1.0 - _row_dot(np.ones_like(self._weights_ld), self._weights_ld)
+        entries = np.count_nonzero(weights, axis=1)
+        phase = np.count_nonzero(self._weights, axis=1) < 2
+        configs = np.broadcast_to(configs, (len(classes),) + configs.shape).reshape(shape + (sites_max,))
+        nus = nus.reshape(len(entries), sites_max)
+        self._rows = []
+        for wide in (False, True):
+            kind = ~phase & ((entries > PAIRWISE_MAX) == wide)
+            if np.any(kind):
+                k = entries[kind].max()
+                self._rows += _witness_rows(weights[kind, :k], configs[kind, :k], nus[kind],
+                                            mult[kind], wide)
+        self._entries = sum(rows.rate.size for rows in self._rows)
 
     @property
     def pair_index(self) -> List[Tuple[int, int]]:
@@ -451,9 +564,9 @@ class WitnessEvaluator:
 
         Each row adds 2 x its class's multiplicity x (log|A|,
         Re(conj(A) A')/|A|^2) of its factor, so a class adds those of the
-        product of its rows. Re A is shifted by 1 minus the row's weight
-        total, which makes both values exactly 0 at t = 0 and changes
-        nothing when the weights sum to 1 exactly.
+        product of its rows. A is normalized by the row's weight total,
+        which makes both values exactly 0 at t = 0 and changes nothing when
+        the weights sum to 1 exactly. All rows go in one pass (:class:`_Rows`).
         Times go in blocks of SERIES_BLOCK entries; a time's values do not
         depend on the other times. At exact zeros of any factor log det is
         -inf and the derivative NaN.
@@ -462,47 +575,18 @@ class WitnessEvaluator:
 
     def _series(self, times: np.ndarray, value: bool) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`series`; with value=False log det is None and not computed."""
-        logdet, dlogdet = self._two_level_series(times, value)
-        if self._omegas_ld.size:
-            general, dgeneral = self._general_series(times, value)
-            if value:
-                logdet = (general + logdet).astype(float)
-            dlogdet = (dgeneral + dlogdet).astype(float)
-        return logdet, dlogdet
-
-    def _two_level_series(self, times: np.ndarray, value: bool):
-        """The two-level rows (:meth:`_TwoLevelRows.terms`) in double, each
-        time's rows summed by :func:`_accurate_sum`."""
-        rows = self._two_level
         logdet = np.zeros(times.shape) if value else None
         dlogdet = np.zeros(times.shape)
-        step = max(1, SERIES_BLOCK // max(1, rows.omega.size))
-        for i in range(0, times.size, step):
+        step = max(1, SERIES_BLOCK // max(1, self._entries))
+        for i in range(0, times.size if self._rows else 0, step):
             with np.errstate(divide="ignore", invalid="ignore"):
-                sums = _accurate_sum(rows.terms(times[i : i + step], value))
+                terms = [rows.terms(times[i : i + step], value) for rows in self._rows]
+                sums = _accurate_sum(np.concatenate(terms, axis=-2) if len(terms) > 1 else terms[0],
+                                     axis=-2)
             if value:
                 logdet[i : i + step], dlogdet[i : i + step] = sums
             else:
                 dlogdet[i : i + step] = sums
-        return logdet, dlogdet
-
-    def _general_series(self, times: np.ndarray, value: bool):
-        """Every other row of two or more frequencies, summed in extended precision."""
-        logdet = np.empty(times.shape, dtype=np.longdouble) if value else None
-        dlogdet = np.empty(times.shape, dtype=np.longdouble)
-        step = max(1, SERIES_BLOCK // max(1, self._omegas_ld.size))
-        for i in range(0, times.size, step):
-            ph = times[i : i + step, None, None].astype(np.longdouble) * self._omegas_ld
-            cos, sin = np.cos(ph), np.sin(ph)
-            c = _row_dot(cos, self._weights_ld) + self._c_shift
-            s = _row_dot(sin, self._weights_ld)
-            cd = -_row_dot(sin, self._wo_ld)
-            sd = _row_dot(cos, self._wo_ld)
-            mod2 = c * c + s * s
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if value:
-                    logdet[i : i + step] = (0.5 * np.log(mod2)) @ self._mult2
-                dlogdet[i : i + step] = ((c * cd + s * sd) / mod2) @ self._mult2
         return logdet, dlogdet
 
     def log_det(self, t: float) -> float:

@@ -219,9 +219,12 @@ def tridiagonal_eigen(d: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _checked(a: np.ndarray) -> np.ndarray:
-    """a as an array, after checking that every matrix of it is Hermitian."""
+    """a as an array, after checking that every matrix of it is finite and Hermitian."""
     a = np.asarray(a)
     scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1), initial=0.0))
+    # max propagates NaN and inf, which the Hermiticity test below lets pass
+    if not np.all(np.isfinite(scale)):
+        raise ValueError("matrix has a non-finite entry")
     defect = np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2)), axis=(-2, -1), initial=0.0)
     if np.any(defect > _HERMITICITY_TOL * scale):
         raise ValueError("matrix is not Hermitian within tolerance")

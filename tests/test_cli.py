@@ -82,6 +82,55 @@ def test_consecutive_main_calls_share_one_parser(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def _run_main(argv):
+    """(exit code, stdout, stderr) of cli.main, SystemExit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run_full_parser(argv):
+    """The same for the full parser alone, as main used it before it built one subcommand."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.build_parser().parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["nope"], ["--config", "x"],
+    *([name, "--help"] for name in cli._COMMANDS),
+    *([name] for name in cli._COMMANDS if name != "verify"),
+    ["witness", "--config", "c.json", "--out", "o.csv", "extra"],
+    ["witness", "--config", "c.json", "--out", "o.csv", "--closed-form", "nope"],
+    ["negativity", "--config", "c.json", "--out", "o.csv", "--threads", "two"],
+    ["thermo-limit", "--family", "other", "--n-list", "4", "--out", "o.csv"],
+    ["verify", "--specs"],
+])
+def test_one_subcommand_parser_reads_as_the_full_parser(argv):
+    # main builds only the chosen subcommand's parser; help texts, usage
+    # errors (exit 2) and unknown subcommands read byte for byte as before
+    code, out, err = _run_main(argv)
+    assert code in (0, 2)
+    assert (code, out, err) == _run_full_parser(argv)
+    assert (out + err).startswith("usage: spindeph")
+
+
+def test_one_subcommand_parser_builds_only_that_subcommand():
+    parser = cli.build_parser("verify")
+    assert parser is cli.build_parser("verify") and parser is not cli.build_parser()
+    assert list(parser._subparsers._group_actions[0].choices) == ["verify"]
+    assert parser.format_usage() == cli.build_parser().format_usage()
+
+
 def test_mixed_witness_does_not_import_numpy_ma(tmp_path):
     # numpy.ma takes about 30 ms to import in a fresh process, and numpy 2.4
     # imports it for a 1-D np.unique without optional outputs

@@ -30,6 +30,22 @@ def test_rejects_non_hermitian():
         linalg.hermitian_eigenvalues(stack)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+@pytest.mark.parametrize("solver", [linalg.hermitian_eigenvalues, linalg.lowest_eigenvalues])
+def test_rejects_non_finite_entries(bad, where, solver):
+    # NaN passes a tolerance test (defect > tol is False), so it is checked apart
+    a = np.diag([2.0, 1.0]).astype(complex)
+    a[where] = bad
+    a[where[::-1]] = np.conj(bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        solver(a)
+    stack = np.stack([np.eye(2, dtype=complex), a, np.eye(2, dtype=complex)])
+    with pytest.raises(ValueError, match="non-finite"):
+        solver(stack)
+    assert np.array_equal(solver(stack[[0, 2]]), solver(np.eye(2)[None].repeat(2, axis=0)))
+
+
 def test_zero_pivot_sign():
     # a diagonal entry of -0 met at the Sturm point x = +0 would give a -0
     # pivot, which counts as positive but divides like a negative one
