@@ -39,9 +39,9 @@ normalized by its weight total and written over its distinct rates: its
 frequencies and their differences are formed from integer configurations
 times nu as compensated dot products (Dot2), each phase t r is carried
 exactly as a Dekker product, and the rows of a time are summed by an
-error-free extraction. A row of at most PAIRWISE_MAX = 16 frequencies
-(the two-level rows of spin-1/2 product environments, and every
-nearest-neighbour Gibbs block up to spin 3/2) takes the pairwise form
+error-free extraction. A row of at most PAIRWISE_MAX = 16 populated
+configurations (the two-level rows of spin-1/2 product environments, and
+every nearest-neighbour Gibbs block up to spin 3/2) takes the pairwise form
 1 - |A|^2 = 4 sum_{k<l} w_k w_l sin^2((omega_k - omega_l) t / 2), whose
 terms share one sign; a wider row (a flat Gibbs block on random couplings)
 takes c and s from accurate sums.
@@ -81,11 +81,12 @@ DET_UNDERFLOW_LOG = -690.0  # exp() underflows double below roughly -745
 # frequencies, so the time x row temporaries are about as large as a block:
 # 2^12 ran as fast as 2^13 with half the peak
 SERIES_BLOCK = 2**12
-# rows of at most this many merged frequencies take the pairwise form, wider
-# ones the wide form (see _Rows). On 13 rows of random frequencies over 1000
-# times, pairwise costs 1.2, 1.7, 2.1, 3.2 and 4.8 times wide at 4, 8, 16,
-# 32 and 64 frequencies; 16 keeps nearest-neighbour blocks up to spin 3/2
-# pairwise, accurate to ulps next to |A| = 1
+# rows of at most this many populated configurations take the pairwise form,
+# wider ones the wide form (see _Rows). On 13 rows of distinct random
+# frequencies over 1000 times, pairwise took 1.2, 1.7, 2.1, 3.2 and 4.8 times
+# as long as wide at 4, 8, 16, 32 and 64 frequencies; 16 keeps
+# nearest-neighbour blocks up to spin 3/2 pairwise, accurate to ulps next to
+# |A| = 1, where the wide form loses relative accuracy to cancellation
 PAIRWISE_MAX = 16
 
 
@@ -292,6 +293,8 @@ class _Rows(NamedTuple):
 
     rate: np.ndarray
     rate_lo: np.ndarray
+    rate_hi: np.ndarray  # Veltkamp halves of rate
+    rate_tail: np.ndarray
     wc: np.ndarray
     ws: np.ndarray
     mult: np.ndarray  # the class's multiplicity
@@ -314,7 +317,8 @@ class _Rows(NamedTuple):
         With value=False only the derivative, shape (rows, times).
         """
         hi = t * self.rate
-        (t_hi, t_lo), (r_hi, r_lo) = _split(t), _split(self.rate)
+        t_hi, t_lo = _split(t)
+        r_hi, r_lo = self.rate_hi, self.rate_tail
         lo = ((t_hi * r_hi - hi) + t_hi * r_lo + t_lo * r_hi + t_lo * r_lo) + t * self.rate_lo
         cos_hi, sin_hi = np.cos(hi), np.sin(hi)
         cos = cos_hi - sin_hi * lo
@@ -328,18 +332,21 @@ class _Rows(NamedTuple):
             derivative = np.sum((self.sc * sin) * cos, axis=0) / mod2
             x = np.sum(self.sq * (sin * sin), axis=0) if value else None
         else:
-            c = _accurate_sum(self.wc * cos, axis=0)
+            parts = [self.wc * cos, self.dc * sin]
+            if self.ws is not None:
+                parts += [self.ws * sin, self.ds * cos]
+            c, dc, *s_ds = _accurate_sum(np.stack(parts, axis=1), axis=0)
             mod2 = c * c
-            slope = c * _accurate_sum(self.dc * sin, axis=0)
+            slope = c * dc
             if value:
                 # v = 1 - c from 1 - cos without cancellation
                 v = np.sum(self.wc * np.where(cos > 0.0, sin * sin / (1.0 + cos), 1.0 - cos), axis=0)
                 x = v * (2.0 - v)
-            if self.ws is not None:
-                s = _accurate_sum(self.ws * sin, axis=0)
+            if s_ds:
+                s, ds = s_ds
                 mod2 = mod2 + s * s
                 x = x - s * s if value else None
-                slope = slope + s * _accurate_sum(self.ds * cos, axis=0)
+                slope = slope + s * ds
             derivative = 2.0 * slope / mod2
         if not value:
             return derivative * self.mult
@@ -404,6 +411,7 @@ def _witness_rows(weights: np.ndarray, configs: np.ndarray, nu: np.ndarray, mult
         group = {key: np.ascontiguousarray(x[members, :n].T)[:, :, None] for key, x in fields.items()}
         if not np.any(group["ws"]):
             group.update(ws=None, ds=None)
+        group["rate_hi"], group["rate_tail"] = _split(group["rate"])
         groups.append(_Rows(mult=mult[members, None], **group))
     return groups
 
