@@ -248,28 +248,23 @@ def _row_dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(x[..., None, :], w[:, :, None])[..., 0, 0]
 
 
-def _two_sum(a, b):
-    """Knuth's TwoSum: a + b = s + e exactly."""
-    s = a + b
-    z = s - a
-    return s, (a - (s - z)) + (b - z)
-
-
 def _dot2(u: np.ndarray, nu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """sum_j u[..., j] nu[..., j] as an unevaluated sum hi + lo, to about twice double precision.
 
-    Ogita, Rump and Oishi's Dot2 (2005). u holds small integers (twice spin
-    values and their differences), so u nu splits exactly into p + e with
-    Veltkamp halves of nu alone.
+    Ogita, Rump and Oishi's Dot2 (2005), with Knuth's TwoSum. u holds small
+    integers (twice spin values and their differences), so each u nu splits
+    exactly into p + e with Veltkamp halves of nu alone.
     """
     nu_hi, nu_lo = _split(nu)
     p = u * nu
     e = (u * nu_hi - p) + u * nu_lo
     hi, lo = p[..., 0], e[..., 0]
     for j in range(1, u.shape[-1]):
-        hi, q = _two_sum(hi, p[..., j])
-        lo = lo + (q + e[..., j])
-    return _two_sum(hi, lo)
+        s = hi + p[..., j]
+        z = s - hi
+        hi, lo = s, lo + (((hi - (s - z)) + (p[..., j] - z)) + e[..., j])
+    s = hi + lo
+    return s, lo - (s - hi)
 
 
 class _Rows(NamedTuple):
@@ -366,49 +361,54 @@ def _witness_rows(weights: np.ndarray, configs: np.ndarray, nu: np.ndarray, mult
     configurations by :func:`_dot2`; equal rates share one phase.
     """
     rows, width = weights.shape
-    total = _accurate_sum(weights)[:, None]
-    hi, lo = _dot2(configs, nu[:, None, :])
-    sign = np.where(hi < 0.0, -1.0, 1.0)
-    rates, rates_lo, valid = [np.abs(hi)], [sign * lo], [weights > 0.0]
+    total = weights.sum(axis=1, keepdims=True)
+    # candidate rates: the frequencies, and for pairwise rows the pairs' half
+    # differences, each an integer vector times nu
+    vectors, valid, scale = configs, weights > 0.0, np.ones(width)
     if not wide:
-        k, l = np.triu_indices(width, 1)
-        d_hi, d_lo = _dot2(configs[:, l] - configs[:, k], nu[:, None, :])
-        rates.append(0.5 * np.abs(d_hi))
-        rates_lo.append(0.5 * np.where(d_hi < 0.0, -d_lo, d_lo))
-        valid.append((weights[:, k] > 0.0) & (weights[:, l] > 0.0) & (d_hi != 0.0))
-    rates, rates_lo, valid = (np.concatenate(x, axis=1) for x in (rates, rates_lo, valid))
+        k, l = _bloch_layout(width)[:2]  # the pairs k < l
+        vectors = np.concatenate([configs, configs[:, l] - configs[:, k]], axis=1)
+        valid = np.concatenate([valid, valid[:, k] & valid[:, l]], axis=1)
+        scale = np.concatenate([scale, np.full(k.size, 0.5)])
+    hi, lo = _dot2(vectors, nu[:, None, :])
+    valid[:, width:] &= hi[:, width:] != 0.0  # equal frequencies add nothing
+    sign = np.where(hi < 0.0, -1.0, 1.0)
+    rates, rates_lo = scale * np.abs(hi), scale * sign * lo
 
     # sort each row's candidate rates, padding last, and number the distinct ones
     order = np.lexsort((rates_lo, np.where(valid, rates, np.inf)), axis=1)
-    s_hi, s_lo, new = (np.take_along_axis(x, order, axis=1) for x in (rates, rates_lo, valid))
+    order += np.arange(rows)[:, None] * valid.shape[1]
+    s_hi, s_lo, new = rates.ravel()[order], rates_lo.ravel()[order], valid.ravel()[order]
     new[:, 1:] &= (s_hi[:, 1:] != s_hi[:, :-1]) | (s_lo[:, 1:] != s_lo[:, :-1])
-    slot = np.empty_like(order)
-    np.put_along_axis(slot, order, np.cumsum(new, axis=1) - 1, axis=1)
     count = new.sum(axis=1)
     n_rates = int(count.max(initial=0))
-    flat = (np.arange(rows)[:, None] * n_rates + slot)[valid]
-    n_pairs = valid.shape[1] - width
+    slot = np.empty(valid.shape, dtype=np.intp)
+    slot.ravel()[order] = np.cumsum(new, axis=1) + (np.arange(rows)[:, None] * n_rates - 1)
+    flat = slot[valid]
 
     def gather(values, pairs=False):
         """Each rate's sum of its frequencies' (or, with pairs=True, its pairs') values."""
-        values = np.pad(values, ((0, 0), (width, 0) if pairs else (0, n_pairs)))
-        return np.bincount(flat, values[valid], minlength=rows * n_rates).reshape(rows, n_rates)
+        part = np.s_[:, width:] if pairs else np.s_[:, :width]
+        index = slot[part][valid[part]]
+        return np.bincount(index, values[valid[part]], minlength=rows * n_rates).reshape(rows, n_rates)
 
     rate, rate_lo = np.zeros((2, rows * n_rates))
     rate[flat], rate_lo[flat] = rates[valid], rates_lo[valid]
     rate, rate_lo = rate.reshape(rows, n_rates), rate_lo.reshape(rows, n_rates)
     fields = dict(rate=rate, rate_lo=rate_lo, wc=gather(weights) / total,
-                  ws=gather(sign * weights) / total)
+                  ws=gather(sign[:, :width] * weights) / total)
     if wide:
         fields.update(dc=-rate * fields["wc"], ds=rate * fields["ws"])
     else:
         ww = 4.0 * weights[:, k] * weights[:, l]
         fields.update(sq=gather(ww, pairs=True) / (total * total),
-                      sc=gather(-(ww * np.abs(d_hi)), pairs=True) / (total * total))
+                      sc=gather(-(ww * np.abs(hi[:, width:])), pairs=True) / (total * total))
     groups = []
+    stacked = np.stack(list(fields.values()))
     for n in sorted(set(count.tolist())):
         members = count == n
-        group = {key: np.ascontiguousarray(x[members, :n].T)[:, :, None] for key, x in fields.items()}
+        arrays = np.ascontiguousarray(stacked[:, members, :n].transpose(0, 2, 1))[..., None]
+        group = dict(zip(fields, arrays))
         if not np.any(group["ws"]):
             group.update(ws=None, ds=None)
         group["rate_hi"], group["rate_tail"] = _split(group["rate"])
@@ -479,7 +479,8 @@ class WitnessEvaluator:
             blocks.append((point_sites, np.concatenate(point_cfg)[None, :], np.array([point_w])))
         self._rows_per_class = len(blocks)
         width = max((w.size for _, _, w in blocks), default=0)
-        sites_max = max((len(sites) for sites, _, _ in blocks), default=0)
+        # the point row, a pure phase, needs no configurations
+        sites_max = max((len(sites) for sites, _, w in blocks if w.size > 1), default=0)
         omegas = np.zeros((len(classes), self._rows_per_class, width))
         weights = np.zeros_like(omegas)
         configs = np.zeros((self._rows_per_class, width, sites_max))
@@ -489,8 +490,9 @@ class WitnessEvaluator:
             # frequencies; near zeros of A, log|A| feels their last bit
             omegas[:, b, : w.size] = [u @ nu_class for nu_class in classes[:, sites]]
             weights[:, b, : w.size] = w
-            configs[b, : w.size, : len(sites)] = u
-            nus[:, b, : len(sites)] = classes[:, sites]
+            if w.size > 1:
+                configs[b, : w.size, : len(sites)] = u
+                nus[:, b, : len(sites)] = classes[:, sites]
         shape = (len(classes) * self._rows_per_class, width)
         weights = weights.reshape(shape)
         self._omegas, self._weights = _merge_frequencies(omegas.reshape(shape), weights)
@@ -513,14 +515,14 @@ class WitnessEvaluator:
         mult = np.repeat(counts.astype(float), self._rows_per_class)
         entries = np.count_nonzero(weights, axis=1)
         phase = np.count_nonzero(self._weights, axis=1) < 2
-        configs = np.broadcast_to(configs, (len(classes),) + configs.shape).reshape(shape + (sites_max,))
+        block = np.tile(np.arange(self._rows_per_class), len(classes))
         nus = nus.reshape(len(entries), sites_max)
         self._rows = []
         for wide in (False, True):
             kind = ~phase & ((entries > PAIRWISE_MAX) == wide)
             if np.any(kind):
                 k = entries[kind].max()
-                self._rows += _witness_rows(weights[kind, :k], configs[kind, :k], nus[kind],
+                self._rows += _witness_rows(weights[kind, :k], configs[block[kind], :k], nus[kind],
                                             mult[kind], wide)
         self._entries = sum(rows.rate.size for rows in self._rows)
 
