@@ -94,7 +94,7 @@ def _run_main(argv):
 
 
 def _run_full_parser(argv):
-    """The same for the full parser alone, as main used it before it built one subcommand."""
+    """The same through the full parser, which builds every subcommand."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
