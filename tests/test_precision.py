@@ -275,8 +275,7 @@ def test_nearest_neighbor_gibbs_rows_within_ulps(make_spec, beta):
 def test_seed5_gibbs_wide_rows_within_absolute_bound():
     # 13 rows of 256 frequencies take the wide form; next to the zeros of A
     # log|A| is large and only an absolute bound is in reach. Measured:
-    # 9.1e-14 for log det and 1.9e-11 for the derivative (the extended
-    # precision sum it replaced: 3.6e-13 and 6.8e-11 on these points)
+    # 9.1e-14 for log det and 1.9e-11 for the derivative
     spec = seed5_spec()
     env = thermal.thermal_populations(spec, 1.0).populations
     ev = WitnessEvaluator(spec, env)
