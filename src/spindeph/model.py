@@ -19,12 +19,18 @@ configuration arithmetic is exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 DEFAULT_ENUM_CAP = 2**20
+# configuration tables of at most this many entries (128 KiB of int64) are
+# built once and shared, the 64 last used; a larger one, such as the
+# 2^20 x 20 environment table of a thermal sweep at N = 22, is built per
+# call and not kept
+CONFIG_MEMO_ENTRIES = 2**14
 # how a large environment avoids the flat enumeration
 PRODUCT_ENV_HINT = (
     "a product environment ('mixed', 'basis', or 'thermal' at beta = 0) avoids the enumeration"
@@ -292,7 +298,9 @@ def config_matrix(site_count: int, twice_spin: int) -> np.ndarray:
     Rows are in lexicographic order: most significant site first, values
     descending from +S to -S. This fixes the basis-index convention used by
     every matrix in the package. Shape (levels**site_count, site_count).
-    Raises ResourceCapError past DEFAULT_ENUM_CAP configurations.
+    The array is read-only, and tables of at most CONFIG_MEMO_ENTRIES
+    entries are shared between calls. Raises ResourceCapError past
+    DEFAULT_ENUM_CAP configurations.
     """
     total = config_count(site_count, twice_spin)
     if total > DEFAULT_ENUM_CAP:
@@ -300,12 +308,25 @@ def config_matrix(site_count: int, twice_spin: int) -> np.ndarray:
             f"enumeration needs {total} configurations, cap is {DEFAULT_ENUM_CAP}; "
             f"{PRODUCT_ENV_HINT}"
         )
+    if total * site_count <= CONFIG_MEMO_ENTRIES:
+        return _shared_config_table(site_count, twice_spin)
+    return _config_table(site_count, twice_spin)
+
+
+def _config_table(site_count: int, twice_spin: int) -> np.ndarray:
+    """:func:`config_matrix` without the cap, built anew: the table seen as
+    a grid with one axis per site holds site i's twice-values along axis i."""
     levels = twice_spin + 1
-    if site_count == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    grids = np.meshgrid(*([np.arange(levels)] * site_count), indexing="ij")
-    digits = np.stack([g.reshape(-1) for g in grids], axis=1)
-    return (twice_spin - 2 * digits).astype(np.int64)
+    values = np.arange(twice_spin, -twice_spin - 1, -2, dtype=np.int64)
+    table = np.empty((levels**site_count, site_count), dtype=np.int64)
+    grid = table.reshape((levels,) * site_count + (site_count,))
+    for i in range(site_count):
+        grid[..., i] = values.reshape((levels,) + (1,) * (site_count - 1 - i))
+    table.flags.writeable = False
+    return table
+
+
+_shared_config_table = functools.lru_cache(maxsize=64)(_config_table)
 
 
 def config_index(config: SpinConfig, twice_spin: int) -> int:

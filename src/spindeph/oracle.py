@@ -18,11 +18,20 @@ time together, and gathers the engine's reduced states and the Bloch
 matrices by size into stacks of at most ``entanglement.SCHMIDT_BLOCK``
 entries: one ``lowest_eigenvalues`` call per stack for the positivity
 check and one ``lu_det`` call per stack for the determinant check, each
-member bitwise as alone.
+member bitwise as alone. The determinant check needs a time where det M
+is not near 0: the draws are tried in chunks of 1, 2, 4, ... times with
+one ``series`` call per chunk, and the generator is then left where
+drawing one time at a time would leave it, so the report is the same.
+The oracle evaluates M at that time together with the grid times.
+What depends only on the shape is built once per process: the Bloch
+basis operators and the off-block mask once per system dimension (and
+the small configuration tables once per site count, in
+:mod:`spindeph.model`).
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Callable, Optional
 
@@ -39,6 +48,10 @@ from .linalg import lowest_eigenvalues, lu_det
 from .model import EnsembleSpec, ResourceCapError, total_energies
 
 SUPEROP_SYSTEM_DIM_CAP = 16
+# verify's determinant check draws up to DET_DRAWS times for one with
+# det M > DET_FLOOR
+DET_FLOOR = 1e-6
+DET_DRAWS = 40
 
 
 def _traced_phases(energies: np.ndarray, dim_system: int, env_diag: np.ndarray, t) -> np.ndarray:
@@ -63,18 +76,28 @@ def oracle_reduced_state(spec: EnsembleSpec, rho_s0: np.ndarray, rho_e0: np.ndar
     return rho_s0 * _traced_phases(total_energies(spec), spec.dim_system, np.diagonal(rho_e0), t)
 
 
-def _bloch_matrix(spec: EnsembleSpec, env: EnvPopulations, t: float,
-                  energies: Optional[np.ndarray]) -> np.ndarray:
-    """The matrix of :func:`oracle_superoperator`, without its determinant."""
-    dim = spec.dim_system
-    if dim > SUPEROP_SYSTEM_DIM_CAP:
-        raise ResourceCapError(
-            f"superoperator reconstruction capped at D={SUPEROP_SYSTEM_DIM_CAP}, got {dim}"
-        )
-    if energies is None:
-        energies = total_energies(spec)
-    traced = _traced_phases(energies, dim, env.weights, t)
-    return bloch_vector(bloch_to_density(np.eye(dim * dim)) * traced).T
+def _bloch_matrix(traced: np.ndarray) -> np.ndarray:
+    """The matrix of :func:`oracle_superoperator` from M(t) of its one time."""
+    return bloch_vector(_bloch_basis(len(traced)) * traced).T
+
+
+@functools.lru_cache(maxsize=None)
+def _bloch_basis(dim: int) -> np.ndarray:
+    """The dim^2 Bloch coordinate basis operators as density matrices, (dim^2, dim, dim), read-only."""
+    basis = bloch_to_density(np.eye(dim * dim))
+    basis.flags.writeable = False
+    return basis
+
+
+@functools.lru_cache(maxsize=None)
+def _off_block_mask(dim: int) -> np.ndarray:
+    """Read-only (dim^2, dim^2) mask of the Bloch matrix entries outside its
+    blocks: one 2x2 block per coherence a < b, then the populations block."""
+    pairs = dim * (dim - 1) // 2
+    block = np.minimum(np.arange(dim * dim) // 2, pairs)
+    mask = block[:, None] != block[None, :]
+    mask.flags.writeable = False
+    return mask
 
 
 def oracle_superoperator(spec: EnsembleSpec, env: EnvPopulations, t: float,
@@ -86,7 +109,14 @@ def oracle_superoperator(spec: EnsembleSpec, env: EnvPopulations, t: float,
     determinant from in-package pivoted LU. ``energies`` replaces the
     global energy table, ``total_energies(spec)``.
     """
-    mat = _bloch_matrix(spec, env, t, energies)
+    dim = spec.dim_system
+    if dim > SUPEROP_SYSTEM_DIM_CAP:
+        raise ResourceCapError(
+            f"superoperator reconstruction capped at D={SUPEROP_SYSTEM_DIM_CAP}, got {dim}"
+        )
+    if energies is None:
+        energies = total_energies(spec)
+    mat = _bloch_matrix(_traced_phases(energies, dim, env.weights, t))
     return mat, lu_det(mat)
 
 
@@ -115,6 +145,31 @@ def _random_populations(rng: np.random.Generator, spec: EnsembleSpec) -> EnvPopu
     return EnvPopulations(
         n_sites=spec.n_env, twice_spin=spec.twice_spin, weights=w / w.sum()
     )
+
+
+def _det_time(ev: WitnessEvaluator, rng: np.random.Generator):
+    """(t, log det M(t)) at the first of DET_DRAWS draws t ~ U(0.05, 3) with
+    det M(t) > DET_FLOOR, or None when no draw has.
+
+    The draws go in chunks of 1, 2, 4, ... times, one ``series`` call per
+    chunk (a time's value does not depend on the chunk). The generator is
+    then left where drawing one time at a time would leave it: just past
+    the chosen draw, or past all DET_DRAWS.
+    """
+    drawn, chunk = 0, 1
+    while drawn < DET_DRAWS:
+        state = rng.bit_generator.state
+        times = rng.uniform(0.05, 3.0, size=min(chunk, DET_DRAWS - drawn))
+        log_det, _ = ev.series(times)
+        good = np.flatnonzero(log_det > np.log(DET_FLOOR))
+        if good.size:
+            k = int(good[0])
+            rng.bit_generator.state = state
+            rng.uniform(size=k + 1)
+            return float(times[k]), float(log_det[k])
+        drawn += times.size
+        chunk *= 2
+    return None
 
 
 def _check_passed(check: dict) -> bool:
@@ -190,7 +245,13 @@ def run_verification(
         # the engine at the grid times and the probe time in one call
         engine_all = ev.reduced_state(rho_s0, np.append(times, t_probe))
         engine_rho = engine_all[:-1]
-        oracle_rho = rho_s0 * _traced_phases(energies, dim, env.weights, times)
+        # determinant dual path, at a point where det is not degenerate (a
+        # relative comparison at det ~ 0 would be meaningless); the oracle
+        # evaluates M at that time in its call for the grid times
+        found = _det_time(ev, rng) if dim <= 8 else None
+        traced = _traced_phases(energies, dim, env.weights,
+                                times if found is None else np.append(times, found[0]))
+        oracle_rho = rho_s0 * traced[:time_points]
         dev_state = max(dev_state, float(np.max(np.abs(engine_rho - oracle_rho))))
         trace = np.trace(engine_rho, axis1=-2, axis2=-1).real
         dev_trace = max(dev_trace, float(np.max(np.abs(trace - 1.0))))
@@ -205,27 +266,11 @@ def run_verification(
         )
         dev_coherence = max(dev_coherence, float(np.max(np.abs(probe - engine_all[-1]))))
 
-        # determinant dual path, at a point where det is not degenerate
-        # (a relative comparison at det ~ 0 would be meaningless)
-        if dim <= 8:
-            t_det = None
-            for _ in range(40):
-                t_try = float(rng.uniform(0.05, 3.0))
-                log_det, _ = ev.series([t_try])
-                if log_det[0] > np.log(1e-6):
-                    t_det = t_try
-                    break
-            if t_det is None:
-                continue
-            mat = _bloch_matrix(spec, env, t_det, energies)
-            push(dets, fold_dets, dim, [(mat, float(np.exp(log_det[0])))], mat.size)
+        if found is not None:
+            mat = _bloch_matrix(traced[-1])
+            push(dets, fold_dets, dim, [(mat, float(np.exp(found[1])))], mat.size)
             # off-block entries of the reconstructed map must vanish
-            mask = np.ones_like(mat, dtype=bool)
-            for k in range(len(ev.pair_index)):
-                mask[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = False
-            base = 2 * len(ev.pair_index)
-            mask[base:, base:] = False
-            dev_block = max(dev_block, float(np.max(np.abs(mat[mask]))))
+            dev_block = max(dev_block, float(np.max(np.abs(mat[_off_block_mask(dim)]))))
 
     for dim in list(states):
         fold_states(dim)

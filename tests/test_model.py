@@ -1,5 +1,7 @@
+import gc
 import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -79,6 +81,40 @@ def test_enumeration_cap():
     with pytest.raises(model.ResourceCapError, match="2097152") as err:
         model.config_matrix(21, 1)
     assert "product environment ('mixed', 'basis', or 'thermal' at beta = 0)" in str(err.value)
+
+
+@pytest.mark.parametrize("twice_spin", [1, 2, 3])
+def test_config_matrix_equals_product_enumeration(twice_spin):
+    # shared tables and tables built per call (4^8 x 8 entries is past
+    # the memo limit) against itertools, twice each
+    for sites in range(9):
+        expected = np.array(list(itertools.product(range(twice_spin, -twice_spin - 1, -2),
+                                                   repeat=sites)), dtype=np.int64)
+        for _ in range(2):
+            mat = model.config_matrix(sites, twice_spin)
+            assert mat.dtype == np.int64
+            assert mat.shape == (len(expected), sites)
+            assert np.array_equal(mat, expected)
+            assert not mat.flags.writeable
+            with pytest.raises(ValueError):
+                mat[...] = 0
+
+
+def test_config_matrix_memo_is_bounded():
+    small = model.config_matrix(3, 1)
+    assert model.config_matrix(3, 1) is small
+    # past the limit a table is built per call and freed with its last reference
+    sites = 12
+    assert 2**sites * sites > model.CONFIG_MEMO_ENTRIES
+    large = model.config_matrix(sites, 1)
+    assert model.config_matrix(sites, 1) is not large
+    ref = weakref.ref(large)
+    del large
+    gc.collect()
+    assert ref() is None
+    # the cap still refuses before anything is built, at spin 1 too
+    with pytest.raises(model.ResourceCapError, match="1594323"):
+        model.config_matrix(13, 2)
 
 
 def _random_spec(rng, n_total, n_system, twice_spin=1):

@@ -271,3 +271,88 @@ def test_run_verification_stacks_change_no_value(monkeypatch, block):
     for a, b in zip(stacked, single):
         a.pop("elapsed_seconds"), b.pop("elapsed_seconds")
         assert repr(a) == repr(b)
+
+
+def one_at_a_time_det_time(ev, rng):
+    """The determinant-time search one draw and one series call at a time."""
+    for _ in range(40):
+        t = float(rng.uniform(0.05, 3.0))
+        log_det, _ = ev.series([t])
+        if log_det[0] > np.log(1e-6):
+            return t, float(log_det[0])
+    return None
+
+
+def reports_without_time(runs):
+    reports = [oracle.run_verification(seed=seed, n_specs=n) for seed, n in runs]
+    for report in reports:
+        report.pop("elapsed_seconds")
+    return [repr(report) for report in reports]
+
+
+def test_chunked_det_search_takes_the_one_at_a_time_draws(monkeypatch):
+    runs = ((2024, 50), (7, 50), (1, 50))
+    chunked = reports_without_time(runs)
+    monkeypatch.setattr(oracle, "_det_time", one_at_a_time_det_time)
+    assert reports_without_time(runs) == chunked
+
+
+def test_det_search_with_no_good_draw_advances_all_draws(monkeypatch):
+    # log det reads -inf on every ensemble of odd size: the search must go
+    # through all 40 draws, in chunks of 1, 2, 4, 8, 16 and the 9 left, and
+    # leave the generator where 40 single draws leave it
+    chunks = []  # per failing ensemble, the sizes of its series calls
+
+    class Failing(WitnessEvaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            if self.spec.n_total % 2:
+                chunks.append([])
+
+        def series(self, times):
+            log_det, dlog_det = super().series(times)
+            if self.spec.n_total % 2:
+                chunks[-1].append(len(log_det))
+                log_det = np.full_like(log_det, -np.inf)
+            return log_det, dlog_det
+
+    monkeypatch.setattr(oracle, "WitnessEvaluator", Failing)
+    runs = ((2024, 50), (7, 50))
+    chunked = reports_without_time(runs)
+    assert len(chunks) > 10 and all(sizes == [1, 2, 4, 8, 16, 9] for sizes in chunks)
+    monkeypatch.setattr(oracle, "_det_time", one_at_a_time_det_time)
+    assert reports_without_time(runs) == chunked
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_bloch_tables_per_dimension(dim):
+    basis = oracle._bloch_basis(dim)
+    assert oracle._bloch_basis(dim) is basis
+    for k in range(dim * dim):
+        coords = np.zeros(dim * dim)
+        coords[k] = 1.0
+        assert basis[k].tobytes() == bloch_to_density(coords).tobytes()
+    mask = oracle._off_block_mask(dim)
+    expected = np.ones((dim * dim, dim * dim), dtype=bool)
+    pairs = dim * (dim - 1) // 2
+    for k in range(pairs):
+        expected[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = False
+    expected[2 * pairs :, 2 * pairs :] = False
+    assert np.array_equal(mask, expected)
+    for table in (basis, mask):
+        assert not table.flags.writeable
+
+
+def test_superoperator_bitwise_as_built_per_call():
+    rng = np.random.default_rng(21)
+    for twice_spin, n_total, n_system in CASES:
+        spec = random_spec(rng, n_total, n_system, twice_spin)
+        w = rng.dirichlet(np.ones(spec.dim_env))
+        env = EnvPopulations(n_sites=spec.n_env, twice_spin=twice_spin, weights=w)
+        t = float(rng.uniform(0.0, 6.0))
+        dim = spec.dim_system
+        traced = oracle._traced_phases(total_energies(spec), dim, env.weights, t)
+        expected = bloch_vector(bloch_to_density(np.eye(dim * dim)) * traced).T
+        mat, det = oracle.oracle_superoperator(spec, env, t)
+        assert mat.tobytes() == expected.tobytes()
+        assert det == lu_det(expected)
