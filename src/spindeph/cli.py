@@ -12,6 +12,15 @@ All couplings and fields in a run configuration are understood in units of
 a declared reference energy ("reference_energy", required); the time grid
 and every CSV time column are dimensionless multiples of its inverse.
 Outputs are deterministic: identical configuration, byte-identical files.
+
+Start-up: a run is mostly interpreter start-up, so each command imports
+only the layers it runs. This module loads model, engine (with dirichlet),
+thermal and entanglement (with linalg), which the witness, sweep and
+negativity computations share. verify adds oracle, compare-measures adds
+qubit, thermo-limit and --closed-form add closedforms (and fractions), and
+--threads > 1 adds concurrent.futures. entanglement and linalg stay eager
+although witness and thermal-sweep never call them, so that a negativity
+run pays their import at start-up and not in the middle of its computation.
 """
 
 from __future__ import annotations
@@ -20,14 +29,12 @@ import argparse
 import functools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from . import closedforms, engine, entanglement, oracle, qubit, thermal
+from . import engine, entanglement, thermal
 from .model import (
     EnsembleSpec,
     ResourceCapError,
@@ -223,6 +230,10 @@ _CLOSED_FORMS = ("nn1d", "inf", "2d", "pl", "frac-asym")
 
 def _closed_form_series(name: str, cfg: dict, ensemble_doc: dict, spec: EnsembleSpec,
                         times: np.ndarray):
+    from fractions import Fraction
+
+    from . import closedforms
+
     model = ensemble_doc.get("model")
     if model is None:
         raise UsageError("--closed-form needs an ensemble built from a named model")
@@ -320,6 +331,8 @@ def cmd_thermal_sweep(args) -> int:
 
 
 def cmd_compare_measures(args) -> int:
+    from . import qubit
+
     cfg = _load_config(args.config)
     spec, _ = _ensemble(cfg, Path(args.config).parent)
     if spec.n_system != 1 or spec.twice_spin != 1:
@@ -368,6 +381,8 @@ def _parse_cut(text: str, n_system: int):
 def _time_map(threads: int):
     """map over a time grid: a pool's map for threads > 1, else the builtin."""
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             yield pool.map
     else:
@@ -414,6 +429,10 @@ def cmd_negativity(args) -> int:
 
 
 def cmd_thermo_limit(args) -> int:
+    from fractions import Fraction
+
+    from . import closedforms
+
     with _reading_input():
         n_list = [int(x) for x in args.n_list.split(",") if x.strip()]
         jt = float(args.jt)
@@ -443,6 +462,8 @@ def cmd_thermo_limit(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle
+
     if args.specs < 1:
         raise UsageError(f"--specs needs at least 1 ensemble, got {args.specs}")
     if args.seed < 0:

@@ -81,6 +81,12 @@ DET_UNDERFLOW_LOG = -690.0  # exp() underflows double below roughly -745
 # frequencies, so the time x row temporaries are about as large as a block:
 # 2^12 ran as fast as 2^13 with half the peak
 SERIES_BLOCK = 2**12
+# but a block holds at least this many times while they fit in this many
+# blocks' entries (see _block_times): with 1,664 rates per time (seed-5
+# Gibbs, wide rows) 999 times took 172, 117, 95, 83, 149 and 156 ms at 2, 4,
+# 8, 16, 32 and 64 times per block, numpy's per-call cost dominating the
+# small blocks
+SERIES_MIN_TIMES = 16
 # rows of at most this many populated configurations take the pairwise form,
 # wider ones the wide form (see _Rows). On 13 rows of distinct random
 # frequencies over 1000 times, pairwise took 0.8, 2.0, 5.1, 8.4 and 7.0 times
@@ -241,6 +247,17 @@ def _accurate_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
     q = (sigma + x) - sigma
     high = q.sum(axis=axis)
     return high + np.where(np.isfinite(high), (x - q).sum(axis=axis), 0.0)
+
+
+def _block_times(entries: int) -> int:
+    """Times per block of `factors` and `series` at `entries` entries per time.
+
+    SERIES_BLOCK entries, but SERIES_MIN_TIMES times where that keeps a
+    block within SERIES_MIN_TIMES x SERIES_BLOCK entries, and at least one.
+    """
+    entries = max(1, entries)
+    return max(1, SERIES_BLOCK // entries,
+               min(SERIES_MIN_TIMES, SERIES_MIN_TIMES * SERIES_BLOCK // entries))
 
 
 def _row_dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -538,13 +555,13 @@ class WitnessEvaluator:
         Evaluated per row as 1 + sum_k w_k (e^{i omega_k t} - 1): the same
         sum for weights of a distribution, but exact at t = 0 even when the
         float weights do not sum to 1. A class multiplies its rows; flipped
-        pairs take the conjugate. Times go in blocks of SERIES_BLOCK
-        entries; a time's factors do not depend on the other times.
+        pairs take the conjugate. Times go in blocks (:func:`_block_times`);
+        a time's factors do not depend on the other times.
         """
         times = np.asarray(t, dtype=float)
         flat = times.reshape(-1)
         out = np.empty((flat.size, self._pair_class.size), dtype=complex)
-        step = max(1, SERIES_BLOCK // max(1, self._omegas.size))
+        step = _block_times(self._omegas.size)
         for i in range(0, flat.size, step):
             ph = flat[i : i + step, None, None] * self._omegas
             real = 1.0 + _row_dot(np.cos(ph) - 1.0, self._weights)
@@ -577,7 +594,7 @@ class WitnessEvaluator:
         product of its rows. A is normalized by the row's weight total,
         which makes both values exactly 0 at t = 0 and changes nothing when
         the weights sum to 1 exactly. All rows go in one pass (:class:`_Rows`).
-        Times go in blocks of SERIES_BLOCK entries; a time's values do not
+        Times go in blocks (:func:`_block_times`); a time's values do not
         depend on the other times. At exact zeros of any factor log det is
         -inf and the derivative NaN.
         """
@@ -587,7 +604,7 @@ class WitnessEvaluator:
         """:meth:`series`; with value=False log det is None and not computed."""
         logdet = np.zeros(times.shape) if value else None
         dlogdet = np.zeros(times.shape)
-        step = max(1, SERIES_BLOCK // max(1, self._entries))
+        step = _block_times(self._entries)
         for i in range(0, times.size if self._rows else 0, step):
             with np.errstate(divide="ignore", invalid="ignore"):
                 terms = [rows.terms(times[i : i + step], value) for rows in self._rows]

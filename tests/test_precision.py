@@ -141,6 +141,24 @@ def test_seed5_values_do_not_depend_on_the_batch(seed5):
     assert dlog_det.tobytes() == np.concatenate([s[1] for s in single]).tobytes()
 
 
+@pytest.mark.parametrize("gibbs", [False, True])
+def test_seed5_values_do_not_depend_on_the_block_size(monkeypatch, gibbs):
+    # two-level rows (mixed) and wide rows (Gibbs at beta = 1, 1,664 rate
+    # entries per time) at one time, a few times and the default per block
+    spec = seed5_spec()
+    env = thermal.thermal_populations(spec, 1.0).populations if gibbs else thermal.maximally_mixed(8, 1)
+    ev = WitnessEvaluator(spec, env)
+    times = np.linspace(0.0, 3.0, 41)
+    steps, results = [], []
+    for block in (1, 2**8, engine.SERIES_BLOCK):
+        monkeypatch.setattr(engine, "SERIES_BLOCK", block)
+        steps.append(engine._block_times(ev._entries))
+        results.append([*ev.series(times), ev.dlog_det(times), ev.factors(times)])
+    assert len(set(steps)) == 3 and steps[0] == 1 and steps[2] >= engine.SERIES_MIN_TIMES
+    for got in results[1:]:
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in results[0]]
+
+
 def test_magnetized_sites_match_mpmath():
     # w+ != w-: A = cos x + i m sin x never vanishes and |A|^2 - 1 =
     # -4 w+ w- sin^2 x carries one more rounding than the mixed case

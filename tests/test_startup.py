@@ -1,0 +1,143 @@
+"""Cold start: what `import spindeph` and the commands load, and the lazy package API.
+
+A command imports only the layers it runs. In-process CLI tests cannot
+catch a broken deferred import, because earlier tests have already
+imported every module, so every deferred path also runs here in a fresh
+interpreter and must write what the in-process run writes.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import spindeph
+from spindeph import cli
+
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(Path(spindeph.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+# modules that only some commands need
+DEFERRED = ["spindeph.oracle", "spindeph.qubit", "spindeph.closedforms",
+            "concurrent.futures", "fractions", "logging"]
+
+SINGLE_SPIN = {
+    "reference_energy": 1.0,
+    "ensemble": {"n_total": 6, "n_system": 1, "twice_spin": 1,
+                 "model": {"type": "nn_ring_1d", "J": 1.0}, "fields": 0.5},
+    "environment": {"kind": "mixed"},
+    "grid": {"start": 0.0, "stop": 6.283185307179586, "points": 200},
+}
+DENSE_GLOBAL = dict(
+    SINGLE_SPIN,
+    ensemble=dict(SINGLE_SPIN["ensemble"], n_total=5, n_system=2),
+    system_state={"kind": "matrix", "re": (0.25 * np.eye(4) + 0.05 * (1 - np.eye(4))).tolist()},
+    environment_state={"kind": "uniform_superposition"},
+    grid={"start": 0.0, "stop": 3.0, "points": 7},
+)
+
+
+def cold(code):
+    """Run Python code in a fresh interpreter; its standard output."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=ENV).stdout
+
+
+def loaded_after(code, names):
+    """Those of `names` that a fresh interpreter holds after running `code`."""
+    out = cold(f"{code}\nimport sys, json\nprint(json.dumps([n for n in {names!r} if n in sys.modules]))")
+    return json.loads(out.splitlines()[-1])
+
+
+def write_config(tmp_path, doc, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_import_spindeph_loads_no_submodule():
+    out = cold("import sys, spindeph\nprint([m for m in sys.modules if m.startswith('spindeph.')])")
+    assert out.strip() == "[]"
+
+
+def test_cli_import_leaves_command_only_modules_unloaded():
+    assert loaded_after("import spindeph.cli", DEFERRED) == []
+
+
+def test_mixed_witness_leaves_command_only_modules_unloaded(tmp_path):
+    cfg = write_config(tmp_path, SINGLE_SPIN)
+    code = ("from spindeph import cli\n"
+            f"assert cli.main(['witness', '--config', {cfg!r}, '--out', {str(tmp_path / 'w.csv')!r}]) == 0")
+    assert loaded_after(code, DEFERRED) == []
+
+
+def _deferred_cases(tmp_path):
+    """The argv of each deferred path; "{out}" stands for the output's stem."""
+    preset = str(resources.files("spindeph").joinpath("presets", "witness_nn_ring6.json"))
+    return {
+        "verify": ["verify", "--specs", "2", "--out", "{out}.json"],
+        "compare-measures": ["compare-measures", "--config", write_config(tmp_path, SINGLE_SPIN),
+                             "--out", "{out}.csv"],
+        "thermo-limit": ["thermo-limit", "--family", "fraction", "--r", "1/2",
+                         "--n-list", "8,12,16", "--jt", "0.7", "--out", "{out}.csv"],
+        "closed-form": ["witness", "--config", preset, "--closed-form", "nn1d",
+                        "--out", "{out}.csv", "--episodes", "{out}.episodes.json"],
+        "threads": ["negativity", "--config", write_config(tmp_path, DENSE_GLOBAL, "dense.json"),
+                    "--cut", "global", "--threads", "2", "--out", "{out}.csv"],
+    }
+
+
+def _outputs(argv, stem):
+    return [Path(a.format(out=stem)) for a in argv if "{out}" in a]
+
+
+def _content(path):
+    """A file's bytes; a verify report's content apart from its run time."""
+    if path.suffix != ".json" or path.name.endswith(".episodes.json"):
+        return path.read_bytes()
+    report = json.loads(path.read_text())
+    report.pop("elapsed_seconds")
+    return report
+
+
+@pytest.mark.parametrize("case", ["verify", "compare-measures", "thermo-limit", "closed-form",
+                                  "threads"])
+def test_deferred_path_runs_cold_and_writes_the_in_process_output(tmp_path, case):
+    argv = _deferred_cases(tmp_path)[case]
+    warm, fresh = str(tmp_path / "warm"), str(tmp_path / "cold")
+    assert cli.main([a.format(out=warm) for a in argv]) == 0
+    run = subprocess.run([sys.executable, "-m", "spindeph.cli", *(a.format(out=fresh) for a in argv)],
+                         capture_output=True, text=True, env=ENV)
+    assert run.returncode == 0, run.stderr
+    warm_files, cold_files = _outputs(argv, warm), _outputs(argv, fresh)
+    assert all(p.exists() for p in cold_files)
+    assert [_content(p) for p in cold_files] == [_content(p) for p in warm_files]
+
+
+def test_every_public_name_is_its_submodules_object():
+    code = ("import spindeph, importlib\n"
+            "bad = [n for n in spindeph.__all__ if getattr(spindeph, n) is not "
+            "getattr(importlib.import_module('spindeph.' + spindeph._MODULE_OF[n]), n)]\n"
+            "print(bad)")
+    assert cold(code).strip() == "[]"
+
+
+def test_dir_lists_every_public_name():
+    assert set(spindeph.__all__) <= set(dir(spindeph))
+    assert {"__version__", "engine", "oracle"} <= set(dir(spindeph))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        spindeph.no_such_name  # noqa: B018
+    assert not hasattr(spindeph, "cli_main")
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from spindeph import *", namespace)
+    assert [n for n in spindeph.__all__ if namespace.get(n) is not getattr(spindeph, n)] == []
