@@ -23,9 +23,9 @@ _EXPORTS = {
         "EnvPopulations", "WitnessEvaluator", "WitnessSeries", "bloch_to_density", "bloch_vector",
         "detect_episodes"),
     "entanglement": (
-        "NegativitySeries", "evolve_global", "global_negativity_series", "negativity",
-        "negativity_details", "partial_trace_env", "partial_transpose_system",
-        "system_negativity_series"),
+        "GLOBAL_DIM_CAP", "NegativitySeries", "evolve_global", "global_negativity_path",
+        "global_negativity_series", "negativity", "negativity_details", "partial_trace_env",
+        "partial_transpose_system", "system_negativity_series"),
     "linalg": ("hermitian_eigenvalues", "lowest_eigenvalues", "lu_det", "trace_norm"),
     "model": (
         "DEFAULT_ENUM_CAP", "CouplingModel", "EnsembleSpec", "InfiniteRange",
@@ -37,9 +37,7 @@ _EXPORTS = {
     "qubit": (
         "MeasuresReport", "QubitState", "amplitude", "amplitude_derivative", "blp_trace_distance",
         "dephasing_rate", "measures_agreement_report"),
-    "thermal": (
-        "ThermalPopulations", "basis_state", "ground_state_populations", "maximally_mixed",
-        "thermal_populations"),
+    "thermal": ("basis_state", "ground_state_populations", "maximally_mixed", "thermal_populations"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -130,7 +130,7 @@ def _thermal(spec: EnsembleSpec, beta) -> engine.EnvPopulations:
     """Gibbs populations at beta, or the ground manifold for "inf"."""
     if isinstance(beta, str) and beta.lower() in ("inf", "infinity"):
         return thermal.ground_state_populations(spec)
-    return thermal.thermal_populations(spec, float(beta)).populations
+    return thermal.thermal_populations(spec, float(beta))
 
 
 @_reading_input()

@@ -17,10 +17,11 @@ all sites for a Gibbs state at beta > 0). The phase sum then factorizes:
 A = prod_blocks A_block, each A_block a sum over the configurations of that
 block alone, with nu restricted to it. Only sites with a nonzero J_cross
 column enter, so a block is marginalized onto its coupled sites and a block
-without one drops out. Each (class, block) pair is one row holding a merged
-spectrum; the rows of all classes are evaluated at once, and a class's A is
-the product of its rows. For the mixed spin-1/2 environment a row is
-cos(nu_j t), which gives the cosine products of the closed forms.
+without one drops out. Each (class, block) pair is one row, built once and
+read by `factors`, `reduced_state` and the witness alike; the rows of all
+classes are evaluated at once, and a class's A is the product of its rows.
+For the mixed spin-1/2 environment a row is cos(nu_j t), which gives the
+cosine products of the closed forms.
 
 Populations never move: the dynamics is purely dephasing. The Bloch-vector
 evolution matrix is block diagonal, one 2x2 rotation-dilation block per
@@ -32,14 +33,16 @@ like 2^(2p) and would underflow any float.
 The witness needs log|A| to stay accurate near zeros of A, where a double
 precision frequency sum loses all relative accuracy to cancellation, and
 near |A| = 1, where log|A|^2 is tiny. Everything runs in double, with
-error-free transformations in place of wider floats. A row of one
-frequency (the point masses of basis and beta = infinity environments) is
-a pure phase, |A| = 1, and drops out of the witness. Every other row is
+error-free transformations in place of wider floats. Every row is
 normalized by its weight total and written over its distinct rates: its
 frequencies and their differences are formed from integer configurations
-times nu as compensated dot products (Dot2), each phase t r is carried
-exactly as a Dekker product, and the rows of a time are summed by an
-error-free extraction. A row of at most PAIRWISE_MAX = 16 populated
+times nu as compensated dot products (Dot2), and each phase t r is carried
+exactly as a Dekker product, which keeps the factors of two-level rows to
+a few eps relative also next to zeros of A. A row whose
+frequencies are exactly equal (a point mass of basis and beta = infinity
+environments, a block on which nu vanishes) is a pure phase, |A| = 1, read
+by `factors` alone. The witness rows of a time are summed by an error-free
+extraction. A row of at most PAIRWISE_MAX = 16 populated
 configurations (the two-level rows of spin-1/2 product environments, and
 every nearest-neighbour Gibbs block up to spin 3/2) takes the pairwise form
 1 - |A|^2 = 4 sum_{k<l} w_k w_l sin^2((omega_k - omega_l) t / 2), whose
@@ -76,10 +79,9 @@ from .model import (
 )
 
 DET_UNDERFLOW_LOG = -690.0  # exp() underflows double below roughly -745
-# time x row x frequency entries per block of `factors`, time x row x rate
-# entries per block of `series`; rows of a product environment hold few
-# frequencies, so the time x row temporaries are about as large as a block:
-# 2^12 ran as fast as 2^13 with half the peak
+# time x row x rate entries per block of `factors` and `series`; rows of a
+# product environment hold few rates, so the time x row temporaries are
+# about as large as a block: 2^12 ran as fast as 2^13 with half the peak
 SERIES_BLOCK = 2**12
 # but a block holds at least this many times while they fit in this many
 # blocks' entries (see _block_times): with 1,664 rates per time (seed-5
@@ -183,32 +185,6 @@ def check_pair_cap(dim: int) -> None:
         )
 
 
-def _merge_frequencies(omegas: np.ndarray, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Sum weights of (near-)coincident frequencies, row by row.
-
-    Row r has frequencies omegas[r] with weights weights[r]. Frequencies
-    are exact float combinations of coupling entries, so equal values
-    usually compare equal; the relative tolerance only mops up last ulp
-    differences. Returns ascending (rows, F) arrays padded with weight 0.
-    """
-    rows, k = omegas.shape
-    order = np.argsort(omegas, axis=1, kind="stable")
-    om = np.take_along_axis(omegas, order, axis=1)
-    w = np.take_along_axis(weights, order, axis=1)
-    tol = 1e-12 * np.maximum(1.0, np.max(np.abs(om), axis=1, initial=0.0))
-    first = np.ones(om.shape, dtype=bool)
-    first[:, 1:] = np.diff(om, axis=1) > tol[:, None]
-    starts = np.flatnonzero(first)
-    row = starts // k
-    counts = np.bincount(row, minlength=rows)
-    col = np.arange(starts.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    out_om = np.zeros((rows, int(counts.max(initial=0))))
-    out_w = np.zeros_like(out_om)
-    out_om[row, col] = om.ravel()[starts]
-    out_w[row, col] = np.add.reduceat(w.ravel(), starts)
-    return out_om, out_w
-
-
 def _row_classes(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct rows in lexicographic order, each row's class and each class's count.
 
@@ -260,11 +236,6 @@ def _block_times(entries: int) -> int:
                min(SERIES_MIN_TIMES, SERIES_MIN_TIMES * SERIES_BLOCK // entries))
 
 
-def _row_dot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_f x[..., c, f] w[c, f], each one dot product whatever the batch."""
-    return np.matmul(x[..., None, :], w[:, :, None])[..., 0, 0]
-
-
 def _dot2(u: np.ndarray, nu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """sum_j u[..., j] nu[..., j] as an unevaluated sum hi + lo, to about twice double precision.
 
@@ -285,14 +256,15 @@ def _dot2(u: np.ndarray, nu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class _Rows(NamedTuple):
-    """Witness rows with the same number of distinct rates, as `series` reads them.
+    """Rows of one evaluator with the same number of distinct rates.
 
     A row is A = sum_k w_k e^{i omega_k t} / S with S = sum_k w_k, so that
     |A| <= 1 and A(0) = 1 although float weights sum to 1 +- ulp. It is
     written over its distinct rates r_j >= 0, each carried as
     rate + rate_lo: Re A = sum_j wc_j cos(r_j t), Im A = sum_j ws_j sin(r_j t).
-    A pairwise row also holds the half differences |omega_k - omega_l| / 2
-    among its rates, and with them
+    `factors` reads every row (:meth:`factor`), `series` those of two or
+    more distinct frequencies (:meth:`terms`). A pairwise row also holds the
+    half differences |omega_k - omega_l| / 2 among its rates, and with them
 
         1 - |A|^2 = sum_j sq_j sin^2(r_j t)
         d|A|^2/dt = sum_j sc_j sin(r_j t) cos(r_j t)
@@ -310,31 +282,53 @@ class _Rows(NamedTuple):
     wc: np.ndarray
     ws: np.ndarray
     mult: np.ndarray  # the class's multiplicity
+    place: np.ndarray  # each row's index in the evaluator's (class, block) layout
     sq: np.ndarray = None  # pairwise rows
     sc: np.ndarray = None
     dc: np.ndarray = None  # wide rows
     ds: np.ndarray = None
 
-    def terms(self, t: np.ndarray, value: bool = True) -> np.ndarray:
-        """mult x (log|A|^2, d/dt log|A|^2) at times t, shape (2, rows, times), in double.
+    def phases(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """cos(r_j t) and sin(r_j t) at times t, each of shape (rates, rows, times).
 
         Each phase r t is carried as the exact sum hi + lo of Dekker's
         product (plus t rate_lo), and cos = cos hi - sin hi lo, sin = sin hi
         + cos hi lo to double precision, so the rounding of t r does not
-        reach log|A| near its zeros. log|A|^2 is log1p(-x), x = 1 - |A|^2,
-        where |A|^2 > 1/2 and log(c^2 + s^2) elsewhere. A pairwise row's x
-        is a sum of terms of one sign. A wide row's x is v (2 - v) - s^2
-        with v = 1 - c = sum_j wc_j (1 - cos(r_j t)), again of one sign,
-        and its c, s and derivative sums are taken by :func:`_accurate_sum`.
-        With value=False only the derivative, shape (rows, times).
+        reach A or log|A| near the zeros of A.
         """
         hi = t * self.rate
         t_hi, t_lo = _split(t)
         r_hi, r_lo = self.rate_hi, self.rate_tail
         lo = ((t_hi * r_hi - hi) + t_hi * r_lo + t_lo * r_hi + t_lo * r_lo) + t * self.rate_lo
         cos_hi, sin_hi = np.cos(hi), np.sin(hi)
-        cos = cos_hi - sin_hi * lo
-        sin = sin_hi + cos_hi * lo
+        return cos_hi - sin_hi * lo, sin_hi + cos_hi * lo
+
+    def factor(self, t: np.ndarray) -> np.ndarray:
+        """A of each row at times t, complex, shape (rows, times).
+
+        Plain sums over the rates, divided by sum_j wc_j: Re A at t = 0, a
+        first time in the same sums, so A(0) = 1 exactly and no time's sums
+        depend on the other times.
+        """
+        cos, sin = self.phases(np.append(0.0, t))
+        c = np.sum(self.wc * cos, axis=0)
+        total = c[:, :1]
+        out = c[:, 1:] / total + 0j
+        if self.ws is not None:
+            out.imag = np.sum(self.ws * sin, axis=0)[:, 1:] / total
+        return out
+
+    def terms(self, t: np.ndarray, value: bool = True) -> np.ndarray:
+        """mult x (log|A|^2, d/dt log|A|^2) at times t, shape (2, rows, times), in double.
+
+        The phases are :meth:`phases`. log|A|^2 is log1p(-x), x = 1 - |A|^2,
+        where |A|^2 > 1/2 and log(c^2 + s^2) elsewhere. A pairwise row's x
+        is a sum of terms of one sign. A wide row's x is v (2 - v) - s^2
+        with v = 1 - c = sum_j wc_j (1 - cos(r_j t)), again of one sign,
+        and its c, s and derivative sums are taken by :func:`_accurate_sum`.
+        With value=False only the derivative, shape (rows, times).
+        """
+        cos, sin = self.phases(t)
         if self.sq is not None:
             c = np.sum(self.wc * cos, axis=0)
             mod2 = c * c
@@ -370,12 +364,15 @@ class _Rows(NamedTuple):
 
 
 def _witness_rows(weights: np.ndarray, configs: np.ndarray, nu: np.ndarray, mult: np.ndarray,
-                  wide: bool) -> List[_Rows]:
+                  place: np.ndarray, wide: bool) -> Tuple[List[_Rows], _Rows]:
     """The rows of one form, grouped by their number of distinct rates.
 
     Row r has the frequencies configs[r] . nu[r] with the weights weights[r]
     (0 pads). Frequencies and pair differences are formed from integer
-    configurations by :func:`_dot2`; equal rates share one phase.
+    configurations by :func:`_dot2`; equal rates share one phase. Returns
+    the rows of two or more distinct frequencies by their number of rates,
+    for `series`, and all rows in one group over their frequencies' rates,
+    for `factors`.
     """
     rows, width = weights.shape
     total = weights.sum(axis=1, keepdims=True)
@@ -388,6 +385,8 @@ def _witness_rows(weights: np.ndarray, configs: np.ndarray, nu: np.ndarray, mult
         valid = np.concatenate([valid, valid[:, k] & valid[:, l]], axis=1)
         scale = np.concatenate([scale, np.full(k.size, 0.5)])
     hi, lo = _dot2(vectors, nu[:, None, :])
+    same = (hi[:, :width] == hi[:, :1]) & (lo[:, :width] == lo[:, :1])
+    phase = np.all(same | ~valid[:, :width], axis=1)
     valid[:, width:] &= hi[:, width:] != 0.0  # equal frequencies add nothing
     sign = np.where(hi < 0.0, -1.0, 1.0)
     rates, rates_lo = scale * np.abs(hi), scale * sign * lo
@@ -420,21 +419,25 @@ def _witness_rows(weights: np.ndarray, configs: np.ndarray, nu: np.ndarray, mult
         ww = 4.0 * weights[:, k] * weights[:, l]
         fields.update(sq=gather(ww, pairs=True) / (total * total),
                       sc=gather(-(ww * np.abs(hi[:, width:])), pairs=True) / (total * total))
-    groups = []
     stacked = np.stack(list(fields.values()))
-    for n in sorted(set(count.tolist())):
-        members = count == n
-        arrays = np.ascontiguousarray(stacked[:, members, :n].transpose(0, 2, 1))[..., None]
+
+    def rows_of(table, members, n):
+        arrays = np.ascontiguousarray(table[:, members, :n].transpose(0, 2, 1))[..., None]
         group = dict(zip(fields, arrays))
         if not np.any(group["ws"]):
             group.update(ws=None, ds=None)
         group["rate_hi"], group["rate_tail"] = _split(group["rate"])
-        groups.append(_Rows(mult=mult[members, None], **group))
-    return groups
+        return _Rows(mult=mult[members, None], place=place[members], **group)
+
+    witness = [rows_of(stacked, ~phase & (count == n), n) for n in sorted(set(count[~phase].tolist()))]
+    keep = fields["wc"] > 0.0  # the frequencies' rates, packed first for `factors`
+    packed = np.zeros(stacked.shape)
+    packed[:, np.nonzero(keep)[0], (np.cumsum(keep, axis=1) - 1)[keep]] = stacked[:, keep]
+    return witness, rows_of(packed, np.s_[:], int(keep.sum(axis=1).max()))
 
 
 class WitnessEvaluator:
-    """Merged spectra, one per (nu class, environment block), for the witness.
+    """Dephasing rows, one per (nu class, environment block), built once.
 
     Pairs a < b are in lexicographic order, the Bloch coordinate layout.
     Exposes log det M, its time derivative, and full reduced states.
@@ -496,51 +499,42 @@ class WitnessEvaluator:
             blocks.append((point_sites, np.concatenate(point_cfg)[None, :], np.array([point_w])))
         self._rows_per_class = len(blocks)
         width = max((w.size for _, _, w in blocks), default=0)
-        # the point row, a pure phase, needs no configurations
-        sites_max = max((len(sites) for sites, _, w in blocks if w.size > 1), default=0)
-        omegas = np.zeros((len(classes), self._rows_per_class, width))
-        weights = np.zeros_like(omegas)
-        configs = np.zeros((self._rows_per_class, width, sites_max))
-        nus = np.zeros((len(classes), self._rows_per_class, sites_max))
+        sites_max = max((len(sites) for sites, _, _ in blocks), default=0)
+        weights = np.zeros((len(blocks), width))
+        configs = np.zeros((len(blocks), width, sites_max))
+        nus = np.zeros((len(classes), len(blocks), sites_max))
         for b, (sites, u, w) in enumerate(blocks):
-            # matrix-vector products keep the rounding of one pair's
-            # frequencies; near zeros of A, log|A| feels their last bit
-            omegas[:, b, : w.size] = [u @ nu_class for nu_class in classes[:, sites]]
-            weights[:, b, : w.size] = w
-            if w.size > 1:
-                configs[b, : w.size, : len(sites)] = u
-                nus[:, b, : len(sites)] = classes[:, sites]
-        shape = (len(classes) * self._rows_per_class, width)
-        weights = weights.reshape(shape)
-        self._omegas, self._weights = _merge_frequencies(omegas.reshape(shape), weights)
+            weights[b, : w.size] = w
+            configs[b, : w.size, : len(sites)] = u
+            nus[:, b, : len(sites)] = classes[:, sites]
 
         # uniform marginals make each class's A a product of Dirichlet kernels
         # D_n(|nu_j| t), one per coupled site: the distinct nonzero |nu_j|
         # with their summed multiplicities certify the episodes
         self._dirichlet = None
         if uniform:
-            nu_abs = np.abs(classes[:, coupled])
-            rates, mults = _merge_frequencies(
-                nu_abs.reshape(1, -1), np.repeat(counts.astype(float), nu_abs.shape[1])[None, :])
+            rates, inverse = np.unique(np.abs(classes[:, coupled]), return_inverse=True)
+            mults = np.bincount(inverse.ravel(), np.repeat(counts.astype(float), np.count_nonzero(coupled)))
             self._dirichlet = (rates[rates > 0.0], mults[rates > 0.0])
 
-        # `series` takes every row of two or more distinct frequencies, each
-        # with its class's multiplicity, in one pass; a row of one frequency
-        # is a pure phase and drops out. A row of at most PAIRWISE_MAX
-        # populated configurations takes the pairwise form, a wider one the
-        # wide form; both form frequencies from the configurations times nu
-        mult = np.repeat(counts.astype(float), self._rows_per_class)
+        # the rows, class by class; a row of at most PAIRWISE_MAX populated
+        # configurations takes the pairwise form, a wider one the wide form.
+        # `series` takes the rows of two or more distinct frequencies, each
+        # with its class's multiplicity, in one pass; `factors` takes them all
+        block = np.tile(np.arange(len(blocks)), len(classes))
+        mult = np.repeat(counts.astype(float), len(blocks))
+        nus = nus.reshape(len(block), sites_max)
         entries = np.count_nonzero(weights, axis=1)
-        phase = np.count_nonzero(self._weights, axis=1) < 2
-        block = np.tile(np.arange(self._rows_per_class), len(classes))
-        nus = nus.reshape(len(entries), sites_max)
-        self._rows = []
+        self._rows, self._factor_rows = [], []
         for wide in (False, True):
-            kind = ~phase & ((entries > PAIRWISE_MAX) == wide)
-            if np.any(kind):
-                k = entries[kind].max()
-                self._rows += _witness_rows(weights[kind, :k], configs[block[kind], :k], nus[kind],
-                                            mult[kind], wide)
+            kind = np.flatnonzero((entries[block] > PAIRWISE_MAX) == wide)
+            if kind.size:
+                b = block[kind]
+                k = entries[b].max()
+                witness, every = _witness_rows(weights[b, :k], configs[b, :k], nus[kind], mult[kind],
+                                               kind, wide)
+                self._rows += witness
+                self._factor_rows.append(every)
         self._entries = sum(rows.rate.size for rows in self._rows)
 
     @property
@@ -552,22 +546,24 @@ class WitnessEvaluator:
     def factors(self, t) -> np.ndarray:
         """A_{ab}(t) for every pair a < b, complex double, shape t.shape + (pairs,).
 
-        Evaluated per row as 1 + sum_k w_k (e^{i omega_k t} - 1): the same
-        sum for weights of a distribution, but exact at t = 0 even when the
-        float weights do not sum to 1. A class multiplies its rows; flipped
-        pairs take the conjugate. Times go in blocks (:func:`_block_times`);
-        a time's factors do not depend on the other times.
+        Read from the rows that `series` reads, pure phases included, with
+        the same phases (:meth:`_Rows.factor`): exactly 1 at t = 0, and
+        within a few eps relative on two-level rows also next to zeros of A.
+        A class multiplies its rows; flipped pairs take the conjugate. Times
+        go in blocks (:func:`_block_times`); a time's factors do not depend
+        on the other times.
         """
         times = np.asarray(t, dtype=float)
         flat = times.reshape(-1)
         out = np.empty((flat.size, self._pair_class.size), dtype=complex)
-        step = _block_times(self._omegas.size)
+        step = _block_times(sum(rows.rate.size for rows in self._factor_rows))
         for i in range(0, flat.size, step):
-            ph = flat[i : i + step, None, None] * self._omegas
-            real = 1.0 + _row_dot(np.cos(ph) - 1.0, self._weights)
-            rows = real + 1j * _row_dot(np.sin(ph), self._weights)
-            rows = rows.reshape(len(ph), self._n_classes, self._rows_per_class)
-            out[i : i + step] = rows.prod(axis=-1)[:, self._pair_class]
+            block = flat[i : i + step]
+            layout = np.empty((block.size, self._n_classes * self._rows_per_class), dtype=complex)
+            for rows in self._factor_rows:
+                layout[:, rows.place] = rows.factor(block).T
+            layout = layout.reshape(block.size, self._n_classes, self._rows_per_class)
+            out[i : i + step] = layout.prod(axis=-1)[:, self._pair_class]
         out = np.where(self._flip, out.conj(), out)
         return out.reshape(times.shape + out.shape[-1:])
 

@@ -15,13 +15,10 @@ k_B = 1 throughout; beta is in inverse energy units of the coupling scale.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .engine import EnvPopulations
-from .model import EnsembleSpec, SpinConfig, config_count, config_index, env_energies
+from .model import EnsembleSpec, SpinConfig, config_index, env_energies
 
 
 def maximally_mixed(n_env: int, twice_spin: int) -> EnvPopulations:
@@ -43,35 +40,21 @@ def basis_state(sigma0: SpinConfig, twice_spin: int) -> EnvPopulations:
     )
 
 
-@dataclass(frozen=True)
-class ThermalPopulations:
-    """Gibbs populations of the environment and log Z."""
-
-    populations: EnvPopulations
-    log_partition: float
-
-
-def thermal_populations(spec: EnsembleSpec, beta: float) -> ThermalPopulations:
+def thermal_populations(spec: EnsembleSpec, beta: float) -> EnvPopulations:
     """Populations exp(-beta H_E(sigma)) / Z over all environment configs.
 
     Weights are computed with the max-shift trick so large beta cannot
-    overflow; the partition function is returned as its log.
-    At beta = 0 the state is the maximally mixed product, with no
+    overflow. At beta = 0 the state is the maximally mixed product, with no
     enumeration.
     """
     if not np.isfinite(beta) or beta < 0.0:
         raise ValueError("beta must be finite and >= 0 (use ground_state_populations for T=0)")
     if beta == 0.0:
         # every configuration weighs exp(0): the maximally mixed product
-        log_z = math.log(config_count(spec.n_env, spec.twice_spin))
-        pops = maximally_mixed(spec.n_env, spec.twice_spin)
-    else:
-        energies = env_energies(spec)
-        w = np.exp(-beta * (energies - energies.min()))
-        norm = w.sum()
-        log_z = math.log(norm) - beta * energies.min()
-        pops = EnvPopulations(n_sites=spec.n_env, twice_spin=spec.twice_spin, weights=w / norm)
-    return ThermalPopulations(populations=pops, log_partition=log_z)
+        return maximally_mixed(spec.n_env, spec.twice_spin)
+    energies = env_energies(spec)
+    w = np.exp(-beta * (energies - energies.min()))
+    return EnvPopulations(n_sites=spec.n_env, twice_spin=spec.twice_spin, weights=w / w.sum())
 
 
 def ground_state_populations(spec: EnsembleSpec) -> EnvPopulations:

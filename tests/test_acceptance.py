@@ -73,14 +73,14 @@ def test_criterion_2_thermal_witness_family():
     spec = ensemble_from_model(NearestNeighborRing1D(j=1.0), 10, 2, fields=1.0)
 
     ts = np.linspace(0.0, TWO_PI, 1000)
-    beta0 = thermal.thermal_populations(spec, 0.0).populations
+    beta0 = thermal.thermal_populations(spec, 0.0)
     log_det, _ = WitnessEvaluator(spec, beta0).series(ts)
     dev0 = float(np.max(np.abs(log_det - 16.0 * np.log(np.abs(np.cos(ts))))))
 
     period_ok = True
     episodes_ok = True
     for beta in (1.0, 3.0):
-        pops = thermal.thermal_populations(spec, beta).populations
+        pops = thermal.thermal_populations(spec, beta)
         series = detect_episodes(spec, pops, 0.0, 2 * TWO_PI, 2001)
         det = series.det
         period_dev = float(np.max(np.abs(det[:1001] - det[1000:])))
@@ -337,7 +337,7 @@ def test_criterion_10_state_sanity_everywhere():
     # thermal suite states
     spec10 = ensemble_from_model(NearestNeighborRing1D(j=1.0), 10, 2, fields=1.0)
     for beta in (0.0, 1.0, 3.0):
-        env = thermal.thermal_populations(spec10, beta).populations
+        env = thermal.thermal_populations(spec10, beta)
         scan(spec10, env, random_density(rng, 4), np.linspace(0, TWO_PI, 15))
 
     ok = min_eig >= -1e-10 and trace_err < 1e-12 and herm_err < 1e-12

@@ -219,7 +219,7 @@ def kernel_cases(draw):
     if kind == "mixed":
         env = thermal.maximally_mixed(n_env, twice_spin)
     elif kind == "thermal":
-        env = thermal.thermal_populations(spec, float(rng.uniform(0.1, 3.0))).populations
+        env = thermal.thermal_populations(spec, float(rng.uniform(0.1, 3.0)))
     elif kind == "basis":
         values = twice_spin - 2 * rng.integers(0, twice_spin + 1, n_env)
         env = thermal.basis_state(SpinConfig(tuple(values)), twice_spin)
@@ -365,7 +365,7 @@ def test_series_exact_at_t0_thermal_ring10(beta):
     # the shipped thermal preset read 3.2e-15, 2.5e-15, -1.1e-15 here
     doc = json.loads(resources.files("spindeph").joinpath("presets", "thermal_ring10.json").read_text())
     spec = model.ensemble_from_dict(doc["ensemble"])
-    env = thermal.thermal_populations(spec, beta).populations
+    env = thermal.thermal_populations(spec, beta)
     log_det, dlog_det = WitnessEvaluator(spec, env).series([0.0])
     assert log_det[0] == 0.0 and dlog_det[0] == 0.0
 
@@ -413,7 +413,7 @@ def assert_boundaries_close(episodes, reference):
 def gibbs_grid_case():
     """A Gibbs state at beta > 0, which takes the grid route, and its grid brackets."""
     spec = random_spec(np.random.default_rng(0), 8, 3)
-    env = thermal.thermal_populations(spec, 1.0).populations
+    env = thermal.thermal_populations(spec, 1.0)
     series = detect_episodes(spec, env, 0.0, 15.0, 400)
     d = series.dlogdet_dt
     positive = np.isfinite(series.log_det) & np.isfinite(d) & (d > 0.0)
@@ -713,7 +713,7 @@ def test_witness_basis_state_env_is_markovian():
 
 def test_witness_derivative_vs_finite_difference_thermal():
     spec = ring_spec(10, 2, fields=1.0)
-    env = thermal.thermal_populations(spec, beta=1.0).populations
+    env = thermal.thermal_populations(spec, beta=1.0)
     ev = WitnessEvaluator(spec, env)
     h = 1e-5
     for t in (0.35, 1.1, 2.4, 5.0):

@@ -9,8 +9,10 @@ evaluated in double: the pairwise form for rows of at most
 engine.PAIRWISE_MAX frequencies (nearest-neighbour Gibbs blocks, spin-1
 rings) and the wide form beyond (flat Gibbs blocks on random couplings),
 whose log det is held to an absolute bound, since next to zeros of A its
-ulps are out of reach in double. No source file mentions longdouble, so
-the bounds hold on every platform.
+ulps are out of reach in double. `factors` is held to eps relative of A
+next to its zeros on two-level rows; rows of more rates get no relative
+bound, since their weights (such as 1/3) are rounded inputs. No source
+file mentions longdouble, so the bounds hold on every platform.
 """
 
 import json
@@ -146,7 +148,7 @@ def test_seed5_values_do_not_depend_on_the_block_size(monkeypatch, gibbs):
     # two-level rows (mixed) and wide rows (Gibbs at beta = 1, 1,664 rate
     # entries per time) at one time, a few times and the default per block
     spec = seed5_spec()
-    env = thermal.thermal_populations(spec, 1.0).populations if gibbs else thermal.maximally_mixed(8, 1)
+    env = thermal.thermal_populations(spec, 1.0) if gibbs else thermal.maximally_mixed(8, 1)
     ev = WitnessEvaluator(spec, env)
     times = np.linspace(0.0, 3.0, 41)
     steps, results = [], []
@@ -180,7 +182,7 @@ def test_magnetized_sites_match_mpmath():
 def test_thermal_single_coupled_site_is_magnetized():
     # a Gibbs block with one coupled site is a magnetized two-level row
     spec = model.ensemble_from_model(model.NearestNeighborRing1D(j=1.0), 3, 2, fields=0.7)
-    gibbs = thermal.thermal_populations(spec, 1.3).populations
+    gibbs = thermal.thermal_populations(spec, 1.3)
     (block,) = gibbs.blocks
     ev = WitnessEvaluator(spec, gibbs)
     times = np.linspace(0.0, 6.0, 121)[1:]
@@ -280,7 +282,7 @@ def test_nearest_neighbor_gibbs_rows_within_ulps(make_spec, beta):
     # 5 at spin 1) take the pairwise form: log det to ulps also where it is
     # ~1e-30, at t = pi and 2 pi, where all phases realign
     spec = make_spec()
-    env = thermal.thermal_populations(spec, beta).populations
+    env = thermal.thermal_populations(spec, beta)
     ev = WitnessEvaluator(spec, env)
     assert max(rows.rate.shape[0] for rows in ev._rows) > 1
     times = np.linspace(0.0, 2.0 * np.pi, 37)[1:]
@@ -295,7 +297,7 @@ def test_seed5_gibbs_wide_rows_within_absolute_bound():
     # log|A| is large and only an absolute bound is in reach. Measured:
     # 9.1e-14 for log det and 1.9e-11 for the derivative
     spec = seed5_spec()
-    env = thermal.thermal_populations(spec, 1.0).populations
+    env = thermal.thermal_populations(spec, 1.0)
     ev = WitnessEvaluator(spec, env)
     assert [rows.dc is not None for rows in ev._rows] == [True]
     times = np.linspace(0.0, 3.0, 41)[1:]
@@ -324,3 +326,67 @@ def test_no_source_file_mentions_longdouble():
     sources = sorted(Path(engine.__file__).parent.rglob("*.py"))
     assert len(sources) > 5
     assert [p.name for p in sources if "longdouble" in p.read_text()] == []
+
+
+def factor_errors(spec, env, marginals, times):
+    """Largest |A - A_ref| / |A_ref| of `factors` in eps over all pairs and times.
+
+    The reference is A = prod_j (w+ e^{i nu_j t} + w- e^{-i nu_j t}) over
+    independent spin-1/2 sites, in 50 digits from the float nu and t.
+    """
+    got = WitnessEvaluator(spec, env).factors(times)
+    worst = mpmath.mpf(0)
+    with mpmath.workdps(50):
+        for nu, column in zip(pair_frequencies(spec), got.T):
+            sites = [(mpmath.mpf(float(v)), mpmath.mpf(float(w[0])), mpmath.mpf(float(w[1])))
+                     for v, w in zip(nu, marginals) if v != 0.0]
+            for t, value in zip(times, column):
+                t = mpmath.mpf(float(t))
+                exact = mpmath.mpc(1)
+                for v, w_plus, w_minus in sites:
+                    e = mpmath.expj(v * t)
+                    exact *= w_plus * e + w_minus / e
+                worst = max(worst, abs(mpmath.mpc(complex(value)) - exact) / abs(exact))
+    return float(worst / EPS)
+
+
+def zeros_of_cos(rates, stop):
+    """The zeros (k + 1/2) pi / r in (1e-3, stop) of cos(r t) over the given rates."""
+    zeros = np.concatenate([(np.arange(16) + 0.5) * np.pi / r for r in rates])
+    return np.unique(zeros[(zeros > 1e-3) & (zeros < stop)])
+
+
+def test_seed5_factors_next_to_zeros_of_A():
+    # 1e-9 relative past a zero of A, A ~ 1e-9: the rows' phases carried
+    # exactly keep each factor to a few eps relative. Measured: 3.0 eps
+    spec = seed5_spec()
+    _, values = mixed_reference(spec, [])
+    times = zeros_of_cos(values, 3.0) * (1.0 + 1e-9)
+    assert times.size >= 50
+    marginals = [np.array([0.5, 0.5])] * 8
+    assert factor_errors(spec, thermal.maximally_mixed(8, 1), marginals, times) <= 8.0
+
+
+def test_magnetized_factors_next_to_zeros_of_A():
+    # sites 0 and 5 are unpolarized and give A its zeros; the others,
+    # w+ - w- = 0.08 (i mod 5), add a phase and never vanish. Measured: 2.7 eps
+    spec = seed5_spec()
+    marginals = [np.array([0.5 + 0.04 * (i % 5), 0.5 - 0.04 * (i % 5)]) for i in range(8)]
+    nu = np.abs(pair_frequencies(spec)[:, [0, 5]])
+    times = zeros_of_cos(np.unique(nu[nu > 0.0]), 3.0) * (1.0 + 1e-9)
+    assert times.size >= 10
+    assert factor_errors(spec, EnvPopulations.product(1, marginals), marginals, times) <= 4.0
+
+
+def test_factors_are_exactly_one_at_time_zero():
+    # one Gibbs row of 8 rates: its weight total is Re A's own sum at t = 0,
+    # so A(0) = 1 alone and among other times (a total summed apart took
+    # another order for several times and gave 1 - 2.2e-16 here)
+    rng = np.random.default_rng(0)
+    j = rng.normal(size=(5, 5))
+    j = 0.5 * (j + j.T)
+    np.fill_diagonal(j, 0.0)
+    spec = EnsembleSpec(n_total=5, n_system=1, twice_spin=1, couplings=j, fields=rng.normal(size=5))
+    ev = WitnessEvaluator(spec, thermal.thermal_populations(spec, 1.0))
+    assert [rows.rate.shape for rows in ev._factor_rows] == [(8, 1, 1)]
+    assert np.all(ev.factors(0.0) == 1.0) and np.all(ev.factors(np.zeros(3)) == 1.0)

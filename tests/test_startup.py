@@ -126,6 +126,14 @@ def test_every_public_name_is_its_submodules_object():
     assert cold(code).strip() == "[]"
 
 
+def test_every_entanglement_name_is_a_package_name():
+    # `entanglement` is the one layer module with an __all__
+    from spindeph import entanglement
+    missing = [n for n in entanglement.__all__
+               if n not in spindeph.__all__ or getattr(spindeph, n) is not getattr(entanglement, n)]
+    assert missing == []
+
+
 def test_dir_lists_every_public_name():
     assert set(spindeph.__all__) <= set(dir(spindeph))
     assert {"__version__", "engine", "oracle"} <= set(dir(spindeph))

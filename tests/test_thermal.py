@@ -31,8 +31,7 @@ def test_thermal_beta_zero_is_maximally_mixed_bitwise():
     spec = ring(8, 2, fields=0.7)
     hot = thermal.thermal_populations(spec, 0.0)
     mixed = thermal.maximally_mixed(6, 1)
-    assert hot.populations.weights.tobytes() == mixed.weights.tobytes()
-    assert hot.log_partition == pytest.approx(np.log(64.0))
+    assert hot.weights.tobytes() == mixed.weights.tobytes()
 
 
 def test_thermal_two_site_hand_weights():
@@ -46,15 +45,14 @@ def test_thermal_two_site_hand_weights():
     z = 2 * np.exp(beta / 2) + 2 * np.exp(-beta / 2)
     expected = np.array([np.exp(beta / 2), np.exp(-beta / 2),
                          np.exp(-beta / 2), np.exp(beta / 2)]) / z
-    assert np.allclose(res.populations.weights, expected, atol=1e-15)
-    assert res.log_partition == pytest.approx(np.log(z))
+    assert np.allclose(res.weights, expected, atol=1e-15)
 
 
 def test_thermal_weights_sum_to_one():
     rng = np.random.default_rng(6)
     spec = ring(9, 2, fields=0.5)
     for beta in (0.0, 0.3, 2.0, 20.0, 200.0):
-        pops = thermal.thermal_populations(spec, beta).populations
+        pops = thermal.thermal_populations(spec, beta)
         assert pops.weights.sum() == pytest.approx(1.0, abs=1e-14)
         assert np.all(pops.weights >= 0.0)
 
@@ -63,12 +61,12 @@ def test_thermal_large_beta_approaches_ground():
     spec = ring(8, 2, fields=1.0)
     ground = thermal.ground_state_populations(spec)
     for beta, gap_bound in ((50.0, 1e-8), (100.0, 1e-15)):
-        pops = thermal.thermal_populations(spec, beta).populations
+        pops = thermal.thermal_populations(spec, beta)
         tv = 0.5 * np.sum(np.abs(pops.weights - ground.weights))
         assert tv < gap_bound
     # monotone approach
     tv_values = [
-        0.5 * np.sum(np.abs(thermal.thermal_populations(spec, b).populations.weights
+        0.5 * np.sum(np.abs(thermal.thermal_populations(spec, b).weights
                             - ground.weights))
         for b in (50.0, 75.0, 100.0)
     ]
@@ -129,7 +127,7 @@ def test_beta_zero_witness_equals_closed_form_n10():
     from spindeph.closedforms import log_det_nn_1d
 
     spec = ring(10, 2, fields=1.0)
-    pops = thermal.thermal_populations(spec, 0.0).populations
+    pops = thermal.thermal_populations(spec, 0.0)
     ts = np.linspace(0, 2 * np.pi, 600)
     ld, _ = WitnessEvaluator(spec, pops).series(ts)
     assert np.max(np.abs(ld - log_det_nn_1d(2, 1.0, ts))) < 1e-12
