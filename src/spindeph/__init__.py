@@ -4,9 +4,10 @@ The package computes the exact reduced dynamics of p spins embedded in an
 N-spin ensemble with arbitrary symmetric ZZ couplings and longitudinal
 fields, the geometric non-Markovianity witness det M_S(t) with episode
 detection, its analytic specializations (nearest-neighbor ring, infinite
-range, power law, 2D torus, thermodynamic limits), thermal environments,
-the single-spin RHP/BLP comparison, system-environment negativity, and a
-brute-force global-unitary oracle for verification.
+range, 2D torus, thermodynamic limits), thermal environments, the
+single-spin RHP/BLP comparison, system-environment negativity, and a
+brute-force global-unitary oracle for verification. The power-law ring is
+an engine model, not a closed form: its witness is the engine's sum.
 
 `import spindeph` loads no submodule: a public name imports its module when
 it is first read (PEP 562), so a program pays only for the layers it uses.
@@ -18,7 +19,7 @@ import importlib
 _EXPORTS = {
     "closedforms": (
         "chu_vandermonde_exponent", "log_det_2d_nn", "log_det_infinite_fraction_asymptotic",
-        "log_det_infinite_range", "log_det_nn_1d", "log_det_power_law"),
+        "log_det_infinite_range", "log_det_nn_1d"),
     "engine": (
         "EnvPopulations", "WitnessEvaluator", "WitnessSeries", "bloch_to_density", "bloch_vector",
         "detect_episodes"),
@@ -35,8 +36,8 @@ _EXPORTS = {
         "total_energies"),
     "oracle": ("oracle_reduced_state", "oracle_superoperator", "run_verification"),
     "qubit": (
-        "MeasuresReport", "QubitState", "amplitude", "amplitude_derivative", "blp_trace_distance",
-        "dephasing_rate", "measures_agreement_report"),
+        "MeasuresReport", "QubitState", "blp_trace_distance", "dephasing_rate",
+        "measures_agreement_report"),
     "thermal": ("basis_state", "ground_state_populations", "maximally_mixed", "thermal_populations"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

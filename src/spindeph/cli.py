@@ -225,7 +225,29 @@ def write_csv(path, header, columns):
 # commands
 
 
-_CLOSED_FORMS = ("nn1d", "inf", "2d", "pl", "frac-asym")
+def _torus_block_fits(model: dict, n: int, p: int) -> bool:
+    return "system_block_side" in model and int(model["side"]) >= int(model["system_block_side"]) + 2
+
+
+def _fraction_asymptotic(cf, model: dict, n: int, p: int, j: float, times):
+    from fractions import Fraction
+
+    return cf.log_det_infinite_fraction_asymptotic(n, Fraction(p, n), j, times)
+
+
+# --closed-form name -> (the coupling model type it is derived for, the
+# geometry it needs as a usage error states it, holds(model document, N, p):
+# whether a run meets that geometry, log_det(closedforms, model document,
+# N, p, J, times))
+_CLOSED_FORMS = {
+    "nn1d": ("nn_ring_1d", "N >= p + 2", lambda m, n, p: n >= p + 2,
+             lambda cf, m, n, p, j, t: cf.log_det_nn_1d(p, j, t)),
+    "inf": ("infinite_range", "1 <= p < N", lambda m, n, p: True,
+            lambda cf, m, n, p, j, t: cf.log_det_infinite_range(n, p, j, t)),
+    "2d": ("nn_torus_2d", "a 'system_block_side' q and a side of at least q + 2", _torus_block_fits,
+           lambda cf, m, n, p, j, t: cf.log_det_2d_nn(int(m["system_block_side"]), j, t)),
+    "frac-asym": ("infinite_range", "1 <= p < N", lambda m, n, p: True, _fraction_asymptotic),
+}
 
 
 def _closed_form_series(name: str, cfg: dict, ensemble_doc: dict, spec: EnsembleSpec,
@@ -234,40 +256,23 @@ def _closed_form_series(name: str, cfg: dict, ensemble_doc: dict, spec: Ensemble
 
     from . import closedforms
 
+    model_type, rule, holds, log_det = _CLOSED_FORMS[name]
     model = ensemble_doc.get("model")
     if model is None:
         raise UsageError("--closed-form needs an ensemble built from a named model")
+    n, p = spec.n_total, spec.n_system
+    if model.get("type") != model_type or not holds(model, n, p):
+        raise UsageError(
+            f"--closed-form {name} needs an {model_type!r} model with {rule}; "
+            f"this run has an {model.get('type')!r} model with N = {n}, p = {p}"
+        )
     env_kind = cfg.get("environment", {}).get("kind", "mixed")
     if spec.twice_spin != 1 or env_kind != "mixed":
         raise UsageError(
             f"--closed-form {name} assumes spin 1/2 and the 'mixed' environment; "
             f"this run has spin {Fraction(spec.twice_spin, 2)} and a {env_kind!r} environment"
         )
-    j = float(model.get("J", 1.0))
-    n, p = spec.n_total, spec.n_system
-    if name == "nn1d":
-        return closedforms.log_det_nn_1d(p, j, times)
-    if name == "inf":
-        return closedforms.log_det_infinite_range(n, p, j, times)
-    if name == "2d":
-        q = int(round(np.sqrt(p)))
-        if q * q != p:
-            raise UsageError("2d closed form needs a square system block")
-        return closedforms.log_det_2d_nn(q, j, times)
-    if name == "pl":
-        return closedforms.log_det_power_law(
-            n,
-            p,
-            alpha=float(model.get("alpha", 3.0)),
-            j_n=j,
-            t=times,
-            kac_normalization=bool(model.get("kac_normalization", False)),
-        )
-    if name == "frac-asym":
-        return closedforms.log_det_infinite_fraction_asymptotic(
-            n, Fraction(p, n), j, times
-        )
-    raise UsageError(f"unknown closed form {name!r}; choose from {_CLOSED_FORMS}")
+    return log_det(closedforms, model, n, p, float(model.get("J", 1.0)), times)
 
 
 def cmd_witness(args) -> int:
@@ -337,19 +342,20 @@ def cmd_compare_measures(args) -> int:
     spec, _ = _ensemble(cfg, Path(args.config).parent)
     if spec.n_system != 1 or spec.twice_spin != 1:
         raise UsageError("compare-measures is defined for a single spin-1/2 system")
-    env_doc = cfg.get("environment", {"kind": "mixed"})
-    if env_doc.get("kind", "mixed") != "mixed":
-        raise UsageError("the closed-form measures assume the maximally mixed environment")
+    env = _environment(cfg, spec)
     times = _grid(cfg, args.grid)
-    j_row = np.asarray(spec.cross_couplings[0])
-    report = qubit.measures_agreement_report(j_row, times)
+    report = qubit.measures_agreement_report(engine.WitnessEvaluator(spec, env), times)
+    a, d = report.amplitude, report.dlog_det
+    if np.iscomplexobj(a):  # a row asymmetric in frequency: A is complex
+        header, columns = ["A_re", "A_im", "dA2_dt"], [a.real, a.imag, np.abs(a) ** 2 * d]
+    else:
+        header, columns = ["A", "Aprime"], [a, a * d / 2.0]
     write_csv(
         args.out,
-        ["t", "A", "Aprime", "gamma_z", "D_opt", "flag_geo", "flag_rhp", "flag_blp", "singular"],
+        ["t", *header, "gamma_z", "D_opt", "flag_geo", "flag_rhp", "flag_blp", "singular"],
         [
             report.times,
-            report.amplitude,
-            report.amplitude_derivative,
+            *columns,
             report.gamma_z,
             report.distance_optimal,
             report.flag_geometric,
@@ -523,7 +529,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--episodes", help="episode JSON path (default: derived from --out)")
-    p.add_argument("--closed-form", choices=_CLOSED_FORMS, help="add comparison columns")
+    p.add_argument("--closed-form", choices=tuple(_CLOSED_FORMS), help="add comparison columns")
     p.set_defaults(func=cmd_witness)
 
     p = add_parser("thermal-sweep", "one witness CSV per inverse temperature")

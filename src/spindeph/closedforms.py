@@ -1,9 +1,13 @@
 """Analytic witness expressions and thermodynamic-limit asymptotics.
 
 Every formula here assumes a spin-1/2 ensemble with the environment in the
-maximally mixed state; the general engine covers everything else. Exponents
-are exact big integers (they reach 2^(2p) and beyond), multiplied into
-log|cos| only at the last step, so nothing underflows.
+maximally mixed state, and each holds for one coupling model and geometry
+(stated per function); the general engine covers everything else, the
+power-law ring included, whose witness has no closed form beyond the
+engine's own cosine sum. The formulas share no code with the engine, so
+they serve as independent references for it. Exponents are exact big
+integers (they reach 2^(2p) and beyond), multiplied into log|cos| only at
+the last step, so nothing underflows.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ from fractions import Fraction
 from typing import Union
 
 import numpy as np
-
-from .model import PowerLawRing1D, build_coupling, config_matrix
 
 
 def _int_times_log(exponent: int, logcos: np.ndarray) -> np.ndarray:
@@ -100,41 +102,12 @@ def log_det_2d_nn(q_side: int, j: float, t) -> Union[float, np.ndarray]:
     """log det for a q x q corner block on a periodic square lattice.
 
     Equals q 2^(2 q^2 + 1) log|cos(J t)|; only boundary couplings of the
-    block contribute. Needs the lattice side to exceed q.
+    block contribute. Valid when each of the 4q boundary couplings reaches a
+    distinct environment site, that is for a lattice side of at least q + 2.
     """
     if q_side < 1:
         raise ValueError("q_side must be >= 1")
     t = np.asarray(t, dtype=float)
     exponent = q_side << (2 * q_side * q_side + 1)
     out = _int_times_log(exponent, _logabs_cos(j * t))
-    return float(out) if out.ndim == 0 else out
-
-
-def log_det_power_law(
-    n_total: int,
-    p: int,
-    alpha: float,
-    j_n: float,
-    t,
-    kac_normalization: bool = False,
-) -> Union[float, np.ndarray]:
-    """log det for a block of p spins on a power-law ring, mixed environment.
-
-    Direct evaluation of the cosine product: for every unordered pair of
-    block configurations and every environment site j,
-
-        log|cos( J_n(alpha) t sum_i (s_i - s'_i) / r_ij^alpha )|
-
-    counted twice (once per pair orientation).
-    """
-    if not 1 <= p < n_total:
-        raise ValueError("need 1 <= p < n_total")
-    model = PowerLawRing1D(j=j_n, alpha=alpha, kac_normalization=kac_normalization)
-    j_cross = build_coupling(model, n_total)[:p, p:]
-    t = np.asarray(t, dtype=float)
-    v = config_matrix(p, 1).astype(float)  # twice-values, +-1
-    a, b = np.triu_indices(len(v), k=1)
-    out = np.zeros(t.shape)
-    for nu in 0.5 * (v[a] - v[b]) @ j_cross:  # frequencies per environment site
-        out = out + 2.0 * _logabs_cos(np.multiply.outer(t, nu)).sum(axis=-1)
     return float(out) if out.ndim == 0 else out

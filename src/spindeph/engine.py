@@ -411,8 +411,9 @@ def _witness_rows(weights: np.ndarray, configs: np.ndarray, nu: np.ndarray, mult
     rate, rate_lo = np.zeros((2, rows * n_rates))
     rate[flat], rate_lo[flat] = rates[valid], rates_lo[valid]
     rate, rate_lo = rate.reshape(rows, n_rates), rate_lo.reshape(rows, n_rates)
+    # a zero frequency adds nothing to Im A, so a row symmetric in omega has ws = 0
     fields = dict(rate=rate, rate_lo=rate_lo, wc=gather(weights) / total,
-                  ws=gather(sign[:, :width] * weights) / total)
+                  ws=gather(np.sign(hi[:, :width]) * weights) / total)
     if wide:
         fields.update(dc=-rate * fields["wc"], ds=rate * fields["ws"])
     else:
@@ -540,6 +541,11 @@ class WitnessEvaluator:
     @property
     def pair_index(self) -> List[Tuple[int, int]]:
         return list(zip(self._a.tolist(), self._b.tolist()))
+
+    @property
+    def real_factors(self) -> bool:
+        """True when every row is symmetric in omega (ws = 0), so that every A is real."""
+        return all(rows.ws is None for rows in self._factor_rows)
 
     # -- double precision factors (matrix-element accuracy) ----------------
 

@@ -1,15 +1,15 @@
-"""Single-spin specialization: closed-form amplitude, rate, and measures.
+"""Single-spin specialization: rate, trace distance and the three measures.
 
-For one spin-1/2 coupled to a maximally mixed environment the whole
-dynamics is carried by one real amplitude
-
-    A(t) = prod_j cos(J_j t)
-
-multiplying the coherence (J_j are the couplings of the spin to each
-environment site). The witness determinant is A(t)^2, the canonical master
-equation is pure dephasing with rate Gamma_z = -A'/(2A), and the trace
-distance between two evolved states has the closed form used below. All
-three non-Markovianity criteria reduce to the sign of A A', so their
+For one spin-1/2 the whole dynamics is carried by the dephasing factor A(t)
+of its one coherence, which the engine's :class:`WitnessEvaluator` reads
+from its rows (`factors`), together with d = d/dt log|A|^2 (`dlog_det`; the
+witness determinant is |A|^2). For a maximally mixed environment
+A(t) = prod_j cos(J_j t), J_j the couplings of the spin to each environment
+site; A is real when every row is symmetric in frequency, and complex
+for, say, a Gibbs environment in a field. The canonical master equation is
+pure dephasing with rate gamma_z = -d/4 (-A'/(2A) for a real A), and the
+trace distance between two evolved states has the closed form used below.
+All three non-Markovianity criteria reduce to the sign of d, so their
 boolean flags agree wherever A does not vanish; the flags are still
 computed from their own defining formulas.
 """
@@ -47,52 +47,27 @@ class QubitState:
         )
 
 
-def amplitude(j_row, t):
-    """A(t) = prod_j cos(J_j t); A(0) = 1, |A| <= 1."""
-    j_row = np.asarray(j_row, dtype=float)
-    t = np.asarray(t, dtype=float)
-    out = np.cos(np.multiply.outer(t, j_row)).prod(axis=-1)
-    return float(out) if out.ndim == 0 else out
+def dephasing_rate(dlog_det):
+    """Canonical dephasing rate gamma_z = -(d/dt log|A|^2) / 4 from d/dt log|A|^2.
 
-
-def amplitude_derivative(j_row, t):
-    """A'(t) by the product rule, finite at zeros of individual factors."""
-    j_row = np.asarray(j_row, dtype=float)
-    t = np.asarray(t, dtype=float)
-    phases = np.multiply.outer(t, j_row)
-    cos = np.cos(phases)
-    sin = np.sin(phases)
-    out = np.zeros(t.shape)
-    for k in range(j_row.size):
-        others = np.prod(np.delete(cos, k, axis=-1), axis=-1)
-        out = out - j_row[k] * np.take(sin, k, axis=-1) * others
-    return float(out) if out.ndim == 0 else out
-
-
-def dephasing_rate(j_row, t):
-    """Canonical dephasing rate Gamma_z(t) = -A'(t) / (2 A(t)).
-
-    Negative values signal non-Markovianity (broken divisibility). Zeros of
-    A are poles of the rate; they come out as +-inf, not exceptions.
+    For a real A this is -A'/(2A). Negative values signal non-Markovianity
+    (broken divisibility). Zeros of A are poles of the rate.
     """
-    a = np.asarray(amplitude(j_row, t))
-    da = np.asarray(amplitude_derivative(j_row, t))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = -da / (2.0 * a)
+    out = -0.25 * np.asarray(dlog_det, dtype=float)
     return float(out) if out.ndim == 0 else out
 
 
-def blp_trace_distance(a_state: QubitState, b_state: QubitState, j_row, t):
-    """Distance sqrt((rho11a - rho11b)^2 + A(t)^2 |rho12a - rho12b|^2).
+def blp_trace_distance(a_state: QubitState, b_state: QubitState, a):
+    """Distance sqrt((rho11a - rho11b)^2 + |A|^2 |rho12a - rho12b|^2) at amplitude A.
 
     This is half the trace norm of the difference of the evolved states.
     Its growth (information back-flow) marks non-Markovianity; the optimal
     initial pair rho11a = rho11b, rho12a = -rho12b = 1/2 gives |A(t)|.
     """
-    a = np.asarray(amplitude(j_row, t))
+    mod = np.abs(np.asarray(a))
     dpop = a_state.rho11 - b_state.rho11
     dcoh = abs(a_state.rho12 - b_state.rho12)
-    out = np.sqrt(dpop * dpop + a * a * dcoh * dcoh)
+    out = np.sqrt(dpop * dpop + mod * mod * dcoh * dcoh)
     return float(out) if out.ndim == 0 else out
 
 
@@ -101,8 +76,8 @@ class MeasuresReport:
     """Per-grid-point comparison of the three non-Markovianity criteria."""
 
     times: np.ndarray
-    amplitude: np.ndarray
-    amplitude_derivative: np.ndarray
+    amplitude: np.ndarray  # real where the evaluator's factors are real, else complex
+    dlog_det: np.ndarray  # d/dt log|A|^2
     gamma_z: np.ndarray
     distance_optimal: np.ndarray
     flag_geometric: np.ndarray
@@ -119,32 +94,37 @@ class MeasuresReport:
         )
 
 
-def measures_agreement_report(j_row, times) -> MeasuresReport:
+def measures_agreement_report(evaluator, times) -> MeasuresReport:
     """Evaluate geometric, RHP and BLP non-Markovianity flags on a grid.
 
-    geometric: A A' > 0 (growing state-space volume)
-    RHP:       Gamma_z < 0 (negative canonical rate)
-    BLP:       d/dt of the optimal-pair trace distance > 0
+    `evaluator` is the :class:`~spindeph.engine.WitnessEvaluator` of one
+    spin-1/2; A is its one factor and d = d/dt log|A|^2 its `dlog_det`.
+
+    geometric: Re(conj(A) A') = |A|^2 d / 2 > 0 (growing state-space volume)
+    RHP:       gamma_z = -d / 4 < 0 (negative canonical rate)
+    BLP:       d|A|/dt = |A| d / 2 > 0 (growing optimal-pair trace distance)
 
     Each flag is computed from its own formula; points where A vanishes are
     masked as singular instead of flagged.
     """
+    if evaluator.dim != 2:
+        raise ValueError("the measures are defined for a single spin-1/2")
     times = np.asarray(times, dtype=float)
-    a = np.asarray(amplitude(j_row, times))
-    da = np.asarray(amplitude_derivative(j_row, times))
-    singular = np.abs(a) < SINGULAR_AMPLITUDE
-    gamma = dephasing_rate(j_row, times)
+    a = evaluator.factors(times)[:, 0]
+    if evaluator.real_factors:
+        a = a.real
+    d = evaluator.dlog_det(times)
     d_opt = np.abs(a)
-    # derivative of sqrt(A^2 |drho|^2) at the optimal pair (|drho| = 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d_opt_rate = a * da / d_opt
-    flag_geo = (a * da) > 0.0
+    singular = d_opt < SINGULAR_AMPLITUDE
+    gamma = dephasing_rate(d)
+    with np.errstate(invalid="ignore"):
+        flag_geo = d_opt * d_opt * d / 2.0 > 0.0
+        flag_blp = d_opt * d / 2.0 > 0.0
     flag_rhp = gamma < 0.0
-    flag_blp = d_opt_rate > 0.0
     return MeasuresReport(
         times=times,
         amplitude=a,
-        amplitude_derivative=da,
+        dlog_det=d,
         gamma_z=gamma,
         distance_optimal=d_opt,
         flag_geometric=flag_geo & ~singular,

@@ -214,11 +214,15 @@ def test_criterion_8_single_spin_measure_agreement():
     for _ in range(100):
         n_env = int(rng.integers(1, 8))
         j_row = rng.uniform(-2.0, 2.0, size=n_env)
-        report = qubit.measures_agreement_report(j_row, ts)
+        j = np.zeros((n_env + 1, n_env + 1))
+        j[0, 1:] = j[1:, 0] = j_row
+        spec = EnsembleSpec(n_total=n_env + 1, n_system=1, twice_spin=1, couplings=j, fields=0.0)
+        ev = WitnessEvaluator(spec, thermal.maximally_mixed(n_env, 1))
+        report = qubit.measures_agreement_report(ev, ts)
         agree = agree and report.agreement()
         a_state = qubit.QubitState(rho11=0.5, rho12=0.5)
         b_state = qubit.QubitState(rho11=0.5, rho12=-0.5)
-        d_opt = qubit.blp_trace_distance(a_state, b_state, j_row, ts)
+        d_opt = qubit.blp_trace_distance(a_state, b_state, report.amplitude)
         worst = max(worst, float(np.max(np.abs(d_opt - np.abs(report.amplitude)))))
     announce(8, "p=1 measure agreement", agree and worst < 1e-12,
              f"flags agree={agree}, max |D_opt - |A|| = {worst:.2e}")

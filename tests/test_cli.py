@@ -231,6 +231,58 @@ def test_compare_measures_requires_p1(tmp_path):
     assert cli.main(["compare-measures", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
 
+MEASURES_REAL = ["t", "A", "Aprime", "gamma_z", "D_opt", "flag_geo", "flag_rhp", "flag_blp",
+                 "singular"]
+MEASURES_COMPLEX = ["t", "A_re", "A_im", "dA2_dt", "gamma_z", "D_opt", "flag_geo", "flag_rhp",
+                    "flag_blp", "singular"]
+
+
+@pytest.mark.parametrize("case", ["magnetized", "gibbs", "gibbs_field"])
+def test_compare_measures_single_spin_environments(tmp_path, case):
+    # one spin on random couplings to five environment sites, themselves coupled
+    from spindeph import oracle, thermal
+    from spindeph.engine import EnvPopulations
+    from spindeph.model import ensemble_from_dict, system_energies
+
+    rng = np.random.default_rng(2101)
+    j = rng.uniform(-1.0, 1.0, size=(6, 6))
+    j = np.triu(j, 1) + np.triu(j, 1).T
+    field = 0.0 if case == "gibbs" else 0.4
+    ensemble = {"n_total": 6, "n_system": 1, "twice_spin": 1, "couplings": j.tolist(),
+                "fields": field}
+    spec = ensemble_from_dict(ensemble)
+    if case == "magnetized":
+        env = EnvPopulations.product(
+            1, [np.array([0.5 + 0.04 * (i % 5), 0.5 - 0.04 * (i % 5)]) for i in range(5)])
+        environment = {"kind": "explicit", "weights": env.weights.tolist()}
+    else:
+        env = thermal.thermal_populations(spec, 1.0)
+        environment = {"kind": "thermal", "beta": 1.0}
+    cfg = write_config(tmp_path, dict(BASE, ensemble=ensemble, environment=environment))
+    out = tmp_path / "cm.csv"
+    assert cli.main(["compare-measures", "--config", cfg, "--grid", "0:10:400",
+                     "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    cols = {name: np.array([float(r[k]) for r in rows]) for k, name in enumerate(header)}
+    if case == "gibbs":  # every row symmetric in frequency: A is real
+        assert header == MEASURES_REAL
+        a = cols["A"]
+    else:
+        assert header == MEASURES_COMPLEX
+        a = cols["A_re"] + 1j * cols["A_im"]
+
+    # A is the coherence of the oracle's reduced state without its system phase
+    t = cols["t"]
+    rho0 = np.full((2, 2), 0.5, dtype=complex)
+    traced = oracle.oracle_reduced_state(spec, rho0, np.diag(env.weights), t)[:, 0, 1] / 0.5
+    energies = system_energies(spec)
+    assert np.max(np.abs(a - traced * np.exp(-1j * (energies[1] - energies[0]) * t))) < 1e-12
+    ok = cols["singular"] == 0
+    assert np.array_equal(cols["flag_geo"][ok], cols["flag_rhp"][ok])
+    assert np.array_equal(cols["flag_geo"][ok], cols["flag_blp"][ok])
+    assert cols["flag_geo"].any()
+
+
 def test_negativity_bell_preset(tmp_path):
     out = tmp_path / "bell.csv"
     code = cli.main([
@@ -442,19 +494,48 @@ def test_global_negativity_factor_over_dimension_cap_is_usage_error(tmp_path, ca
 
 def test_closed_form_outside_its_assumptions_is_usage_error(tmp_path, capsys):
     # every closed form assumes spin 1/2 and the maximally mixed environment;
-    # both runs below used to exit 0 with deviations of 8e2 and 3e1
+    # both runs of "nn1d" below used to exit 0 with deviations of 8e2 and 3e1.
+    # Each form also holds for one model and geometry; the runs past it used
+    # to exit 0 with deviations of 1.8e2 (nn1d, N = 4, p = 3), 8.6e1 (nn1d on
+    # infinite range), 2.2e1 (inf on a ring) and 2.1e3 (2d, no block side)
     spin1 = dict(BASE, ensemble=dict(BASE["ensemble"], n_system=2, twice_spin=2))
     thermal = dict(BASE, environment={"kind": "thermal", "beta": 1.0})
-    for doc, word in ((spin1, "spin"), (thermal, "mixed")):
+    short_ring = dict(BASE, ensemble=dict(BASE["ensemble"], n_total=4, n_system=3))
+    all_to_all = dict(BASE, ensemble=dict(BASE["ensemble"], n_system=2,
+                                          model={"type": "infinite_range", "J": 1.0}))
+    torus = dict(BASE, ensemble=dict(BASE["ensemble"], n_total=9, n_system=4,
+                                     model={"type": "nn_torus_2d", "side": 3, "J": 1.0}))
+    cases = ((spin1, "nn1d", "spin"), (thermal, "nn1d", "mixed"),
+             (short_ring, "nn1d", "N >= p + 2"), (all_to_all, "nn1d", "'nn_ring_1d'"),
+             (BASE, "inf", "'infinite_range'"), (torus, "2d", "system_block_side"))
+    for doc, form, word in cases:
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "x.csv"
         msg = _expect_usage_error(["witness", "--config", cfg, "--out", str(out),
-                                   "--closed-form", "nn1d"], capsys)
+                                   "--closed-form", form], capsys)
         assert word in msg
         assert not out.exists()
         # without the closed form the same runs are valid
         assert cli.main(["witness", "--config", cfg, "--grid", "0:1:5", "--out", str(out)]) == 0
         out.unlink()
+
+
+def test_closed_forms_inside_their_range(tmp_path, capsys):
+    # a 2 x 2 block of a 4 x 4 torus (side q + 2) and p = 2 of 6 all-to-all
+    # spins; the deviations measured 5.7e-14, 1.7e-15 and 8.4e-5
+    torus = dict(BASE, ensemble=dict(BASE["ensemble"], n_total=16, n_system=4, model={
+        "type": "nn_torus_2d", "side": 4, "system_block_side": 2, "J": 1.0}))
+    all_to_all = dict(BASE, ensemble=dict(BASE["ensemble"], n_system=2,
+                                          model={"type": "infinite_range", "J": 1.0}))
+    for doc, form, bound in ((torus, "2d", 1e-12), (all_to_all, "inf", 1e-14),
+                             (all_to_all, "frac-asym", 1e-3)):
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / f"{form}.csv"
+        assert cli.main(["witness", "--config", cfg, "--grid", "0.01:0.3:20", "--out", str(out),
+                         "--closed-form", form]) == 0
+        header, rows = read_csv(out)
+        dev = np.array([float(r[header.index("log_det_deviation")]) for r in rows])
+        assert np.max(np.abs(dev)) < bound
 
 
 def test_ensemble_with_model_and_couplings_is_usage_error(tmp_path, capsys):

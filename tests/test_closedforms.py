@@ -171,9 +171,16 @@ def test_2d_values_and_exponents():
     assert cf.log_det_2d_nn(2, 1.0, 0.3) == pytest.approx(1024 * np.log(np.cos(0.3)), abs=1e-9)
 
 
+def power_law_log_det(n, p, alpha, j, ts, kac_normalization=False):
+    """The engine's log det for a block of p spins on a power-law ring, mixed environment."""
+    spec = ensemble_from_model(PowerLawRing1D(j=j, alpha=alpha, kac_normalization=kac_normalization),
+                               n, p)
+    return WitnessEvaluator(spec, thermal.maximally_mixed(n - p, 1)).series(ts)[0]
+
+
 def test_power_law_large_alpha_approaches_nn():
     ts = np.linspace(0.05, 2.8, 40)
-    pl = cf.log_det_power_law(6, 1, alpha=50.0, j_n=1.0, t=ts)
+    pl = power_law_log_det(6, 1, 50.0, 1.0, ts)
     nn = cf.log_det_nn_1d(1, 1.0, ts)
     assert np.max(np.abs(pl - nn)) < 1e-10
 
@@ -183,18 +190,29 @@ def test_power_law_alpha_zero_kac_is_infinite_range():
     # J/(N-1), i.e. the all-to-all structure with J' = J N/(N-1)
     n, p = 6, 2
     ts = np.linspace(0.05, 1.2, 25)
-    pl = cf.log_det_power_law(n, p, alpha=0.0, j_n=1.0, t=ts, kac_normalization=True)
+    pl = power_law_log_det(n, p, 0.0, 1.0, ts, kac_normalization=True)
     ref = cf.log_det_infinite_range(n, p, n / (n - 1), ts)
     assert np.max(np.abs(pl - ref)) < 1e-11
 
 
 def test_power_law_matches_engine():
-    ts = np.linspace(0.05, 1.6, 30)
+    # the engine against a 50-digit sum over unordered configuration pairs
+    # and environment sites of 2 log|cos(nu_j t)|, nu = (s - s') J_cross / 2,
+    # from the same float couplings and times
+    import mpmath
+
+    ts = np.array([0.05, 0.4, 0.9, 1.6])
     spec = ensemble_from_model(PowerLawRing1D(j=0.8, alpha=3.0), 7, 2)
-    env = thermal.maximally_mixed(5, 1)
-    ld, _ = WitnessEvaluator(spec, env).series(ts)
-    ref = cf.log_det_power_law(7, 2, alpha=3.0, j_n=0.8, t=ts)
-    assert np.max(np.abs(ld - ref)) < 1e-11
+    j_cross = spec.cross_couplings
+    v = config_matrix(2, 1)
+    with mpmath.workdps(50):
+        nus = [[sum(mpmath.mpf(int(v[a, i] - v[b, i])) / 2 * mpmath.mpf(j_cross[i, k])
+                    for i in range(2)) for k in range(j_cross.shape[1])]
+               for a in range(len(v)) for b in range(a + 1, len(v))]
+        ref = np.array([float(sum(2 * mpmath.log(abs(mpmath.cos(nu * mpmath.mpf(t))))
+                                  for row in nus for nu in row)) for t in ts])
+    ld = power_law_log_det(7, 2, 3.0, 0.8, ts)
+    assert np.max(np.abs(ld - ref) / np.abs(ref)) < 4 * np.finfo(float).eps  # measured 0.85 eps
 
 
 def test_fixed_p_limit_decay():

@@ -18,35 +18,47 @@ def cross_row_spec(j_row, h1=0.0):
     return EnsembleSpec(n_total=n, n_system=1, twice_spin=1, couplings=j, fields=fields)
 
 
+def report_of(j_row, t):
+    """The measures report of one spin-1/2 in a maximally mixed environment."""
+    env = thermal.maximally_mixed(len(j_row), 1)
+    return qubit.measures_agreement_report(WitnessEvaluator(cross_row_spec(j_row), env),
+                                           np.atleast_1d(t))
+
+
+def cosine_product(j_row, t):
+    """A(t) = prod_j cos(J_j t), the mixed environment's amplitude, in plain double."""
+    return np.cos(np.multiply.outer(t, j_row)).prod(axis=-1)
+
+
 def test_amplitude_basics():
-    assert qubit.amplitude([0.7, 1.3], 0.0) == 1.0
+    assert report_of([0.7, 1.3], 0.0).amplitude[0] == 1.0
     t = 0.83
-    assert qubit.amplitude([0.9], t) == pytest.approx(np.cos(0.9 * t), abs=0)
+    assert report_of([0.9], t).amplitude[0] == pytest.approx(np.cos(0.9 * t), abs=0)
     ts = np.linspace(0, 9, 200)
-    vals = qubit.amplitude([0.5, 1.1, 0.3], ts)
-    assert np.all(np.abs(vals) <= 1.0)
+    report = report_of([0.5, 1.1, 0.3], ts)
+    assert not np.iscomplexobj(report.amplitude)
+    assert np.all(np.abs(report.amplitude) <= 1.0)
 
 
 def test_amplitude_matches_engine_factor():
     rng = np.random.default_rng(12)
     for n_env in (2, 4, 7):
         j_row = rng.uniform(-1.5, 1.5, size=n_env)
-        spec = cross_row_spec(j_row)
-        env = thermal.maximally_mixed(n_env, 1)
-        ev = WitnessEvaluator(spec, env)
         for t in (0.4, 1.7, 3.9):
-            assert abs(ev.factors(t)[0]) == pytest.approx(
-                abs(qubit.amplitude(j_row, t)), abs=1e-12
+            assert report_of(j_row, t).amplitude[0] == pytest.approx(
+                cosine_product(j_row, t), abs=1e-12
             )
 
 
 def test_amplitude_derivative_exact():
+    # A' = A d / 2, d = d/dt log|A|^2, against a central difference of A
     rng = np.random.default_rng(23)
     j_row = rng.uniform(-2, 2, size=5)
     h = 1e-5
     for t in (0.3, 1.1, 2.7):
-        fd = (qubit.amplitude(j_row, t + h) - qubit.amplitude(j_row, t - h)) / (2 * h)
-        assert qubit.amplitude_derivative(j_row, t) == pytest.approx(fd, abs=1e-9)
+        near = report_of(j_row, [t - h, t, t + h])
+        fd = (near.amplitude[2] - near.amplitude[0]) / (2 * h)
+        assert near.amplitude[1] * near.dlog_det[1] / 2 == pytest.approx(fd, abs=1e-9)
 
 
 def evolved(state, h1, j_row, t):
@@ -70,14 +82,14 @@ def test_qubit_state_evolution():
 
 
 def test_qubit_state_matches_engine():
-    # rho12 -> rho12 A(t) exp(-i h1 t), A the closed-form amplitude
+    # rho12 -> rho12 A(t) exp(-i h1 t), A the amplitude of the measures report
     rng = np.random.default_rng(31)
     j_row = rng.uniform(-1, 1, size=4)
     h1 = 0.9
     rho0 = qubit.QubitState(rho11=0.62, rho12=0.21 + 0.13j)
     for t in (0.5, 2.9):
         full = evolved(rho0, h1, j_row, t)
-        coherence = rho0.rho12 * qubit.amplitude(j_row, t) * np.exp(-1j * h1 * t)
+        coherence = rho0.rho12 * report_of(j_row, t).amplitude[0] * np.exp(-1j * h1 * t)
         fast = qubit.QubitState(rho11=rho0.rho11, rho12=coherence).matrix
         assert np.max(np.abs(full - fast)) < 1e-12
 
@@ -85,18 +97,19 @@ def test_qubit_state_matches_engine():
 def test_dephasing_rate_single_coupling():
     j = 0.8
     for t in (0.2, 0.9, 1.5):
-        assert qubit.dephasing_rate([j], t) == pytest.approx(0.5 * j * np.tan(j * t), abs=1e-12)
+        assert report_of([j], t).gamma_z[0] == pytest.approx(0.5 * j * np.tan(j * t), abs=1e-12)
     # early-time limit: rate vanishes at t -> 0+
-    assert abs(qubit.dephasing_rate([0.8, 0.5], 1e-9)) < 1e-8
+    assert abs(report_of([0.8, 0.5], 1e-9).gamma_z[0]) < 1e-8
+    assert qubit.dephasing_rate(-2.0) == 0.5
 
 
 def test_dephasing_rate_pole_is_inf():
-    val = qubit.dephasing_rate([1.0], np.pi / 2)
+    val = report_of([1.0], np.pi / 2).gamma_z[0]
     assert abs(val) > 1e10
 
 
 def test_master_equation_integration_reproduces_coherence():
-    # integrate c' = (-i h1 + A'/A) c with RK4 and compare to the closed form
+    # integrate c' = (-i h1 + A'/A) c with RK4, A'/A = d/2, and compare to A
     rng = np.random.default_rng(40)
     j_row = rng.uniform(-1, 1, size=5)
     h1 = 0.45
@@ -104,21 +117,20 @@ def test_master_equation_integration_reproduces_coherence():
     steps = 4000
     dt = t_end / steps
     c = 0.2 + 0.05j
+    # every RK4 stage falls on a multiple of dt/2: one report serves them all
+    half_steps = report_of(j_row, np.arange(2 * steps + 1) * (dt / 2))
 
-    def rhs(t, c_val):
-        a = qubit.amplitude(j_row, t)
-        da = qubit.amplitude_derivative(j_row, t)
-        return (-1j * h1 + da / a) * c_val
+    def rhs(k, c_val):
+        return (-1j * h1 + half_steps.dlog_det[k] / 2) * c_val
 
-    t = 0.0
-    for _ in range(steps):
-        k1 = rhs(t, c)
-        k2 = rhs(t + dt / 2, c + dt / 2 * k1)
-        k3 = rhs(t + dt / 2, c + dt / 2 * k2)
-        k4 = rhs(t + dt, c + dt * k3)
+    for step in range(steps):
+        k = 2 * step
+        k1 = rhs(k, c)
+        k2 = rhs(k + 1, c + dt / 2 * k1)
+        k3 = rhs(k + 1, c + dt / 2 * k2)
+        k4 = rhs(k + 2, c + dt * k3)
         c = c + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
-    closed = (0.2 + 0.05j) * qubit.amplitude(j_row, t_end) * np.exp(-1j * h1 * t_end)
+    closed = (0.2 + 0.05j) * half_steps.amplitude[-1] * np.exp(-1j * h1 * t_end)
     assert c == pytest.approx(closed, abs=1e-8)
 
 
@@ -129,11 +141,11 @@ def test_blp_distance_formula_and_oracle():
     b_state = qubit.QubitState(rho11=0.45, rho12=-0.15 + 0.25j)
     h1 = 0.3
     for t in (0.0, 0.8, 2.2):
-        d = qubit.blp_trace_distance(a_state, b_state, j_row, t)
+        d = qubit.blp_trace_distance(a_state, b_state, report_of(j_row, t).amplitude[0])
         ra = evolved(a_state, h1, j_row, t)
         rb = evolved(b_state, h1, j_row, t)
         assert d == pytest.approx(0.5 * trace_norm(ra - rb), abs=1e-12)
-    assert qubit.blp_trace_distance(a_state, a_state, j_row, 1.0) == 0.0
+    assert qubit.blp_trace_distance(a_state, a_state, report_of(j_row, 1.0).amplitude[0]) == 0.0
 
 
 def test_optimal_pair_distance_is_amplitude():
@@ -141,18 +153,20 @@ def test_optimal_pair_distance_is_amplitude():
     a_state = qubit.QubitState(rho11=0.5, rho12=0.5)
     b_state = qubit.QubitState(rho11=0.5, rho12=-0.5)
     ts = np.linspace(0, 6, 100)
-    d = qubit.blp_trace_distance(a_state, b_state, j_row, ts)
-    assert np.max(np.abs(d - np.abs(qubit.amplitude(j_row, ts)))) < 1e-14
+    report = report_of(j_row, ts)
+    d = qubit.blp_trace_distance(a_state, b_state, report.amplitude)
+    assert np.max(np.abs(d - np.abs(report.amplitude))) < 1e-14
+    assert np.array_equal(report.distance_optimal, np.abs(report.amplitude))
 
 
 def test_flags_single_coupling():
     ts = np.linspace(0.01, np.pi - 0.01, 400)
-    report = qubit.measures_agreement_report([1.0], ts)
+    report = report_of([1.0], ts)
     inside = (ts > np.pi / 2) & (ts < np.pi)
     assert np.array_equal(report.flag_geometric, inside)
     assert report.agreement()
     # near zero all flags are off
-    early = qubit.measures_agreement_report([1.0, 0.7], np.linspace(0.001, 0.1, 20))
+    early = report_of([1.0, 0.7], np.linspace(0.001, 0.1, 20))
     assert not early.flag_geometric.any()
     assert early.agreement()
 
@@ -162,7 +176,7 @@ def test_flags_agree_random_rows():
     ts = np.linspace(0.0, 7.0, 301)
     for _ in range(30):
         j_row = rng.uniform(-2, 2, size=rng.integers(1, 8))
-        report = qubit.measures_agreement_report(j_row, ts)
+        report = report_of(j_row, ts)
         assert report.agreement()
 
 
@@ -173,8 +187,14 @@ def test_witness_is_amplitude_squared():
     env = thermal.maximally_mixed(5, 1)
     ts = np.linspace(0.05, 3.0, 60)
     ld, _ = WitnessEvaluator(spec, env).series(ts)
-    ref = 2 * np.log(np.abs(qubit.amplitude(j_row, ts)))
+    ref = 2 * np.log(np.abs(cosine_product(j_row, ts)))
     assert np.max(np.abs(ld - ref)) < 1e-12
+
+
+def test_report_needs_one_spin_half():
+    spec = EnsembleSpec(n_total=3, n_system=2, twice_spin=1, couplings=1 - np.eye(3), fields=0.0)
+    with pytest.raises(ValueError):
+        qubit.measures_agreement_report(WitnessEvaluator(spec, thermal.maximally_mixed(1, 1)), [1.0])
 
 
 def test_qubit_state_validation():
