@@ -16,10 +16,11 @@ and between two consecutive zeros of A the derivative of log det falls
 strictly from +inf to -inf. Each zero t = k pi / (n nu), k not a multiple of
 n, opens one episode, which ends at the one root of the derivative before
 the next zero. The episode list is then exact, whatever the time grid.
-The roots of all brackets are found together by ITP around Newton steps.
+The roots of all brackets are found together by ITP on the pole-free
+derivative times the distances to both zeros.
 
-:func:`itp_newton` also refines the episode boundaries of the grid route,
-sign changes of the derivative between grid points, by false position.
+:func:`itp` also refines the episode boundaries of the grid route, sign
+changes of the derivative between grid points.
 """
 
 from __future__ import annotations
@@ -31,10 +32,8 @@ import numpy as np
 
 # relative width of a refined bracket; zeros of A closer than it merge
 _REL_TOL = 1e-9
-# zeros of A per block, each bracketing one root; time x rate entries per
-# block of `second_derivative`
+# zeros of A per block, each bracketing one root
 ZERO_BLOCK = 2**10
-SLOPE_BLOCK = 2**12
 
 
 def zeros(nu, mult, levels: int, t_start: float, t_stop: float):
@@ -71,77 +70,55 @@ def zeros(nu, mult, levels: int, t_start: float, t_stop: float):
         yield z, residues
 
 
-def second_derivative(nu, mult, levels: int, t: np.ndarray) -> np.ndarray:
-    """d^2/dt^2 log det = sum 2 mult nu^2 (csc^2(nu t) - n^2 csc^2(n nu t)), n = levels."""
-    out = np.empty(t.shape)
-    coef = 2.0 * mult * nu * nu
-    step = max(1, SLOPE_BLOCK // nu.size)
-    for i in range(0, t.size, step):
-        x = t[i : i + step, None] * nu
-        sin2, sin2_n = np.sin(x) ** 2, np.sin(levels * x) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[i : i + step] = (1.0 / sin2 - levels * levels / sin2_n) @ coef
-    return out
-
-
-def itp_newton(fun, lo, hi, g_lo, g_hi, slope=None) -> np.ndarray:
+def itp(fun, lo, hi, g_lo, g_hi, poles: bool = False) -> np.ndarray:
     """A root of fun in each bracket (lo, hi) of the arrays, all brackets together.
 
     ITP (Oliveira and Takahashi, ACM TOMS 47(1), 2021; kappa1 = 0.2 / width,
     kappa2 = 2, n0 = 1) to a final bracket of _REL_TOL relative width: a
     bracket takes at most one round more than bisection would. ITP truncates
-    and projects an estimate of the root; the truncation moves at least a
-    quarter of the tolerance, so that a converged estimate also closes the
-    far side. Each round calls fun, and slope, once on all brackets still
+    and projects the false position estimate on g; the truncation moves at
+    least a quarter of the tolerance, so that a converged estimate also
+    closes the far side. Each round calls fun once on all brackets still
     open; a bracket's result does not depend on the others.
 
-    g_lo and g_hi, of opposite signs, are g at the ends. Without `slope`,
-    g = fun and the estimate is false position on fun; a non-finite value
-    marks a singular point, across which fun changes sign, and the bracket
-    narrows from above. With `slope` = fun', fun falls from +inf to -inf
-    between poles at lo and hi, and g = fun (t - lo) (hi - t) / (hi - lo) is
-    pole-free, its end values the residues there. The estimate is then a
-    Newton step on g from the last point, or false position on g before the
-    first point and where Newton leaves the bracket; an exact zero of A
-    (NaN) belongs to the nearer pole.
+    g_lo and g_hi, of opposite signs, are g at the ends. By default g = fun;
+    a non-finite value marks a singular point, across which fun changes
+    sign, and the bracket narrows from above. With poles=True fun falls from
+    +inf to -inf between poles at lo and hi, and g = fun (t - lo) (hi - t) /
+    (hi - lo) is pole-free, its end values the residues there; an exact zero
+    of A (NaN) belongs to the nearer pole.
     """
     width = hi - lo
     left, right = lo.copy(), hi.copy()
     g_left, g_right = g_lo.copy(), g_hi.copy()
     sign = np.where(g_lo > 0.0, 1.0, -1.0)  # sign * fun falls across the root
-    x, g, dg = (np.full(lo.shape, np.nan) for _ in range(3))
     eps = 0.5 * _REL_TOL * np.maximum(1.0, np.minimum(np.abs(lo), np.abs(hi)))
     open_ = np.flatnonzero(width > 2.0 * eps)
     budget = np.ceil(np.log2(width[open_] / (2.0 * eps[open_]))) + 1.0
     rounds = 0
     while open_.size:
         a, b, e = left[open_], right[open_], eps[open_]
+        g_a, g_b = g_left[open_], g_right[open_]
         mid = 0.5 * (a + b)
         with np.errstate(divide="ignore", invalid="ignore"):
-            est = x[open_] - g[open_] / dg[open_]
-            false_position = (b * g_left[open_] - a * g_right[open_]) / (g_left[open_] - g_right[open_])
-        est = np.where((est > a) & (est < b), est, false_position)
+            est = (b * g_a - a * g_b) / (g_a - g_b)
         sigma = np.sign(mid - est)
         delta = np.maximum(0.2 * (b - a) ** 2 / width[open_], 0.5 * e)
         est = np.where(delta <= np.abs(mid - est), est + sigma * delta, mid)
         radius = e * 2.0 ** (budget - rounds) - 0.5 * (b - a)
-        t = x[open_] = np.where(np.abs(est - mid) <= radius, est, mid - sigma * radius)
+        t = np.where(np.abs(est - mid) <= radius, est, mid - sigma * radius)
         f = fun(t)
-        if slope is None:
-            g[open_] = f
-            f = np.where(np.isfinite(f), sign[open_] * f, -np.inf)
-        else:
-            # an exact zero of A belongs to the nearer pole
+        if poles:
             f = np.where(np.isnan(f), np.where(t < mid, np.inf, -np.inf), f)
-            after, before = t - lo[open_], hi[open_] - t
             with np.errstate(invalid="ignore"):
-                g[open_] = f * after * before / width[open_]
-                dg[open_] = (slope(t) * after * before + f * (before - after)) / width[open_]
-        up, down = open_[f > 0.0], open_[f < 0.0]
-        left[up], g_left[up] = x[up], g[up]
-        right[down], g_right[down] = x[down], g[down]
-        root = open_[f == 0.0]
-        left[root] = right[root] = x[root]
+                g = f * (t - lo[open_]) * (hi[open_] - t) / width[open_]
+        else:
+            g = f
+            f = np.where(np.isfinite(f), sign[open_] * f, -np.inf)
+        up, down, root = f > 0.0, f < 0.0, f == 0.0
+        left[open_[up]], g_left[open_[up]] = t[up], g[up]
+        right[open_[down]], g_right[open_[down]] = t[down], g[down]
+        left[open_[root]] = right[open_[root]] = t[root]
         rounds += 1
         still = right[open_] - left[open_] > 2.0 * eps[open_]
         open_, budget = open_[still], budget[still]
@@ -165,8 +142,7 @@ def episodes(dlog_det, nu, mult, levels: int, t_start: float, t_stop: float,
         # a bracket across t_stop has its root past it if d_stop > 0
         solve = ~((hi > t_stop) & (d_stop > 0.0))
         end = np.full(lo.shape, t_stop, dtype=float)
-        end[solve] = itp_newton(dlog_det, lo[solve], hi[solve], r_lo[solve], -r_hi[solve],
-                                slope=lambda t: second_derivative(nu, mult, levels, t))
+        end[solve] = itp(dlog_det, lo[solve], hi[solve], r_lo[solve], -r_hi[solve], poles=True)
         start, end = np.maximum(lo, t_start), np.minimum(end, t_stop)
         inside = start < end
         found += zip(start[inside].tolist(), end[inside].tolist())

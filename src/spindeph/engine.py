@@ -63,6 +63,7 @@ bracket keeps its own stopping rule.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Tuple
 
@@ -208,6 +209,19 @@ def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
+def _ordered_sum(x: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Sum over an axis in index order, x[0] + x[1] + ..., whatever the other axes.
+
+    numpy sums a C-contiguous array in index order along an axis while a
+    later axis holds more than one entry, but pairwise where every later
+    axis has length one; there add.accumulate, sequential by definition,
+    takes over, at the cost of one array of the summed entries.
+    """
+    if math.prod(x.shape[axis:][1:]) > 1:
+        return x.sum(axis=axis)
+    return np.add.accumulate(x, axis=axis).take(-1, axis=axis)
+
+
 def _accurate_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Sum over an axis (the last by default) of n terms with about one rounding.
 
@@ -215,14 +229,16 @@ def _accurate_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
     above (n + 2) max|x|, q = (sigma + x) - sigma is exact and lies on the
     grid of sigma's ulp, so sum q is exact in any order and x - q is exact
     and tiny. The error is half an ulp of the sum plus a term of order
-    n^2 eps^2 max|x|, whatever the order of the terms and the other axes.
-    A non-finite term makes the sum non-finite as a plain sum would.
+    n^2 eps^2 max|x|, whatever the order of the terms and the other axes;
+    the tiny residuals are summed in index order (:func:`_ordered_sum`), so
+    the result does not depend on the other axes either. A non-finite term
+    makes the sum non-finite as a plain sum would.
     """
     top = np.max(np.abs(x), axis=axis, keepdims=True, initial=0.0)
     sigma = np.ldexp(1.0, np.frexp(top)[1] + (x.shape[axis] + 2).bit_length())
     q = (sigma + x) - sigma
     high = q.sum(axis=axis)
-    return high + np.where(np.isfinite(high), (x - q).sum(axis=axis), 0.0)
+    return high + np.where(np.isfinite(high), _ordered_sum(x - q, axis), 0.0)
 
 
 def _block_times(entries: int) -> int:
@@ -306,16 +322,15 @@ class _Rows(NamedTuple):
     def factor(self, t: np.ndarray) -> np.ndarray:
         """A of each row at times t, complex, shape (rows, times).
 
-        Plain sums over the rates, divided by sum_j wc_j: Re A at t = 0, a
-        first time in the same sums, so A(0) = 1 exactly and no time's sums
-        depend on the other times.
+        Sums over the rates in index order (:func:`_ordered_sum`), divided
+        by sum_j wc_j in the same order, which is Re A at t = 0: A(0) = 1
+        exactly, and no time's sums depend on the other times.
         """
-        cos, sin = self.phases(np.append(0.0, t))
-        c = np.sum(self.wc * cos, axis=0)
-        total = c[:, :1]
-        out = c[:, 1:] / total + 0j
+        cos, sin = self.phases(t)
+        total = _ordered_sum(self.wc)
+        out = _ordered_sum(self.wc * cos) / total + 0j
         if self.ws is not None:
-            out.imag = np.sum(self.ws * sin, axis=0)[:, 1:] / total
+            out.imag = _ordered_sum(self.ws * sin) / total
         return out
 
     def terms(self, t: np.ndarray, value: bool = True) -> np.ndarray:
@@ -330,13 +345,13 @@ class _Rows(NamedTuple):
         """
         cos, sin = self.phases(t)
         if self.sq is not None:
-            c = np.sum(self.wc * cos, axis=0)
+            c = _ordered_sum(self.wc * cos)
             mod2 = c * c
             if self.ws is not None:
-                s = np.sum(self.ws * sin, axis=0)
+                s = _ordered_sum(self.ws * sin)
                 mod2 = mod2 + s * s
-            derivative = np.sum((self.sc * sin) * cos, axis=0) / mod2
-            x = np.sum(self.sq * (sin * sin), axis=0) if value else None
+            derivative = _ordered_sum((self.sc * sin) * cos) / mod2
+            x = _ordered_sum(self.sq * (sin * sin)) if value else None
         else:
             parts = [self.wc * cos, self.dc * sin]
             if self.ws is not None:
@@ -346,7 +361,7 @@ class _Rows(NamedTuple):
             slope = c * dc
             if value:
                 # v = 1 - c from 1 - cos without cancellation
-                v = np.sum(self.wc * np.where(cos > 0.0, sin * sin / (1.0 + cos), 1.0 - cos), axis=0)
+                v = _ordered_sum(self.wc * np.where(cos > 0.0, sin * sin / (1.0 + cos), 1.0 - cos))
                 x = v * (2.0 - v)
             if s_ds:
                 s, ds = s_ds
@@ -482,8 +497,11 @@ class WitnessEvaluator:
                 continue
             w = block.weights
             if len(keep) < len(block.sites):
-                drop = tuple(k for k in range(len(block.sites)) if k not in keep)
-                w = w.reshape((levels,) * len(block.sites)).sum(axis=drop).ravel()
+                # sorted sums: a configuration and its flip sum the same
+                # terms in opposite orders, and must get the same weight
+                drop = [k for k in range(len(block.sites)) if k not in keep]
+                w = w.reshape((levels,) * len(block.sites)).transpose(keep + drop)
+                w = np.sort(w.reshape(levels ** len(keep), -1), axis=1).sum(axis=1)
             uniform = uniform and bool(np.all(w == w[0]))
             populated = w > 0.0
             sites = [block.sites[k] for k in keep]
@@ -723,12 +741,12 @@ def _grid_episodes(ev: WitnessEvaluator, times, log_det, dlogdet) -> List[Tuple[
     Grid intervals where positivity changes alternate between episode
     starts and ends; an episode open at either end of the grid keeps it.
     Two boundaries in one grid interval are not seen. Each boundary is the
-    sign change in its interval, found by :func:`dirichlet.itp_newton` from
+    sign change in its interval, found by :func:`dirichlet.itp` from
     the grid values at both ends.
     """
     positive = np.isfinite(log_det) & np.isfinite(dlogdet) & (dlogdet > 0.0)
     k = np.flatnonzero(positive[1:] != positive[:-1]) + 1
-    edges = dirichlet.itp_newton(ev.dlog_det, times[k - 1], times[k], dlogdet[k - 1], dlogdet[k])
+    edges = dirichlet.itp(ev.dlog_det, times[k - 1], times[k], dlogdet[k - 1], dlogdet[k])
     edges = edges.tolist()
     if positive[0]:
         edges.insert(0, float(times[0]))

@@ -104,7 +104,9 @@ def measures_agreement_report(evaluator, times) -> MeasuresReport:
     RHP:       gamma_z = -d / 4 < 0 (negative canonical rate)
     BLP:       d|A|/dt = |A| d / 2 > 0 (growing optimal-pair trace distance)
 
-    Each flag is computed from its own formula; points where A vanishes are
+    Each flag is computed from its own formula, with |A| scaled by an exact
+    power of two to its frexp mantissa in [1/2, 1), which keeps the sign and
+    cannot underflow however small |A| is; points where A vanishes are
     masked as singular instead of flagged.
     """
     if evaluator.dim != 2:
@@ -117,9 +119,10 @@ def measures_agreement_report(evaluator, times) -> MeasuresReport:
     d_opt = np.abs(a)
     singular = d_opt < SINGULAR_AMPLITUDE
     gamma = dephasing_rate(d)
+    mantissa = np.frexp(d_opt)[0]
     with np.errstate(invalid="ignore"):
-        flag_geo = d_opt * d_opt * d / 2.0 > 0.0
-        flag_blp = d_opt * d / 2.0 > 0.0
+        flag_geo = mantissa * mantissa * d / 2.0 > 0.0
+        flag_blp = mantissa * d / 2.0 > 0.0
     flag_rhp = gamma < 0.0
     return MeasuresReport(
         times=times,

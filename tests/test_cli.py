@@ -283,6 +283,47 @@ def test_compare_measures_single_spin_environments(tmp_path, case):
     assert cols["flag_geo"].any()
 
 
+def test_compare_measures_field_free_gibbs_marginal_is_real(tmp_path):
+    # the ring6 preset without fields at beta = 1: the Gibbs block is
+    # marginalized onto the two sites next to the spin, and a marginal
+    # symmetric under the spin flip makes A real to the last bit
+    from spindeph import oracle, thermal
+    from spindeph.model import ensemble_from_dict, system_energies
+
+    doc = json.loads(Path(preset("witness_nn_ring6.json")).read_text())
+    doc["ensemble"]["fields"] = 0.0
+    doc["environment"] = {"kind": "thermal", "beta": 1.0}
+    out = tmp_path / "cm.csv"
+    assert cli.main(["compare-measures", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert header == MEASURES_REAL
+    t, a = (np.array([float(r[k]) for r in rows]) for k in range(2))
+    spec = ensemble_from_dict(doc["ensemble"])
+    weights = thermal.thermal_populations(spec, 1.0).weights
+    rho0 = np.full((2, 2), 0.5, dtype=complex)
+    traced = oracle.oracle_reduced_state(spec, rho0, np.diag(weights), t)[:, 0, 1] / 0.5
+    energies = system_energies(spec)
+    assert np.max(np.abs(a - traced * np.exp(-1j * (energies[1] - energies[0]) * t))) < 1e-12
+
+
+def test_compare_measures_flags_agree_where_a_is_tiny(tmp_path):
+    # one spin on 600 couplings: |A| falls far below 1e-162 on this grid,
+    # where |A|^2 d / 2 underflows in double although A is not singular
+    j = np.zeros((601, 601))
+    j[0, 1:] = j[1:, 0] = np.random.default_rng(0).uniform(0.3, 1.5, 600)
+    ensemble = dict(BASE["ensemble"], n_total=601, couplings=j.tolist())
+    del ensemble["model"]
+    out = tmp_path / "cm.csv"
+    assert cli.main(["compare-measures", "--config", write_config(tmp_path, dict(BASE, ensemble=ensemble)),
+                     "--grid", "0:3:31", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    cols = {name: np.array([float(r[k]) for r in rows]) for k, name in enumerate(header)}
+    tiny = (cols["D_opt"] < 1e-162) & (cols["singular"] == 0)
+    assert np.any(tiny & (cols["flag_rhp"] == 1))
+    for flag in ("flag_geo", "flag_blp"):
+        assert np.array_equal(cols[flag], cols["flag_rhp"])
+
+
 def test_negativity_bell_preset(tmp_path):
     out = tmp_path / "bell.csv"
     code = cli.main([

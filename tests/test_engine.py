@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spindeph import model, thermal
-from spindeph.dirichlet import ZERO_BLOCK, itp_newton
+from spindeph import engine, model, thermal
+from spindeph.dirichlet import ZERO_BLOCK, itp
 from spindeph.dirichlet import zeros as dirichlet_zeros
 from spindeph.engine import (
     EnvPopulations,
@@ -351,6 +352,52 @@ def test_series_value_does_not_depend_on_the_batch(case):
     assert [ev.dlog_det(t) for t in ts] == dlog_det.tolist()
 
 
+@st.composite
+def one_row_cases(draw):
+    """One spin 1/2 on a flat block of 3 to 5 coupled sites, random times.
+
+    One row of many rates in a group of its own: pairwise at 3 and 4 sites,
+    wide at 5, under Gibbs or random populations.
+    """
+    n_env = draw(st.integers(3, 5))
+    n = 1 + n_env
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    j = rng.uniform(-1.5, 1.5, (n, n))
+    j = np.triu(j, 1) + np.triu(j, 1).T
+    spec = EnsembleSpec(n_total=n, n_system=1, twice_spin=1, couplings=j, fields=rng.uniform(-1.0, 1.0, n))
+    if draw(st.booleans()):
+        env = thermal.thermal_populations(spec, float(rng.uniform(0.1, 3.0)))
+    else:
+        w = rng.uniform(0.01, 1.0, spec.dim_env)
+        env = EnvPopulations(n_sites=n_env, twice_spin=1, weights=w / w.sum())
+    return spec, env, rng.uniform(-1.0, 8.0, draw(st.integers(2, 40)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(one_row_cases())
+def test_one_row_values_do_not_depend_on_the_batch(case):
+    # a group of one row sums its rates in the order of a group of many, at
+    # one time as in a block of times, whatever the block size
+    spec, env, ts = case
+    ev = WitnessEvaluator(spec, env)
+    (rows,) = ev._rows
+    assert rows.rate.shape[0] >= 8 and rows.rate.shape[1] == 1
+    results = []
+    for block in (1, 2**8, engine.SERIES_BLOCK):
+        with mock.patch.object(engine, "SERIES_BLOCK", block):
+            log_det, dlog_det = ev.series(ts)
+            factors = ev.factors(ts)
+            single = [ev.series([t]) for t in ts]
+            assert log_det.tobytes() == np.concatenate([s[0] for s in single]).tobytes()
+            assert dlog_det.tobytes() == np.concatenate([s[1] for s in single]).tobytes()
+            assert [ev.dlog_det(t) for t in ts] == dlog_det.tolist()
+            assert ev.dlog_det(ts[1:]).tobytes() == dlog_det[1:].tobytes()
+            assert np.concatenate([ev.factors(t) for t in ts]).tobytes() == factors.tobytes()
+            assert ev.factors(ts[::-1])[::-1].tobytes() == factors.tobytes()
+            results.append([log_det.tobytes(), dlog_det.tobytes(), factors.tobytes()])
+    assert results[0] == results[1] == results[2]
+
+
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(kernel_cases())
@@ -425,8 +472,8 @@ def test_grid_brackets_batched_equal_one_at_a_time_bitwise():
     spec, env, _, (lo, hi, f_lo, f_hi) = gibbs_grid_case()
     ev = WitnessEvaluator(spec, env)
     assert lo.size >= 40
-    batched = itp_newton(ev.dlog_det, lo, hi, f_lo, f_hi)
-    single = [itp_newton(ev.dlog_det, lo[i : i + 1], hi[i : i + 1], f_lo[i : i + 1], f_hi[i : i + 1])[0]
+    batched = itp(ev.dlog_det, lo, hi, f_lo, f_hi)
+    single = [itp(ev.dlog_det, lo[i : i + 1], hi[i : i + 1], f_lo[i : i + 1], f_hi[i : i + 1])[0]
               for i in range(lo.size)]
     assert batched.tolist() == single
 
@@ -468,8 +515,8 @@ def test_grid_refinement_narrows_past_non_finite_values():
         return np.where(t >= 0.4, np.nan, np.cos(7.0 * np.asarray(t)))
 
     lo, hi = np.array([0.0, 0.3]), np.array([1.0, 0.5])
-    batched = itp_newton(fun, lo, hi, fun(lo), fun(hi))
-    single = [itp_newton(fun, lo[i : i + 1], hi[i : i + 1], fun(lo[i : i + 1]), fun(hi[i : i + 1]))[0]
+    batched = itp(fun, lo, hi, fun(lo), fun(hi))
+    single = [itp(fun, lo[i : i + 1], hi[i : i + 1], fun(lo[i : i + 1]), fun(hi[i : i + 1]))[0]
               for i in range(2)]
     assert batched.tolist() == single
     assert batched[0] == pytest.approx(np.pi / 14, abs=1e-9)
@@ -873,6 +920,53 @@ def test_certified_episodes_seed5_match_mpmath_for_any_grid():
             root = mpmath.findroot(dlog_det, (mpmath.mpf(end) - 1e-9, mpmath.mpf(end) + 1e-9))
             assert zero < root < following
             assert abs(end - root) <= 1e-9 * max(1, root)
+
+
+@pytest.mark.parametrize("twice_spin", [2, 3])
+def test_certified_episodes_at_higher_spin_match_mpmath(twice_spin):
+    # A = prod D_n(nu t)^mult, D_n(x) = sin(n x) / (n sin x), n = 2S + 1:
+    # episodes open at the zeros k pi / (n nu), k not a multiple of n, and
+    # end at the roots of sum 2 mult nu (n cot(n nu t) - cot(nu t))
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(40 + twice_spin)
+    j = rng.uniform(-1.5, 1.5, (4, 4))
+    j = np.triu(j, 1) + np.triu(j, 1).T
+    spec = EnsembleSpec(n_total=4, n_system=1, twice_spin=twice_spin, couplings=j, fields=np.zeros(4))
+    episodes = detect_episodes(spec, thermal.maximally_mixed(3, twice_spin), 0.0, 8.0, 50).episodes
+    n = twice_spin + 1
+    nus, counts = site_frequencies(spec)
+    with mpmath.workdps(40):
+        rates = [(mpmath.mpf(float(v)), int(c)) for v, c in zip(nus, counts)]
+        zeros = sorted(k * mpmath.pi / (n * v) for v, _ in rates
+                       for k in range(1, int(8.0 * n * float(v) / np.pi) + 2) if k % n)
+        zeros = [z for z, before in zip(zeros, [0] + zeros) if z - before > 1e-12 * z]  # shared zeros
+
+        def dlog_det(t):
+            return sum(2 * c * v * (n * mpmath.cot(n * v * t) - mpmath.cot(v * t)) for v, c in rates)
+
+        assert len(episodes) == sum(z < 8 for z in zeros) >= 15
+        for (start, end), zero, following in zip(episodes, zeros, zeros[1:]):
+            assert abs(start - zero) <= 1e-9 * max(1, zero)
+            if end == 8.0:
+                continue
+            width = 1e-8 * max(1.0, end)
+            root = mpmath.findroot(dlog_det, (mpmath.mpf(end - width), mpmath.mpf(end + width)),
+                                   solver="anderson")
+            assert zero < root < following
+            assert abs(end - root) <= 1e-9 * max(1, root)
+
+
+def test_certified_brackets_batched_equal_one_at_a_time_bitwise():
+    spec, env = seed5_spec(), thermal.maximally_mixed(8, 1)
+    ev = WitnessEvaluator(spec, env)
+    (z, residues), *_ = dirichlet_zeros(*ev._dirichlet, 2, 0.0, 3.0)
+    lo, hi, r_lo, r_hi = z[:-1], z[1:], residues[:-1], -residues[1:]
+    assert lo.size >= 56
+    batched = itp(ev.dlog_det, lo, hi, r_lo, r_hi, poles=True)
+    single = [itp(ev.dlog_det, lo[i : i + 1], hi[i : i + 1], r_lo[i : i + 1], r_hi[i : i + 1], poles=True)[0]
+              for i in range(lo.size)]
+    assert batched.tolist() == single
+    assert np.all((lo < batched) & (batched < hi))
 
 
 @st.composite
