@@ -201,18 +201,27 @@ def _spectrum_and_trace_norm(rho: np.ndarray) -> Tuple[np.ndarray, float]:
     return eigs, trace - 2.0 * float(eigs[eigs < 0.0].sum())
 
 
+def _path_and_vectors(rho_s0: np.ndarray, rho_e0: np.ndarray):
+    """(path, [psi_S, psi_E]) for these factors; the vectors only on the Schmidt path."""
+    factors = [np.asarray(rho, dtype=complex) for rho in (rho_s0, rho_e0)]
+    if any(map(_is_diagonal, factors)):
+        return "factor_spectra", None
+    vectors = []
+    for rho in factors:
+        psi, ok = _pure_vectors(rho[None], tol=_PURITY_TOL)
+        if not ok[0]:
+            return "dense", None
+        vectors.append(psi[0])
+    return "schmidt", vectors
+
+
 def global_negativity_path(rho_s0: np.ndarray, rho_e0: np.ndarray) -> str:
     """The path `global_negativity_series` takes for these factors.
 
     "factor_spectra" when either factor is diagonal, "schmidt" when both
     are rank one, else "dense", the only path that builds a D x D matrix.
     """
-    factors = [np.asarray(rho, dtype=complex) for rho in (rho_s0, rho_e0)]
-    if any(map(_is_diagonal, factors)):
-        return "factor_spectra"
-    if all(_pure_vectors(rho[None], tol=_PURITY_TOL)[1][0] for rho in factors):
-        return "schmidt"
-    return "dense"
+    return _path_and_vectors(rho_s0, rho_e0)[0]
 
 
 def global_negativity_series(
@@ -239,7 +248,7 @@ def global_negativity_series(
         if np.max(np.abs(rho - rho.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(rho))):
             raise ValueError("negativity needs Hermitian factors")
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    path = global_negativity_path(rho_s0, rho_e0)
+    path, vectors = _path_and_vectors(rho_s0, rho_e0)
 
     if path == "factor_spectra":
         (eig_s, norm_s), (eig_e, norm_e) = map(_spectrum_and_trace_norm, (rho_s0, rho_e0))
@@ -251,7 +260,7 @@ def global_negativity_series(
     if path == "schmidt":
         # coefficient matrix with the smaller side first: its Gram matrix
         # is the smaller one
-        psi0 = np.outer(*(_pure_vectors(r[None], tol=_PURITY_TOL)[0][0] for r in (rho_s0, rho_e0)))
+        psi0 = np.outer(*vectors)
         energies = total_energies(spec).reshape(d_s, d_e)
         if d_s > d_e:
             psi0, energies = psi0.T, energies.T

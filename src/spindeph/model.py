@@ -101,6 +101,8 @@ class EnsembleSpec:
         j = np.array(self.couplings, dtype=float)
         if j.shape != (self.n_total, self.n_total):
             raise ValueError(f"couplings must be {self.n_total}x{self.n_total}")
+        if not np.all(np.isfinite(j)):
+            raise ValueError("couplings must be finite")
         if not np.array_equal(j, j.T):
             raise ValueError("couplings must be symmetric")
         if np.any(np.diag(j) != 0.0):
@@ -110,6 +112,8 @@ class EnsembleSpec:
             h = np.full(self.n_total, float(h))
         if h.shape != (self.n_total,):
             raise ValueError(f"fields must have length {self.n_total}")
+        if not np.all(np.isfinite(h)):
+            raise ValueError("fields must be finite")
         object.__setattr__(self, "couplings", _as_readonly(j))
         object.__setattr__(self, "fields", _as_readonly(h))
 

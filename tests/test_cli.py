@@ -671,6 +671,36 @@ def test_non_hermitian_matrix_state_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("case, changes, field", [
+    # each used to pass the reading of input: the first two and the last
+    # exited 0 with NaN dropped or inf written, the others ended in a
+    # traceback (OverflowError in the Dirichlet zeros, ValueError in linalg)
+    ("weights", {"environment": {"kind": "explicit", "weights": [_NAN, 0.5, 0.25, 0.25]}},
+     "populations"),
+    ("fields", {"ensemble": {"fields": [_NAN, 0.0, 0.0]}}, "fields"),
+    ("couplings", {"ensemble": {"model": None, "couplings": [[0.0, _INF, 1.0], [_INF, 0.0, 1.0],
+                                                             [1.0, 1.0, 0.0]]}}, "couplings"),
+    ("matrix_nan", {"system_state": {"kind": "matrix", "re": [[0.5, _NAN], [_NAN, 0.5]]}},
+     "state matrix"),
+    ("matrix_inf", {"system_state": {"kind": "matrix", "re": [[_INF, 0.0], [0.0, 0.5]]}},
+     "state matrix"),
+])
+def test_non_finite_number_in_config_is_usage_error(tmp_path, capsys, case, changes, field):
+    doc = dict(BASE, ensemble=dict(BASE["ensemble"], n_total=3),
+               system_state={"kind": "maximally_mixed"}, environment_state={"kind": "maximally_mixed"})
+    for key, value in changes.items():
+        doc[key] = {k: v for k, v in dict(doc.get(key, {}), **value).items() if v is not None}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "x.csv"
+    command = ["negativity", "--cut", "global"] if case.startswith("matrix") else ["witness"]
+    msg = _expect_usage_error(command + ["--config", cfg, "--out", str(out)], capsys)
+    assert field in msg and "finite" in msg
+    assert not out.exists()
+
+
 def test_nn1d_closed_form_on_a_ring_past_the_enumeration_cap(tmp_path, capsys):
     # 2^28 environment configurations: the mixed environment is a product of
     # single-site blocks and only the two sites next to the system dephase it

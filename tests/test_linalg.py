@@ -106,6 +106,54 @@ def test_degenerate_and_rank_deficient():
     assert np.max(np.abs(vals[:-1])) < 1e-12
 
 
+def test_two_by_two_blocks_against_mpmath():
+    # a 2 x 2 block takes its closed-form roots; each within (n + 8) eps
+    # ||A||_2 of 40-digit roots, also at scales 1e+-150, where a graded
+    # coupling squares to a subnormal (hypot squares nothing)
+    import mpmath
+
+    cases = [
+        ([1.0, 1.0], 0.5),  # equal diagonals
+        ([2.0, -1.0], 0.0),  # no coupling: two 1 x 1 blocks
+        ([1.0, 1e-16], 1e-8),  # graded
+        ([1e-8, 1.0], 3e-5j),
+        ([3.0, -7.0], 2.0 - 1.0j),
+    ]
+    cases += [([a * s, c * s], f * s) for (a, c), f in cases for s in (1e150, 1e-150)]
+    cases += [([0.25, 0.25], 1e-13), ([-1.0, -1.0 + 2.0**-52], 1e-300)]
+    stack = np.array([[[a, f], [np.conj(f), c]] for (a, c), f in cases])
+    vals = linalg.hermitian_eigenvalues(stack)
+    with mpmath.workdps(40):
+        for a, mine in zip(stack, vals):
+            p, q, f = mpmath.mpf(a[0, 0].real), mpmath.mpf(a[1, 1].real), mpmath.mpc(a[1, 0])
+            radius = mpmath.sqrt(((p - q) / 2) ** 2 + abs(f) ** 2)
+            ref = [(p + q) / 2 - radius, (p + q) / 2 + radius]
+            norm = max(abs(r) for r in ref)
+            err = max(abs(mpmath.mpf(float(m)) - r) for m, r in zip(mine, ref))
+            assert err <= 10 * EPS * norm, (a, err / norm)
+    assert np.array_equal(_bits(vals[:, 0]), _bits(linalg.lowest_eigenvalues(stack)))
+
+
+def test_low_rank_input_stops_householder_at_its_rank(monkeypatch):
+    # a rank-one 128 x 128 input reflects its first column (and at most a
+    # noise column or two), then returns: a handful of products, where each
+    # of its 126 later columns used to take one
+    calls = []
+    dot = linalg._dot
+    monkeypatch.setattr(linalg, "_dot", lambda x, y: calls.append(1) or dot(x, y))
+    rng = np.random.default_rng(11)
+    psi = rng.normal(size=128) + 1j * rng.normal(size=128)
+    a = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    alone = linalg.hermitian_eigenvalues(a)
+    assert len(calls) <= 10
+    assert alone[-1] == pytest.approx(1.0, abs=1e-13) and np.max(np.abs(alone[:-1])) < 1e-14
+    # next to a full-rank matrix every step runs, and a keeps its bits
+    calls.clear()
+    together = linalg.hermitian_eigenvalues(np.stack([a, random_hermitian(rng, 128)]))
+    assert len(calls) > 126
+    assert np.array_equal(_bits(alone), _bits(together[0]))
+
+
 def test_trace_norm():
     a = np.diag([1.0, -2.0, 0.5])
     assert linalg.trace_norm(a) == pytest.approx(3.5, abs=1e-14)
@@ -147,7 +195,7 @@ def _stack_cases(rng, n, members=3):
     split[:, :half, :half] = herm(members, half, half)
     split[:, half:, half:] = 3.0 * herm(members, n - half, n - half)
     interleave = np.argsort(np.arange(n) % 2, kind="stable")
-    return {
+    cases = {
         "random": herm(members, n, n),
         "rank_one": psi @ np.swapaxes(psi.conj(), -1, -2),
         "graded": graded,
@@ -159,6 +207,14 @@ def _stack_cases(rng, n, members=3):
         "split": split,
         "split_interleaved": split[:, interleave][:, :, interleave],
     }
+    # low-rank members between full-rank ones: alone, Householder returns
+    # after the member's rank; in the stack, the full-rank members keep
+    # every step going
+    low = rng.normal(size=(members, n, 3)) + 1j * rng.normal(size=(members, n, 3))
+    full = np.arange(members)[:, None, None] % 2 == 1
+    cases["rank_one_mixed"] = np.where(full, cases["random"], cases["rank_one"])
+    cases["low_rank_mixed"] = np.where(full, herm(members, n, n), low @ np.swapaxes(low.conj(), -1, -2))
+    return cases
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 200])
@@ -260,11 +316,13 @@ def hermitian_stacks(draw):
     stack = []
     for _ in range(members):
         g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        kind = draw(st.sampled_from(["random", "sparse", "rank_one", "diagonal_dominant"]))
+        kind = draw(st.sampled_from(["random", "sparse", "rank_one", "low_rank", "diagonal_dominant"]))
         if kind == "sparse":
             g *= rng.random(size=(n, n)) < 0.4
         elif kind == "rank_one":
             g = np.outer(g[:, 0], np.ones(n))
+        elif kind == "low_rank":
+            g = g[:, :2] @ g[:, :2].conj().T
         elif kind == "diagonal_dominant":
             g = np.diag(rng.normal(size=n) * 100.0) + 1e-3 * g
         scale = 10.0 ** draw(st.integers(-6, 6))
