@@ -137,7 +137,7 @@ class EnvPopulations:
                 raise ValueError(f"need {expected} weights, got {w.shape}")
             # NaN passes both tests below
             if not np.all(np.isfinite(w)):
-                raise ValueError("populations must be finite")
+                raise ValueError("population weights must be finite")
             if np.any(w < 0.0):
                 raise ValueError("populations must be nonnegative")
             if abs(w.sum() - 1.0) > 1e-12:

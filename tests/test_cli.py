@@ -679,7 +679,7 @@ _NAN, _INF = float("nan"), float("inf")
     # exited 0 with NaN dropped or inf written, the others ended in a
     # traceback (OverflowError in the Dirichlet zeros, ValueError in linalg)
     ("weights", {"environment": {"kind": "explicit", "weights": [_NAN, 0.5, 0.25, 0.25]}},
-     "populations"),
+     "weights"),
     ("fields", {"ensemble": {"fields": [_NAN, 0.0, 0.0]}}, "fields"),
     ("couplings", {"ensemble": {"model": None, "couplings": [[0.0, _INF, 1.0], [_INF, 0.0, 1.0],
                                                              [1.0, 1.0, 0.0]]}}, "couplings"),
