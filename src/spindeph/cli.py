@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, entanglement, thermal
+from .linalg import _checked
 from .model import (
     EnsembleSpec,
     ResourceCapError,
@@ -191,12 +192,7 @@ def _state_matrix(doc: dict, n_sites: int, twice_spin: int) -> np.ndarray:
         rho = re + 1j * im
         if rho.shape != (dim, dim):
             raise UsageError(f"state matrix must be {dim}x{dim}")
-        # NaN passes the Hermiticity test below
-        if not np.all(np.isfinite(rho)):
-            raise UsageError("state matrix entries ('re', 'im') must be finite")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(rho))):
-            raise UsageError("state matrix must be Hermitian")
-        return rho
+        return _checked(rho, "state matrix")
     raise UsageError(f"unknown state kind {kind!r}")
 
 

@@ -21,7 +21,7 @@ one of three paths from the two factors, once for the whole grid:
   the partial transpose of |psi><psi| has eigenvalues {l_i^2} and
   {+- l_i l_j}, so the trace norm is (sum_i l_i)^2.
 - dense: anything else. The global matrix is built at each time and its
-  partial transpose diagonalized with the in-package solver.
+  partial transpose diagonalized by `linalg.hermitian_eigenvalues`.
 
 `system_negativity_series` cuts inside the subsystem: exact reduced states
 go to `negativity_details` in stacks, one eigensolver call per stack.
@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .engine import EnvPopulations, WitnessEvaluator
-from .linalg import hermitian_eigenvalues
+from .linalg import _checked, hermitian_eigenvalues
 from .model import EnsembleSpec, ResourceCapError, total_energies
 
 GLOBAL_DIM_CAP = 1024
@@ -135,13 +135,7 @@ def negativity_details(rho: np.ndarray, dims: Tuple[int, int]):
     """
     d_s, d_e = dims
     rho = np.asarray(rho, dtype=complex)
-    stack = rho.reshape((-1,) + rho.shape[-2:])
-    skew = np.swapaxes(stack.conj(), -1, -2)
-    skew -= stack
-    scale = np.maximum(1.0, np.max(np.abs(stack), axis=(-2, -1), initial=0.0))
-    if np.any(np.max(np.abs(skew), axis=(-2, -1), initial=0.0) > 1e-10 * scale):
-        raise ValueError("negativity needs a Hermitian matrix")
-    del skew  # a D x D temporary: free it before the purity and residual ones
+    stack = _checked(rho.reshape((-1,) + rho.shape[-2:]), "negativity input")
     purity = np.sum(np.abs(stack) ** 2, axis=(-2, -1))
     trace = np.trace(stack, axis1=-2, axis2=-1).real
     out = np.empty((len(stack), 3))
@@ -190,22 +184,27 @@ def _is_diagonal(rho: np.ndarray) -> bool:
     return float(off.max()) <= _DIAGONAL_TOL * scale
 
 
-def _spectrum_and_trace_norm(rho: np.ndarray) -> Tuple[np.ndarray, float]:
+def _spectrum_and_trace_norm(rho: np.ndarray, diagonal: bool) -> Tuple[np.ndarray, float]:
     """Eigenvalues of a factor and its trace norm tr rho - 2 (sum of negatives).
 
     The trace comes from the diagonal, so a PSD factor whose eigenvalues
     carry ~eps noise still has trace norm 1 to the last bit.
     """
     trace = float(np.trace(rho).real)
-    eigs = np.diag(rho).real.copy() if _is_diagonal(rho) else hermitian_eigenvalues(rho)
+    eigs = np.diag(rho).real.copy() if diagonal else hermitian_eigenvalues(rho)
     return eigs, trace - 2.0 * float(eigs[eigs < 0.0].sum())
 
 
-def _path_and_vectors(rho_s0: np.ndarray, rho_e0: np.ndarray):
-    """(path, [psi_S, psi_E]) for these factors; the vectors only on the Schmidt path."""
+def _path_and_data(rho_s0: np.ndarray, rho_e0: np.ndarray):
+    """(path, data) for these factors.
+
+    data is [is rho_S diagonal, is rho_E diagonal] on the factor-spectra
+    path, [psi_S, psi_E] on the Schmidt path and None on the dense path.
+    """
     factors = [np.asarray(rho, dtype=complex) for rho in (rho_s0, rho_e0)]
-    if any(map(_is_diagonal, factors)):
-        return "factor_spectra", None
+    diagonal = [_is_diagonal(rho) for rho in factors]
+    if any(diagonal):
+        return "factor_spectra", diagonal
     vectors = []
     for rho in factors:
         psi, ok = _pure_vectors(rho[None], tol=_PURITY_TOL)
@@ -221,7 +220,7 @@ def global_negativity_path(rho_s0: np.ndarray, rho_e0: np.ndarray) -> str:
     "factor_spectra" when either factor is diagonal, "schmidt" when both
     are rank one, else "dense", the only path that builds a D x D matrix.
     """
-    return _path_and_vectors(rho_s0, rho_e0)[0]
+    return _path_and_data(rho_s0, rho_e0)[0]
 
 
 def global_negativity_series(
@@ -245,13 +244,12 @@ def global_negativity_series(
     if rho_s0.shape != (d_s, d_s) or rho_e0.shape != (d_e, d_e):
         raise ValueError("initial factors have wrong dimensions")
     for rho in (rho_s0, rho_e0):
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(rho))):
-            raise ValueError("negativity needs Hermitian factors")
+        _checked(rho, "initial factor")
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    path, vectors = _path_and_vectors(rho_s0, rho_e0)
+    path, data = _path_and_data(rho_s0, rho_e0)
 
     if path == "factor_spectra":
-        (eig_s, norm_s), (eig_e, norm_e) = map(_spectrum_and_trace_norm, (rho_s0, rho_e0))
+        (eig_s, norm_s), (eig_e, norm_e) = map(_spectrum_and_trace_norm, (rho_s0, rho_e0), data)
         tnorm = norm_s * norm_e
         extremes = [np.array([e.min(), e.max()]) for e in (eig_s, eig_e)]
         columns = ((tnorm - 1.0) / 2.0, float(np.outer(*extremes).min()), tnorm)
@@ -260,7 +258,7 @@ def global_negativity_series(
     if path == "schmidt":
         # coefficient matrix with the smaller side first: its Gram matrix
         # is the smaller one
-        psi0 = np.outer(*vectors)
+        psi0 = np.outer(*data)
         energies = total_energies(spec).reshape(d_s, d_e)
         if d_s > d_e:
             psi0, energies = psi0.T, energies.T

@@ -16,7 +16,7 @@ must not reach the subsystem, and the dense path checks the contraction.
 It evaluates the engine once per ensemble, at the grid times and the probe
 time together, and gathers the engine's reduced states and the Bloch
 matrices by size into stacks of at most ``entanglement.SCHMIDT_BLOCK``
-entries: one ``lowest_eigenvalues`` call per stack for the positivity
+entries: one ``hermitian_eigenvalues`` call per stack for the positivity
 check and one ``lu_det`` call per stack for the determinant check, each
 member bitwise as alone. The determinant check needs a time where det M
 is not near 0: the draws are tried in chunks of 1, 2, 4, ... times with
@@ -44,7 +44,7 @@ from .engine import (
     bloch_to_density,
     bloch_vector,
 )
-from .linalg import lowest_eigenvalues, lu_det
+from .linalg import hermitian_eigenvalues, lu_det
 from .model import EnsembleSpec, ResourceCapError, total_energies
 
 SUPEROP_SYSTEM_DIM_CAP = 16
@@ -209,7 +209,7 @@ def run_verification(
 
     def fold_states(dim):
         nonlocal min_eigenvalue
-        low = lowest_eigenvalues(states.pop(dim))
+        low = hermitian_eigenvalues(states.pop(dim))[..., 0]
         min_eigenvalue = min(min_eigenvalue, float(low.min()))
 
     def fold_dets(dim):

@@ -342,8 +342,8 @@ def test_negativity_global_requires_states(tmp_path):
                      "--out", str(tmp_path / "x.csv")]) == 2
 
 
-def _global_doc(system_state, environment_state):
-    return dict(BASE, ensemble=dict(BASE["ensemble"], n_total=5, n_system=2),
+def _global_doc(system_state, environment_state, n_total=5):
+    return dict(BASE, ensemble=dict(BASE["ensemble"], n_total=n_total, n_system=2),
                 system_state=system_state, environment_state=environment_state,
                 grid={"start": 0.0, "stop": 3.0, "points": 7})
 
@@ -356,6 +356,9 @@ _MIXED_COHERENT = {"kind": "matrix", "re": (0.25 * np.eye(4) + 0.05 * (1 - np.ey
     (({"kind": "maximally_mixed"}, {"kind": "uniform_superposition"}), "factor_spectra"),
     (({"kind": "uniform_superposition"}, {"kind": "uniform_superposition"}), "schmidt"),
     ((_MIXED_COHERENT, {"kind": "uniform_superposition"}), "dense"),
+    # D = 512, where the LAPACK eigensolver runs BLAS threads when they are
+    # not pinned (as here): the bytes must not depend on them either
+    ((_MIXED_COHERENT, {"kind": "uniform_superposition"}, 9), "dense"),
 ])
 def test_global_negativity_threads_byte_identical(tmp_path, capsys, states, path):
     cfg = write_config(tmp_path, _global_doc(*states))

@@ -265,8 +265,8 @@ def test_run_verification_stacks_change_no_value(monkeypatch, block):
     runs = ((3, 12), (7, 6))
     stacked = [oracle.run_verification(seed=seed, n_specs=n) for seed, n in runs]
     monkeypatch.setattr(oracle, "lu_det", lambda a: np.array([linalg.lu_det(m) for m in a]))
-    monkeypatch.setattr(oracle, "lowest_eigenvalues",
-                        lambda a: linalg.hermitian_eigenvalues(a)[..., 0])
+    monkeypatch.setattr(oracle, "hermitian_eigenvalues",
+                        lambda a: np.array([linalg.hermitian_eigenvalues(m) for m in a]))
     single = [oracle.run_verification(seed=seed, n_specs=n) for seed, n in runs]
     for a, b in zip(stacked, single):
         a.pop("elapsed_seconds"), b.pop("elapsed_seconds")
