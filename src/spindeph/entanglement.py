@@ -187,8 +187,9 @@ def _is_diagonal(rho: np.ndarray) -> bool:
 def _spectrum_and_trace_norm(rho: np.ndarray, diagonal: bool) -> Tuple[np.ndarray, float]:
     """Eigenvalues of a factor and its trace norm tr rho - 2 (sum of negatives).
 
-    The trace comes from the diagonal, so a PSD factor whose eigenvalues
-    carry ~eps noise still has trace norm 1 to the last bit.
+    The trace comes from the diagonal, so of a unit-trace PSD factor only
+    the rounding noise of eigenvalues that come out negative moves the
+    trace norm off 1.
     """
     trace = float(np.trace(rho).real)
     eigs = np.diag(rho).real.copy() if diagonal else hermitian_eigenvalues(rho)

@@ -7,8 +7,7 @@ ascending eigenvalues, each within a small multiple of n eps ||A||_2 of
 the exact ones. numpy copies every matrix of a stack into its own buffer
 before LAPACK sees it, so a matrix's eigenvalues are bitwise the same
 alone, inside any stack and in any memory layout (tested); from about
-n = 192, where OpenBLAS threads the reduction, the last bits depend on
-the BLAS thread count. ``_checked`` is also the Hermiticity test of the
+n = 192 on, the last bits depend on the BLAS thread count. ``_checked`` is also the Hermiticity test of the
 negativity inputs and of the CLI's matrix states. The LU determinant also
 takes one matrix or a stack.
 """

@@ -356,8 +356,8 @@ _MIXED_COHERENT = {"kind": "matrix", "re": (0.25 * np.eye(4) + 0.05 * (1 - np.ey
     (({"kind": "maximally_mixed"}, {"kind": "uniform_superposition"}), "factor_spectra"),
     (({"kind": "uniform_superposition"}, {"kind": "uniform_superposition"}), "schmidt"),
     ((_MIXED_COHERENT, {"kind": "uniform_superposition"}), "dense"),
-    # D = 512, where the LAPACK eigensolver runs BLAS threads when they are
-    # not pinned (as here): the bytes must not depend on them either
+    # D = 512, where LAPACK runs BLAS threads unless they are pinned: the
+    # bytes must not depend on --threads there either
     ((_MIXED_COHERENT, {"kind": "uniform_superposition"}, 9), "dense"),
 ])
 def test_global_negativity_threads_byte_identical(tmp_path, capsys, states, path):
