@@ -14,8 +14,11 @@ one of three paths from the two factors, once for the whole grid:
 - factor spectra: either factor is diagonal in the product basis. The
   partial transpose then has the spectrum eig(rho_S) x eig(rho_E) at every
   t (a diagonal rho_E leaves blocks w_k D_k rho_S D_k^H, a diagonal rho_S
-  is untouched by the transpose), so one small eigenproblem per factor
-  serves every time.
+  is untouched by the transpose), so the factors' spectra serve every
+  time. A diagonal factor's spectrum is its diagonal and a rank-one
+  factor's is exactly {0, ..., 0, tr rho}, so neither needs an
+  eigensolver; only a general factor takes one `hermitian_eigenvalues`
+  call.
 - Schmidt: both factors are rank one. The evolved vector, a d_S x d_E
   matrix, gives the Schmidt coefficients through its small Gram matrix;
   the partial transpose of |psi><psi| has eigenvalues {l_i^2} and
@@ -41,6 +44,7 @@ GLOBAL_DIM_CAP = 1024
 SCHMIDT_BLOCK = 2**16  # entries per stack of evolved vectors or reduced states
 _DIAGONAL_TOL = 1e-14  # off-diagonal size, relative to the largest entry, read as zero
 _PURITY_TOL = 1e-10  # entrywise residual of a rank-one reconstruction
+_RANK_ONE_ULPS = 8  # the same residual read as rounding, in eps of the largest entry
 _PURE_STATE_TOL = 1e-12  # |purity - 1| below which a state may be pure
 
 
@@ -93,19 +97,22 @@ def partial_transpose_system(rho: np.ndarray, dims: Tuple[int, int]) -> np.ndarr
     return np.swapaxes(r, -4, -2).reshape(rho.shape)
 
 
-def _pure_vectors(rho: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray]:
-    """(psi, ok) for a stack of matrices: rho = |psi><psi| within tol where ok."""
+def _pure_vectors(rho: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(psi, residual) for a stack of matrices.
+
+    |psi><psi| is the rank-one candidate built from each matrix's largest
+    diagonal entry and its column; residual is the largest entry of
+    |psi><psi| - rho, or inf where no diagonal entry is positive.
+    """
     diag = np.diagonal(rho, axis1=-2, axis2=-1).real
     j = np.argmax(diag, axis=-1)[:, None]
     top = np.take_along_axis(diag, j, axis=-1)[:, 0]
     ok = top > 0.0
     column = np.take_along_axis(rho, j[:, None], axis=-1)[:, :, 0]
     psi = column / np.sqrt(np.where(ok, top, 1.0))[:, None]
-    # confirm the rank-1 reconstruction before trusting it
     resid = psi[:, :, None] * psi.conj()[:, None, :]
     resid -= rho
-    ok &= np.max(np.abs(resid), axis=(-2, -1)) <= tol
-    return psi, ok
+    return psi, np.where(ok, np.max(np.abs(resid), axis=(-2, -1)), np.inf)
 
 
 def _schmidt_details(lam2: np.ndarray) -> np.ndarray:
@@ -142,7 +149,9 @@ def negativity_details(rho: np.ndarray, dims: Tuple[int, int]):
     mixed = np.ones(len(stack), dtype=bool)
     pure = np.flatnonzero((np.abs(trace - 1.0) < 1e-10) & (np.abs(purity - 1.0) < _PURE_STATE_TOL))
     if pure.size:
-        psi, ok = _pure_vectors(stack[pure], tol=_PURITY_TOL)
+        # confirm the rank-1 reconstruction before trusting it
+        psi, residual = _pure_vectors(stack[pure])
+        ok = residual <= _PURITY_TOL
         pure = pure[ok]
         m = psi[ok].reshape(-1, d_s, d_e)
         out[pure] = _schmidt_details(hermitian_eigenvalues(m @ m.conj().swapaxes(1, 2)))
@@ -177,39 +186,60 @@ class NegativitySeries(NamedTuple):
     trace_norm: np.ndarray
 
 
-def _is_diagonal(rho: np.ndarray) -> bool:
+def _peak_and_diagonal(rho: np.ndarray) -> Tuple[float, bool]:
+    """max|rho| and whether rho's off-diagonal entries are within
+    _DIAGONAL_TOL of max(1, max|rho|)."""
     off = np.abs(rho)
-    scale = max(1.0, float(off.max()))
+    peak = float(off.max())
     np.fill_diagonal(off, 0.0)
-    return float(off.max()) <= _DIAGONAL_TOL * scale
+    return peak, float(off.max()) <= _DIAGONAL_TOL * max(1.0, peak)
 
 
-def _spectrum_and_trace_norm(rho: np.ndarray, diagonal: bool) -> Tuple[np.ndarray, float]:
-    """Eigenvalues of a factor and its trace norm tr rho - 2 (sum of negatives).
+def _spectrum_and_trace_norm(rho: np.ndarray, kind: str) -> Tuple[np.ndarray, float]:
+    """Eigenvalues of a factor of this kind and its trace norm tr rho - 2 (sum of negatives).
 
-    The trace comes from the diagonal, so of a unit-trace PSD factor only
-    the rounding noise of eigenvalues that come out negative moves the
-    trace norm off 1.
+    A diagonal factor's eigenvalues are its diagonal and a rank-one
+    factor's are exactly {0, ..., 0, tr rho}; only a "general" one goes to
+    the eigensolver. The trace comes from the diagonal, so of a unit-trace
+    PSD factor only the rounding noise of a general factor's eigenvalues
+    that come out negative moves the trace norm off 1.
     """
     trace = float(np.trace(rho).real)
-    eigs = np.diag(rho).real.copy() if diagonal else hermitian_eigenvalues(rho)
+    if kind == "diagonal":
+        eigs = np.diag(rho).real.copy()
+    elif kind == "rank_one":
+        eigs = np.zeros(len(rho))
+        eigs[-1] = trace
+    else:
+        eigs = hermitian_eigenvalues(rho)
     return eigs, trace - 2.0 * float(eigs[eigs < 0.0].sum())
 
 
 def _path_and_data(rho_s0: np.ndarray, rho_e0: np.ndarray):
     """(path, data) for these factors.
 
-    data is [is rho_S diagonal, is rho_E diagonal] on the factor-spectra
-    path, [psi_S, psi_E] on the Schmidt path and None on the dense path.
+    data is each factor's kind on the factor-spectra path ("diagonal",
+    "rank_one" or "general"), [psi_S, psi_E] on the Schmidt path and None
+    on the dense path. A non-diagonal factor is rank one there only when
+    its reconstruction residual is rounding, _RANK_ONE_ULPS eps max|rho|;
+    the Schmidt path takes the looser _PURITY_TOL.
     """
     factors = [np.asarray(rho, dtype=complex) for rho in (rho_s0, rho_e0)]
-    diagonal = [_is_diagonal(rho) for rho in factors]
-    if any(diagonal):
-        return "factor_spectra", diagonal
+    scans = [_peak_and_diagonal(rho) for rho in factors]
+    if any(diagonal for _, diagonal in scans):
+        kinds = []
+        for rho, (peak, diagonal) in zip(factors, scans):
+            if diagonal:
+                kinds.append("diagonal")
+                continue
+            residual = _pure_vectors(rho[None])[1][0]
+            rank_one = residual <= _RANK_ONE_ULPS * np.finfo(float).eps * peak
+            kinds.append("rank_one" if rank_one else "general")
+        return "factor_spectra", kinds
     vectors = []
     for rho in factors:
-        psi, ok = _pure_vectors(rho[None], tol=_PURITY_TOL)
-        if not ok[0]:
+        psi, residual = _pure_vectors(rho[None])
+        if not residual[0] <= _PURITY_TOL:
             return "dense", None
         vectors.append(psi[0])
     return "schmidt", vectors

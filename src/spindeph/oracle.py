@@ -19,7 +19,7 @@ matrices by size into stacks of at most ``entanglement.SCHMIDT_BLOCK``
 entries: one ``hermitian_eigenvalues`` call per stack for the positivity
 check and one ``lu_det`` call per stack for the determinant check, each
 member bitwise as alone. The determinant check needs a time where det M
-is not near 0: the draws are tried in chunks of 1, 2, 4, ... times with
+is not near 0: the draws are tried in chunks of 8, 16, 32, ... times with
 one ``series`` call per chunk, and the generator is then left where
 drawing one time at a time would leave it, so the report is the same.
 The oracle evaluates M at that time together with the grid times.
@@ -151,12 +151,13 @@ def _det_time(ev: WitnessEvaluator, rng: np.random.Generator):
     """(t, log det M(t)) at the first of DET_DRAWS draws t ~ U(0.05, 3) with
     det M(t) > DET_FLOOR, or None when no draw has.
 
-    The draws go in chunks of 1, 2, 4, ... times, one ``series`` call per
-    chunk (a time's value does not depend on the chunk). The generator is
+    The draws go in chunks of 8, 16, 32, ... times, one ``series`` call per
+    chunk (a time's value does not depend on the chunk; most of a call's
+    cost does not depend on its size). The generator is
     then left where drawing one time at a time would leave it: just past
     the chosen draw, or past all DET_DRAWS.
     """
-    drawn, chunk = 0, 1
+    drawn, chunk = 0, 8
     while drawn < DET_DRAWS:
         state = rng.bit_generator.state
         times = rng.uniform(0.05, 3.0, size=min(chunk, DET_DRAWS - drawn))

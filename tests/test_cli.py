@@ -376,6 +376,24 @@ def test_global_negativity_threads_byte_identical(tmp_path, capsys, states, path
         assert max(float(r[1]) for r in rows) > 1e-3  # coherent environment entangles
 
 
+@pytest.mark.parametrize("states", [
+    ({"kind": "maximally_mixed"}, {"kind": "uniform_superposition"}),
+    ({"kind": "uniform_superposition"}, {"kind": "maximally_mixed"}),
+])
+def test_global_negativity_of_rank_one_factor_is_exact(tmp_path, capsys, states):
+    # a rank-one factor's null space holds exact zeros, so the separable
+    # state reads the unit trace norm up to the rounding of its traces
+    cfg = write_config(tmp_path, _global_doc(*states, n_total=9))
+    out = tmp_path / "neg.csv"
+    assert cli.main(["negativity", "--config", cfg, "--cut", "global", "--out", str(out)]) == 0
+    assert "(factor_spectra path," in capsys.readouterr().out
+    _, rows = read_csv(out)
+    for _, negativity, min_eigenvalue, trace_norm in rows:
+        assert float(min_eigenvalue) == 0.0
+        assert float(negativity) <= 2.3e-16
+        assert abs(float(trace_norm) - 1.0) <= 4.5e-16
+
+
 def test_thermo_limit_families(tmp_path):
     out = tmp_path / "fix.csv"
     assert cli.main(["thermo-limit", "--family", "fixed-p", "--p", "1",

@@ -181,7 +181,7 @@ def test_diagonal_environment_stays_separable():
 @st.composite
 def product_states(draw):
     """Random couplings and fields, spin 1/2 or 1, and initial factors of one
-    of four kinds, each with the path it must take."""
+    of six kinds, each with the path it must take."""
     twice_spin = draw(st.sampled_from([1, 2]))
     n_total = draw(st.integers(2, 5 if twice_spin == 1 else 3))
     n_system = draw(st.integers(1, n_total - 1))
@@ -191,13 +191,18 @@ def product_states(draw):
     spec = EnsembleSpec(n_total=n_total, n_system=n_system, twice_spin=twice_spin,
                         couplings=j, fields=rng.uniform(-1.0, 1.0, n_total))
     d_s, d_e = spec.dim_system, spec.dim_env
-    kind = draw(st.sampled_from(["pure_pure", "diag_system", "diag_env", "mixed_pure"]))
+    kind = draw(st.sampled_from(
+        ["pure_pure", "diag_system", "diag_env", "diag_pure", "pure_diag", "mixed_pure"]))
     if kind == "pure_pure":
         factors, path = (random_pure(rng, d_s), random_pure(rng, d_e)), "schmidt"
     elif kind == "diag_system":
         factors, path = (np.diag(rng.normal(size=d_s)), random_hermitian(rng, d_e)), "factor_spectra"
     elif kind == "diag_env":
         factors, path = (random_hermitian(rng, d_s), np.diag(rng.normal(size=d_e))), "factor_spectra"
+    elif kind == "diag_pure":
+        factors, path = (np.diag(rng.normal(size=d_s)), random_pure(rng, d_e)), "factor_spectra"
+    elif kind == "pure_diag":
+        factors, path = (random_pure(rng, d_s), np.diag(rng.normal(size=d_e))), "factor_spectra"
     else:
         factors, path = (random_density(rng, d_s), random_pure(rng, d_e)), "dense"
     times = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4))
@@ -220,6 +225,72 @@ def test_global_negativity_series_matches_dense_reference(case):
         assert abs(out.negativity[k] - neg) <= tol
         assert abs(out.min_eigenvalue[k] - min_eig) <= tol
         assert abs(out.trace_norm[k] - tnorm) <= tol
+
+
+def _counting_eigenvalues(monkeypatch):
+    """Route entanglement's eigensolver through a counter; returns the call list."""
+    calls = []
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return hermitian_eigenvalues(a)
+
+    monkeypatch.setattr(ent, "hermitian_eigenvalues", counted)
+    return calls
+
+
+def _assert_matches_dense_reference(spec, rho_s, rho_e, out, times):
+    for k, t in enumerate(times):
+        neg, min_eig, tnorm, _ = dense_reference(spec, rho_s, rho_e, t)
+        assert abs(out.negativity[k] - neg) <= 1e-12
+        assert abs(out.min_eigenvalue[k] - min_eig) <= 1e-12
+        assert abs(out.trace_norm[k] - tnorm) <= 1e-12
+
+
+def test_factors_beyond_rounding_of_rank_one_take_the_eigensolver(monkeypatch):
+    # a second eigenvalue of 1e-11 passes the Schmidt path's 1e-10 purity
+    # test, and -psi psi^H has the shape of a rank-one factor but a
+    # negative trace: neither may be read as {0, ..., 0, tr rho}
+    rng = np.random.default_rng(21)
+    spec = random_spec(rng, 6, 2)
+    d_s, d_e = spec.dim_system, spec.dim_env
+    phi = random_pure(rng, d_e)
+    psi = np.linalg.eigh(phi)[1][:, 0]  # orthogonal to phi's vector
+    near = phi + 1e-11 * np.outer(psi, psi.conj())
+    times = np.array([0.0, 0.9, 2.4])
+    diagonal = np.diag(rng.normal(size=d_s)).astype(complex)
+    calls = _counting_eigenvalues(monkeypatch)
+    for rho_s, rho_e in [(diagonal, near), (diagonal, -phi), (-random_pure(rng, d_s), np.diag(rng.normal(size=d_e)))]:
+        del calls[:]
+        out = ent.global_negativity_series(spec, rho_s, rho_e, times)
+        assert out.path == "factor_spectra" and len(calls) == 1
+        _assert_matches_dense_reference(spec, rho_s, rho_e, out, times)
+
+
+def test_diagonal_and_rank_one_factors_need_no_eigensolver(monkeypatch):
+    rng = np.random.default_rng(22)
+    spec = random_spec(rng, 7, 3)
+    d_s, d_e = spec.dim_system, spec.dim_env
+    times = np.array([0.0, 1.1, 3.7])
+    rho_s = np.diag(rng.dirichlet(np.ones(d_s))).astype(complex)
+    rho_e = random_pure(rng, d_e)
+    expected = ent.global_negativity_series(spec, rho_s, rho_e, times)
+
+    def refuse(a):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(ent, "hermitian_eigenvalues", refuse)
+    out = ent.global_negativity_series(spec, rho_s, rho_e, times)
+    assert out.path == "factor_spectra"
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(out[1:], expected[1:]))
+    assert np.all(out.min_eigenvalue == 0.0)
+    _assert_matches_dense_reference(spec, rho_s, rho_e, out, times)
+    # a general factor takes one eigensolver call for the whole grid
+    calls = _counting_eigenvalues(monkeypatch)
+    general = random_density(rng, d_e)
+    out = ent.global_negativity_series(spec, rho_s, general, times)
+    assert out.path == "factor_spectra" and calls == [(d_e, d_e)]
+    _assert_matches_dense_reference(spec, rho_s, general, out, times)
 
 
 def test_global_negativity_series_bounded_blocks_and_errors(monkeypatch):

@@ -299,7 +299,7 @@ def test_chunked_det_search_takes_the_one_at_a_time_draws(monkeypatch):
 
 def test_det_search_with_no_good_draw_advances_all_draws(monkeypatch):
     # log det reads -inf on every ensemble of odd size: the search must go
-    # through all 40 draws, in chunks of 1, 2, 4, 8, 16 and the 9 left, and
+    # through all 40 draws, in chunks of 8, 16 and the 16 left, and
     # leave the generator where 40 single draws leave it
     chunks = []  # per failing ensemble, the sizes of its series calls
 
@@ -319,7 +319,7 @@ def test_det_search_with_no_good_draw_advances_all_draws(monkeypatch):
     monkeypatch.setattr(oracle, "WitnessEvaluator", Failing)
     runs = ((2024, 50), (7, 50))
     chunked = reports_without_time(runs)
-    assert len(chunks) > 10 and all(sizes == [1, 2, 4, 8, 16, 9] for sizes in chunks)
+    assert len(chunks) > 10 and all(sizes == [8, 16, 16] for sizes in chunks)
     monkeypatch.setattr(oracle, "_det_time", one_at_a_time_det_time)
     assert reports_without_time(runs) == chunked
 
