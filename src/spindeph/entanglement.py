@@ -200,9 +200,9 @@ def _spectrum_and_trace_norm(rho: np.ndarray, kind: str) -> Tuple[np.ndarray, fl
 
     A diagonal factor's eigenvalues are its diagonal and a rank-one
     factor's are exactly {0, ..., 0, tr rho}; only a "general" one goes to
-    the eigensolver. The trace comes from the diagonal, so of a unit-trace
-    PSD factor only the rounding noise of a general factor's eigenvalues
-    that come out negative moves the trace norm off 1.
+    the eigensolver. The trace comes from the diagonal, so a unit-trace PSD
+    factor's trace norm moves off 1 only by the rounding noise of a general
+    factor's eigenvalues that come out negative.
     """
     trace = float(np.trace(rho).real)
     if kind == "diagonal":
@@ -231,15 +231,15 @@ def _path_and_data(rho_s0: np.ndarray, rho_e0: np.ndarray):
         for rho, (peak, diagonal) in zip(factors, scans):
             if diagonal:
                 kinds.append("diagonal")
-                continue
-            residual = _pure_vectors(rho[None])[1][0]
-            rank_one = residual <= _RANK_ONE_ULPS * np.finfo(float).eps * peak
-            kinds.append("rank_one" if rank_one else "general")
+            elif _pure_vectors(rho[None])[1][0] <= _RANK_ONE_ULPS * np.finfo(float).eps * peak:
+                kinds.append("rank_one")
+            else:
+                kinds.append("general")
         return "factor_spectra", kinds
     vectors = []
     for rho in factors:
         psi, residual = _pure_vectors(rho[None])
-        if not residual[0] <= _PURITY_TOL:
+        if residual[0] > _PURITY_TOL:
             return "dense", None
         vectors.append(psi[0])
     return "schmidt", vectors

@@ -144,6 +144,14 @@ def dense_reference(spec, rho_s, rho_e, t):
     return (tnorm - 1.0) / 2.0, float(eigs[0]), tnorm, weights
 
 
+def _assert_matches_dense_reference(spec, rho_s, rho_e, out, times):
+    for k, t in enumerate(times):
+        neg, min_eig, tnorm, _ = dense_reference(spec, rho_s, rho_e, t)
+        assert abs(out.negativity[k] - neg) <= 1e-12
+        assert abs(out.min_eigenvalue[k] - min_eig) <= 1e-12
+        assert abs(out.trace_norm[k] - tnorm) <= 1e-12
+
+
 def test_negativity_block_path_vs_dense():
     # a diagonal rho_E leaves blocks w_k D_k rho_S D_k^H: the factor spectra
     # path, for a non-PSD rho_S and weights of both signs
@@ -154,11 +162,7 @@ def test_negativity_block_path_vs_dense():
     ts = np.array([0.0, 0.7, 2.9])
     out = ent.global_negativity_series(spec, rho_s, rho_e, ts)
     assert out.path == "factor_spectra"
-    for k, t in enumerate(ts):
-        neg, min_eig, tnorm, _ = dense_reference(spec, rho_s, rho_e, t)
-        assert out.negativity[k] == pytest.approx(neg, abs=1e-12)
-        assert out.min_eigenvalue[k] == pytest.approx(min_eig, abs=1e-12)
-        assert out.trace_norm[k] == pytest.approx(tnorm, abs=1e-12)
+    _assert_matches_dense_reference(spec, rho_s, rho_e, out, ts)
 
 
 def test_diagonal_environment_stays_separable():
@@ -239,14 +243,6 @@ def _counting_eigenvalues(monkeypatch):
     return calls
 
 
-def _assert_matches_dense_reference(spec, rho_s, rho_e, out, times):
-    for k, t in enumerate(times):
-        neg, min_eig, tnorm, _ = dense_reference(spec, rho_s, rho_e, t)
-        assert abs(out.negativity[k] - neg) <= 1e-12
-        assert abs(out.min_eigenvalue[k] - min_eig) <= 1e-12
-        assert abs(out.trace_norm[k] - tnorm) <= 1e-12
-
-
 def test_factors_beyond_rounding_of_rank_one_take_the_eigensolver(monkeypatch):
     # a second eigenvalue of 1e-11 passes the Schmidt path's 1e-10 purity
     # test, and -psi psi^H has the shape of a rank-one factor but a
@@ -259,8 +255,10 @@ def test_factors_beyond_rounding_of_rank_one_take_the_eigensolver(monkeypatch):
     near = phi + 1e-11 * np.outer(psi, psi.conj())
     times = np.array([0.0, 0.9, 2.4])
     diagonal = np.diag(rng.normal(size=d_s)).astype(complex)
+    cases = [(diagonal, near), (diagonal, -phi),
+             (-random_pure(rng, d_s), np.diag(rng.normal(size=d_e)))]
     calls = _counting_eigenvalues(monkeypatch)
-    for rho_s, rho_e in [(diagonal, near), (diagonal, -phi), (-random_pure(rng, d_s), np.diag(rng.normal(size=d_e)))]:
+    for rho_s, rho_e in cases:
         del calls[:]
         out = ent.global_negativity_series(spec, rho_s, rho_e, times)
         assert out.path == "factor_spectra" and len(calls) == 1
