@@ -40,7 +40,6 @@ from .model import (
     EnsembleSpec,
     ResourceCapError,
     SpinConfig,
-    config_index,
     ensemble_from_dict,
 )
 
@@ -163,23 +162,24 @@ def _basis_config(doc: dict, n_sites: int, twice_spin: int) -> SpinConfig:
 
 
 @_reading_input()
-def _state_matrix(doc: dict, n_sites: int, twice_spin: int) -> np.ndarray:
-    """Density matrix from a state description document, built dense."""
-    dim = (twice_spin + 1) ** n_sites
+def _state(doc: dict, n_sites: int, twice_spin: int) -> np.ndarray:
+    """Density matrix from a state description document: a product kind as
+    its (n_sites, 2S+1, 2S+1) one-site states, any other built dense."""
+    levels = twice_spin + 1
+    kind = doc.get("kind")
+    if kind == "uniform_superposition":
+        return np.full((n_sites, levels, levels), 1.0 / levels, dtype=complex)
+    if kind == "maximally_mixed":
+        return np.tile(np.eye(levels, dtype=complex) / levels, (n_sites, 1, 1))
+    if kind == "basis":
+        k = (twice_spin - np.array(_basis_config(doc, n_sites, twice_spin).twice_values)) // 2
+        sites = np.zeros((n_sites, levels, levels), dtype=complex)
+        sites[np.arange(n_sites), k, k] = 1.0
+        return sites
+    dim = levels**n_sites
     if dim > entanglement.GLOBAL_DIM_CAP:
         raise UsageError(f"a state of {dim} configurations exceeds the dense cap "
                          f"{entanglement.GLOBAL_DIM_CAP}")
-    kind = doc.get("kind")
-    if kind == "uniform_superposition":
-        psi = np.full(dim, dim**-0.5, dtype=complex)
-        return np.outer(psi, psi.conj())
-    if kind == "maximally_mixed":
-        return np.eye(dim, dtype=complex) / dim
-    if kind == "basis":
-        k = config_index(_basis_config(doc, n_sites, twice_spin), twice_spin)
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[k, k] = 1.0
-        return rho
     if kind == "bell":
         if dim != 4:
             raise UsageError("bell state needs a two-site spin-1/2 factor")
@@ -405,8 +405,8 @@ def cmd_negativity(args) -> int:
     if kind == "global":
         if "system_state" not in cfg or "environment_state" not in cfg:
             raise UsageError("global negativity needs 'system_state' and 'environment_state'")
-        rho_s = _state_matrix(cfg["system_state"], spec.n_system, spec.twice_spin)
-        rho_e = _state_matrix(cfg["environment_state"], spec.n_env, spec.twice_spin)
+        rho_s = _state(cfg["system_state"], spec.n_system, spec.twice_spin)
+        rho_e = _state(cfg["environment_state"], spec.n_env, spec.twice_spin)
         dim = spec.dim_system * spec.dim_env
         # only the dense path builds the global matrix
         if dim > entanglement.GLOBAL_DIM_CAP and (
@@ -420,7 +420,7 @@ def cmd_negativity(args) -> int:
     else:
         if "system_state" not in cfg:
             raise UsageError("system-cut negativity needs 'system_state'")
-        rho_s = _state_matrix(cfg["system_state"], spec.n_system, spec.twice_spin)
+        rho_s = _state(cfg["system_state"], spec.n_system, spec.twice_spin)
         env = _environment(cfg, spec)
         result = entanglement.system_negativity_series(spec, rho_s, env, times, cut_sites)
     raw = result.negativity

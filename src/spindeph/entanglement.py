@@ -3,26 +3,30 @@
 The full ensemble Hamiltonian is diagonal in the computational basis, so
 global evolution is an elementwise phase on the density matrix: element
 (g, g') picks up exp(-i t [E_g - E_g']). Dense storage is fine up to the
-dimension cap GLOBAL_DIM_CAP of 1024 (N = 10 spins-1/2); only the global
-matrix is held to it, so the negativity paths that never build one run
-past it.
+dimension cap GLOBAL_DIM_CAP of 1024 (N = 10 spins-1/2); only the dense
+path below is held to it.
 
 Negativity across the system|environment cut is (||rho^T_S||_1 - 1)/2.
 For a product initial state rho_S x rho_E, `global_negativity_path` picks
-one of three paths from the two factors, once for the whole grid:
+one of three paths from the two factors, once for the whole grid. A factor
+is a matrix or a sequence of one-site states, whose Kronecker product it
+is and is diagonal (rank one) when each of them is:
 
 - factor spectra: either factor is diagonal in the product basis. The
   partial transpose then has the spectrum eig(rho_S) x eig(rho_E) at every
   t (a diagonal rho_E leaves blocks w_k D_k rho_S D_k^H, a diagonal rho_S
-  is untouched by the transpose), so the factors' spectra serve every
-  time. A diagonal factor's spectrum is its diagonal and a rank-one
-  factor's is exactly {0, ..., 0, tr rho}, so neither needs an
-  eigensolver; only a general factor takes one `hermitian_eigenvalues`
-  call.
-- Schmidt: both factors are rank one. The evolved vector, a d_S x d_E
-  matrix, gives the Schmidt coefficients through its small Gram matrix;
-  the partial transpose of |psi><psi| has eigenvalues {l_i^2} and
-  {+- l_i l_j}, so the trace norm is (sum_i l_i)^2.
+  is untouched by the transpose), so the factors' spectra, products of
+  their site states', serve every time. A diagonal matrix's spectrum is
+  its diagonal and a rank-one matrix's is exactly {0, ..., 0, tr rho}, so
+  neither needs an eigensolver; only a general one takes a
+  `hermitian_eigenvalues` call.
+- Schmidt: both factors are rank one. The Gram matrix of the evolved
+  d_S x d_E coefficient matrix, on the smaller side (the roles swap when
+  d_E < d_S), is that side's reduced state, which the engine evolves with
+  the other side's diagonal as populations. Its eigenvalues are the
+  squared Schmidt coefficients l_i^2; the partial transpose of |psi><psi|
+  has eigenvalues {l_i^2} and {+- l_i l_j}, so the trace norm is
+  (sum_i l_i)^2.
 - dense: anything else. The global matrix is built at each time and its
   partial transpose diagonalized by `linalg.hermitian_eigenvalues`.
 
@@ -32,6 +36,7 @@ go to `negativity_details` in stacks, one eigensolver call per stack.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -186,23 +191,31 @@ class NegativitySeries(NamedTuple):
     trace_norm: np.ndarray
 
 
-def _peak_and_diagonal(rho: np.ndarray) -> Tuple[float, bool]:
-    """max|rho| and whether rho's off-diagonal entries are within
-    _DIAGONAL_TOL of max(1, max|rho|)."""
-    off = np.abs(rho)
-    peak = float(off.max())
-    np.fill_diagonal(off, 0.0)
-    return peak, float(off.max()) <= _DIAGONAL_TOL * max(1.0, peak)
+def _blocks(rho) -> np.ndarray:
+    """A factor as the stack (k, m, m) of the blocks whose Kronecker product
+    it is: a matrix is one block, a sequence of site states one per site."""
+    rho = np.asarray(rho, dtype=complex)
+    return rho if rho.ndim == 3 else rho[None]
+
+
+def _peak_and_diagonal(blocks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """max|rho| of each block and whether its off-diagonal entries are
+    within _DIAGONAL_TOL of max(1, max|rho|)."""
+    off = np.abs(blocks)
+    peak = off.max(axis=(-2, -1))
+    i = np.arange(off.shape[-1])
+    off[:, i, i] = 0.0
+    return peak, off.max(axis=(-2, -1)) <= _DIAGONAL_TOL * np.maximum(1.0, peak)
 
 
 def _spectrum_and_trace_norm(rho: np.ndarray, kind: str) -> Tuple[np.ndarray, float]:
-    """Eigenvalues of a factor of this kind and its trace norm tr rho - 2 (sum of negatives).
+    """Eigenvalues of a block of this kind and its trace norm tr rho - 2 (sum of negatives).
 
-    A diagonal factor's eigenvalues are its diagonal and a rank-one
-    factor's are exactly {0, ..., 0, tr rho}; only a "general" one goes to
+    A diagonal block's eigenvalues are its diagonal and a rank-one
+    block's are exactly {0, ..., 0, tr rho}; only a "general" one goes to
     the eigensolver. The trace comes from the diagonal, so a unit-trace PSD
-    factor's trace norm moves off 1 only by the rounding noise of a general
-    factor's eigenvalues that come out negative.
+    block's trace norm moves off 1 only by the rounding noise of a general
+    block's eigenvalues that come out negative.
     """
     trace = float(np.trace(rho).real)
     if kind == "diagonal":
@@ -215,123 +228,129 @@ def _spectrum_and_trace_norm(rho: np.ndarray, kind: str) -> Tuple[np.ndarray, fl
     return eigs, trace - 2.0 * float(eigs[eigs < 0.0].sum())
 
 
-def _path_and_data(rho_s0: np.ndarray, rho_e0: np.ndarray):
-    """(path, data) for these factors.
+def _path_and_data(factors):
+    """(path, data) for these factors, each a stack of blocks (`_blocks`).
 
-    data is each factor's kind on the factor-spectra path ("diagonal",
-    "rank_one" or "general"), [psi_S, psi_E] on the Schmidt path and None
-    on the dense path. A non-diagonal factor is rank one there only when
-    its reconstruction residual is rounding, _RANK_ONE_ULPS eps max|rho|;
-    the Schmidt path takes the looser _PURITY_TOL.
+    data is the kind of every block of both factors, system first, on the
+    factor-spectra path ("diagonal", "rank_one" or "general"), else None.
+    A non-diagonal block is rank one there only when its reconstruction
+    residual is rounding, _RANK_ONE_ULPS eps max|rho|; the Schmidt path
+    takes the looser _PURITY_TOL.
     """
-    factors = [np.asarray(rho, dtype=complex) for rho in (rho_s0, rho_e0)]
-    scans = [_peak_and_diagonal(rho) for rho in factors]
-    if any(diagonal for _, diagonal in scans):
+    scans = [_peak_and_diagonal(f) for f in factors]
+    if any(diagonal.all() for _, diagonal in scans):
         kinds = []
-        for rho, (peak, diagonal) in zip(factors, scans):
-            if diagonal:
-                kinds.append("diagonal")
-            elif _pure_vectors(rho[None])[1][0] <= _RANK_ONE_ULPS * np.finfo(float).eps * peak:
-                kinds.append("rank_one")
-            else:
-                kinds.append("general")
+        for f, (peak, diagonal) in zip(factors, scans):
+            rank_one = np.zeros_like(diagonal)
+            tol = _RANK_ONE_ULPS * np.finfo(float).eps * peak[~diagonal]
+            rank_one[~diagonal] = _pure_vectors(f[~diagonal])[1] <= tol
+            kinds += np.select([diagonal, rank_one], ["diagonal", "rank_one"], "general").tolist()
         return "factor_spectra", kinds
-    vectors = []
-    for rho in factors:
-        psi, residual = _pure_vectors(rho[None])
-        if residual[0] > _PURITY_TOL:
-            return "dense", None
-        vectors.append(psi[0])
-    return "schmidt", vectors
+    if all(np.all(_pure_vectors(f)[1] <= _PURITY_TOL) for f in factors):
+        return "schmidt", None
+    return "dense", None
 
 
-def global_negativity_path(rho_s0: np.ndarray, rho_e0: np.ndarray) -> str:
+def global_negativity_path(rho_s0, rho_e0) -> str:
     """The path `global_negativity_series` takes for these factors.
 
     "factor_spectra" when either factor is diagonal, "schmidt" when both
     are rank one, else "dense", the only path that builds a D x D matrix.
     """
-    return _path_and_data(rho_s0, rho_e0)[0]
+    return _path_and_data([_blocks(rho_s0), _blocks(rho_e0)])[0]
+
+
+def _reduced_state_series(path: str, ev: WitnessEvaluator, rho0, times, details) -> NegativitySeries:
+    """``details`` of ev's reduced states of rho0, in stacks of at most SCHMIDT_BLOCK entries."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    columns = np.empty((times.size, 3))
+    step = max(1, SCHMIDT_BLOCK // ev.dim**2)
+    for i in range(0, times.size, step):
+        columns[i : i + step] = details(ev.reduced_state(rho0, times[i : i + step]))
+    return NegativitySeries(path, *columns.T)
 
 
 def global_negativity_series(
     spec: EnsembleSpec,
-    rho_s0: np.ndarray,
-    rho_e0: np.ndarray,
+    rho_s0,
+    rho_e0,
     times,
     map_times: Callable = map,
 ) -> NegativitySeries:
     """Negativity across the system|environment cut of the evolved rho_S x rho_E.
 
     The path is chosen once from the factors by `global_negativity_path`
-    (see the module docstring). Any Hermitian factors are accepted.
-    ``map_times`` maps the per-time function of the dense path over the
-    grid (for example a thread pool's map); the structured paths do not
-    use it.
+    (see the module docstring). Any Hermitian factors are accepted, as
+    matrices or as one-site states. ``map_times`` maps the per-time
+    function of the dense path over the grid (for example a thread pool's
+    map); the structured paths do not use it.
     """
-    d_s, d_e = spec.dim_system, spec.dim_env
-    rho_s0 = np.asarray(rho_s0, dtype=complex)
-    rho_e0 = np.asarray(rho_e0, dtype=complex)
-    if rho_s0.shape != (d_s, d_s) or rho_e0.shape != (d_e, d_e):
-        raise ValueError("initial factors have wrong dimensions")
-    for rho in (rho_s0, rho_e0):
-        _checked(rho, "initial factor")
+    factors = [_blocks(rho) for rho in (rho_s0, rho_e0)]
+    for f, n in zip(factors, (spec.n_system, spec.n_env)):
+        if f.shape not in ((1,) + (spec.levels**n,) * 2, (n, spec.levels, spec.levels)):
+            raise ValueError("initial factors have wrong dimensions")
+        _checked(f, "initial factor")
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    path, data = _path_and_data(rho_s0, rho_e0)
+    path, kinds = _path_and_data(factors)
 
     if path == "factor_spectra":
-        (eig_s, norm_s), (eig_e, norm_e) = map(_spectrum_and_trace_norm, (rho_s0, rho_e0), data)
-        tnorm = norm_s * norm_e
-        extremes = [np.array([e.min(), e.max()]) for e in (eig_s, eig_e)]
-        columns = ((tnorm - 1.0) / 2.0, float(np.outer(*extremes).min()), tnorm)
+        # the spectrum of a Kronecker product holds the products of its
+        # blocks' eigenvalues: fold the extremes and the trace norms
+        extremes, tnorm = np.ones(2), 1.0
+        for rho, kind in zip([*factors[0], *factors[1]], kinds):
+            eigs, norm = _spectrum_and_trace_norm(rho, kind)
+            products = np.outer(extremes, [eigs.min(), eigs.max()])
+            extremes, tnorm = np.array([products.min(), products.max()]), tnorm * norm
+        columns = ((tnorm - 1.0) / 2.0, extremes[0], tnorm)
         return NegativitySeries(path, *(np.full(times.shape, c) for c in columns))
 
     if path == "schmidt":
-        # coefficient matrix with the smaller side first: its Gram matrix
-        # is the smaller one
-        psi0 = np.outer(*data)
-        energies = total_energies(spec).reshape(d_s, d_e)
-        if d_s > d_e:
-            psi0, energies = psi0.T, energies.T
-        phase = -1j * energies
-        step = max(1, SCHMIDT_BLOCK // psi0.size)
-        details = []
-        for i in range(0, times.size, step):
-            psi = np.exp(times[i : i + step, None, None] * phase) * psi0
-            details.append(_schmidt_details(hermitian_eigenvalues(psi @ psi.conj().swapaxes(1, 2))))
-    else:
-        dims = (d_s, d_e)
-        details = list(map_times(
-            lambda t: negativity_details(evolve_global(spec, rho_s0, rho_e0, t), dims), times
-        ))
+        if spec.dim_system > spec.dim_env:
+            # the smaller side's Gram matrix: environment sites first
+            order = np.r_[spec.n_system : spec.n_total, : spec.n_system]
+            spec = EnsembleSpec(spec.n_total, spec.n_env, spec.twice_spin,
+                                spec.couplings[np.ix_(order, order)], spec.fields[order])
+            factors.reverse()
+        small, large = factors
+        # the Gram matrix is tr(rho_large) times the reduced state
+        weights = np.diagonal(large, axis1=1, axis2=2).real.clip(0.0)
+        m = spec.n_env // len(large)
+        env = EnvPopulations(spec.n_env, spec.twice_spin,
+                             blocks=[(range(k * m, k * m + m), w / w.sum()) for k, w in enumerate(weights)])
+        rho0 = functools.reduce(np.kron, small) * weights.sum(axis=1).prod()
+        return _reduced_state_series(path, WitnessEvaluator(spec, env), rho0, times,
+                                     lambda states: _schmidt_details(hermitian_eigenvalues(states)))
+
+    if spec.dim_system * spec.dim_env <= GLOBAL_DIM_CAP:  # else evolve_global raises
+        rho_s0, rho_e0 = (functools.reduce(np.kron, f) for f in factors)
+    dims = (spec.dim_system, spec.dim_env)
+    details = list(map_times(
+        lambda t: negativity_details(evolve_global(spec, rho_s0, rho_e0, t), dims), times
+    ))
     return NegativitySeries(path, *np.vstack(details).reshape(-1, 3).T)
 
 
 def system_negativity_series(
     spec: EnsembleSpec,
-    rho_s0: np.ndarray,
+    rho_s0,
     env: EnvPopulations,
     times,
     cut_sites: int = 1,
 ) -> NegativitySeries:
     """Negativity inside the subsystem across a site cut, on a time grid.
 
-    The reduced state is evolved exactly, then split after ``cut_sites``
-    leading sites. For two spin-1/2 sites (the 1|1 cut of a two-site
-    system) zero negativity is equivalent to separability. The states go
-    to `negativity_details` in stacks of at most SCHMIDT_BLOCK entries.
+    The reduced state (of a matrix or of one-site states) is evolved
+    exactly, then split after ``cut_sites`` leading sites. For two spin-1/2
+    sites (the 1|1 cut of a two-site system) zero negativity is equivalent
+    to separability. The states go to `negativity_details` in stacks of at
+    most SCHMIDT_BLOCK entries.
     """
     if not 1 <= cut_sites < spec.n_system:
         raise ValueError("cut must leave sites on both sides")
     ev = WitnessEvaluator(spec, env)
     dims = (spec.levels**cut_sites, spec.levels ** (spec.n_system - cut_sites))
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    columns = np.empty((times.size, 3))
-    step = max(1, SCHMIDT_BLOCK // ev.dim**2)
-    for i in range(0, times.size, step):
-        states = ev.reduced_state(rho_s0, times[i : i + step])
-        columns[i : i + step] = np.stack(negativity_details(states, dims), axis=-1)
-    return NegativitySeries("reduced-state", *columns.T)
+    return _reduced_state_series("reduced-state", ev, functools.reduce(np.kron, _blocks(rho_s0)), times,
+                                 lambda states: np.stack(negativity_details(states, dims), axis=-1))
 
 
 __all__ = [

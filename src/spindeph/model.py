@@ -63,11 +63,6 @@ class SpinConfig:
     def site_count(self) -> int:
         return len(self.twice_values)
 
-    @property
-    def values(self) -> np.ndarray:
-        """Physical spin-z values s_i = twice_values_i / 2."""
-        return np.asarray(self.twice_values, dtype=float) / 2.0
-
     def validate(self, twice_spin: int):
         for v in self.twice_values:
             if abs(v) > twice_spin or (twice_spin - v) % 2 != 0:

@@ -347,3 +347,40 @@ def test_criterion_10_state_sanity_everywhere():
     ok = min_eig >= -1e-10 and trace_err < 1e-12 and herm_err < 1e-12
     announce(10, "reduced-state sanity", ok,
              f"min eigenvalue {min_eig:.2e}, trace err {trace_err:.2e}, herm err {herm_err:.1e}")
+
+
+def test_criterion_11_non_markovianity_without_entanglement_at_paper_size():
+    # The paper's last claim at N = 1000, p = 3, system in the uniform
+    # superposition: a superposition environment and the maximally mixed
+    # one have the same populations, so the same witness and episodes, but
+    # only the first entangles with the system; a basis environment
+    # neither entangles nor moves det M off 1.
+    started = time.perf_counter()
+    n_total, p = 1000, 3
+    up = np.diag([1.0, 0.0]).astype(complex)
+    site_states = {"superposition": np.full((2, 2), 0.5, dtype=complex),
+                   "mixed": np.eye(2, dtype=complex) / 2, "basis": up}
+    rho_s = np.full((p, 2, 2), 0.5, dtype=complex)
+    ok, details = True, []
+    # the infinite-range couplings are J/N: its episodes start near t = 524
+    for model, t_stop in ((NearestNeighborRing1D(j=1.0), TWO_PI), (InfiniteRange(j=1.0), 1000 * np.pi)):
+        spec = ensemble_from_model(model, n_total, p, fields=0.0)
+        ts = np.linspace(0.0, t_stop, 200)
+        witness, neg = {}, {}
+        for name, site in site_states.items():
+            rho_e = np.broadcast_to(site, (spec.n_env, 2, 2))
+            env = EnvPopulations.product(1, [np.diag(s).real for s in rho_e])
+            witness[name] = detect_episodes(spec, env, ts[0], ts[-1], ts.size)
+            neg[name] = ent.global_negativity_series(spec, rho_s, rho_e, ts)
+        mixed = detect_episodes(spec, thermal.maximally_mixed(spec.n_env, 1), ts[0], ts[-1], ts.size)
+        shared = all(witness[name].log_det.tobytes() == mixed.log_det.tobytes()
+                     and witness[name].episodes == mixed.episodes for name in ("superposition", "mixed"))
+        ok = ok and shared and len(mixed.episodes) > 0
+        ok = ok and neg["superposition"].path == "schmidt" and neg["superposition"].negativity.max() > 1e-2
+        for name in ("mixed", "basis"):
+            ok = ok and neg[name].path == "factor_spectra" and bool(np.all(neg[name].negativity == 0.0))
+        ok = ok and bool(np.all(witness["basis"].det == 1.0)) and witness["basis"].episodes == []
+        details.append(f"{type(model).__name__}: {len(mixed.episodes)} episodes, "
+                       f"max negativity {neg['superposition'].negativity.max():.3g} (superposition)")
+    announce(11, "non-Markovianity without entanglement, N=1000", ok,
+             "; ".join(details) + f" ({time.perf_counter() - started:.1f}s)")

@@ -529,29 +529,58 @@ def test_global_negativity_over_dimension_cap_is_usage_error(tmp_path, capsys):
 
 
 def test_global_negativity_over_dimension_cap_on_factor_spectra(tmp_path, capsys):
-    # the same 2^11 configurations with both factors mixed never build the
-    # global matrix: the product state stays separable
-    doc = dict(BASE, ensemble=dict(BASE["ensemble"], n_total=11, n_system=2),
-               system_state={"kind": "maximally_mixed"},
-               environment_state={"kind": "maximally_mixed"},
-               grid={"start": 0.0, "stop": 3.0, "points": 5})
-    cfg = write_config(tmp_path, doc)
-    out = tmp_path / "x.csv"
-    assert cli.main(["negativity", "--config", cfg, "--cut", "global", "--out", str(out)]) == 0
-    assert "(factor_spectra path, max negativity 0)" in capsys.readouterr().out
-    header, rows = read_csv(out)
-    assert len(rows) == 5 and all(float(r[1]) == 0.0 for r in rows)
+    # 2^11 global configurations with both factors mixed, and a 2^11-
+    # configuration mixed environment, never build a dense matrix: the
+    # product state stays separable
+    for n_total, n_system in ((11, 2), (12, 1)):
+        doc = dict(BASE, ensemble=dict(BASE["ensemble"], n_total=n_total, n_system=n_system),
+                   system_state={"kind": "maximally_mixed"},
+                   environment_state={"kind": "maximally_mixed"},
+                   grid={"start": 0.0, "stop": 3.0, "points": 5})
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "x.csv"
+        assert cli.main(["negativity", "--config", cfg, "--cut", "global", "--out", str(out)]) == 0
+        assert "(factor_spectra path, max negativity 0)" in capsys.readouterr().out
+        header, rows = read_csv(out)
+        assert len(rows) == 5 and all(float(r[1]) == 0.0 for r in rows)
 
 
 def test_global_negativity_factor_over_dimension_cap_is_usage_error(tmp_path, capsys):
-    # a 2^11-configuration environment factor would itself be built dense
+    # a 2^11-configuration "matrix" environment factor would itself be built dense
     doc = dict(BASE, ensemble=dict(BASE["ensemble"], n_total=12, n_system=1),
                system_state={"kind": "maximally_mixed"},
-               environment_state={"kind": "maximally_mixed"})
+               environment_state={"kind": "matrix", "re": [[1.0]]})
     cfg = write_config(tmp_path, doc)
     msg = _expect_usage_error(["negativity", "--config", cfg, "--cut", "global",
                                "--out", str(tmp_path / "x.csv")], capsys)
     assert "2048" in msg and "1024" in msg
+
+
+def test_global_negativity_basis_environment(tmp_path, capsys):
+    # 2^11 environment configurations in one basis state: the factor-spectra
+    # path, no entanglement
+    doc = _global_doc({"kind": "uniform_superposition"},
+                      {"kind": "basis", "config": [1, -1] * 5 + [1]}, n_total=13)
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "neg.csv"
+    assert cli.main(["negativity", "--config", cfg, "--cut", "global", "--out", str(out)]) == 0
+    assert "(factor_spectra path, max negativity 0)" in capsys.readouterr().out
+    _, rows = read_csv(out)
+    assert len(rows) == 7 and all(r[1:] == ["0.0", "0.0", "1.0"] for r in rows)
+    doc["environment_state"]["config"] = [1] * 10
+    msg = _expect_usage_error(["negativity", "--config", write_config(tmp_path, doc), "--cut", "global",
+                               "--out", str(tmp_path / "y.csv")], capsys)
+    assert "10 sites, expected 11" in msg
+
+
+def test_negativity_mixture_preset_is_exactly_separable(tmp_path):
+    # the superposition is filled with exact entries: the separable state
+    # reads negativity 0 and trace norm 1 without rounding
+    out = tmp_path / "mixture.csv"
+    assert cli.main(["negativity", "--config", preset("negativity_mixture_ring10.json"),
+                     "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 200 and all(r[1:] == ["0.0", "0.0", "1.0"] for r in rows)
 
 
 def test_closed_form_outside_its_assumptions_is_usage_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,6 +233,59 @@ def test_global_negativity_series_matches_dense_reference(case):
         assert abs(out.trace_norm[k] - tnorm) <= tol
 
 
+_SITE_STATES = {
+    "pure": random_pure,
+    "diagonal": lambda rng, dim: np.diag(rng.dirichlet(np.ones(dim))).astype(complex),
+    "general": random_density,
+}
+
+
+@st.composite
+def site_product_states(draw, twice_spin, system_kind, env_kind):
+    """Random couplings and fields, a random system matrix of the given kind
+    and an environment given as one random state of the given kind per site."""
+    n_total = draw(st.integers(2, 7 if twice_spin == 1 else 4))
+    n_system = draw(st.integers(1, n_total - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    j = rng.uniform(-1.0, 1.0, (n_total, n_total))
+    j = np.triu(j, 1) + np.triu(j, 1).T
+    spec = EnsembleSpec(n_total=n_total, n_system=n_system, twice_spin=twice_spin,
+                        couplings=j, fields=rng.uniform(-1.0, 1.0, n_total))
+    rho_s = _SITE_STATES[system_kind](rng, spec.dim_system)
+    sites = np.array([_SITE_STATES[env_kind](rng, twice_spin + 1) for _ in range(spec.n_env)])
+    times = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3))
+    return spec, rho_s, sites, np.array(times)
+
+
+@pytest.mark.parametrize("twice_spin", [1, 2])
+@pytest.mark.parametrize("system_kind, env_kind, path", [
+    ("pure", "pure", "schmidt"),
+    ("pure", "diagonal", "factor_spectra"),
+    ("pure", "general", "dense"),
+    ("general", "pure", "dense"),
+    ("general", "diagonal", "factor_spectra"),
+])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_site_product_environment_matches_its_dense_matrix(data, twice_spin, system_kind, env_kind, path):
+    spec, rho_s, sites, times = data.draw(site_product_states(twice_spin, system_kind, env_kind))
+    dense = functools.reduce(np.kron, sites)
+    assert ent.global_negativity_path(rho_s, sites) == ent.global_negativity_path(rho_s, dense) == path
+    structured = ent.global_negativity_series(spec, rho_s, sites, times)
+    full = ent.global_negativity_series(spec, rho_s, dense, times)
+    assert structured.path == full.path == path
+    for k, t in enumerate(times):
+        neg, min_eig, tnorm, weights = dense_reference(spec, rho_s, dense, t)
+        tol = 1e-12
+        if path == "schmidt" and weights.min() < 1e-4:
+            tol = 2e-7 * min(spec.dim_system, spec.dim_env)  # dropped Schmidt coefficients
+        for out in (structured, full):
+            assert abs(out.negativity[k] - neg) <= tol
+            assert abs(out.min_eigenvalue[k] - min_eig) <= tol
+            assert abs(out.trace_norm[k] - tnorm) <= tol
+        assert np.max(np.abs(np.array(structured[1:])[:, k] - np.array(full[1:])[:, k])) <= tol
+
+
 def _counting_eigenvalues(monkeypatch):
     """Route entanglement's eigensolver through a counter; returns the call list."""
     calls = []
@@ -289,6 +344,22 @@ def test_diagonal_and_rank_one_factors_need_no_eigensolver(monkeypatch):
     out = ent.global_negativity_series(spec, rho_s, general, times)
     assert out.path == "factor_spectra" and calls == [(d_e, d_e)]
     _assert_matches_dense_reference(spec, rho_s, general, out, times)
+
+
+def test_schmidt_path_takes_the_smaller_side(monkeypatch):
+    # d_E = 4 < d_S = 16: the environment's reduced state is the Gram
+    # matrix, so every eigenvalue stack is (..., d_E, d_E)
+    rng = np.random.default_rng(23)
+    spec = random_spec(rng, 6, 4)
+    d_s, d_e = spec.dim_system, spec.dim_env
+    rho_s, rho_e = random_pure(rng, d_s), random_pure(rng, d_e)
+    times = np.linspace(0.0, 4.0, 9)
+    calls = _counting_eigenvalues(monkeypatch)
+    out = ent.global_negativity_series(spec, rho_s, rho_e, times)
+    assert out.path == "schmidt" and calls
+    assert all(shape[-2:] == (d_e, d_e) for shape in calls)
+    assert sum(np.prod(shape[:-2]) for shape in calls) == times.size
+    _assert_matches_dense_reference(spec, rho_s, rho_e, out, times)
 
 
 def test_global_negativity_series_bounded_blocks_and_errors(monkeypatch):
