@@ -573,6 +573,19 @@ def test_global_negativity_basis_environment(tmp_path, capsys):
     assert "10 sites, expected 11" in msg
 
 
+def test_witness_basis_environment_is_markovian(tmp_path, capsys):
+    # every dephasing factor of a basis environment is a pure phase
+    doc = dict(BASE, environment={"kind": "basis", "config": [1, -1, 1, 1, -1]})
+    out = tmp_path / "w.csv"
+    assert cli.main(["witness", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert all(float(r[header.index("det")]) == 1.0 for r in rows)
+    assert json.loads((tmp_path / "w.episodes.json").read_text()) == []
+    doc["environment"]["config"] = [1, 3, 1, 1, -1]
+    msg = _expect_usage_error(["witness", "--config", write_config(tmp_path, doc), "--out", str(out)], capsys)
+    assert "spin value 3/2" in msg
+
+
 def test_negativity_mixture_preset_is_exactly_separable(tmp_path):
     # the superposition is filled with exact entries: the separable state
     # reads negativity 0 and trace norm 1 without rounding
