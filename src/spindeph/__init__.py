@@ -27,7 +27,7 @@ _EXPORTS = {
         "GLOBAL_DIM_CAP", "NegativitySeries", "evolve_global", "global_negativity_path",
         "global_negativity_series", "negativity", "negativity_details", "partial_trace_env",
         "partial_transpose_system", "system_negativity_series"),
-    "linalg": ("hermitian_eigenvalues", "lu_det", "trace_norm"),
+    "linalg": ("hermitian_eigensystem", "hermitian_eigenvalues", "lu_det", "trace_norm"),
     "model": (
         "DEFAULT_ENUM_CAP", "CouplingModel", "EnsembleSpec", "InfiniteRange",
         "NearestNeighborRing1D", "NearestNeighborTorus2D", "PowerLawRing1D", "ResourceCapError",

@@ -407,14 +407,6 @@ def cmd_negativity(args) -> int:
             raise UsageError("global negativity needs 'system_state' and 'environment_state'")
         rho_s = _state(cfg["system_state"], spec.n_system, spec.twice_spin)
         rho_e = _state(cfg["environment_state"], spec.n_env, spec.twice_spin)
-        dim = spec.dim_system * spec.dim_env
-        # only the dense path builds the global matrix
-        if dim > entanglement.GLOBAL_DIM_CAP and (
-            entanglement.global_negativity_path(rho_s, rho_e) == "dense"
-        ):
-            raise UsageError(f"global dimension {dim} exceeds the dense path's cap "
-                             f"{entanglement.GLOBAL_DIM_CAP}; a diagonal factor or two pure "
-                             f"factors avoid the dense path")
         with _time_map(args.threads) as map_times:
             result = entanglement.global_negativity_series(spec, rho_s, rho_e, times, map_times)
     else:
@@ -574,7 +566,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ResourceCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

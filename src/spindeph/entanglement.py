@@ -23,12 +23,12 @@ is and is diagonal (rank one) when each of them is:
 - Schmidt: both factors are rank one. The Gram matrix of the evolved
   d_S x d_E coefficient matrix, on the smaller side (the roles swap when
   d_E < d_S), is that side's reduced state, which the engine evolves with
-  the other side's diagonal as populations. Its eigenvalues are the
-  squared Schmidt coefficients l_i^2; the partial transpose of |psi><psi|
-  has eigenvalues {l_i^2} and {+- l_i l_j}, so the trace norm is
-  (sum_i l_i)^2.
-- dense: anything else. The global matrix is built at each time and its
-  partial transpose diagonalized by `linalg.hermitian_eigenvalues`.
+  the other side's diagonal as populations, holding that side to its pair
+  cap. Its eigenvalues (`_rayleigh_eigenvalues`) are the squared Schmidt
+  coefficients l_i^2; the partial transpose of |psi><psi| has eigenvalues
+  {l_i^2} and {+- l_i l_j}, so the trace norm is (sum_i l_i)^2.
+- dense: anything else. The global matrix is built at each time, under
+  the cap, and its partial transpose diagonalized by `hermitian_eigenvalues`.
 
 `system_negativity_series` cuts inside the subsystem: exact reduced states
 go to `negativity_details` in stacks, one eigensolver call per stack.
@@ -41,8 +41,8 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .engine import EnvPopulations, WitnessEvaluator
-from .linalg import _checked, hermitian_eigenvalues
+from .engine import EnvPopulations, WitnessEvaluator, _accurate_sum, _split
+from .linalg import _checked, hermitian_eigensystem, hermitian_eigenvalues
 from .model import EnsembleSpec, ResourceCapError, total_energies
 
 GLOBAL_DIM_CAP = 1024
@@ -118,6 +118,25 @@ def _pure_vectors(rho: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     resid = psi[:, :, None] * psi.conj()[:, None, :]
     resid -= rho
     return psi, np.where(ok, np.max(np.abs(resid), axis=(-2, -1)), np.inf)
+
+
+def _rayleigh_eigenvalues(g: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (n, d) of Hermitian matrices (n, d, d): Rayleigh quotients
+    x.Rx / x.x of `hermitian_eigensystem`'s eigenvectors in the real form x = [Re v; Im v],
+    R = [[Re g, -Im g], [Im g, Re g]], Rx summed from exact (Dekker) products. They
+    carry the rounding of g's entries, not the eigensolver's few eps ||g||."""
+    v = hermitian_eigensystem(g)[1]
+    r = np.block([[g.real, -g.imag], [g.imag, g.real]])
+    x = np.concatenate([v.real, v.imag], axis=-2)
+    r_hi, r_lo = _split(r)
+    out = np.empty(x.shape[:-2] + x.shape[-1:])
+    for i in range(x.shape[-1]):
+        xi = x[..., None, :, i]
+        x_hi, x_lo = _split(xi)
+        p = r * xi
+        e = ((r_hi * x_hi - p) + r_hi * x_lo + r_lo * x_hi) + r_lo * x_lo
+        out[..., i] = np.sum(xi[..., 0, :] * _accurate_sum(np.concatenate([p, e], axis=-1)), axis=-1)
+    return np.sort(out / np.sum(x * x, axis=-2), axis=-1)
 
 
 def _schmidt_details(lam2: np.ndarray) -> np.ndarray:
@@ -231,23 +250,25 @@ def _spectrum_and_trace_norm(rho: np.ndarray, kind: str) -> Tuple[np.ndarray, fl
 def _path_and_data(factors):
     """(path, data) for these factors, each a stack of blocks (`_blocks`).
 
-    data is the kind of every block of both factors, system first, on the
-    factor-spectra path ("diagonal", "rank_one" or "general"), else None.
-    A non-diagonal block is rank one there only when its reconstruction
-    residual is rounding, _RANK_ONE_ULPS eps max|rho|; the Schmidt path
-    takes the looser _PURITY_TOL.
+    A block is rank one when its reconstruction residual (`_pure_vectors`)
+    is rounding, _RANK_ONE_ULPS eps max|rho|. data is the kind of every
+    block of both factors, system first, on the factor-spectra path
+    ("diagonal", "rank_one" or "general"); on the Schmidt path, which takes
+    the looser _PURITY_TOL, the factors with every other block replaced by
+    its reconstruction; else None.
     """
     scans = [_peak_and_diagonal(f) for f in factors]
+    vectors = [_pure_vectors(f) for f in factors]
+    exact = [residual <= _RANK_ONE_ULPS * np.finfo(float).eps * peak
+             for (peak, _), (_, residual) in zip(scans, vectors)]
     if any(diagonal.all() for _, diagonal in scans):
-        kinds = []
-        for f, (peak, diagonal) in zip(factors, scans):
-            rank_one = np.zeros_like(diagonal)
-            tol = _RANK_ONE_ULPS * np.finfo(float).eps * peak[~diagonal]
-            rank_one[~diagonal] = _pure_vectors(f[~diagonal])[1] <= tol
-            kinds += np.select([diagonal, rank_one], ["diagonal", "rank_one"], "general").tolist()
-        return "factor_spectra", kinds
-    if all(np.all(_pure_vectors(f)[1] <= _PURITY_TOL) for f in factors):
-        return "schmidt", None
+        kinds = [np.select([diagonal, rank_one], ["diagonal", "rank_one"], "general")
+                 for (_, diagonal), rank_one in zip(scans, exact)]
+        return "factor_spectra", np.concatenate(kinds).tolist()
+    if all(np.all(residual <= _PURITY_TOL) for _, residual in vectors):
+        return "schmidt", [f if rank_one.all() else
+                           np.where(rank_one[:, None, None], f, psi[:, :, None] * psi.conj()[:, None, :])
+                           for f, (psi, _), rank_one in zip(factors, vectors, exact)]
     return "dense", None
 
 
@@ -291,13 +312,13 @@ def global_negativity_series(
             raise ValueError("initial factors have wrong dimensions")
         _checked(f, "initial factor")
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    path, kinds = _path_and_data(factors)
+    path, data = _path_and_data(factors)
 
     if path == "factor_spectra":
         # the spectrum of a Kronecker product holds the products of its
         # blocks' eigenvalues: fold the extremes and the trace norms
         extremes, tnorm = np.ones(2), 1.0
-        for rho, kind in zip([*factors[0], *factors[1]], kinds):
+        for rho, kind in zip([*factors[0], *factors[1]], data):
             eigs, norm = _spectrum_and_trace_norm(rho, kind)
             products = np.outer(extremes, [eigs.min(), eigs.max()])
             extremes, tnorm = np.array([products.min(), products.max()]), tnorm * norm
@@ -305,24 +326,28 @@ def global_negativity_series(
         return NegativitySeries(path, *(np.full(times.shape, c) for c in columns))
 
     if path == "schmidt":
+        small, large = data
         if spec.dim_system > spec.dim_env:
             # the smaller side's Gram matrix: environment sites first
             order = np.r_[spec.n_system : spec.n_total, : spec.n_system]
             spec = EnsembleSpec(spec.n_total, spec.n_env, spec.twice_spin,
                                 spec.couplings[np.ix_(order, order)], spec.fields[order])
-            factors.reverse()
-        small, large = factors
+            small, large = large, small
         # the Gram matrix is tr(rho_large) times the reduced state
         weights = np.diagonal(large, axis1=1, axis2=2).real.clip(0.0)
         m = spec.n_env // len(large)
         env = EnvPopulations(spec.n_env, spec.twice_spin,
                              blocks=[(range(k * m, k * m + m), w / w.sum()) for k, w in enumerate(weights)])
+        ev = WitnessEvaluator(spec, env)  # refuses a smaller side past the engine's pair cap
         rho0 = functools.reduce(np.kron, small) * weights.sum(axis=1).prod()
-        return _reduced_state_series(path, WitnessEvaluator(spec, env), rho0, times,
-                                     lambda states: _schmidt_details(hermitian_eigenvalues(states)))
+        return _reduced_state_series(path, ev, rho0, times,
+                                     lambda states: _schmidt_details(_rayleigh_eigenvalues(states)))
 
-    if spec.dim_system * spec.dim_env <= GLOBAL_DIM_CAP:  # else evolve_global raises
-        rho_s0, rho_e0 = (functools.reduce(np.kron, f) for f in factors)
+    dim = spec.dim_system * spec.dim_env
+    if dim > GLOBAL_DIM_CAP:
+        raise ResourceCapError(f"global dimension {dim} exceeds the dense path's cap {GLOBAL_DIM_CAP}; "
+                               "a diagonal factor or two pure factors avoid the dense path")
+    rho_s0, rho_e0 = (functools.reduce(np.kron, f) for f in factors)
     dims = (spec.dim_system, spec.dim_env)
     details = list(map_times(
         lambda t: negativity_details(evolve_global(spec, rho_s0, rho_e0, t), dims), times

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from spindeph import entanglement as ent
 from spindeph import thermal
 from spindeph.engine import EnvPopulations, WitnessEvaluator
-from spindeph.linalg import hermitian_eigenvalues
+from spindeph.linalg import hermitian_eigensystem, hermitian_eigenvalues
 from spindeph.model import (
     EnsembleSpec,
     NearestNeighborRing1D,
@@ -287,14 +287,16 @@ def test_site_product_environment_matches_its_dense_matrix(data, twice_spin, sys
 
 
 def _counting_eigenvalues(monkeypatch):
-    """Route entanglement's eigensolver through a counter; returns the call list."""
+    """Route entanglement's eigensolvers, with and without eigenvectors,
+    through a counter; returns the call list."""
     calls = []
+    for name, solver in (("hermitian_eigenvalues", hermitian_eigenvalues),
+                         ("hermitian_eigensystem", hermitian_eigensystem)):
+        def counted(a, solver=solver):
+            calls.append(np.shape(a))
+            return solver(a)
 
-    def counted(a):
-        calls.append(np.shape(a))
-        return hermitian_eigenvalues(a)
-
-    monkeypatch.setattr(ent, "hermitian_eigenvalues", counted)
+        monkeypatch.setattr(ent, name, counted)
     return calls
 
 
@@ -360,6 +362,67 @@ def test_schmidt_path_takes_the_smaller_side(monkeypatch):
     assert all(shape[-2:] == (d_e, d_e) for shape in calls)
     assert sum(np.prod(shape[:-2]) for shape in calls) == times.size
     _assert_matches_dense_reference(spec, rho_s, rho_e, out, times)
+
+
+def test_near_pure_factor_on_schmidt_path_is_read_as_its_reconstruction():
+    # a second eigenvalue of 1e-11 on the smaller side passes the Schmidt
+    # path's 1e-10 purity test; it must not reach the reduced state, where
+    # its square root would read as a Schmidt coefficient of 3e-6 at t = 0
+    rng = np.random.default_rng(24)
+    times = np.array([0.0, 0.7, 2.3])
+    for n_system in (2, 4):  # the system side is the smaller one, then the environment
+        spec = random_spec(rng, 6, n_system)
+        small = min(spec.dim_system, spec.dim_env)
+        phi = random_pure(rng, small)
+        psi = np.linalg.eigh(phi)[1][:, 0]  # orthogonal to phi's vector
+        near = phi + 1e-11 * np.outer(psi, psi.conj())
+        other = random_pure(rng, max(spec.dim_system, spec.dim_env))
+        rho_s, rho_e = (near, other) if spec.dim_system == small else (other, near)
+        out = ent.global_negativity_series(spec, rho_s, rho_e, times)
+        assert out.path == "schmidt"
+        for k, t in enumerate(times):
+            neg, min_eig, tnorm, _ = dense_reference(spec, rho_s, rho_e, t)
+            assert abs(out.negativity[k] - neg) <= 1e-10
+            assert abs(out.min_eigenvalue[k] - min_eig) <= 1e-10
+            assert abs(out.trace_norm[k] - tnorm) <= 1e-10
+        assert abs(out.negativity[0]) <= 1e-11  # a product state
+
+
+def test_schmidt_path_smaller_side_is_held_to_the_pair_cap():
+    # 2^11 configurations on each side, given as one-site pure states: the
+    # engine pairs up the smaller side's configurations and refuses 2048
+    rng = np.random.default_rng(25)
+    spec = random_spec(rng, 22, 11)
+    sites = np.stack([random_pure(rng, 2) for _ in range(11)])
+    assert ent.global_negativity_path(sites, sites) == "schmidt"
+    with pytest.raises(ResourceCapError, match="2048 system configurations"):
+        ent.global_negativity_series(spec, sites, sites, [0.0, 1.0])
+
+
+def test_rayleigh_eigenvalues_keep_the_small_ones_to_the_entries_rounding():
+    # near-rank-one Hermitian matrices, as near a product time: against the
+    # exact eigenvalues of the double matrices, the refined ones err by
+    # about eps |lambda| plus a fraction of eps ||g||, where the
+    # eigensolver's noise is a few eps ||g|| on every eigenvalue
+    import mpmath
+
+    rng = np.random.default_rng(26)
+    eps = np.finfo(float).eps
+    for d in (2, 5, 8):
+        stack = []
+        for k in range(4):
+            q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+            lam = np.sort(10.0 ** rng.uniform(-15, -1, d))
+            lam[-1] = 1.0
+            lam[: k % 3] = 0.0
+            g = (q * lam) @ q.conj().T
+            stack.append(0.5 * (g + g.conj().T))
+        refined = ent._rayleigh_eigenvalues(np.array(stack))
+        for g, got in zip(stack, refined):
+            with mpmath.workdps(40):
+                m = mpmath.matrix([[mpmath.mpc(x.real, x.imag) for x in row] for row in g])
+                exact = np.sort([float(mpmath.re(x)) for x in mpmath.eighe(m, eigvals_only=True)])
+            assert np.all(np.abs(got - exact) <= eps * (2.0 * np.abs(exact) + 0.25))
 
 
 def test_global_negativity_series_bounded_blocks_and_errors(monkeypatch):
