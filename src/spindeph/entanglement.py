@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .engine import EnvPopulations, WitnessEvaluator, _accurate_sum, _split
+from .engine import EnvPopulations, WitnessEvaluator
 from .linalg import _checked, hermitian_eigensystem, hermitian_eigenvalues
 from .model import EnsembleSpec, ResourceCapError, total_energies
 
@@ -120,23 +120,27 @@ def _pure_vectors(rho: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return psi, np.where(ok, np.max(np.abs(resid), axis=(-2, -1)), np.inf)
 
 
+def _on_grid(a: np.ndarray, bits: int) -> Tuple[np.ndarray, np.ndarray]:
+    """a = hi + lo exactly, each matrix's hi of at most ``bits`` bits on one grid (Ozaki's split)."""
+    top = np.max(np.abs(a), axis=(-2, -1), keepdims=True)
+    sigma = np.ldexp(1.0, np.frexp(top)[1] + 53 - bits)
+    hi = (a + sigma) - sigma
+    return hi, a - hi
+
+
 def _rayleigh_eigenvalues(g: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues (n, d) of Hermitian matrices (n, d, d): Rayleigh quotients
     x.Rx / x.x of `hermitian_eigensystem`'s eigenvectors in the real form x = [Re v; Im v],
-    R = [[Re g, -Im g], [Im g, Re g]], Rx summed from exact (Dekker) products. They
-    carry the rounding of g's entries, not the eigensolver's few eps ||g||."""
+    R = [[Re g, -Im g], [Im g, Re g]]. Split on grids so that the 2d products of a sum
+    fit 53 bits, r_hi @ x_hi is exact in any order, and the rest is 2^-20 smaller: the
+    quotients carry the rounding of g's entries, not the eigensolver's few eps ||g||."""
     v = hermitian_eigensystem(g)[1]
     r = np.block([[g.real, -g.imag], [g.imag, g.real]])
     x = np.concatenate([v.real, v.imag], axis=-2)
-    r_hi, r_lo = _split(r)
-    out = np.empty(x.shape[:-2] + x.shape[-1:])
-    for i in range(x.shape[-1]):
-        xi = x[..., None, :, i]
-        x_hi, x_lo = _split(xi)
-        p = r * xi
-        e = ((r_hi * x_hi - p) + r_hi * x_lo + r_lo * x_hi) + r_lo * x_lo
-        out[..., i] = np.sum(xi[..., 0, :] * _accurate_sum(np.concatenate([p, e], axis=-1)), axis=-1)
-    return np.sort(out / np.sum(x * x, axis=-2), axis=-1)
+    bits = (55 - x.shape[-2].bit_length()) // 2
+    (r_hi, r_lo), (x_hi, x_lo) = _on_grid(r, bits), _on_grid(x, bits)
+    rx = r_hi @ x_hi + (r_hi @ x_lo + r_lo @ x)
+    return np.sort(np.sum(x * rx, axis=-2) / np.sum(x * x, axis=-2), axis=-1)
 
 
 def _schmidt_details(lam2: np.ndarray) -> np.ndarray:
