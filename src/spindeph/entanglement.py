@@ -262,17 +262,19 @@ def _path_and_data(factors):
     its reconstruction; else None.
     """
     scans = [_peak_and_diagonal(f) for f in factors]
-    vectors = [_pure_vectors(f) for f in factors]
-    exact = [residual <= _RANK_ONE_ULPS * np.finfo(float).eps * peak
-             for (peak, _), (_, residual) in zip(scans, vectors)]
+    rounding = _RANK_ONE_ULPS * np.finfo(float).eps
     if any(diagonal.all() for _, diagonal in scans):
-        kinds = [np.select([diagonal, rank_one], ["diagonal", "rank_one"], "general")
-                 for (_, diagonal), rank_one in zip(scans, exact)]
-        return "factor_spectra", np.concatenate(kinds).tolist()
+        kinds = []
+        for f, (peak, diagonal) in zip(factors, scans):
+            rank_one = np.zeros_like(diagonal)
+            rank_one[~diagonal] = _pure_vectors(f[~diagonal])[1] <= rounding * peak[~diagonal]
+            kinds += np.select([diagonal, rank_one], ["diagonal", "rank_one"], "general").tolist()
+        return "factor_spectra", kinds
+    vectors = [_pure_vectors(f) for f in factors]
     if all(np.all(residual <= _PURITY_TOL) for _, residual in vectors):
-        return "schmidt", [f if rank_one.all() else
-                           np.where(rank_one[:, None, None], f, psi[:, :, None] * psi.conj()[:, None, :])
-                           for f, (psi, _), rank_one in zip(factors, vectors, exact)]
+        return "schmidt", [f if np.all(residual <= rounding * peak) else
+                           np.where((residual <= rounding * peak)[:, None, None], f, psi[:, :, None] * psi.conj()[:, None, :])
+                           for f, (psi, residual), (peak, _) in zip(factors, vectors, scans)]
     return "dense", None
 
 
