@@ -192,17 +192,15 @@ def check_pair_cap(dim: int) -> None:
 def _row_classes(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct rows in lexicographic order, each row's class and each class's count.
 
-    What ``np.unique(rows, axis=0, return_inverse=True, return_counts=True)``
-    returns for rows without NaN or -0, from one lexsort (first column
-    most significant) and a mask of the rows that differ from the previous one.
+    What ``np.unique(rows, axis=0, return_inverse=True, return_counts=True)`` returns for
+    rows without NaN or -0, from one lexsort (first column most significant).
     """
     order = np.lexsort(rows.T[::-1])
     ordered = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    new = np.concatenate([[True], (ordered[1:] != ordered[:-1]).any(axis=1)])
     inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return ordered[new], inverse, np.diff(np.append(np.flatnonzero(new), len(rows)))
+    inverse[order] = new.cumsum() - 1
+    return ordered[new], inverse, np.bincount(inverse)
 
 
 def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -255,21 +253,25 @@ def _block_times(entries: int) -> int:
                min(SERIES_MIN_TIMES, SERIES_MIN_TIMES * SERIES_BLOCK // entries))
 
 
-def _dot2(u: np.ndarray, nu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """sum_j u[..., j] nu[..., j] as an unevaluated sum hi + lo, to about twice double precision.
+def _dot2(u: np.ndarray, nu: np.ndarray, exact: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """sum_j u[j] nu[j] over the first axis as an unevaluated sum hi + lo, to about twice double precision.
 
-    Ogita, Rump and Oishi's Dot2 (2005), with Knuth's TwoSum. u holds small
-    integers (twice spin values and their differences), so each u nu splits
-    exactly into p + e with Veltkamp halves of nu alone.
+    Ogita, Rump and Oishi's Dot2 (2005), with Knuth's TwoSum: the running sums are one
+    add.accumulate and the errors are summed in index order. u holds small integers (twice
+    spin values and their differences), so u nu splits exactly into p + e with Veltkamp
+    halves of nu; e is +0 where every u is 0 or a power of two (``exact``: spin 1/2 and 1).
     """
-    nu_hi, nu_lo = _split(nu)
     p = u * nu
-    e = (u * nu_hi - p) + u * nu_lo
-    hi, lo = p[..., 0], e[..., 0]
-    for j in range(1, u.shape[-1]):
-        s = hi + p[..., j]
-        z = s - hi
-        hi, lo = s, lo + (((hi - (s - z)) + (p[..., j] - z)) + e[..., j])
+    if exact:
+        e = np.zeros(p.shape)
+    else:
+        nu_hi, nu_lo = _split(nu)
+        e = (u * nu_hi - p) + u * nu_lo
+    running = np.add.accumulate(p)
+    before, after = running[:-1], running[1:]
+    z = after - before
+    e[1:] += (before - (after - z)) + (p[1:] - z)
+    hi, lo = running[-1], _ordered_sum(e)
     s = hi + lo
     return s, lo - (s - hi)
 
@@ -382,77 +384,84 @@ class _Rows(NamedTuple):
 
 
 def _witness_rows(weights: np.ndarray, configs: np.ndarray, nu: np.ndarray, mult: np.ndarray,
-                  place: np.ndarray, wide: bool) -> Tuple[List[_Rows], _Rows]:
-    """The rows of one form, grouped by their number of distinct rates.
-
-    Row r has the frequencies configs[r] . nu[r] with the weights weights[r]
-    (0 pads). Frequencies and pair differences are formed from integer
-    configurations by :func:`_dot2`; equal rates share one phase. Returns
-    the rows of two or more distinct frequencies by their number of rates,
-    for `series`, and all rows in one group over their frequencies' rates,
-    for `factors`.
-    """
-    rows, width = weights.shape
-    total = weights.sum(axis=1, keepdims=True)
+                  place: np.ndarray, wide: bool, exact: bool) -> Tuple[List[_Rows], _Rows]:
+    """The rows of one form: those of two or more distinct frequencies by their
+    number of rates, for `series`, and all in one group over their frequencies'
+    rates, for `factors`. Row (c, b), class-major, has the frequencies
+    configs[:, b] . nu[:, c, b] (site-major, by :func:`_dot2`), the weights
+    weights[b] (0 pads), and its multiplicity and place in mult and place."""
+    classes, blocks = nu.shape[1:]
+    width, rows = weights.shape[1], classes * blocks
+    block = np.arange(rows) % blocks
     # candidate rates: the frequencies, and for pairwise rows the pairs' half
-    # differences, each an integer vector times nu
-    vectors, valid, scale = configs, weights > 0.0, np.ones(width)
+    # differences, each an integer vector times nu; each block's once
+    vectors, valid = configs, weights > 0.0
     if not wide:
         k, l = _bloch_layout(width)[:2]  # the pairs k < l
-        vectors = np.concatenate([configs, configs[:, l] - configs[:, k]], axis=1)
+        vectors = np.concatenate([configs, configs[:, :, l] - configs[:, :, k]], axis=2)
         valid = np.concatenate([valid, valid[:, k] & valid[:, l]], axis=1)
-        scale = np.concatenate([scale, np.full(k.size, 0.5)])
-    hi, lo = _dot2(vectors, nu[:, None, :])
-    same = (hi[:, :width] == hi[:, :1]) & (lo[:, :width] == lo[:, :1])
-    phase = np.all(same | ~valid[:, :width], axis=1)
-    valid[:, width:] &= hi[:, width:] != 0.0  # equal frequencies add nothing
-    sign = np.where(hi < 0.0, -1.0, 1.0)
-    rates, rates_lo = scale * np.abs(hi), scale * sign * lo
+        ww = (4.0 * weights[:, k] * weights[:, l])[block]
+    total, weights, valid = weights.sum(axis=1)[block], weights[block], valid[block]
+    hi, lo = (x.reshape(rows, -1) for x in _dot2(vectors[:, None], nu[..., None], exact))
+    phase = (((hi[:, :width] == hi[:, :1]) & (lo[:, :width] == lo[:, :1])) | ~valid[:, :width]).all(axis=1)
+    parts = np.empty(hi.shape + (2,))  # rate and rate_lo of each candidate
+    parts[..., 0], parts[..., 1] = np.abs(hi), np.where(hi < 0.0, -1.0, 1.0) * lo
+    if not wide:
+        valid[:, width:] &= hi[:, width:] != 0.0  # equal frequencies add nothing
+        parts[:, width:] *= 0.5
 
-    # sort each row's candidate rates, padding last, and number the distinct ones
-    order = np.lexsort((rates_lo, np.where(valid, rates, np.inf)), axis=1)
-    order += np.arange(rows)[:, None] * valid.shape[1]
-    s_hi, s_lo, new = rates.ravel()[order], rates_lo.ravel()[order], valid.ravel()[order]
-    new[:, 1:] &= (s_hi[:, 1:] != s_hi[:, :-1]) | (s_lo[:, 1:] != s_lo[:, :-1])
+    # sort each row's candidates by rate, then rate_lo, padding last, and
+    # number the distinct ones: slot j of row r is r + j * rows
+    key, row = np.where(valid, parts.view(complex)[..., 0], np.inf), np.arange(rows)[:, None]
+    order = key.argsort(axis=1) + row * valid.shape[1]
+    ordered, new = key.ravel()[order], valid.ravel()[order]
+    new[:, 1:] &= ordered[:, 1:] != ordered[:, :-1]
     count = new.sum(axis=1)
     n_rates = int(count.max(initial=0))
+    size = rows * n_rates
     slot = np.empty(valid.shape, dtype=np.intp)
-    slot.ravel()[order] = np.cumsum(new, axis=1) + (np.arange(rows)[:, None] * n_rates - 1)
-    flat = slot[valid]
+    slot.ravel()[order] = (new.cumsum(axis=1) - 1) * rows + row
 
-    def gather(values, pairs=False):
-        """Each rate's sum of its frequencies' (or, with pairs=True, its pairs') values."""
-        part = np.s_[:, width:] if pairs else np.s_[:, :width]
-        index = slot[part][valid[part]]
-        return np.bincount(index, values[valid[part]], minlength=rows * n_rates).reshape(rows, n_rates)
-
-    rate, rate_lo = np.zeros((2, rows * n_rates))
-    rate[flat], rate_lo[flat] = rates[valid], rates_lo[valid]
-    rate, rate_lo = rate.reshape(rows, n_rates), rate_lo.reshape(rows, n_rates)
-    # a zero frequency adds nothing to Im A, so a row symmetric in omega has ws = 0
-    fields = dict(rate=rate, rate_lo=rate_lo, wc=gather(weights) / total,
-                  ws=gather(np.sign(hi[:, :width]) * weights) / total)
-    if wide:
-        fields.update(dc=-rate * fields["wc"], ds=rate * fields["ws"])
+    # the fields, each (n_rates, rows): rate, rate_lo, rate's Veltkamp halves,
+    # and one bincount of each rate's sums wc, ws of w and sign(omega) w over
+    # its frequencies and sq, sc of 4 w_k w_l and -4 w_k w_l |omega_k - omega_l|
+    # over its pairs (wide rows: dc, ds from rate, wc and ws)
+    sums = np.empty((2,) + valid.shape)
+    sums[:, :, :width] = weights, np.sign(hi[:, :width]) * weights
+    bins = slot.copy()
+    if not wide:
+        sums[:, :, width:] = ww, -(ww * np.abs(hi[:, width:]))
+        bins[:, width:] += 2 * size
+    index, table, rates = bins[valid], np.empty((8, size)), np.zeros(size, dtype=complex)
+    rates[slot[valid]] = key[valid]  # a 1-D scatter: (rate, rate_lo) pairs as complex
+    table[:2] = rates.view(float).reshape(size, 2).T
+    table[2:4] = _split(table[0])
+    table[4 : 6 if wide else 8] = np.bincount(np.concatenate([index, index + size]), sums[:, valid].ravel(),
+                                              minlength=(2 if wide else 4) * size).reshape(-1, size)
+    table = table.reshape(8, n_rates, rows)
+    table[4:6] /= total
+    if wide:  # dc, ds = -rate wc, rate ws
+        np.negative(np.multiply(table[0], table[4:6], out=table[6:])[0], out=table[6])
     else:
-        ww = 4.0 * weights[:, k] * weights[:, l]
-        fields.update(sq=gather(ww, pairs=True) / (total * total),
-                      sc=gather(-(ww * np.abs(hi[:, width:])), pairs=True) / (total * total))
-    stacked = np.stack(list(fields.values()))
+        table[6:] /= total * total
+    fields = ("rate", "rate_lo", "rate_hi", "rate_tail", "wc", "ws") + (("dc", "ds") if wide else ("sq", "sc"))
 
-    def rows_of(table, members, n):
-        arrays = np.ascontiguousarray(table[:, members, :n].transpose(0, 2, 1))[..., None]
-        group = dict(zip(fields, arrays))
-        if not np.any(group["ws"]):
+    def rows_of(table, members, n):  # a zero frequency adds nothing to Im A: ws = 0 if symmetric
+        members = np.s_[:] if members is None or members.all() else members  # views of the table
+        group = dict(zip(fields, table[:, :n, members, None]))
+        if not group["ws"].any():
             group.update(ws=None, ds=None)
-        group["rate_hi"], group["rate_tail"] = _split(group["rate"])
         return _Rows(mult=mult[members, None], place=place[members], **group)
 
-    witness = [rows_of(stacked, ~phase & (count == n), n) for n in sorted(set(count[~phase].tolist()))]
-    keep = fields["wc"] > 0.0  # the frequencies' rates, packed first for `factors`
-    packed = np.zeros(stacked.shape)
-    packed[:, np.nonzero(keep)[0], (np.cumsum(keep, axis=1) - 1)[keep]] = stacked[:, keep]
-    return witness, rows_of(packed, np.s_[:], int(keep.sum(axis=1).max()))
+    witness = [rows_of(table, ~phase & (count == n), n) for n in sorted(set(count[~phase].tolist()))]
+    # `factors` reads the first six fields over the frequencies' rates, packed first
+    if wide:  # no other rates, so a group of all rows serves both
+        every = [len(group.place) for group in witness] == [len(place)]
+        return witness, witness[0] if every else rows_of(table[:6], None, n_rates)
+    keep = table[4] > 0.0
+    packed = np.zeros((6,) + keep.shape)
+    packed[:, (keep.cumsum(axis=0) - 1)[keep], keep.nonzero()[1]] = table[:6, keep]
+    return witness, rows_of(packed, None, int(keep.sum(axis=0).max()))
 
 
 class WitnessEvaluator:
@@ -466,8 +475,7 @@ class WitnessEvaluator:
     def __init__(self, spec: EnsembleSpec, env: EnvPopulations):
         if env.n_sites != spec.n_env or env.twice_spin != spec.twice_spin:
             raise ValueError("environment populations do not match the ensemble")
-        self.spec = spec
-        self.env = env
+        self.spec, self.env = spec, env
         check_pair_cap(spec.dim_system)
         sys_cfg = config_matrix(spec.n_system, spec.twice_spin).astype(float)
         self.dim = len(sys_cfg)
@@ -478,9 +486,8 @@ class WitnessEvaluator:
         # nu of every pair, sign folded so that its first nonzero entry is
         # positive (+ 0.0 turns -0.0 into 0.0 before rows are compared)
         nu = 0.5 * ((sys_cfg[self._a] - sys_cfg[self._b]) @ spec.cross_couplings)
-        lead = nu[np.arange(len(nu)), np.argmax(nu != 0.0, axis=1)]
-        self._flip = lead < 0.0
-        nu[self._flip] *= -1.0
+        self._flip = nu[np.arange(len(nu)), (nu != 0.0).argmax(axis=1)] < 0.0
+        np.negative(nu, out=nu, where=self._flip[:, None])
         classes, self._pair_class, counts = _row_classes(nu + 0.0)
         self._n_classes = len(classes)
 
@@ -489,7 +496,7 @@ class WitnessEvaluator:
         # sigma . nu over the populated configurations of the block's coupled
         # sites, weighted by their marginal populations; uncoupled sites
         # (zero J_cross column) leave every factor unchanged
-        coupled = np.any(spec.cross_couplings != 0.0, axis=0)
+        coupled = (spec.cross_couplings != 0.0).any(axis=0).tolist()
         levels = spec.twice_spin + 1
         blocks = []  # (coupled sites, populated configurations, their weights)
         point_sites, point_cfg, point_w = [], [], 1.0
@@ -505,10 +512,10 @@ class WitnessEvaluator:
                 drop = [k for k in range(len(block.sites)) if k not in keep]
                 w = w.reshape((levels,) * len(block.sites)).transpose(keep + drop)
                 w = np.sort(w.reshape(levels ** len(keep), -1), axis=1).sum(axis=1)
-            uniform = uniform and bool(np.all(w == w[0]))
+            uniform = uniform and bool((w == w[0]).all())
             populated = w > 0.0
             sites = [block.sites[k] for k in keep]
-            u = config_matrix(len(keep), spec.twice_spin)[populated].astype(float)
+            u = config_matrix(len(keep), spec.twice_spin)[populated]
             if len(u) > 1:
                 blocks.append((sites, u, w[populated]))
             else:
@@ -520,15 +527,6 @@ class WitnessEvaluator:
         if point_sites:
             blocks.append((point_sites, np.concatenate(point_cfg)[None, :], np.array([point_w])))
         self._rows_per_class = len(blocks)
-        width = max((w.size for _, _, w in blocks), default=0)
-        sites_max = max((len(sites) for sites, _, _ in blocks), default=0)
-        weights = np.zeros((len(blocks), width))
-        configs = np.zeros((len(blocks), width, sites_max))
-        nus = np.zeros((len(classes), len(blocks), sites_max))
-        for b, (sites, u, w) in enumerate(blocks):
-            weights[b, : w.size] = w
-            configs[b, : w.size, : len(sites)] = u
-            nus[:, b, : len(sites)] = classes[:, sites]
 
         # uniform marginals make each class's A a product of Dirichlet kernels
         # D_n(|nu_j| t), one per coupled site: the distinct nonzero |nu_j|
@@ -536,25 +534,27 @@ class WitnessEvaluator:
         self._dirichlet = None
         if uniform:
             rates, inverse = np.unique(np.abs(classes[:, coupled]), return_inverse=True)
-            mults = np.bincount(inverse.ravel(), np.repeat(counts.astype(float), np.count_nonzero(coupled)))
+            mults = np.bincount(inverse.ravel(), np.repeat(counts.astype(float), sum(coupled)))
             self._dirichlet = (rates[rates > 0.0], mults[rates > 0.0])
 
         # the rows, class by class; a row of at most PAIRWISE_MAX populated
         # configurations takes the pairwise form, a wider one the wide form.
         # `series` takes the rows of two or more distinct frequencies, each
         # with its class's multiplicity, in one pass; `factors` takes them all
-        block = np.tile(np.arange(len(blocks)), len(classes))
-        mult = np.repeat(counts.astype(float), len(blocks))
-        nus = nus.reshape(len(block), sites_max)
-        entries = np.count_nonzero(weights, axis=1)
+        place = np.arange(len(classes) * len(blocks)).reshape(len(classes), len(blocks))
         self._rows, self._factor_rows = [], []
         for wide in (False, True):
-            kind = np.flatnonzero((entries[block] > PAIRWISE_MAX) == wide)
-            if kind.size:
-                b = block[kind]
-                k = entries[b].max()
-                witness, every = _witness_rows(weights[b, :k], configs[b, :k], nus[kind], mult[kind],
-                                               kind, wide)
+            members = [b for b, (_, _, w) in enumerate(blocks) if (w.size > PAIRWISE_MAX) == wide]
+            if members:  # the form's blocks, padded with zero weights, site-major
+                width = max(blocks[b][2].size for b in members)
+                weights = np.zeros((len(members), width))
+                configs = np.zeros((max(len(blocks[b][0]) for b in members), len(members), width))
+                nus = np.zeros((len(configs), len(classes), len(members)))
+                for m, (sites, u, w) in enumerate(blocks[b] for b in members):
+                    weights[m, : w.size], configs[: len(sites), m, : w.size] = w, u.T
+                    nus[: len(sites), :, m] = classes[:, sites].T
+                witness, every = _witness_rows(weights, configs, nus, counts.astype(float).repeat(len(members)),
+                                               place[:, members].ravel(), wide, spec.twice_spin <= 2)
                 self._rows += witness
                 self._factor_rows.append(every)
         self._entries = sum(rows.rate.size for rows in self._rows)
@@ -657,7 +657,7 @@ class WitnessEvaluator:
 @functools.lru_cache(maxsize=None)
 def _bloch_layout(dim: int) -> Tuple[np.ndarray, ...]:
     """Read-only (a, b) of the coherences a < b, l = 1..dim-1 and sqrt(2/(l(l+1)))."""
-    a, b = np.triu_indices(dim, k=1)
+    a, b = np.nonzero(np.arange(dim)[:, None] < np.arange(dim))
     l = np.arange(1, dim)
     layout = (a, b, l, np.sqrt(2.0 / (l * (l + 1))))
     for x in layout:

@@ -247,7 +247,8 @@ def _spectrum_and_trace_norm(rho: np.ndarray, kind: str) -> Tuple[np.ndarray, fl
         eigs = np.zeros(len(rho))
         eigs[-1] = trace
     else:
-        eigs = hermitian_eigenvalues(rho)
+        # global_negativity_series has checked every factor (linalg._checked)
+        eigs = np.linalg.eigvalsh(rho)
     return eigs, trace - 2.0 * float(eigs[eigs < 0.0].sum())
 
 

@@ -1,15 +1,19 @@
-"""Dense Hermitian eigenvalues and LU determinant.
+"""Dense Hermitian eigenvalues and LU determinants, both from numpy's LAPACK.
 
 ``hermitian_eigenvalues`` takes one matrix or a stack (..., n, n): ``_checked``
 rejects a non-finite or non-Hermitian matrix, then one call of numpy's
 ``eigvalsh`` (LAPACK ``?heevd``, which reads the lower triangle) returns the
 ascending eigenvalues, each within a small multiple of n eps ||A||_2 of
-the exact ones. numpy copies every matrix of a stack into its own buffer
-before LAPACK sees it, so a matrix's eigenvalues are bitwise the same
-alone, inside any stack and in any memory layout (tested); from about
-n = 192 on, the last bits depend on the BLAS thread count. ``_checked`` is also the Hermiticity test of the
-negativity inputs and of the CLI's matrix states. The LU determinant also
-takes one matrix or a stack.
+the exact ones. ``lu_det`` takes one real matrix or a stack and makes one
+call of numpy's ``det`` (LAPACK ``?getrf``). numpy copies every matrix of a
+stack into its own buffer before LAPACK sees it, so a matrix's eigenvalues
+and determinant are bitwise the same alone, inside any stack and in any
+memory layout (tested). From about n = 192 on, the last bits of both
+depend on the BLAS thread count (on a 2-core host: bitwise equal under one
+and two OpenBLAS threads up to n = 160 for the eigenvalues and n = 128 for
+the determinant, not at 192). ``_checked`` is also
+the Hermiticity test of the negativity inputs and of the CLI's matrix
+states.
 """
 
 from __future__ import annotations
@@ -56,30 +60,10 @@ def trace_norm(a: np.ndarray) -> float:
 def lu_det(a: np.ndarray):
     """Determinant of a real square matrix, or of each of a stack (..., n, n).
 
-    LU with partial pivoting. A single matrix gives a float, a stack an
-    array of shape a.shape[:-2]. Each member takes its own pivots and the
-    same arithmetic as alone, elementwise, so its determinant is bitwise
-    what it gets alone; a member whose pivot column is zero gives exactly
-    0.0, whatever its remaining elimination does, and reaches no other.
+    One call of numpy's ``det`` (LAPACK ``?getrf``, LU with partial
+    pivoting). A single matrix gives a float, a stack an array of shape
+    a.shape[:-2]; each member is bitwise what it gets alone, and a member
+    whose pivot column is zero gives exactly 0.0.
     """
-    a = np.array(a, dtype=float)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError("matrix must be square")
-    shape, n = a.shape[:-2], a.shape[-1]
-    a = a.reshape((-1, n, n))
-    members = np.arange(len(a))
-    sign = np.ones(len(a))
-    singular = np.zeros(len(a), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(n - 1):
-            piv = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
-            singular |= a[members, piv, k] == 0.0
-            # rows k and piv swap; columns before k are never read again
-            row = a[members, piv, k:]
-            a[members, piv, k:] = a[:, k, k:]
-            a[:, k, k:] = row
-            sign[piv != k] *= -1.0
-            factors = a[:, k + 1 :, k] / a[:, k, k, None]
-            a[:, k + 1 :, k + 1 :] -= factors[:, :, None] * a[:, k, None, k + 1 :]
-    det = np.where(singular, 0.0, sign * np.prod(np.diagonal(a, axis1=1, axis2=2), axis=-1))
-    return float(det[0]) if not shape else det.reshape(shape)
+    det = np.linalg.det(np.asarray(a, dtype=float))
+    return float(det) if np.ndim(det) == 0 else det

@@ -106,7 +106,7 @@ def oracle_superoperator(spec: EnsembleSpec, env: EnvPopulations, t: float,
 
     The basis operators are Hermitian, not states (the map is linear), and
     go through the map as one stack. Returns (matrix, determinant), the
-    determinant from in-package pivoted LU. ``energies`` replaces the
+    determinant from LAPACK's pivoted LU (``lu_det``). ``energies`` replaces the
     global energy table, ``total_energies(spec)``.
     """
     dim = spec.dim_system

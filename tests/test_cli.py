@@ -231,6 +231,30 @@ def test_compare_measures_requires_p1(tmp_path):
     assert cli.main(["compare-measures", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def test_compare_measures_disagreement_exits_1_and_still_writes(tmp_path, capsys, monkeypatch):
+    # the exit-1 branch: flags that disagree off singular points are
+    # reported on stderr, and the CSV holds the report as computed
+    import dataclasses
+
+    from spindeph import qubit
+
+    real = qubit.measures_agreement_report
+
+    def disagreeing(evaluator, times):
+        report = real(evaluator, times)
+        report = dataclasses.replace(report, flag_blp=~report.flag_blp)
+        assert not report.agreement()
+        return report
+
+    monkeypatch.setattr(qubit, "measures_agreement_report", disagreeing)
+    out = tmp_path / "cm.csv"
+    assert cli.main(["compare-measures", "--config", write_config(tmp_path, BASE), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip() == "measure disagreement detected off singular points"
+    header, rows = read_csv(out)
+    assert len(rows) == BASE["grid"]["points"]
+    assert any(r[header.index("flag_geo")] != r[header.index("flag_blp")] for r in rows)
+
+
 MEASURES_REAL = ["t", "A", "Aprime", "gamma_z", "D_opt", "flag_geo", "flag_rhp", "flag_blp",
                  "singular"]
 MEASURES_COMPLEX = ["t", "A_re", "A_im", "dA2_dt", "gamma_z", "D_opt", "flag_geo", "flag_rhp",

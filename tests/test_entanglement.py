@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from spindeph import entanglement as ent
 from spindeph import thermal
 from spindeph.engine import EnvPopulations, WitnessEvaluator
-from spindeph.linalg import hermitian_eigensystem, hermitian_eigenvalues
+from spindeph.linalg import hermitian_eigenvalues
 from spindeph.model import (
     EnsembleSpec,
     NearestNeighborRing1D,
@@ -287,16 +287,16 @@ def test_site_product_environment_matches_its_dense_matrix(data, twice_spin, sys
 
 
 def _counting_eigenvalues(monkeypatch):
-    """Route entanglement's eigensolvers, with and without eigenvectors,
-    through a counter; returns the call list."""
+    """Route numpy's Hermitian eigensolvers, with and without eigenvectors,
+    through a counter; returns the call list. Every eigensolver call of
+    entanglement reaches one of them once, through linalg or directly."""
     calls = []
-    for name, solver in (("hermitian_eigenvalues", hermitian_eigenvalues),
-                         ("hermitian_eigensystem", hermitian_eigensystem)):
-        def counted(a, solver=solver):
+    for name in ("eigvalsh", "eigh"):
+        def counted(a, solver=getattr(np.linalg, name)):
             calls.append(np.shape(a))
             return solver(a)
 
-        monkeypatch.setattr(ent, name, counted)
+        monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
 
@@ -334,8 +334,9 @@ def test_diagonal_and_rank_one_factors_need_no_eigensolver(monkeypatch):
     def refuse(a):
         raise AssertionError("eigensolver called")
 
-    monkeypatch.setattr(ent, "hermitian_eigenvalues", refuse)
-    out = ent.global_negativity_series(spec, rho_s, rho_e, times)
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", refuse)
+        out = ent.global_negativity_series(spec, rho_s, rho_e, times)
     assert out.path == "factor_spectra"
     assert all(a.tobytes() == b.tobytes() for a, b in zip(out[1:], expected[1:]))
     assert np.all(out.min_eigenvalue == 0.0)

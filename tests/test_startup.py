@@ -149,3 +149,20 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from spindeph import *", namespace)
     assert [n for n in spindeph.__all__ if namespace.get(n) is not getattr(spindeph, n)] == []
+
+
+def test_verify_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # verify's determinants (LAPACK getrf) and lowest eigenvalues (heevd)
+    # are of matrices of n <= 64, where one and two OpenBLAS threads give
+    # the same bits; only elapsed_seconds may differ
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"verify-{threads}.json"
+        run = subprocess.run([sys.executable, "-m", "spindeph.cli", "verify", "--specs", "50",
+                              "--seed", "2024", "--out", str(out)],
+                             capture_output=True, text=True, env=dict(ENV, OPENBLAS_NUM_THREADS=threads))
+        assert run.returncode == 0, run.stderr
+        lines = out.read_text().splitlines(keepends=True)
+        assert sum('"elapsed_seconds"' in line for line in lines) == 1
+        texts.append("".join(line for line in lines if '"elapsed_seconds"' not in line))
+    assert texts[0] == texts[1]
