@@ -1094,3 +1094,36 @@ def test_nu_classes_as_numpy_unique():
         assert np.array_equal(mine[2], counts)
         ev = WitnessEvaluator(spec, thermal.maximally_mixed(spec.n_env, spec.twice_spin))
         assert np.array_equal(ev._pair_class, inverse.ravel())
+
+
+def _dot2_reference(u, nu):
+    """Dot2 over the first axis as a loop of TwoSums, site by site (the textbook order)."""
+    c = 134217729.0 * nu
+    nu_hi = c - (c - nu)
+    p = u * nu
+    e = (u * nu_hi - p) + u * (nu - nu_hi)
+    hi, lo = p[0], e[0]
+    for j in range(1, len(u)):
+        s = hi + p[j]
+        z = s - hi
+        hi, lo = s, lo + (((hi - (s - z)) + (p[j] - z)) + e[j])
+    s = hi + lo
+    return s, lo - (s - hi)
+
+
+@pytest.mark.parametrize("values", [(1, -1, 0, 2, -2), (2, 0, -2, 4, -4), (3, 1, -1, -3, 6, -4, 2)])
+def test_dot2_is_the_sequential_twosum_loop_bitwise(values):
+    # the running sums of one add.accumulate, the errors summed in index
+    # order, and (for twice-values and differences that are 0 or +-2^k, as
+    # at spin 1/2 and 1) no product errors: the loop's bits, -0 included
+    rng = np.random.default_rng(len(values))
+    for sites in (1, 2, 5):
+        u = rng.choice(np.array(values, dtype=float), size=(sites, 3, 40))
+        nu = rng.normal(size=(sites, 3, 1)) * 10.0 ** rng.integers(-3, 3, size=(sites, 3, 1))
+        nu[0, 0] = -0.0
+        expected = _dot2_reference(u, nu)
+        exact = all(v == 0 or abs(v) in (1, 2, 4) for v in values)
+        for flag in {False, exact}:
+            got = engine._dot2(u, nu, flag)
+            assert all(np.array_equal(np.asarray(x).view(np.uint64), y.view(np.uint64))
+                       for x, y in zip(got, expected)), (sites, flag)
