@@ -279,11 +279,9 @@ def test_stack_members_lowest_eigenvalue_and_det_bitwise_as_alone(n):
 @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
 def test_lu_det_stack_against_mpmath(n):
     # each member of a stack with ties between pivot candidates, a zero
-    # pivot column and scales 1e-8 to 1e7; 30-digit mpmath takes about 1 s
-    # per determinant at n = 64, so that stack has three members
+    # pivot column and scales 1e-8 to 1e7
     rng = np.random.default_rng(200 + n)
-    members = 3 if n > 16 else 6
-    stack = rng.normal(size=(members, n, n)) * 10.0 ** rng.integers(-8, 8, size=(members, 1, 1))
+    stack = rng.normal(size=(6, n, n)) * 10.0 ** rng.integers(-8, 8, size=(6, 1, 1))
     stack[1] = np.round(stack[1])  # ties between pivot candidates
     stack[2, :, n // 2] = 0.0
     for a, det in zip(stack, linalg.lu_det(stack)):
