@@ -192,14 +192,16 @@ def check_pair_cap(dim: int) -> None:
 def _row_classes(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct rows in lexicographic order, each row's class and each class's count.
 
-    What ``np.unique(rows, axis=0, return_inverse=True, return_counts=True)`` returns for
-    rows without NaN or -0, from one lexsort (first column most significant).
+    What ``np.unique(rows, axis=0, return_inverse=True, return_counts=True)``
+    returns for rows without NaN or -0, from one lexsort (first column
+    most significant) and a mask of the rows that differ from the previous one.
     """
     order = np.lexsort(rows.T[::-1])
     ordered = rows[order]
-    new = np.concatenate([[True], (ordered[1:] != ordered[:-1]).any(axis=1)])
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
     inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = new.cumsum() - 1
+    inverse[order] = np.cumsum(new) - 1
     return ordered[new], inverse, np.bincount(inverse)
 
 
@@ -253,20 +255,17 @@ def _block_times(entries: int) -> int:
                min(SERIES_MIN_TIMES, SERIES_MIN_TIMES * SERIES_BLOCK // entries))
 
 
-def _dot2(u: np.ndarray, nu: np.ndarray, exact: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """sum_j u[j] nu[j] over the first axis as an unevaluated sum hi + lo, to about twice double precision.
+def _dot2(u: np.ndarray, nu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """sum_j u[j] nu[j] over the first axis as an unevaluated sum hi + lo, in about twice double.
 
-    Ogita, Rump and Oishi's Dot2 (2005), with Knuth's TwoSum: the running sums are one
-    add.accumulate and the errors are summed in index order. u holds small integers (twice
-    spin values and their differences), so u nu splits exactly into p + e with Veltkamp
-    halves of nu; e is +0 where every u is 0 or a power of two (``exact``: spin 1/2 and 1).
+    Ogita, Rump and Oishi's Dot2 (2005), with Knuth's TwoSum: the running
+    sums are one add.accumulate and the errors are summed in index order.
+    u holds small integers (twice spin values and their differences), so
+    each u nu splits exactly into p + e with Veltkamp halves of nu alone.
     """
+    nu_hi, nu_lo = _split(nu)
     p = u * nu
-    if exact:
-        e = np.zeros(p.shape)
-    else:
-        nu_hi, nu_lo = _split(nu)
-        e = (u * nu_hi - p) + u * nu_lo
+    e = (u * nu_hi - p) + u * nu_lo
     running = np.add.accumulate(p)
     before, after = running[:-1], running[1:]
     z = after - before
@@ -384,7 +383,7 @@ class _Rows(NamedTuple):
 
 
 def _witness_rows(weights: np.ndarray, configs: np.ndarray, nu: np.ndarray, mult: np.ndarray,
-                  place: np.ndarray, wide: bool, exact: bool) -> Tuple[List[_Rows], _Rows]:
+                  place: np.ndarray, wide: bool) -> Tuple[List[_Rows], _Rows]:
     """The rows of one form: those of two or more distinct frequencies by their
     number of rates, for `series`, and all in one group over their frequencies'
     rates, for `factors`. Row (c, b), class-major, has the frequencies
@@ -402,8 +401,9 @@ def _witness_rows(weights: np.ndarray, configs: np.ndarray, nu: np.ndarray, mult
         valid = np.concatenate([valid, valid[:, k] & valid[:, l]], axis=1)
         ww = (4.0 * weights[:, k] * weights[:, l])[block]
     total, weights, valid = weights.sum(axis=1)[block], weights[block], valid[block]
-    hi, lo = (x.reshape(rows, -1) for x in _dot2(vectors[:, None], nu[..., None], exact))
-    phase = (((hi[:, :width] == hi[:, :1]) & (lo[:, :width] == lo[:, :1])) | ~valid[:, :width]).all(axis=1)
+    hi, lo = (x.reshape(rows, -1) for x in _dot2(vectors[:, None], nu[..., None]))
+    same = (hi[:, :width] == hi[:, :1]) & (lo[:, :width] == lo[:, :1])
+    phase = np.all(same | ~valid[:, :width], axis=1)
     parts = np.empty(hi.shape + (2,))  # rate and rate_lo of each candidate
     parts[..., 0], parts[..., 1] = np.abs(hi), np.where(hi < 0.0, -1.0, 1.0) * lo
     if not wide:
@@ -412,7 +412,8 @@ def _witness_rows(weights: np.ndarray, configs: np.ndarray, nu: np.ndarray, mult
 
     # sort each row's candidates by rate, then rate_lo, padding last, and
     # number the distinct ones: slot j of row r is r + j * rows
-    key, row = np.where(valid, parts.view(complex)[..., 0], np.inf), np.arange(rows)[:, None]
+    key = np.where(valid, parts.view(complex)[..., 0], np.inf)
+    row = np.arange(rows)[:, None]
     order = key.argsort(axis=1) + row * valid.shape[1]
     ordered, new = key.ravel()[order], valid.ravel()[order]
     new[:, 1:] &= ordered[:, 1:] != ordered[:, :-1]
@@ -422,43 +423,45 @@ def _witness_rows(weights: np.ndarray, configs: np.ndarray, nu: np.ndarray, mult
     slot = np.empty(valid.shape, dtype=np.intp)
     slot.ravel()[order] = (new.cumsum(axis=1) - 1) * rows + row
 
-    # the fields, each (n_rates, rows): rate, rate_lo, rate's Veltkamp halves,
-    # and one bincount of each rate's sums wc, ws of w and sign(omega) w over
-    # its frequencies and sq, sc of 4 w_k w_l and -4 w_k w_l |omega_k - omega_l|
-    # over its pairs (wide rows: dc, ds from rate, wc and ws)
-    sums = np.empty((2,) + valid.shape)
+    # the table, one (n_rates, rows) array per field; one bincount sums w and
+    # sign(omega) w over each rate's frequencies into wc, ws and, for pairwise
+    # rows, 4 w_k w_l and -4 w_k w_l |omega_k - omega_l| over its pairs into sq, sc
+    fields = ("rate", "rate_lo", "rate_hi", "rate_tail", "wc", "ws")
+    fields += ("dc", "ds") if wide else ("sq", "sc")
+    table = np.empty((len(fields), n_rates, rows))
+    rate, rate_lo, rate_hi, rate_tail, wc, ws = table[:6]
+    summed = table[4:6] if wide else table[4:]  # wc, ws (and sq, sc)
+    scattered = np.zeros(size, dtype=complex)  # (rate, rate_lo): a 1-D scatter
+    scattered[slot[valid]] = key[valid]
+    rate[...], rate_lo[...] = (x.reshape(n_rates, rows) for x in (scattered.real, scattered.imag))
+    rate_hi[...], rate_tail[...] = _split(rate)
+    sums = np.empty((2,) + valid.shape)  # the frequencies' and pairs' two sums
     sums[:, :, :width] = weights, np.sign(hi[:, :width]) * weights
-    bins = slot.copy()
+    bins = slot.copy()  # a pair's sums go to bins of their own, after wc and ws
     if not wide:
         sums[:, :, width:] = ww, -(ww * np.abs(hi[:, width:]))
         bins[:, width:] += 2 * size
-    index, table, rates = bins[valid], np.empty((8, size)), np.zeros(size, dtype=complex)
-    rates[slot[valid]] = key[valid]  # (rate, rate_lo) as one complex: a 1-D scatter, 5x faster than 2-D
-    table[:2] = rates.view(float).reshape(size, 2).T
-    table[2:4] = _split(table[0])
-    table[4 : 6 if wide else 8] = np.bincount(np.concatenate([index, index + size]), sums[:, valid].ravel(),
-                                              minlength=(2 if wide else 4) * size).reshape(-1, size)
-    table = table.reshape(8, n_rates, rows)
-    table[4:6] /= total
-    if wide:  # dc, ds = -rate wc, rate ws
-        np.negative(np.multiply(table[0], table[4:6], out=table[6:])[0], out=table[6])
+    index = bins[valid]
+    summed[...] = np.bincount(np.concatenate([index, index + size]), sums[:, valid].ravel(),
+                              minlength=summed.size).reshape(summed.shape)
+    wc /= total
+    ws /= total
+    if wide:
+        table[6], table[7] = -rate * wc, rate * ws  # dc, ds
     else:
         table[6:] /= total * total
-    fields = ("rate", "rate_lo", "rate_hi", "rate_tail", "wc", "ws") + (("dc", "ds") if wide else ("sq", "sc"))
 
-    def rows_of(table, members, n):  # a zero frequency adds nothing to Im A: ws = 0 if symmetric
-        members = np.s_[:] if members is None or members.all() else members  # views of the table
+    def rows_of(table, members, n):  # views of the table where every row is a member
+        members = np.s_[:] if members is None or members.all() else members
         group = dict(zip(fields, table[:, :n, members, None]))
-        if not group["ws"].any():
+        if not np.any(group["ws"]):  # a zero frequency adds nothing to Im A
             group.update(ws=None, ds=None)
         return _Rows(mult=mult[members, None], place=place[members], **group)
 
-    witness = [rows_of(table, ~phase & (count == n), n) for n in sorted(set(count[~phase].tolist()))]
+    counts = sorted(set(count[~phase].tolist()))
+    witness = [rows_of(table, ~phase & (count == n), n) for n in counts]
     # `factors` reads the first six fields over the frequencies' rates, packed first
-    if wide:  # no other rates, so a group of all rows serves both
-        every = [len(group.place) for group in witness] == [len(place)]
-        return witness, witness[0] if every else rows_of(table[:6], None, n_rates)
-    keep = table[4] > 0.0
+    keep = wc > 0.0
     packed = np.zeros((6,) + keep.shape)
     packed[:, (keep.cumsum(axis=0) - 1)[keep], keep.nonzero()[1]] = table[:6, keep]
     return witness, rows_of(packed, None, int(keep.sum(axis=0).max()))
@@ -475,7 +478,8 @@ class WitnessEvaluator:
     def __init__(self, spec: EnsembleSpec, env: EnvPopulations):
         if env.n_sites != spec.n_env or env.twice_spin != spec.twice_spin:
             raise ValueError("environment populations do not match the ensemble")
-        self.spec, self.env = spec, env
+        self.spec = spec
+        self.env = env
         check_pair_cap(spec.dim_system)
         sys_cfg = config_matrix(spec.n_system, spec.twice_spin).astype(float)
         self.dim = len(sys_cfg)
@@ -486,8 +490,9 @@ class WitnessEvaluator:
         # nu of every pair, sign folded so that its first nonzero entry is
         # positive (+ 0.0 turns -0.0 into 0.0 before rows are compared)
         nu = 0.5 * ((sys_cfg[self._a] - sys_cfg[self._b]) @ spec.cross_couplings)
-        self._flip = nu[np.arange(len(nu)), (nu != 0.0).argmax(axis=1)] < 0.0
-        np.negative(nu, out=nu, where=self._flip[:, None])
+        lead = nu[np.arange(len(nu)), np.argmax(nu != 0.0, axis=1)]
+        self._flip = lead < 0.0
+        nu[self._flip] *= -1.0
         classes, self._pair_class, counts = _row_classes(nu + 0.0)
         self._n_classes = len(classes)
 
@@ -496,7 +501,7 @@ class WitnessEvaluator:
         # sigma . nu over the populated configurations of the block's coupled
         # sites, weighted by their marginal populations; uncoupled sites
         # (zero J_cross column) leave every factor unchanged
-        coupled = (spec.cross_couplings != 0.0).any(axis=0).tolist()
+        coupled = np.any(spec.cross_couplings != 0.0, axis=0)
         levels = spec.twice_spin + 1
         blocks = []  # (coupled sites, populated configurations, their weights)
         point_sites, point_cfg, point_w = [], [], 1.0
@@ -512,7 +517,7 @@ class WitnessEvaluator:
                 drop = [k for k in range(len(block.sites)) if k not in keep]
                 w = w.reshape((levels,) * len(block.sites)).transpose(keep + drop)
                 w = np.sort(w.reshape(levels ** len(keep), -1), axis=1).sum(axis=1)
-            uniform = uniform and bool((w == w[0]).all())
+            uniform = uniform and bool(np.all(w == w[0]))
             populated = w > 0.0
             sites = [block.sites[k] for k in keep]
             u = config_matrix(len(keep), spec.twice_spin)[populated]
@@ -534,7 +539,7 @@ class WitnessEvaluator:
         self._dirichlet = None
         if uniform:
             rates, inverse = np.unique(np.abs(classes[:, coupled]), return_inverse=True)
-            mults = np.bincount(inverse.ravel(), np.repeat(counts.astype(float), sum(coupled)))
+            mults = np.bincount(inverse.ravel(), np.repeat(counts.astype(float), np.count_nonzero(coupled)))
             self._dirichlet = (rates[rates > 0.0], mults[rates > 0.0])
 
         # the rows, class by class; a row of at most PAIRWISE_MAX populated
@@ -553,8 +558,9 @@ class WitnessEvaluator:
                 for m, (sites, u, w) in enumerate(blocks[b] for b in members):
                     weights[m, : w.size], configs[: len(sites), m, : w.size] = w, u.T
                     nus[: len(sites), :, m] = classes[:, sites].T
-                witness, every = _witness_rows(weights, configs, nus, counts.astype(float).repeat(len(members)),
-                                               place[:, members].ravel(), wide, spec.twice_spin <= 2)
+                mult = np.repeat(counts.astype(float), len(members))
+                witness, every = _witness_rows(weights, configs, nus, mult,
+                                               place[:, members].ravel(), wide)
                 self._rows += witness
                 self._factor_rows.append(every)
         self._entries = sum(rows.rate.size for rows in self._rows)
@@ -657,7 +663,7 @@ class WitnessEvaluator:
 @functools.lru_cache(maxsize=None)
 def _bloch_layout(dim: int) -> Tuple[np.ndarray, ...]:
     """Read-only (a, b) of the coherences a < b, l = 1..dim-1 and sqrt(2/(l(l+1)))."""
-    a, b = np.nonzero(np.arange(dim)[:, None] < np.arange(dim))
+    a, b = np.triu_indices(dim, k=1)
     l = np.arange(1, dim)
     layout = (a, b, l, np.sqrt(2.0 / (l * (l + 1))))
     for x in layout:

@@ -1113,17 +1113,14 @@ def _dot2_reference(u, nu):
 
 @pytest.mark.parametrize("values", [(1, -1, 0, 2, -2), (2, 0, -2, 4, -4), (3, 1, -1, -3, 6, -4, 2)])
 def test_dot2_is_the_sequential_twosum_loop_bitwise(values):
-    # the running sums of one add.accumulate, the errors summed in index
-    # order, and (for twice-values and differences that are 0 or +-2^k, as
-    # at spin 1/2 and 1) no product errors: the loop's bits, -0 included
+    # the running sums of one add.accumulate and the errors summed in index
+    # order give the loop's bits, -0 included
     rng = np.random.default_rng(len(values))
     for sites in (1, 2, 5):
         u = rng.choice(np.array(values, dtype=float), size=(sites, 3, 40))
         nu = rng.normal(size=(sites, 3, 1)) * 10.0 ** rng.integers(-3, 3, size=(sites, 3, 1))
         nu[0, 0] = -0.0
         expected = _dot2_reference(u, nu)
-        exact = all(v == 0 or abs(v) in (1, 2, 4) for v in values)
-        for flag in {False, exact}:
-            got = engine._dot2(u, nu, flag)
-            assert all(np.array_equal(np.asarray(x).view(np.uint64), y.view(np.uint64))
-                       for x, y in zip(got, expected)), (sites, flag)
+        got = engine._dot2(u, nu)
+        assert all(np.array_equal(np.asarray(x).view(np.uint64), y.view(np.uint64))
+                   for x, y in zip(got, expected)), sites
