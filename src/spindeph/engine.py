@@ -384,11 +384,14 @@ class _Rows(NamedTuple):
 
 def _witness_rows(weights: np.ndarray, configs: np.ndarray, nu: np.ndarray, mult: np.ndarray,
                   place: np.ndarray, wide: bool) -> Tuple[List[_Rows], _Rows]:
-    """The rows of one form: those of two or more distinct frequencies by their
-    number of rates, for `series`, and all in one group over their frequencies'
-    rates, for `factors`. Row (c, b), class-major, has the frequencies
-    configs[:, b] . nu[:, c, b] (site-major, by :func:`_dot2`), the weights
-    weights[b] (0 pads), and its multiplicity and place in mult and place."""
+    """The rows of one form, grouped by their number of distinct rates.
+
+    Row (c, b), class-major, has the frequencies configs[:, b] . nu[:, c, b]
+    (site-major, by :func:`_dot2`) with the weights weights[b] (0 pads), and
+    the multiplicity and place mult and place. Returns the rows of two or
+    more distinct frequencies by their number of rates, for `series`, and
+    all rows in one group over their frequencies' rates, for `factors`.
+    """
     classes, blocks = nu.shape[1:]
     width, rows = weights.shape[1], classes * blocks
     block = np.arange(rows) % blocks
@@ -430,8 +433,9 @@ def _witness_rows(weights: np.ndarray, configs: np.ndarray, nu: np.ndarray, mult
     fields += ("dc", "ds") if wide else ("sq", "sc")
     table = np.empty((len(fields), n_rates, rows))
     rate, rate_lo, rate_hi, rate_tail, wc, ws = table[:6]
+    last = table[6:]  # dc, ds or sq, sc
     summed = table[4:6] if wide else table[4:]  # wc, ws (and sq, sc)
-    scattered = np.zeros(size, dtype=complex)  # (rate, rate_lo): a 1-D scatter
+    scattered = np.zeros(size, dtype=complex)  # (rate, rate_lo): one 1-D scatter, not two
     scattered[slot[valid]] = key[valid]
     rate[...], rate_lo[...] = (x.reshape(n_rates, rows) for x in (scattered.real, scattered.imag))
     rate_hi[...], rate_tail[...] = _split(rate)
@@ -447,9 +451,9 @@ def _witness_rows(weights: np.ndarray, configs: np.ndarray, nu: np.ndarray, mult
     wc /= total
     ws /= total
     if wide:
-        table[6], table[7] = -rate * wc, rate * ws  # dc, ds
+        last[0], last[1] = -rate * wc, rate * ws
     else:
-        table[6:] /= total * total
+        last /= total * total
 
     def rows_of(table, members, n):  # views of the table where every row is a member
         members = np.s_[:] if members is None or members.all() else members
