@@ -12,13 +12,16 @@ All couplings and fields in a run configuration are understood in units of
 a declared reference energy ("reference_energy", required); the time grid
 and every CSV time column are dimensionless multiples of its inverse.
 Outputs are deterministic: identical configuration, byte-identical files.
+A CSV file is formatted column by column and written in blocks of
+CSV_BLOCK rows, so the writer's memory does not grow with the time grid.
 
 Start-up: a run is mostly interpreter start-up, so each command imports
 only the layers it runs. This module loads model, engine (with dirichlet),
 thermal and entanglement (with linalg), which the witness, sweep and
 negativity computations share. verify adds oracle, compare-measures adds
 qubit, thermo-limit and --closed-form add closedforms (and fractions), and
---threads > 1 adds concurrent.futures. entanglement and linalg stay eager
+--threads > 1 adds concurrent.futures once the dense global path maps over
+its times. entanglement and linalg stay eager
 although witness and thermal-sweep never call them, so that a negativity
 run pays their import at start-up and not in the middle of its computation.
 """
@@ -44,6 +47,8 @@ from .model import (
 )
 
 CSV_FORMAT = "spindeph-csv v1"
+# rows per block of a CSV file: the writer holds one block's text at a time
+CSV_BLOCK = 256
 
 
 class UsageError(Exception):
@@ -201,23 +206,30 @@ def _state(doc: dict, n_sites: int, twice_spin: int) -> np.ndarray:
 
 
 def _column_text(column):
-    """A column's values as text, formatted lazily, the format chosen once
-    from its dtype: repr for reals, decimal for integers (any size) and 0/1
-    for bools. A list of strings is a column formatted already."""
+    """A function from a slice of the column's rows to their text, the
+    format chosen once from the whole column's dtype: repr for reals,
+    decimal for integers (any size) and 0/1 for bools. A list of strings
+    is a column formatted already."""
     if isinstance(column, list) and column and isinstance(column[0], str):
-        return column
+        return column.__getitem__
     values = np.asarray(column)
     if values.dtype.kind == "b":
-        values = values.astype(np.int8)
-    return map(repr if values.dtype.kind == "f" else str, values.tolist())
+        values = values.view(np.int8)
+    text = repr if values.dtype.kind == "f" else str
+    return lambda rows: list(map(text, values[rows].tolist()))
 
 
 def write_csv(path, header, columns):
-    rows = zip(*map(_column_text, columns))
+    """The format line, the header and one row per entry of the columns,
+    formatted column by column and written CSV_BLOCK rows at a time."""
+    texts = list(map(_column_text, columns))
+    rows = min(map(len, columns), default=0)
     with open(path, "w", newline="") as fh:
         fh.write(f"# format: {CSV_FORMAT}\n")
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        for start in range(0, rows, CSV_BLOCK):
+            block = slice(start, min(start + CSV_BLOCK, rows))
+            fh.write("\n".join(map(",".join, zip(*(text(block) for text in texts)))) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +336,7 @@ def cmd_thermal_sweep(args) -> int:
             spec, env, float(times[0]), float(times[-1]), times.size
         )
         path = out_dir / f"witness_beta_{label}.csv"
-        t_text = t_text or list(_column_text(series.times))
+        t_text = t_text or _column_text(series.times)(slice(None))
         write_csv(
             path,
             ["t", "log_det", "det", "dlogdet_dt", "in_episode"],
@@ -384,14 +396,27 @@ def _parse_cut(text: str, n_system: int):
 
 @contextmanager
 def _time_map(threads: int):
-    """map over a time grid: a pool's map for threads > 1, else the builtin."""
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield pool.map
-    else:
+    """map over a time grid: for threads > 1 a thread pool's map, the pool
+    opened on the first call, so a path that never maps pays nothing; else
+    the builtin."""
+    if threads == 1:
         yield map
+        return
+    pool = None
+
+    def pool_map(fn, *iterables):
+        nonlocal pool
+        if pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = ThreadPoolExecutor(max_workers=threads)
+        return pool.map(fn, *iterables)
+
+    try:
+        yield pool_map
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def cmd_negativity(args) -> int:

@@ -85,7 +85,10 @@ class EnsembleSpec:
     twice_spin: int
     couplings: np.ndarray
     fields: np.ndarray
-    # the global energy table, built on first use by total_energies
+    # the energy tables of the system, the environment and the whole
+    # ensemble, each built on first use and kept, read-only
+    _system_energies: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _env_energies: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     _energies: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -343,6 +346,16 @@ def config_index(config: SpinConfig, twice_spin: int) -> int:
 # ---------------------------------------------------------------------------
 # Hamiltonians, diagonal in the configuration basis
 
+def _kept(spec: EnsembleSpec, name: str, build) -> np.ndarray:
+    """The table `name` of the ensemble: built on first use and kept on it,
+    read-only."""
+    if getattr(spec, name) is None:
+        table = build()
+        table.flags.writeable = False
+        object.__setattr__(spec, name, table)
+    return getattr(spec, name)
+
+
 def _energies(spec: EnsembleSpec, sites: slice) -> np.ndarray:
     """Energies of a slice of sites alone, indexed like config_matrix."""
     j = spec.couplings[sites, sites]
@@ -352,13 +365,16 @@ def _energies(spec: EnsembleSpec, sites: slice) -> np.ndarray:
 
 
 def system_energies(spec: EnsembleSpec) -> np.ndarray:
-    """System energies for all configurations, indexed like config_matrix."""
-    return _energies(spec, slice(None, spec.n_system))
+    """System energies for all configurations, indexed like config_matrix.
+    Built once per ensemble and kept on it, read-only."""
+    return _kept(spec, "_system_energies", lambda: _energies(spec, slice(None, spec.n_system)))
 
 
 def env_energies(spec: EnsembleSpec) -> np.ndarray:
-    """Environment energies for all configurations, same indexing."""
-    return _energies(spec, slice(spec.n_system, None))
+    """Environment energies for all configurations, same indexing. Built
+    once per ensemble and kept on it, read-only; building it enumerates the
+    environment, which raises past the cap."""
+    return _kept(spec, "_env_energies", lambda: _energies(spec, slice(spec.n_system, None)))
 
 
 def total_energies(spec: EnsembleSpec) -> np.ndarray:
@@ -366,19 +382,17 @@ def total_energies(spec: EnsembleSpec) -> np.ndarray:
 
     The global index is s_index * dim_env + sigma_index, consistent with a
     Kronecker product ordering system (x) environment. The table is built
-    once per ensemble and kept on it, read-only; building it enumerates the
-    system and the environment, which raises past the cap.
+    once per ensemble from the kept system and environment tables and kept
+    on it, read-only; building it enumerates the system and the
+    environment, which raises past the cap.
     """
-    if spec._energies is None:
-        es = system_energies(spec)
-        ee = env_energies(spec)
+    def build():
         vs = config_matrix(spec.n_system, spec.twice_spin).astype(float)
         ve = config_matrix(spec.n_env, spec.twice_spin).astype(float)
         cross = -2.0 * 0.25 * (vs @ spec.cross_couplings @ ve.T)
-        table = (es[:, None] + ee[None, :] + cross).reshape(-1)
-        table.flags.writeable = False
-        object.__setattr__(spec, "_energies", table)
-    return spec._energies
+        return (system_energies(spec)[:, None] + env_energies(spec)[None, :] + cross).reshape(-1)
+
+    return _kept(spec, "_energies", build)
 
 
 # ---------------------------------------------------------------------------

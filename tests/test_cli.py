@@ -204,6 +204,22 @@ def test_thermal_sweep_beta0_equals_mixed_witness(tmp_path):
     assert (tmp_path / "sweep" / "witness_beta_inf.csv").exists()
 
 
+def test_thermal_sweep_enumerates_the_environment_once(tmp_path, monkeypatch):
+    from spindeph import model
+
+    built, original = [], model._energies
+
+    def counted(spec, sites):
+        built.append(sites)
+        return original(spec, sites)
+
+    monkeypatch.setattr(model, "_energies", counted)
+    cfg = write_config(tmp_path, dict(BASE, ensemble=dict(BASE["ensemble"], n_total=8, n_system=2)))
+    assert cli.main(["thermal-sweep", "--config", cfg, "--betas", "0.5,1,3,inf",
+                     "--out-dir", str(tmp_path / "sweep")]) == 0
+    assert len(built) == 2  # one table for the system, one for the environment
+
+
 def test_thermal_sweep_empty_betas(tmp_path):
     cfg = write_config(tmp_path, BASE)
     assert cli.main([

@@ -276,6 +276,30 @@ def test_total_energies_built_once_and_capped():
     assert big._energies is None
 
 
+def test_system_and_env_energies_built_once_and_shared(monkeypatch):
+    rng = np.random.default_rng(7)
+    spec = _random_spec(rng, 7, 3)
+    built, original = [], model._energies
+
+    def counted(s, sites):
+        built.append(sites)
+        return original(s, sites)
+
+    monkeypatch.setattr(model, "_energies", counted)
+    es, ee = model.system_energies(spec), model.env_energies(spec)
+    assert model.system_energies(spec) is es and model.env_energies(spec) is ee
+    for table in (es, ee):
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+    table = model.total_energies(spec).reshape(spec.dim_system, spec.dim_env)
+    assert len(built) == 2  # the global table reuses the two kept tables
+    # the same values as an ensemble built anew, whose tables are built in the other order
+    twin = model.EnsembleSpec(n_total=7, n_system=3, twice_spin=1,
+                              couplings=spec.couplings, fields=spec.fields)
+    assert np.array_equal(model.total_energies(twin).reshape(table.shape), table)
+    assert np.array_equal(twin._system_energies, es) and np.array_equal(twin._env_energies, ee)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         model.EnsembleSpec(n_total=2, n_system=2, twice_spin=1,

@@ -75,6 +75,17 @@ def test_mixed_witness_leaves_command_only_modules_unloaded(tmp_path):
     assert loaded_after(code, DEFERRED) == []
 
 
+@pytest.mark.parametrize("config, pool", [("schmidt", False), ("dense", True)])
+def test_threads_open_a_pool_only_where_the_times_are_mapped(tmp_path, config, pool):
+    # the Schmidt path never maps over times, so --threads 2 opens no pool there
+    cfg = (str(resources.files("spindeph").joinpath("presets", "negativity_superposition_ring10.json"))
+           if config == "schmidt" else write_config(tmp_path, DENSE_GLOBAL))
+    code = ("from spindeph import cli\n"
+            f"assert cli.main(['negativity', '--config', {cfg!r}, '--cut', 'global', '--threads', '2', "
+            f"'--out', {str(tmp_path / 'n.csv')!r}]) == 0")
+    assert loaded_after(code, ["concurrent.futures"]) == (["concurrent.futures"] if pool else [])
+
+
 def _deferred_cases(tmp_path):
     """The argv of each deferred path; "{out}" stands for the output's stem."""
     preset = str(resources.files("spindeph").joinpath("presets", "witness_nn_ring6.json"))
