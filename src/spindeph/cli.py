@@ -15,8 +15,17 @@ Outputs are deterministic: identical configuration, byte-identical files.
 A CSV file is formatted column by column and written in blocks of
 CSV_BLOCK rows, so the writer's memory does not grow with the time grid.
 
+The command line is read against one table, _COMMANDS: for each command
+its options, each with its help, whether it is required, the type its
+value is converted with, its default and its choices; -h/--help prints
+text built from the same table. A token that starts with "--" is never a
+value and any other token is, so "--grid -1:1:5" reads -1:1:5 (parse_args
+states the other rules).
+
 Start-up: a run is mostly interpreter start-up, so each command imports
-only the layers it runs. This module loads model, engine (with dirichlet),
+only the layers it runs, and the command line is parsed without argparse,
+whose import (with gettext and locale) and first parse cost more than a
+millisecond. This module loads model, engine (with dirichlet),
 thermal and entanglement (with linalg), which the witness, sweep and
 negativity computations share. verify adds oracle, compare-measures adds
 qubit, thermo-limit and --closed-form add closedforms (and fractions), and
@@ -28,12 +37,12 @@ run pays their import at start-up and not in the middle of its computation.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -49,6 +58,8 @@ from .model import (
 CSV_FORMAT = "spindeph-csv v1"
 # rows per block of a CSV file: the writer holds one block's text at a time
 CSV_BLOCK = 256
+# episodes per block of an episode JSON file
+EPISODE_BLOCK = 256
 
 
 class UsageError(Exception):
@@ -131,11 +142,20 @@ def _grid(cfg: dict, override: str | None) -> np.ndarray:
 
 
 @_reading_input()
-def _thermal(spec: EnsembleSpec, beta) -> engine.EnvPopulations:
-    """Gibbs populations at beta, or the ground manifold for "inf"."""
-    if isinstance(beta, str) and beta.lower() in ("inf", "infinity"):
+def _beta(value) -> float:
+    """An inverse temperature: any float spelling of a number >= 0, +inf
+    (the ground state) included."""
+    beta = float(value)
+    if not beta >= 0.0:  # negative or NaN
+        raise UsageError(f"beta must be a number >= 0 or inf, got {value!r}")
+    return beta
+
+
+def _thermal(spec: EnsembleSpec, beta: float) -> engine.EnvPopulations:
+    """Gibbs populations at beta, or the ground manifold at beta = +inf."""
+    if beta == np.inf:
         return thermal.ground_state_populations(spec)
-    return thermal.thermal_populations(spec, float(beta))
+    return thermal.thermal_populations(spec, beta)
 
 
 @_reading_input()
@@ -147,7 +167,7 @@ def _environment(cfg: dict, spec: EnsembleSpec) -> engine.EnvPopulations:
     if kind == "basis":
         return thermal.basis_state(_basis_config(doc, spec.n_env, spec.twice_spin), spec.twice_spin)
     if kind == "thermal":
-        return _thermal(spec, doc.get("beta", 0.0))
+        return _thermal(spec, _beta(doc.get("beta", 0.0)))
     if kind == "explicit":
         return engine.EnvPopulations(
             n_sites=spec.n_env,
@@ -232,6 +252,17 @@ def write_csv(path, header, columns):
             fh.write("\n".join(map(",".join, zip(*(text(block) for text in texts)))) + "\n")
 
 
+def write_episodes(path, episodes):
+    """The bytes of json.dump(episodes): a JSON array of [start, end] pairs,
+    EPISODE_BLOCK episodes at a time encoded by json's C encoder."""
+    with open(path, "w") as fh:
+        fh.write("[")
+        for start in range(0, len(episodes), EPISODE_BLOCK):
+            # each block's array without its brackets; blocks are joined as items are
+            fh.write((", " if start else "") + json.dumps(episodes[start:start + EPISODE_BLOCK])[1:-1])
+        fh.write("]")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -306,32 +337,31 @@ def cmd_witness(args) -> int:
         print(f"closed-form max |deviation|: {np.max(np.abs(dev[finite])):.3e}")
     write_csv(args.out, header, columns)
     episodes_path = args.episodes or str(Path(args.out).with_suffix(".episodes.json"))
-    with open(episodes_path, "w") as fh:
-        json.dump(series.episodes, fh)  # tuples write as JSON arrays
+    write_episodes(episodes_path, series.episodes)
     print(f"wrote {args.out} and {episodes_path} ({len(series.episodes)} episodes)")
     return 0
 
 
-@_reading_input()
-def _parse_betas(text: str):
-    out = [token.strip().lower() for token in text.split(",") if token.strip()]
-    if not out:
+def _parse_betas(text: str) -> list[tuple[str, float]]:
+    """(file label, beta) of each value of --betas, every one checked before
+    any is computed; every spelling of +inf is labelled "inf"."""
+    tokens = [token.strip().lower() for token in text.split(",") if token.strip()]
+    if not tokens:
         raise UsageError("--betas needs at least one value")
-    for token in out:
-        float(token)  # "inf" and "infinity" parse too
-    return out
+    betas = list(map(_beta, tokens))
+    return [("inf" if beta == np.inf else token, beta) for token, beta in zip(tokens, betas)]
 
 
 def cmd_thermal_sweep(args) -> int:
+    betas = _parse_betas(args.betas)
     cfg = _load_config(args.config)
     spec, _ = _ensemble(cfg, Path(args.config).parent)
     times = _grid(cfg, args.grid)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t_text = None  # every file has the same time column: format it once
-    for token in _parse_betas(args.betas):
-        env = _thermal(spec, token)
-        label = "inf" if token == "infinity" else token
+    for label, beta in betas:
+        env = _thermal(spec, beta)
         series = engine.detect_episodes(
             spec, env, float(times[0]), float(times[-1]), times.size
         )
@@ -503,92 +533,201 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# command line
+
+# one option of a command: its help, whether it must be given, the function
+# its value is converted with, its value when not given, and the values it
+# may take (None: any)
+_Option = namedtuple("_Option", "help required type default choices",
+                     defaults=(False, str, None, None))
+
+_CONFIG = _Option("JSON run configuration", required=True)
+_GRID = _Option("time grid override start:stop:points (units 1/J)")
+_OUT = _Option("output CSV path", required=True)
+
+# command -> (its help, the function that runs it, its options)
+_COMMANDS = {
+    "witness": ("witness series and episode detection", cmd_witness, {
+        "--config": _CONFIG,
+        "--grid": _GRID,
+        "--out": _OUT,
+        "--episodes": _Option("episode JSON path (default: derived from --out)"),
+        "--closed-form": _Option("add comparison columns", choices=tuple(_CLOSED_FORMS)),
+    }),
+    "thermal-sweep": ("one witness CSV per inverse temperature", cmd_thermal_sweep, {
+        "--config": _CONFIG,
+        "--grid": _GRID,
+        "--betas": _Option("comma list, e.g. 0,1,3,inf (units 1/J)", required=True),
+        "--out-dir": _Option("output directory", required=True),
+    }),
+    "compare-measures": ("geometric vs RHP vs BLP flags (p=1)", cmd_compare_measures, {
+        "--config": _CONFIG,
+        "--grid": _GRID,
+        "--out": _OUT,
+    }),
+    "negativity": ("entanglement series across a cut", cmd_negativity, {
+        "--config": _CONFIG,
+        "--grid": _GRID,
+        "--cut": _Option("'global' or 'system:<sites>' (default from config)"),
+        "--threads": _Option("worker threads over the time grid of the dense global path",
+                             type=int, default=1),
+        "--out": _OUT,
+    }),
+    "thermo-limit": ("closed-form log det versus ensemble size", cmd_thermo_limit, {
+        "--family": _Option("ensemble family", required=True, choices=("fixed-p", "fraction")),
+        "--n-list": _Option("comma list of ensemble sizes", required=True),
+        "--p": _Option("system size for fixed-p", type=int, default=1),
+        "--r": _Option("system fraction for fraction family", default="1/2"),
+        "--jt": _Option("dimensionless time J t", default="1.0"),
+        "--out": _OUT,
+    }),
+    "verify": ("run the oracle verification suite", cmd_verify, {
+        "--seed": _Option("seed of the random ensembles", type=int, default=2024),
+        "--specs": _Option("number of random ensembles", type=int, default=50),
+        "--out": _Option("write the JSON report here instead of stdout"),
+    }),
+}
+_DESCRIPTION = ("Exact dephasing dynamics and non-Markovianity witnesses "
+                "for spin subsystems of pairwise-ZZ ensembles.")
 
 
-class _Unbuilt:
-    """Stands in for the parser of a subcommand that is not built."""
-
-    def add_argument(self, *args, **kwargs):
-        pass
-
-    set_defaults = add_argument
+def _dest(name: str) -> str:
+    """The attribute an option's value is read from: "--out-dir" -> "out_dir"."""
+    return name[2:].replace("-", "_")
 
 
-_COMMANDS = ("witness", "thermal-sweep", "compare-measures", "negativity", "thermo-limit", "verify")
+def _metavar(name: str, option: _Option) -> str:
+    if option.choices is not None:
+        return "{" + ",".join(option.choices) + "}"
+    return _dest(name).upper()
 
 
-@functools.cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing leaves it unchanged.
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: spindeph [-h] {" + ",".join(_COMMANDS) + "} ..."
+    words = [f"{name} {_metavar(name, option)}" if option.required
+             else f"[{name} {_metavar(name, option)}]"
+             for name, option in _COMMANDS[command][2].items()]
+    return " ".join([f"usage: spindeph {command} [-h]", *words])
 
-    With a command, only that subcommand's parser is built: its help, its
-    usage errors and the top-level usage line read as the full parser's.
+
+def _help_text(command: str | None) -> str:
+    """The --help text of a command, or of the program for None."""
+    def entry(flag, text):
+        return f"  {flag:<21} {text}"
+
+    if command is None:
+        title, about = "commands", _DESCRIPTION
+        rows = [entry(name, text) for name, (text, _, _) in _COMMANDS.items()]
+    else:
+        title, about = "options", _COMMANDS[command][0]
+        rows = [entry("-h, --help", "show this help message and exit")]
+        for name, option in _COMMANDS[command][2].items():
+            notes = [" (required)" if option.required else "",
+                     "" if option.default is None else f" (default: {option.default})"]
+            rows.append(entry(f"{name} {_metavar(name, option)}", option.help + "".join(notes)))
+    return "\n".join([_usage(command), "", about, "", f"{title}:", *rows]) + "\n"
+
+
+def _fail(command: str | None, message: str):
+    """Report bad argv as argparse does: usage and error on stderr, exit 2."""
+    prog = "spindeph" if command is None else f"spindeph {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _help(command: str | None, value: str | None):
+    if value is not None:
+        _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
+    sys.stdout.write(_help_text(command))
+    raise SystemExit(0)
+
+
+def _resolve(command: str | None, token: str, names) -> tuple[str | None, str | None]:
+    """(the option a token names, its "=" value or None). -h names --help; a
+    --token names the option itself or the only option it is a prefix of;
+    any other token names none."""
+    if token == "-h":
+        return "--help", None
+    if not token.startswith("--") or token == "--":
+        return None, None
+    key, eq, value = token.partition("=")
+    matches = [key] if key in names else [name for name in names if name.startswith(key)]
+    if len(matches) > 1:
+        _fail(command, f"ambiguous option: {token} could match {', '.join(matches)}")
+    return (matches[0] if matches else None), (value if eq else None)
+
+
+def _parse_command(command: str, argv: list, before: list) -> SimpleNamespace:
+    """The command's option values from the argv after it; `before` are the
+    unrecognized tokens before it."""
+    _, func, options = _COMMANDS[command]
+    # every token from "--" on is unrecognized
+    end = argv.index("--") if "--" in argv else len(argv)
+    argv, after, strays = argv[:end], argv[end:], [*before]
+    # every token is resolved before any is read, so an ambiguous prefix is reported first
+    resolved = [_resolve(command, token, ["--help", *options]) for token in argv]
+    values, i = {}, 0
+    while i < len(argv):
+        token, (name, value) = argv[i], resolved[i]
+        i += 1
+        if name is None:
+            strays.append(token)
+            continue
+        if name == "--help":
+            _help(command, value)
+        if value is None:
+            # the next token is the value, unless it starts with "--"
+            if i == len(argv) or argv[i].startswith("--"):
+                _fail(command, f"argument {name}: expected one argument")
+            value, i = argv[i], i + 1
+        option = options[name]
+        try:
+            values[name] = option.type(value)
+        except (TypeError, ValueError):
+            _fail(command, f"argument {name}: invalid {option.type.__name__} value: {value!r}")
+        if option.choices is not None and values[name] not in option.choices:
+            choices = ", ".join(map(repr, option.choices))
+            _fail(command, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+    missing = [name for name, option in options.items() if option.required and name not in values]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    strays += after
+    if strays:
+        _fail(None, f"unrecognized arguments: {' '.join(strays)}")
+    return SimpleNamespace(command=command, func=func, **{
+        _dest(name): values.get(name, option.default) for name, option in options.items()})
+
+
+def parse_args(argv: list) -> SimpleNamespace:
+    """The command and its option values from argv, read against _COMMANDS.
+
+    An option's value follows it as the next token or after "=", and a
+    unique prefix names an option. A token that starts with "--" is never a
+    value; any other token is, so "--grid -1:1:5" reads -1:1:5. -h or
+    --help prints the help and exits 0; bad argv prints the usage and the
+    error on stderr and exits 2.
     """
-    parser = argparse.ArgumentParser(
-        prog="spindeph",
-        description="Exact dephasing dynamics and non-Markovianity witnesses "
-        "for spin subsystems of pairwise-ZZ ensembles.",
-    )
-    # the usage line lists every subcommand, whichever are built
-    choices = "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=None if command is None else choices)
-
-    def add_parser(name, help_text):
-        return sub.add_parser(name, help=help_text) if command in (None, name) else _Unbuilt()
-
-    def add_common(p):
-        p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--grid", help="time grid override start:stop:points (units 1/J)")
-
-    p = add_parser("witness", "witness series and episode detection")
-    add_common(p)
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--episodes", help="episode JSON path (default: derived from --out)")
-    p.add_argument("--closed-form", choices=tuple(_CLOSED_FORMS), help="add comparison columns")
-    p.set_defaults(func=cmd_witness)
-
-    p = add_parser("thermal-sweep", "one witness CSV per inverse temperature")
-    add_common(p)
-    p.add_argument("--betas", required=True, help="comma list, e.g. 0,1,3,inf (units 1/J)")
-    p.add_argument("--out-dir", required=True, help="output directory")
-    p.set_defaults(func=cmd_thermal_sweep)
-
-    p = add_parser("compare-measures", "geometric vs RHP vs BLP flags (p=1)")
-    add_common(p)
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_compare_measures)
-
-    p = add_parser("negativity", "entanglement series across a cut")
-    add_common(p)
-    p.add_argument("--cut", help="'global' or 'system:<sites>' (default from config)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads over the time grid of the dense global path")
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_negativity)
-
-    p = add_parser("thermo-limit", "closed-form log det versus ensemble size")
-    p.add_argument("--family", required=True, choices=("fixed-p", "fraction"))
-    p.add_argument("--n-list", required=True, help="comma list of ensemble sizes")
-    p.add_argument("--p", type=int, default=1, help="system size for fixed-p")
-    p.add_argument("--r", default="1/2", help="system fraction for fraction family")
-    p.add_argument("--jt", default="1.0", help="dimensionless time J t")
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_thermo_limit)
-
-    p = add_parser("verify", "run the oracle verification suite")
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--specs", type=int, default=50, help="number of random ensembles")
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.set_defaults(func=cmd_verify)
-
-    return parser
+    # a token before the command that starts with "-" is unrecognized, as
+    # argparse reads it; the first other token names the command
+    strays = []
+    for i, first in enumerate(argv):
+        name, value = _resolve(None, first, ["--help"])
+        if name is not None:
+            _help(None, value)
+        if not first.startswith("-"):
+            break
+        strays.append(first)
+    else:
+        _fail(None, "the following arguments are required: command")
+    if first not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _fail(None, f"argument command: invalid choice: {first!r} (choose from {choices})")
+    return _parse_command(first, argv[i + 1:], strays)
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (UsageError, ResourceCapError) as exc:

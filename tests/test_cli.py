@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -66,7 +68,6 @@ def test_witness_deterministic_and_closed_form(tmp_path, capsys):
 
 
 def test_consecutive_main_calls_share_one_parser(tmp_path, capsys):
-    assert cli.build_parser() is cli.build_parser()
     cfg = write_config(tmp_path, BASE)
     argv = ["witness", "--config", cfg, "--grid", "0:3:40"]
     assert cli.main(argv + ["--out", str(tmp_path / "a.csv")]) == 0
@@ -82,27 +83,77 @@ def test_consecutive_main_calls_share_one_parser(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
-def _run_main(argv):
-    """(exit code, stdout, stderr) of cli.main, SystemExit included."""
+# ---------------------------------------------------------------------------
+# the command line against an argparse reference that declares the same
+# commands and options as cli._COMMANDS
+
+
+@functools.cache
+def reference_parser():
+    parser = argparse.ArgumentParser(prog="spindeph")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p):
+        p.add_argument("--config", required=True)
+        p.add_argument("--grid")
+
+    p = sub.add_parser("witness")
+    add_common(p)
+    p.add_argument("--out", required=True)
+    p.add_argument("--episodes")
+    p.add_argument("--closed-form", choices=("nn1d", "inf", "2d", "frac-asym"))
+    p.set_defaults(func=cli.cmd_witness)
+
+    p = sub.add_parser("thermal-sweep")
+    add_common(p)
+    p.add_argument("--betas", required=True)
+    p.add_argument("--out-dir", required=True)
+    p.set_defaults(func=cli.cmd_thermal_sweep)
+
+    p = sub.add_parser("compare-measures")
+    add_common(p)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cli.cmd_compare_measures)
+
+    p = sub.add_parser("negativity")
+    add_common(p)
+    p.add_argument("--cut")
+    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cli.cmd_negativity)
+
+    p = sub.add_parser("thermo-limit")
+    p.add_argument("--family", required=True, choices=("fixed-p", "fraction"))
+    p.add_argument("--n-list", required=True)
+    p.add_argument("--p", type=int, default=1)
+    p.add_argument("--r", default="1/2")
+    p.add_argument("--jt", default="1.0")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cli.cmd_thermo_limit)
+
+    p = sub.add_parser("verify")
+    p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--specs", type=int, default=50)
+    p.add_argument("--out")
+    p.set_defaults(func=cli.cmd_verify)
+    return parser
+
+
+def reference_options(command):
+    """The reference's option actions of a command, --help excluded."""
+    sub = reference_parser()._subparsers._group_actions[0].choices[command]
+    return [a for a in sub._actions if a.option_strings and a.dest != "help"]
+
+
+def _parsed(parse, argv):
+    """(the parsed attributes or the exit code, stdout, stderr) of a parse."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(argv)
+            result = vars(parse(argv))
         except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
-def _run_full_parser(argv):
-    """The same through the full parser, which builds every subcommand."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            cli.build_parser().parse_args(argv)
-            code = None
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("argv", [
@@ -116,19 +167,76 @@ def _run_full_parser(argv):
     ["verify", "--specs"],
 ])
 def test_one_subcommand_parser_reads_as_the_full_parser(argv):
-    # main builds only the chosen subcommand's parser; help texts, usage
-    # errors (exit 2) and unknown subcommands read byte for byte as before
-    code, out, err = _run_main(argv)
-    assert code in (0, 2)
-    assert (code, out, err) == _run_full_parser(argv)
+    # the table parser reads only the chosen command's options; its exit
+    # code, its stream and its error line are the full argparse parser's
+    # (usage lines are not wrapped, and help texts differ)
+    code, out, err = _parsed(cli.parse_args, argv)
+    ref_code, ref_out, ref_err = _parsed(reference_parser().parse_args, argv)
+    assert code in (0, 2) and code == ref_code
+    assert (bool(out), bool(err)) == (bool(ref_out), bool(ref_err))
     assert (out + err).startswith("usage: spindeph")
+    assert err.splitlines()[-1:] == ref_err.splitlines()[-1:]
 
 
-def test_one_subcommand_parser_builds_only_that_subcommand():
-    parser = cli.build_parser("verify")
-    assert parser is cli.build_parser("verify") and parser is not cli.build_parser()
-    assert list(parser._subparsers._group_actions[0].choices) == ["verify"]
-    assert parser.format_usage() == cli.build_parser().format_usage()
+def _prefix(name, cut):
+    """The option's name cut to at least "--" and one letter."""
+    return name[:max(3, len(name) - cut)]
+
+
+VALUE = st.text(st.sampled_from("abc019:/._,= "), max_size=6).filter(lambda v: not v.startswith("-"))
+
+
+@st.composite
+def command_argv(draw):
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    argv = []
+    for action in draw(st.permutations(reference_options(command))):
+        if not draw(st.integers(0, 4)):
+            continue  # left out: a required option goes missing
+        if action.type is int:
+            value = draw(st.one_of(st.integers(-99, 10**6).map(str), st.sampled_from(["two", "1.5", ""])))
+        elif action.choices:
+            value = draw(st.sampled_from([*action.choices, "nope"]))
+        else:
+            value = draw(VALUE)
+        name = _prefix(action.option_strings[0], draw(st.integers(0, 8)))
+        argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    for extra in draw(st.lists(st.sampled_from(["--unknown", "stray", "--unknown=1"]), max_size=1)):
+        argv.insert(draw(st.integers(0, len(argv))), extra)
+    if draw(st.integers(0, 4)) == 0:  # a trailing option without its value
+        argv.append(draw(st.sampled_from(reference_options(command))).option_strings[0])
+    return [command, *argv]
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_argv())
+def test_the_table_parser_accepts_what_argparse_accepted(argv):
+    parsed, _, err = _parsed(cli.parse_args, argv)
+    reference, _, ref_err = _parsed(reference_parser().parse_args, argv)
+    assert parsed == reference  # the same values, or the same exit code
+    assert err.splitlines()[-1:] == ref_err.splitlines()[-1:]
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_exits_0_and_names_every_option(command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    code, out, err = _parsed(cli.parse_args, argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: spindeph")
+    names = list(cli._COMMANDS) if command is None else \
+        [a.option_strings[0] for a in reference_options(command)]
+    assert all(name in out for name in names)
+
+
+def test_a_value_may_start_with_a_single_dash(tmp_path):
+    # argparse refused "-1:1:5" as an option it did not know
+    cfg = write_config(tmp_path, BASE)
+    out = tmp_path / "neg.csv"
+    assert cli.main(["witness", "--config", cfg, "--grid", "-1:1:5", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [float(r[0]) for r in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    assert cli.parse_args(["thermo-limit", "--family", "fixed-p", "--n-list", "4", "--jt", "-0.5",
+                           "--out", "o.csv"]).jt == "-0.5"
 
 
 def test_mixed_witness_does_not_import_numpy_ma(tmp_path):
@@ -225,6 +333,36 @@ def test_thermal_sweep_empty_betas(tmp_path):
     assert cli.main([
         "thermal-sweep", "--config", cfg, "--betas", ",", "--out-dir", str(tmp_path / "d"),
     ]) == 2
+
+
+def test_thermal_sweep_checks_every_beta_before_it_writes(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE)
+    for betas, token in [("1,-1", "-1"), ("0.5,nan", "nan"), ("2,-inf", "-inf"), ("1,x", "x")]:
+        out_dir = tmp_path / f"sweep-{token}"
+        assert cli.main(["thermal-sweep", "--config", cfg, "--betas", betas,
+                         "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and repr(token) in err[0]
+        assert not out_dir.exists()
+
+
+def test_every_spelling_of_infinite_beta_is_the_ground_state(tmp_path):
+    cfg = write_config(tmp_path, BASE)
+    spellings = ["inf", "Infinity", "+inf", "1e999", "INF"]
+    for k, token in enumerate(spellings):
+        assert cli.main(["thermal-sweep", "--config", cfg, "--betas", token,
+                         "--out-dir", str(tmp_path / f"s{k}")]) == 0
+        assert [f.name for f in (tmp_path / f"s{k}").iterdir()] == ["witness_beta_inf.csv"]
+    texts = {(tmp_path / f"s{k}" / "witness_beta_inf.csv").read_bytes() for k in range(len(spellings))}
+    assert len(texts) == 1
+    # a configuration's "beta" reads the same: a string, or a JSON number past the float range
+    text = json.dumps(dict(BASE, environment={"kind": "thermal", "beta": "@"}))
+    for k, beta in enumerate(['"Infinity"', "1e999"]):
+        path = tmp_path / f"inf{k}.json"
+        path.write_text(text.replace('"@"', beta))
+        out = tmp_path / f"w{k}.csv"
+        assert cli.main(["witness", "--config", str(path), "--out", str(out)]) == 0
+        assert {out.read_bytes()} == texts
 
 
 def test_compare_measures(tmp_path):

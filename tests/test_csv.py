@@ -1,6 +1,8 @@
-"""The CSV writer: blocks of rows give the bytes of one row at a time, and
-the writer's memory does not grow with the number of rows."""
+"""The output writers: blocks of CSV rows give the bytes of one row at a
+time, and the writer's memory does not grow with the number of rows; blocks
+of episodes give the bytes of one json.dump."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -85,3 +87,17 @@ def test_writer_memory_does_not_grow_with_the_rows(tmp_path):
     small = writer_peak(tmp_path / "small.csv", 10**4)
     large = writer_peak(tmp_path / "large.csv", 10**5)
     assert large - small <= 256 * 1024, (small, large)
+
+
+E = cli.EPISODE_BLOCK
+
+
+@pytest.mark.parametrize("n", [0, 1, E - 1, E, E + 1, 2 * E + 3])
+def test_episode_blocks_write_the_bytes_of_json_dump(tmp_path, n):
+    rng = np.random.default_rng(n)
+    noise = rng.normal(size=2 * n) * 10.0 ** rng.integers(-20, 20, size=2 * n)
+    ends = np.resize(np.array(SPECIAL), 2 * n) + noise
+    episodes = [(float(a), b) for a, b in zip(ends[::2], ends[1::2])]  # Python and numpy floats
+    path = tmp_path / "e.json"
+    cli.write_episodes(path, episodes)
+    assert path.read_text() == json.dumps(episodes)

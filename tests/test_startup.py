@@ -75,6 +75,15 @@ def test_mixed_witness_leaves_command_only_modules_unloaded(tmp_path):
     assert loaded_after(code, DEFERRED) == []
 
 
+def test_cli_and_a_mixed_witness_load_no_argparse(tmp_path):
+    # the command line is parsed from cli's own table; argparse brought
+    # gettext and locale with it
+    cfg = write_config(tmp_path, SINGLE_SPIN)
+    code = ("import spindeph.cli\n"
+            f"assert spindeph.cli.main(['witness', '--config', {cfg!r}, '--out', {str(tmp_path / 'w.csv')!r}]) == 0")
+    assert loaded_after(code, ["argparse", "gettext", "locale"]) == []
+
+
 @pytest.mark.parametrize("config, pool", [("schmidt", False), ("dense", True)])
 def test_threads_open_a_pool_only_where_the_times_are_mapped(tmp_path, config, pool):
     # the Schmidt path never maps over times, so --threads 2 opens no pool there
