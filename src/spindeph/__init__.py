@@ -24,9 +24,9 @@ _EXPORTS = {
         "EnvPopulations", "WitnessEvaluator", "WitnessSeries", "bloch_to_density", "bloch_vector",
         "detect_episodes"),
     "entanglement": (
-        "GLOBAL_DIM_CAP", "NegativitySeries", "evolve_global", "global_negativity_path",
-        "global_negativity_series", "negativity", "negativity_details", "partial_trace_env",
-        "partial_transpose_system", "system_negativity_series"),
+        "GLOBAL_DIM_CAP", "NegativitySeries", "evolve_global", "global_negativity_series",
+        "negativity", "negativity_details", "partial_trace_env", "partial_transpose_system",
+        "system_negativity_series"),
     "linalg": ("hermitian_eigensystem", "hermitian_eigenvalues", "lu_det", "trace_norm"),
     "model": (
         "DEFAULT_ENUM_CAP", "CouplingModel", "EnsembleSpec", "InfiniteRange",

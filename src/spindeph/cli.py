@@ -38,6 +38,7 @@ run pays their import at start-up and not in the middle of its computation.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from collections import namedtuple
 from contextlib import contextmanager
@@ -56,10 +57,9 @@ from .model import (
 )
 
 CSV_FORMAT = "spindeph-csv v1"
-# rows per block of a CSV file: the writer holds one block's text at a time
+# items per write, rows of a CSV file or episodes of an episode JSON file:
+# a writer holds one block's text at a time
 CSV_BLOCK = 256
-# episodes per block of an episode JSON file
-EPISODE_BLOCK = 256
 
 
 class UsageError(Exception):
@@ -254,12 +254,12 @@ def write_csv(path, header, columns):
 
 def write_episodes(path, episodes):
     """The bytes of json.dump(episodes): a JSON array of [start, end] pairs,
-    EPISODE_BLOCK episodes at a time encoded by json's C encoder."""
+    CSV_BLOCK episodes at a time encoded by json's C encoder."""
     with open(path, "w") as fh:
         fh.write("[")
-        for start in range(0, len(episodes), EPISODE_BLOCK):
+        for start in range(0, len(episodes), CSV_BLOCK):
             # each block's array without its brackets; blocks are joined as items are
-            fh.write((", " if start else "") + json.dumps(episodes[start:start + EPISODE_BLOCK])[1:-1])
+            fh.write((", " if start else "") + json.dumps(episodes[start:start + CSV_BLOCK])[1:-1])
         fh.write("]")
 
 
@@ -428,7 +428,9 @@ def _parse_cut(text: str, n_system: int):
 def _time_map(threads: int):
     """map over a time grid: for threads > 1 a thread pool's map, the pool
     opened on the first call, so a path that never maps pays nothing; else
-    the builtin."""
+    the builtin. The pool holds at most os.cpu_count() threads: its map
+    submits every time at once, and each thread builds its own global
+    matrix."""
     if threads == 1:
         yield map
         return
@@ -439,7 +441,7 @@ def _time_map(threads: int):
         if pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            pool = ThreadPoolExecutor(max_workers=threads)
+            pool = ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1))
         return pool.map(fn, *iterables)
 
     try:

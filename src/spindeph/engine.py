@@ -58,6 +58,11 @@ the sign changes of the derivative between grid points. Both routes refine
 their brackets with the one ITP root finder of :mod:`spindeph.dirichlet`,
 all brackets together, one evaluation per round at every open bracket; each
 bracket keeps its own stopping rule.
+
+One helper, `_time_blocks`, cuts every time grid of the package into
+blocks: `factors` and `series` here, the stacks of reduced states in
+:mod:`spindeph.entanglement` and of traced phases in :mod:`spindeph.oracle`.
+No time's values depend on its block.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -85,7 +90,7 @@ DET_UNDERFLOW_LOG = -690.0  # exp() underflows double below roughly -745
 # about as large as a block: 2^12 ran as fast as 2^13 with half the peak
 SERIES_BLOCK = 2**12
 # but a block holds at least this many times while they fit in this many
-# blocks' entries (see _block_times): with 1,664 rates per time (seed-5
+# blocks' entries (see _time_blocks): with 1,664 rates per time (seed-5
 # Gibbs, wide rows) 999 times took 172, 117, 95, 83, 149 and 156 ms at 2, 4,
 # 8, 16, 32 and 64 times per block, numpy's per-call cost dominating the
 # small blocks
@@ -244,15 +249,19 @@ def _accurate_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return high + np.where(np.isfinite(high), _ordered_sum(x - q, axis), 0.0)
 
 
-def _block_times(entries: int) -> int:
-    """Times per block of `factors` and `series` at `entries` entries per time.
+def _time_blocks(size: int, entries: int) -> Iterator[slice]:
+    """The slices of a grid of `size` times at `entries` entries per time.
 
-    SERIES_BLOCK entries, but SERIES_MIN_TIMES times where that keeps a
-    block within SERIES_MIN_TIMES x SERIES_BLOCK entries, and at least one.
+    The one rule that cuts every time grid and sizes every matrix stack:
+    SERIES_BLOCK entries per block, but SERIES_MIN_TIMES times where that
+    keeps a block within SERIES_MIN_TIMES x SERIES_BLOCK entries, and at
+    least one time.
     """
     entries = max(1, entries)
-    return max(1, SERIES_BLOCK // entries,
-               min(SERIES_MIN_TIMES, SERIES_MIN_TIMES * SERIES_BLOCK // entries))
+    step = max(1, SERIES_BLOCK // entries,
+                  min(SERIES_MIN_TIMES, SERIES_MIN_TIMES * SERIES_BLOCK // entries))
+    for start in range(0, size, step):
+        yield slice(start, start + step)
 
 
 def _dot2(u: np.ndarray, nu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -587,20 +596,19 @@ class WitnessEvaluator:
         the same phases (:meth:`_Rows.factor`): exactly 1 at t = 0, and
         within a few eps relative on two-level rows also next to zeros of A.
         A class multiplies its rows; flipped pairs take the conjugate. Times
-        go in blocks (:func:`_block_times`); a time's factors do not depend
+        go in blocks (:func:`_time_blocks`); a time's factors do not depend
         on the other times.
         """
         times = np.asarray(t, dtype=float)
         flat = times.reshape(-1)
         out = np.empty((flat.size, self._pair_class.size), dtype=complex)
-        step = _block_times(sum(rows.rate.size for rows in self._factor_rows))
-        for i in range(0, flat.size, step):
-            block = flat[i : i + step]
-            layout = np.empty((block.size, self._n_classes * self._rows_per_class), dtype=complex)
+        for block in _time_blocks(flat.size, sum(rows.rate.size for rows in self._factor_rows)):
+            t_block = flat[block]
+            layout = np.empty((t_block.size, self._n_classes * self._rows_per_class), dtype=complex)
             for rows in self._factor_rows:
-                layout[:, rows.place] = rows.factor(block).T
-            layout = layout.reshape(block.size, self._n_classes, self._rows_per_class)
-            out[i : i + step] = layout.prod(axis=-1)[:, self._pair_class]
+                layout[:, rows.place] = rows.factor(t_block).T
+            layout = layout.reshape(t_block.size, self._n_classes, self._rows_per_class)
+            out[block] = layout.prod(axis=-1)[:, self._pair_class]
         out = np.where(self._flip, out.conj(), out)
         return out.reshape(times.shape + out.shape[-1:])
 
@@ -627,7 +635,7 @@ class WitnessEvaluator:
         product of its rows. A is normalized by the row's weight total,
         which makes both values exactly 0 at t = 0 and changes nothing when
         the weights sum to 1 exactly. All rows go in one pass (:class:`_Rows`).
-        Times go in blocks (:func:`_block_times`); a time's values do not
+        Times go in blocks (:func:`_time_blocks`); a time's values do not
         depend on the other times. At exact zeros of any factor log det is
         -inf and the derivative NaN.
         """
@@ -637,16 +645,15 @@ class WitnessEvaluator:
         """:meth:`series`; with value=False log det is None and not computed."""
         logdet = np.zeros(times.shape) if value else None
         dlogdet = np.zeros(times.shape)
-        step = _block_times(self._entries)
-        for i in range(0, times.size if self._rows else 0, step):
+        for block in _time_blocks(times.size if self._rows else 0, self._entries):
             with np.errstate(divide="ignore", invalid="ignore"):
-                terms = [rows.terms(times[i : i + step], value) for rows in self._rows]
+                terms = [rows.terms(times[block], value) for rows in self._rows]
                 sums = _accurate_sum(np.concatenate(terms, axis=-2) if len(terms) > 1 else terms[0],
                                      axis=-2)
             if value:
-                logdet[i : i + step], dlogdet[i : i + step] = sums
+                logdet[block], dlogdet[block] = sums
             else:
-                dlogdet[i : i + step] = sums
+                dlogdet[block] = sums
         return logdet, dlogdet
 
     def log_det(self, t: float) -> float:

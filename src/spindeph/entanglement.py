@@ -7,10 +7,11 @@ dimension cap GLOBAL_DIM_CAP of 1024 (N = 10 spins-1/2); only the dense
 path below is held to it.
 
 Negativity across the system|environment cut is (||rho^T_S||_1 - 1)/2.
-For a product initial state rho_S x rho_E, `global_negativity_path` picks
-one of three paths from the two factors, once for the whole grid. A factor
-is a matrix or a sequence of one-site states, whose Kronecker product it
-is and is diagonal (rank one) when each of them is:
+For a product initial state rho_S x rho_E, `global_negativity_series` picks
+one of three paths from the two factors, once for the whole grid, and names
+it in the series' `path`. A factor is a matrix or a sequence of one-site
+states, whose Kronecker product it is and is diagonal (rank one) when each
+of them is:
 
 - factor spectra: either factor is diagonal in the product basis. The
   partial transpose then has the spectrum eig(rho_S) x eig(rho_E) at every
@@ -31,7 +32,9 @@ is and is diagonal (rank one) when each of them is:
   the cap, and its partial transpose diagonalized by `hermitian_eigenvalues`.
 
 `system_negativity_series` cuts inside the subsystem: exact reduced states
-go to `negativity_details` in stacks, one eigensolver call per stack.
+go to `negativity_details` in stacks, one eigensolver call per stack. The
+Schmidt path and this one cut their grids into stacks by the engine's
+`_time_blocks`, at d^2 entries per reduced state of dimension d.
 """
 
 from __future__ import annotations
@@ -41,12 +44,11 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .engine import EnvPopulations, WitnessEvaluator
+from .engine import EnvPopulations, WitnessEvaluator, _time_blocks
 from .linalg import _checked, hermitian_eigensystem, hermitian_eigenvalues
 from .model import EnsembleSpec, ResourceCapError, total_energies
 
 GLOBAL_DIM_CAP = 1024
-SCHMIDT_BLOCK = 2**16  # entries per stack of evolved vectors or reduced states
 _DIAGONAL_TOL = 1e-14  # off-diagonal size, relative to the largest entry, read as zero
 _PURITY_TOL = 1e-10  # entrywise residual of a rank-one reconstruction
 _RANK_ONE_ULPS = 8  # the same residual read as rounding, in eps of the largest entry
@@ -279,22 +281,12 @@ def _path_and_data(factors):
     return "dense", None
 
 
-def global_negativity_path(rho_s0, rho_e0) -> str:
-    """The path `global_negativity_series` takes for these factors.
-
-    "factor_spectra" when either factor is diagonal, "schmidt" when both
-    are rank one, else "dense", the only path that builds a D x D matrix.
-    """
-    return _path_and_data([_blocks(rho_s0), _blocks(rho_e0)])[0]
-
-
 def _reduced_state_series(path: str, ev: WitnessEvaluator, rho0, times, details) -> NegativitySeries:
-    """``details`` of ev's reduced states of rho0, in stacks of at most SCHMIDT_BLOCK entries."""
+    """``details`` of ev's reduced states of rho0, in stacks cut by `_time_blocks`."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     columns = np.empty((times.size, 3))
-    step = max(1, SCHMIDT_BLOCK // ev.dim**2)
-    for i in range(0, times.size, step):
-        columns[i : i + step] = details(ev.reduced_state(rho0, times[i : i + step]))
+    for block in _time_blocks(times.size, ev.dim**2):
+        columns[block] = details(ev.reduced_state(rho0, times[block]))
     return NegativitySeries(path, *columns.T)
 
 
@@ -307,9 +299,9 @@ def global_negativity_series(
 ) -> NegativitySeries:
     """Negativity across the system|environment cut of the evolved rho_S x rho_E.
 
-    The path is chosen once from the factors by `global_negativity_path`
-    (see the module docstring). Any Hermitian factors are accepted, as
-    matrices or as one-site states. ``map_times`` maps the per-time
+    The path is chosen once from the factors (see the module docstring)
+    and named in the series' ``path``. Any Hermitian factors are accepted,
+    as matrices or as one-site states. ``map_times`` maps the per-time
     function of the dense path over the grid (for example a thread pool's
     map); the structured paths do not use it.
     """
@@ -374,8 +366,8 @@ def system_negativity_series(
     The reduced state (of a matrix or of one-site states) is evolved
     exactly, then split after ``cut_sites`` leading sites. For two spin-1/2
     sites (the 1|1 cut of a two-site system) zero negativity is equivalent
-    to separability. The states go to `negativity_details` in stacks of at
-    most SCHMIDT_BLOCK entries.
+    to separability. The states go to `negativity_details` in stacks cut by
+    the engine's `_time_blocks`.
     """
     if not 1 <= cut_sites < spec.n_system:
         raise ValueError("cut must leave sites on both sides")
@@ -389,7 +381,6 @@ __all__ = [
     "GLOBAL_DIM_CAP",
     "NegativitySeries",
     "evolve_global",
-    "global_negativity_path",
     "global_negativity_series",
     "partial_trace_env",
     "partial_transpose_system",

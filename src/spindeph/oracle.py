@@ -5,9 +5,11 @@ no dephasing factors. The Hamiltonian is diagonal, so with the energy table
 E as d_S x d_E and u = exp(-i E t), tr_E[U (X x rho_E) U^H] = X * M(t)
 (elementwise) with M(t) = (u diag rho_E) u^H: the entries the partial
 trace reads and no others. ``oracle_reduced_state`` takes one time or a
-1-D grid, (d_S, d_S) or (T, d_S, d_S); ``oracle_superoperator`` pushes all
+1-D grid, (d_S, d_S) or (T, d_S, d_S), and evaluates M in the stacks of
+times of the engine's ``_time_blocks``; ``oracle_superoperator`` pushes all
 d_S^2 Bloch basis operators through one M(t) as a stack. The oracle shares
-only the energy tables of :mod:`spindeph.model` with the engine.
+only the energy tables of :mod:`spindeph.model` and that block rule with
+the engine.
 
 ``run_verification`` bundles the oracle comparisons and the structural
 invariants into a report, the CLI's ``verify``. Once per ensemble it also
@@ -15,10 +17,11 @@ evolves a coherent rho_E densely and traces it: environment coherences
 must not reach the subsystem, and the dense path checks the contraction.
 It evaluates the engine once per ensemble, at the grid times and the probe
 time together, and gathers the engine's reduced states and the Bloch
-matrices by size into stacks of at most ``entanglement.SCHMIDT_BLOCK``
-entries: one ``hermitian_eigenvalues`` call per stack for the positivity
-check and one ``lu_det`` call per stack for the determinant check, each
-member bitwise as alone. The determinant check needs a time where det M
+matrices by size into stacks, each folded once it holds the engine's
+SERIES_MIN_TIMES x SERIES_BLOCK = 2^16 entries (or at the end): one
+``hermitian_eigenvalues`` call per stack for the positivity check and one
+``lu_det`` call per stack for the determinant check, each member bitwise
+as alone. The determinant check needs a time where det M
 is not near 0: the draws are tried in chunks of 8, 16, 32, ... times with
 one ``series`` call per chunk, and the generator is then left where
 drawing one time at a time would leave it, so the report is the same.
@@ -37,10 +40,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import entanglement
+from . import engine, entanglement
 from .engine import (
     EnvPopulations,
     WitnessEvaluator,
+    _time_blocks,
     bloch_to_density,
     bloch_vector,
 )
@@ -55,15 +59,14 @@ DET_DRAWS = 40
 
 
 def _traced_phases(energies: np.ndarray, dim_system: int, env_diag: np.ndarray, t) -> np.ndarray:
-    """M(t) of the module docstring, t.shape + (d_S, d_S), in stacks of SCHMIDT_BLOCK phases."""
+    """M(t) of the module docstring, t.shape + (d_S, d_S), in stacks of phases cut by `_time_blocks`."""
     times = np.asarray(t, dtype=float)
     flat = times.reshape(-1)
     phase = -1j * energies.reshape(dim_system, -1)
     out = np.empty((flat.size, dim_system, dim_system), dtype=complex)
-    step = max(1, entanglement.SCHMIDT_BLOCK // phase.size)
-    for i in range(0, flat.size, step):
-        u = np.exp(phase * flat[i : i + step, None, None])
-        out[i : i + step] = (u * env_diag) @ u.conj().swapaxes(-1, -2)
+    for block in _time_blocks(flat.size, phase.size):
+        u = np.exp(phase * flat[block, None, None])
+        out[block] = (u * env_diag) @ u.conj().swapaxes(-1, -2)
     return out.reshape(times.shape + out.shape[-2:])
 
 
@@ -100,23 +103,19 @@ def _off_block_mask(dim: int) -> np.ndarray:
     return mask
 
 
-def oracle_superoperator(spec: EnsembleSpec, env: EnvPopulations, t: float,
-                         energies: Optional[np.ndarray] = None):
+def oracle_superoperator(spec: EnsembleSpec, env: EnvPopulations, t: float):
     """Bloch evolution matrix: column k is the image of coordinate basis operator k.
 
     The basis operators are Hermitian, not states (the map is linear), and
     go through the map as one stack. Returns (matrix, determinant), the
-    determinant from LAPACK's pivoted LU (``lu_det``). ``energies`` replaces the
-    global energy table, ``total_energies(spec)``.
+    determinant from LAPACK's pivoted LU (``lu_det``).
     """
     dim = spec.dim_system
     if dim > SUPEROP_SYSTEM_DIM_CAP:
         raise ResourceCapError(
             f"superoperator reconstruction capped at D={SUPEROP_SYSTEM_DIM_CAP}, got {dim}"
         )
-    if energies is None:
-        energies = total_energies(spec)
-    mat = _bloch_matrix(_traced_phases(energies, dim, env.weights, t))
+    mat = _bloch_matrix(_traced_phases(total_energies(spec), dim, env.weights, t))
     return mat, lu_det(mat)
 
 
@@ -222,7 +221,7 @@ def run_verification(
     def push(stacks, fold, dim, items, entries):
         stack = stacks.setdefault(dim, [])
         stack.extend(items)
-        if len(stack) * entries >= entanglement.SCHMIDT_BLOCK:
+        if len(stack) * entries >= engine.SERIES_MIN_TIMES * engine.SERIES_BLOCK:
             fold(dim)
 
     for _ in range(n_specs):

@@ -554,6 +554,34 @@ def test_global_negativity_threads_byte_identical(tmp_path, capsys, states, path
         assert max(float(r[1]) for r in rows) > 1e-3  # coherent environment entangles
 
 
+def test_threads_are_capped_at_the_cpu_count(tmp_path, monkeypatch, capsys):
+    # the pool's map submits every time at once, so it would start one
+    # thread per time up to --threads; a fake pool records its size and
+    # starts none, and is still opened for --threads 2 on one CPU
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    cfg = write_config(tmp_path, _global_doc(_MIXED_COHERENT, {"kind": "uniform_superposition"}))
+    for cpus, threads in ((4, 10**6), (1, 2), (None, 8), (8, 3)):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        assert cli.main(["negativity", "--config", cfg, "--cut", "global", "--threads", str(threads),
+                         "--out", str(tmp_path / "n.csv")]) == 0
+        assert "(dense path," in capsys.readouterr().out
+    assert sizes == [4, 1, 1, 3]
+
+
 @pytest.mark.parametrize("states", [
     ({"kind": "maximally_mixed"}, {"kind": "uniform_superposition"}),
     ({"kind": "uniform_superposition"}, {"kind": "maximally_mixed"}),

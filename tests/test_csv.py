@@ -89,7 +89,7 @@ def test_writer_memory_does_not_grow_with_the_rows(tmp_path):
     assert large - small <= 256 * 1024, (small, large)
 
 
-E = cli.EPISODE_BLOCK
+E = cli.CSV_BLOCK
 
 
 @pytest.mark.parametrize("n", [0, 1, E - 1, E, E + 1, 2 * E + 3])

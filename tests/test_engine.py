@@ -383,10 +383,15 @@ def test_one_row_values_do_not_depend_on_the_batch(case):
     (rows,) = ev._rows
     assert rows.rate.shape[0] >= 8 and rows.rate.shape[1] == 1
     results = []
-    for block in (1, 2**8, engine.SERIES_BLOCK):
-        with mock.patch.object(engine, "SERIES_BLOCK", block):
-            log_det, dlog_det = ev.series(ts)
-            factors = ev.factors(ts)
+    # one time per block (no minimum of times), then blocks of 2^8 entries
+    # and the default budget
+    for budget in ((1, 1), (2**8, engine.SERIES_MIN_TIMES), (engine.SERIES_BLOCK, engine.SERIES_MIN_TIMES)):
+        with mock.patch.multiple(engine, SERIES_BLOCK=budget[0], SERIES_MIN_TIMES=budget[1]):
+            with mock.patch.object(engine, "_time_blocks", wraps=engine._time_blocks) as cut:
+                log_det, dlog_det = ev.series(ts)
+                factors = ev.factors(ts)
+            if budget == (1, 1):
+                assert [len(list(engine._time_blocks(*call.args))) for call in cut.call_args_list] == [ts.size] * 2
             single = [ev.series([t]) for t in ts]
             assert log_det.tobytes() == np.concatenate([s[0] for s in single]).tobytes()
             assert dlog_det.tobytes() == np.concatenate([s[1] for s in single]).tobytes()

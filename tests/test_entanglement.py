@@ -1,10 +1,12 @@
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spindeph import engine
 from spindeph import entanglement as ent
 from spindeph import thermal
 from spindeph.engine import EnvPopulations, WitnessEvaluator
@@ -270,7 +272,6 @@ def site_product_states(draw, twice_spin, system_kind, env_kind):
 def test_site_product_environment_matches_its_dense_matrix(data, twice_spin, system_kind, env_kind, path):
     spec, rho_s, sites, times = data.draw(site_product_states(twice_spin, system_kind, env_kind))
     dense = functools.reduce(np.kron, sites)
-    assert ent.global_negativity_path(rho_s, sites) == ent.global_negativity_path(rho_s, dense) == path
     structured = ent.global_negativity_series(spec, rho_s, sites, times)
     full = ent.global_negativity_series(spec, rho_s, dense, times)
     assert structured.path == full.path == path
@@ -395,7 +396,6 @@ def test_schmidt_path_smaller_side_is_held_to_the_pair_cap():
     rng = np.random.default_rng(25)
     spec = random_spec(rng, 22, 11)
     sites = np.stack([random_pure(rng, 2) for _ in range(11)])
-    assert ent.global_negativity_path(sites, sites) == "schmidt"
     with pytest.raises(ResourceCapError, match="2048 system configurations"):
         ent.global_negativity_series(spec, sites, sites, [0.0, 1.0])
 
@@ -433,8 +433,12 @@ def test_global_negativity_series_bounded_blocks_and_errors(monkeypatch):
     ts = np.linspace(0.0, 3.0, 7)
     whole = ent.global_negativity_series(spec, psi_s, psi_e, ts)
     # blocks of one time give the same values as one block of all times
-    monkeypatch.setattr(ent, "SCHMIDT_BLOCK", 1)
-    one_by_one = ent.global_negativity_series(spec, psi_s, psi_e, ts)
+    monkeypatch.setattr(engine, "SERIES_BLOCK", 1)
+    monkeypatch.setattr(engine, "SERIES_MIN_TIMES", 1)
+    with mock.patch.object(ent, "_time_blocks", wraps=ent._time_blocks) as cut:
+        one_by_one = ent.global_negativity_series(spec, psi_s, psi_e, ts)
+    (call,) = cut.call_args_list
+    assert len(list(ent._time_blocks(*call.args))) == ts.size
     for a, b in zip(whole[1:], one_by_one[1:]):
         assert a.tobytes() == b.tobytes()
     with pytest.raises(ValueError):
@@ -511,13 +515,20 @@ def test_system_negativity_series_matches_one_state_at_a_time(monkeypatch):
     ts = np.linspace(0.0, 4.0, 23)
     ev = WitnessEvaluator(spec, env)
     plus = np.outer(np.full(8, 8**-0.5), np.full(8, 8**-0.5)).astype(complex)
+    # the default budget, one stack of all 23 times, and 64 x 5 entries
+    # without a minimum of times, stacks of 5 reduced states
+    budgets = (((engine.SERIES_BLOCK, engine.SERIES_MIN_TIMES), 1), ((64 * 5, 1), 5))
     for rho0 in (plus, random_density(rng, 8)):
         for cut in (1, 2):
             dims = (2**cut, 2 ** (3 - cut))
             single = np.array([ent.negativity_details(ev.reduced_state(rho0, t), dims) for t in ts])
-            for block in (ent.SCHMIDT_BLOCK, 64 * 5):
-                monkeypatch.setattr(ent, "SCHMIDT_BLOCK", block)
-                series = ent.system_negativity_series(spec, rho0, env, ts, cut_sites=cut)
+            for budget, slices in budgets:
+                monkeypatch.setattr(engine, "SERIES_BLOCK", budget[0])
+                monkeypatch.setattr(engine, "SERIES_MIN_TIMES", budget[1])
+                with mock.patch.object(ent, "_time_blocks", wraps=ent._time_blocks) as blocks:
+                    series = ent.system_negativity_series(spec, rho0, env, ts, cut_sites=cut)
+                (call,) = blocks.call_args_list
+                assert len(list(ent._time_blocks(*call.args))) == slices
                 stacked = np.column_stack([series.negativity, series.min_eigenvalue, series.trace_norm])
                 assert np.array_equal(stacked, single)
     # pure states (t = 0 of a pure start) and mixed ones in one stack

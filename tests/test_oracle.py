@@ -1,7 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from spindeph import entanglement, oracle, thermal
+from spindeph import engine, entanglement, oracle, thermal
 from spindeph.engine import EnvPopulations, WitnessEvaluator, bloch_to_density, bloch_vector
 from spindeph.entanglement import evolve_global, partial_trace_env
 from spindeph.linalg import lu_det
@@ -97,15 +99,22 @@ def test_contracted_reduced_state_equals_dense_evolution():
 
 
 def test_grid_call_equals_per_time_calls_bitwise(monkeypatch):
-    # a small stack bound splits the grid into many stacks of times
-    monkeypatch.setattr(entanglement, "SCHMIDT_BLOCK", 64)
+    # a small block budget, 64 entries and no minimum of times, splits the
+    # grid into many stacks of times
+    monkeypatch.setattr(engine, "SERIES_BLOCK", 64)
+    monkeypatch.setattr(engine, "SERIES_MIN_TIMES", 1)
     rng = np.random.default_rng(12)
     for twice_spin, n_total, n_system in CASES:
         spec = random_spec(rng, n_total, n_system, twice_spin)
         rho_s = random_density(rng, spec.dim_system)
         rho_e = random_density(rng, spec.dim_env)
         times = rng.uniform(0.0, 6.0, size=9)
-        grid = oracle.oracle_reduced_state(spec, rho_s, rho_e, times)
+        with mock.patch.object(oracle, "_time_blocks", wraps=oracle._time_blocks) as cut:
+            grid = oracle.oracle_reduced_state(spec, rho_s, rho_e, times)
+        (call,) = cut.call_args_list
+        entries = spec.dim_system * spec.dim_env
+        assert call.args == (times.size, entries)
+        assert len(list(oracle._time_blocks(*call.args))) == -(-times.size // max(1, 64 // entries)) > 1
         for t, state in zip(times, grid):
             single = oracle.oracle_reduced_state(spec, rho_s, rho_e, float(t))
             assert single.shape == rho_s.shape
@@ -257,13 +266,21 @@ def test_run_verification_catches_scaled_interaction():
 def test_run_verification_stacks_change_no_value(monkeypatch, block):
     # the stacked determinants and the lowest-eigenvalue path against
     # per-matrix reference paths: the same report but for the time taken;
-    # a small stack bound folds the stacks inside the loop
+    # a small block budget, `block` entries, cuts the traced phases into
+    # several stacks and folds the stacks inside the loop
     from spindeph import linalg
 
     if block is not None:
-        monkeypatch.setattr(entanglement, "SCHMIDT_BLOCK", block)
+        monkeypatch.setattr(engine, "SERIES_BLOCK", block // engine.SERIES_MIN_TIMES)
     runs = ((3, 12), (7, 6))
-    stacked = [oracle.run_verification(seed=seed, n_specs=n) for seed, n in runs]
+    with mock.patch.object(oracle, "_time_blocks", wraps=oracle._time_blocks) as cut, \
+            mock.patch.object(oracle, "lu_det", wraps=oracle.lu_det) as dets:
+        stacked = [oracle.run_verification(seed=seed, n_specs=n) for seed, n in runs]
+    if block is not None:
+        slices = [len(list(oracle._time_blocks(*call.args))) for call in cut.call_args_list]
+        assert len(slices) == 18 and max(slices) > 1
+        # one fold per system dimension at the end of each run, and more inside it
+        assert dets.call_count > 6
     monkeypatch.setattr(oracle, "lu_det", lambda a: np.array([linalg.lu_det(m) for m in a]))
     monkeypatch.setattr(oracle, "hermitian_eigenvalues",
                         lambda a: np.array([linalg.hermitian_eigenvalues(m) for m in a]))

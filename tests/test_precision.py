@@ -18,6 +18,7 @@ file mentions longdouble, so the bounds hold on every platform.
 import json
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -151,12 +152,17 @@ def test_seed5_values_do_not_depend_on_the_block_size(monkeypatch, gibbs):
     env = thermal.thermal_populations(spec, 1.0) if gibbs else thermal.maximally_mixed(8, 1)
     ev = WitnessEvaluator(spec, env)
     times = np.linspace(0.0, 3.0, 41)
-    steps, results = [], []
+    slices, results = [], []
     for block in (1, 2**8, engine.SERIES_BLOCK):
         monkeypatch.setattr(engine, "SERIES_BLOCK", block)
-        steps.append(engine._block_times(ev._entries))
-        results.append([*ev.series(times), ev.dlog_det(times), ev.factors(times)])
-    assert len(set(steps)) == 3 and steps[0] == 1 and steps[2] >= engine.SERIES_MIN_TIMES
+        with mock.patch.object(engine, "_time_blocks", wraps=engine._time_blocks) as cut:
+            results.append([*ev.series(times), ev.dlog_det(times), ev.factors(times)])
+        series_call = cut.call_args_list[0]
+        assert series_call.args == (times.size, ev._entries)
+        slices.append(len(list(engine._time_blocks(*series_call.args))))
+    # one time per block, a few times, and at least SERIES_MIN_TIMES times
+    assert slices[0] == times.size > slices[1] > slices[2] > 1
+    assert slices[2] <= -(-times.size // engine.SERIES_MIN_TIMES)
     for got in results[1:]:
         assert [x.tobytes() for x in got] == [x.tobytes() for x in results[0]]
 
