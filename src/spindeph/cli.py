@@ -53,6 +53,7 @@ from .model import (
     EnsembleSpec,
     ResourceCapError,
     SpinConfig,
+    _count,
     ensemble_from_dict,
 )
 
@@ -169,11 +170,7 @@ def _environment(cfg: dict, spec: EnsembleSpec) -> engine.EnvPopulations:
     if kind == "thermal":
         return _thermal(spec, _beta(doc.get("beta", 0.0)))
     if kind == "explicit":
-        return engine.EnvPopulations(
-            n_sites=spec.n_env,
-            twice_spin=spec.twice_spin,
-            weights=np.asarray(doc["weights"], dtype=float),
-        )
+        return engine.EnvPopulations(spec.n_env, spec.twice_spin, weights=np.asarray(doc["weights"], dtype=float))
     raise UsageError(f"unknown environment kind {kind!r}")
 
 
@@ -197,13 +194,13 @@ def _state(doc: dict, n_sites: int, twice_spin: int) -> np.ndarray:
     if kind == "maximally_mixed":
         return np.tile(np.eye(levels, dtype=complex) / levels, (n_sites, 1, 1))
     if kind == "basis":
-        k = (twice_spin - np.array(_basis_config(doc, n_sites, twice_spin).twice_values)) // 2
+        k = _basis_config(doc, n_sites, twice_spin).validate(twice_spin)
         sites = np.zeros((n_sites, levels, levels), dtype=complex)
         sites[np.arange(n_sites), k, k] = 1.0
         return sites
     dim = levels**n_sites
     if dim > entanglement.GLOBAL_DIM_CAP:
-        raise UsageError(f"a state of {dim} configurations exceeds the dense cap "
+        raise UsageError(f"a state of {_count(dim)} configurations exceeds the dense cap "
                          f"{entanglement.GLOBAL_DIM_CAP}")
     if kind == "bell":
         if dim != 4:

@@ -12,12 +12,11 @@ pairs fall into nu classes, the sign folded so that the first nonzero entry
 of nu is positive.
 
 The environment populations are a product over independent blocks of sites
-(one block per site for the maximally mixed and basis states, one block of
-all sites for a Gibbs state at beta > 0). The phase sum then factorizes:
-A = prod_blocks A_block, each A_block a sum over the configurations of that
-block alone, with nu restricted to it. Only sites with a nonzero J_cross
-column enter, so a block is marginalized onto its coupled sites and a block
-without one drops out. Each (class, block) pair is one row, built once and
+(single sites for the mixed and basis states, all sites for a Gibbs state at
+beta > 0), so A = prod_blocks A_block, each a sum over the configurations of
+its block alone. Only the sites with a nonzero J_cross column enter: nu is
+formed over them and the environment gives its marginal on them, block by
+block, so no cost grows with the uncoupled sites. Each (class, block) is one row, built once and
 read by `factors`, `reduced_state` and the witness alike; the rows of all
 classes are evaluated at once, and a class's A is the product of its rows.
 For the mixed spin-1/2 environment a row is cos(nu_j t), which gives the
@@ -80,6 +79,7 @@ from .model import (
     PRODUCT_ENV_HINT,
     EnsembleSpec,
     ResourceCapError,
+    _count,
     config_matrix,
     system_energies,
 )
@@ -104,79 +104,89 @@ SERIES_MIN_TIMES = 16
 PAIRWISE_MAX = 16
 
 
-class EnvBlock(NamedTuple):
-    """Populations of a group of environment sites, independent of all others.
-
-    ``weights[k]`` is the population of the k-th configuration of ``sites``
-    in lexicographic order, the first listed site most significant.
-    """
-
-    sites: Tuple[int, ...]
-    weights: np.ndarray
-
-
 class EnvPopulations:
     """Diagonal of the initial environment state in the computational basis.
 
-    The populations are a product over independent blocks of sites (see
-    :class:`EnvBlock`). ``EnvPopulations(n_sites, twice_spin, weights=w)``
-    is the one-block case, with w over all configurations in lexicographic
-    order; :meth:`product` gives one block per site. Only these populations
-    enter the reduced dynamics; environment coherences are irrelevant to the
-    subsystem. All arrays are read-only.
+    A product over independent blocks of sites: ``weights=w`` is one block
+    of all sites, w over all configurations in lexicographic order, and
+    ``blocks=[(sites, w), ...]`` lists the blocks, the first listed site
+    most significant. :meth:`product` holds one row per site and
+    :func:`spindeph.thermal.maximally_mixed` one row for all sites. The
+    reduced dynamics reads only the marginal on the coupled sites
+    (:meth:`marginal`). All arrays are read-only.
     """
 
     def __init__(self, n_sites: int, twice_spin: int, weights=None, blocks=None):
         if (weights is None) == (blocks is None):
             raise ValueError("give either the flat weights or the blocks")
-        if weights is not None:
-            blocks = [(range(n_sites), weights)]
-        self.n_sites = int(n_sites)
-        self.twice_spin = int(twice_spin)
-        checked = []
-        for sites, w in blocks:
-            sites = tuple(int(i) for i in sites)
-            w = np.array(w, dtype=float)
-            expected = (self.twice_spin + 1) ** len(sites)
-            if w.shape != (expected,):
-                raise ValueError(f"need {expected} weights, got {w.shape}")
-            # NaN passes both tests below
-            if not np.all(np.isfinite(w)):
-                raise ValueError("population weights must be finite")
-            if np.any(w < 0.0):
-                raise ValueError("populations must be nonnegative")
-            if abs(w.sum() - 1.0) > 1e-12:
-                raise ValueError(f"populations must sum to 1, got {w.sum()!r}")
-            w.flags.writeable = False
-            checked.append(EnvBlock(sites, w))
-        if sorted(i for block in checked for i in block.sites) != list(range(self.n_sites)):
+        sites, ws = zip(*blocks) if weights is None else ([range(n_sites)], [weights])
+        sites = [tuple(int(i) for i in s) for s in sites]
+        if sorted(i for s in sites for i in s) != list(range(n_sites)):
             raise ValueError("blocks must partition the environment sites")
-        self.blocks = tuple(checked)
-        self._weights = checked[0].weights if weights is not None else None
+        ws = [np.array(w, dtype=float) for w in ws]
+        sizes = [(twice_spin + 1) ** len(s) for s in sites]
+        if [w.shape for w in ws] != [(size,) for size in sizes]:
+            raise ValueError(f"need {sizes} weights, got shapes {[w.shape for w in ws]}")
+        starts = np.cumsum([0] + sizes[:-1])
+        flat = _checked_populations(np.concatenate(ws), starts)
+        self.n_sites, self.twice_spin, self._rows = int(n_sites), int(twice_spin), None
+        self._blocks = list(zip(sites, np.split(flat, starts[1:])))
+        self._weights = flat if weights is not None else None
 
     @classmethod
     def product(cls, twice_spin: int, marginals) -> "EnvPopulations":
         """Independent sites: site i has the populations ``marginals[i]``."""
-        return cls(len(marginals), twice_spin, blocks=[((i,), m) for i, m in enumerate(marginals)])
+        rows = np.array(marginals, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != twice_spin + 1:
+            raise ValueError(f"need {twice_spin + 1} weights per site, got {rows.shape}")
+        starts = np.arange(0, rows.size, rows.shape[1])
+        return cls._of_rows(twice_spin, _checked_populations(rows.reshape(-1), starts).reshape(rows.shape))
+
+    @classmethod
+    def _of_rows(cls, twice_spin: int, rows: np.ndarray) -> "EnvPopulations":
+        """Independent sites with the checked, read-only populations ``rows[i]`` of site i."""
+        env = cls.__new__(cls)
+        env.n_sites, env.twice_spin = len(rows), int(twice_spin)
+        env._rows, env._blocks, env._weights = rows, None, None
+        return env
+
+    def marginal(self, sites) -> List[Tuple[Tuple[int, ...], np.ndarray]]:
+        """The populations of some sites, given ascending, reading none of the others:
+        one (members, weights) per block that holds any of them, in block order,
+        members the positions in ``sites`` of its sites in the block's order and
+        weights their marginal populations. Over all sites, the blocks themselves."""
+        if self._rows is not None:
+            return [((k,), w) for k, w in enumerate(self._rows[sites])]
+        levels = self.twice_spin + 1
+        position = np.full(self.n_sites, -1)
+        position[sites] = np.arange(len(sites))
+        out = []
+        for block, w in self._blocks:
+            keep = [k for k, site in enumerate(block) if position[site] >= 0]
+            if not keep:
+                continue
+            if len(keep) < len(block):
+                # sorted sums: a configuration and its flip sum the same
+                # terms in opposite orders, and must get the same weight
+                drop = [k for k in range(len(block)) if k not in keep]
+                w = w.reshape((levels,) * len(block)).transpose(keep + drop)
+                w = np.sort(w.reshape(levels ** len(keep), -1), axis=1).sum(axis=1)
+            out.append((tuple(int(position[block[k]]) for k in keep), w))
+        return out
 
     @property
     def weights(self) -> np.ndarray:
-        """Populations of all (2S+1)^n_sites configurations, lexicographic.
-
-        Built from the blocks on first read; raises ResourceCapError past
-        DEFAULT_ENUM_CAP configurations.
-        """
+        """Populations of all (2S+1)^n_sites configurations, lexicographic, built on
+        first read; raises ResourceCapError past DEFAULT_ENUM_CAP configurations."""
         if self._weights is None:
             total = (self.twice_spin + 1) ** self.n_sites
             if total > DEFAULT_ENUM_CAP:
-                raise ResourceCapError(
-                    f"flat populations need {total} configurations, cap is {DEFAULT_ENUM_CAP}; "
-                    f"{PRODUCT_ENV_HINT}"
-                )
+                raise ResourceCapError(f"flat populations need {_count(total)} configurations, "
+                                       f"cap is {DEFAULT_ENUM_CAP}; {PRODUCT_ENV_HINT}")
             flat, order = np.ones(1), []
-            for block in self.blocks:
-                flat = np.kron(flat, block.weights)
-                order += block.sites
+            for sites, w in self.marginal(np.arange(self.n_sites)):
+                flat = np.kron(flat, w)
+                order += sites
             shape = (self.twice_spin + 1,) * self.n_sites
             flat = flat.reshape(shape).transpose(np.argsort(order)).ravel()
             flat.flags.writeable = False
@@ -184,12 +194,28 @@ class EnvPopulations:
         return self._weights
 
 
+def _checked_populations(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """w, read-only, once checked to hold populations: finite, nonnegative,
+    and summing to 1 from each of ``starts`` to the next."""
+    # NaN passes both tests below
+    if not np.all(np.isfinite(w)):
+        raise ValueError("population weights must be finite")
+    if np.any(w < 0.0):
+        raise ValueError("populations must be nonnegative")
+    sums = np.add.reduceat(w, starts)
+    off = np.abs(sums - 1.0) > 1e-12
+    if np.any(off):
+        raise ValueError(f"populations must sum to 1, got {float(sums[off][0])!r}")
+    w.flags.writeable = False
+    return w
+
+
 def check_pair_cap(dim: int) -> None:
     """Raise ResourceCapError when dim configurations make more than DEFAULT_ENUM_CAP pairs."""
     pairs = dim * (dim - 1) // 2
     if pairs > DEFAULT_ENUM_CAP:
         raise ResourceCapError(
-            f"{dim} system configurations make {pairs} configuration pairs, "
+            f"{_count(dim)} system configurations make {_count(pairs)} configuration pairs, "
             f"cap is {DEFAULT_ENUM_CAP}"
         )
 
@@ -201,7 +227,7 @@ def _row_classes(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     returns for rows without NaN or -0, from one lexsort (first column
     most significant) and a mask of the rows that differ from the previous one.
     """
-    order = np.lexsort(rows.T[::-1])
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
     ordered = rows[order]
     new = np.ones(len(rows), dtype=bool)
     new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
@@ -500,10 +526,17 @@ class WitnessEvaluator:
         energies = system_energies(spec)
         self.thetas = energies[self._b] - energies[self._a]
 
-        # nu of every pair, sign folded so that its first nonzero entry is
-        # positive (+ 0.0 turns -0.0 into 0.0 before rows are compared)
-        nu = 0.5 * ((sys_cfg[self._a] - sys_cfg[self._b]) @ spec.cross_couplings)
-        lead = nu[np.arange(len(nu)), np.argmax(nu != 0.0, axis=1)]
+        # nu of every pair over the coupled sites (an uncoupled site leaves
+        # every factor unchanged), sign folded so that its first nonzero entry
+        # is positive (+ 0.0 turns -0.0 into 0.0 before rows are compared)
+        coupled = np.flatnonzero(np.any(spec.cross_couplings != 0.0, axis=0))
+        cross = spec.cross_couplings[:, coupled]
+        if coupled.size == 1 < spec.n_env:
+            # numpy multiplies by one column with BLAS gemv, by more with gemm,
+            # which rounds otherwise: keep the gemm of all N - p columns
+            cross = np.pad(cross, ((0, 0), (0, 1)))
+        nu = 0.5 * ((sys_cfg[self._a] - sys_cfg[self._b]) @ cross)[:, : coupled.size]
+        lead = nu[np.arange(len(nu)), np.argmax(nu != 0.0, axis=1)] if coupled.size else np.zeros(len(nu))
         self._flip = lead < 0.0
         nu[self._flip] *= -1.0
         classes, self._pair_class, counts = _row_classes(nu + 0.0)
@@ -512,30 +545,16 @@ class WitnessEvaluator:
         # one row per (class, environment block with a coupled site): the
         # class's A is the product of its rows' factors. A row's spectrum is
         # sigma . nu over the populated configurations of the block's coupled
-        # sites, weighted by their marginal populations; uncoupled sites
-        # (zero J_cross column) leave every factor unchanged
-        coupled = np.any(spec.cross_couplings != 0.0, axis=0)
-        levels = spec.twice_spin + 1
+        # sites, weighted by their marginal populations
         blocks = []  # (coupled sites, populated configurations, their weights)
         point_sites, point_cfg, point_w = [], [], 1.0
         uniform = True  # every block's marginal on its coupled sites
-        for block in env.blocks:
-            keep = [k for k, site in enumerate(block.sites) if coupled[site]]
-            if not keep:
-                continue
-            w = block.weights
-            if len(keep) < len(block.sites):
-                # sorted sums: a configuration and its flip sum the same
-                # terms in opposite orders, and must get the same weight
-                drop = [k for k in range(len(block.sites)) if k not in keep]
-                w = w.reshape((levels,) * len(block.sites)).transpose(keep + drop)
-                w = np.sort(w.reshape(levels ** len(keep), -1), axis=1).sum(axis=1)
+        for sites, w in env.marginal(coupled):
             uniform = uniform and bool(np.all(w == w[0]))
             populated = w > 0.0
-            sites = [block.sites[k] for k in keep]
-            u = config_matrix(len(keep), spec.twice_spin)[populated]
+            u = config_matrix(len(sites), spec.twice_spin)[populated]
             if len(u) > 1:
-                blocks.append((sites, u, w[populated]))
+                blocks.append((list(sites), u, w[populated]))
             else:
                 # a point mass is a pure phase: all of them make one row, so
                 # that opposite phases cancel exactly, as in one configuration
@@ -551,8 +570,8 @@ class WitnessEvaluator:
         # with their summed multiplicities certify the episodes
         self._dirichlet = None
         if uniform:
-            rates, inverse = np.unique(np.abs(classes[:, coupled]), return_inverse=True)
-            mults = np.bincount(inverse.ravel(), np.repeat(counts.astype(float), np.count_nonzero(coupled)))
+            rates, inverse = np.unique(np.abs(classes), return_inverse=True)
+            mults = np.bincount(inverse.ravel(), np.repeat(counts.astype(float), coupled.size))
             self._dirichlet = (rates[rates > 0.0], mults[rates > 0.0])
 
         # the rows, class by class; a row of at most PAIRWISE_MAX populated

@@ -46,7 +46,7 @@ import numpy as np
 
 from .engine import EnvPopulations, WitnessEvaluator, _time_blocks
 from .linalg import _checked, hermitian_eigensystem, hermitian_eigenvalues
-from .model import EnsembleSpec, ResourceCapError, total_energies
+from .model import EnsembleSpec, ResourceCapError, _count, total_energies
 
 GLOBAL_DIM_CAP = 1024
 _DIAGONAL_TOL = 1e-14  # off-diagonal size, relative to the largest entry, read as zero
@@ -71,7 +71,7 @@ def evolve_global(
     """
     dim = spec.dim_system * spec.dim_env
     if dim > GLOBAL_DIM_CAP:
-        raise ResourceCapError(f"global dimension {dim} exceeds cap {GLOBAL_DIM_CAP}")
+        raise ResourceCapError(f"global dimension {_count(dim)} exceeds cap {GLOBAL_DIM_CAP}")
     rho_s0 = np.asarray(rho_s0, dtype=complex)
     rho_e0 = np.asarray(rho_e0, dtype=complex)
     if rho_s0.shape != (spec.dim_system,) * 2 or rho_e0.shape != (spec.dim_env,) * 2:
@@ -327,10 +327,10 @@ def global_negativity_series(
     if path == "schmidt":
         small, large = data
         if spec.dim_system > spec.dim_env:
-            # the smaller side's Gram matrix: environment sites first
-            order = np.r_[spec.n_system : spec.n_total, : spec.n_system]
-            spec = EnsembleSpec(spec.n_total, spec.n_env, spec.twice_spin,
-                                spec.couplings[np.ix_(order, order)], spec.fields[order])
+            # the smaller side's Gram matrix: the environment as system, blocks swapped
+            spec = EnsembleSpec._of_blocks(spec.n_total, spec.n_env, spec.twice_spin, spec.env_couplings,
+                                           spec.cross_couplings.T, spec.system_couplings,
+                                           np.roll(spec.fields, -spec.n_system))
             small, large = large, small
         # the Gram matrix is tr(rho_large) times the reduced state
         weights = np.diagonal(large, axis1=1, axis2=2).real.clip(0.0)
@@ -344,7 +344,7 @@ def global_negativity_series(
 
     dim = spec.dim_system * spec.dim_env
     if dim > GLOBAL_DIM_CAP:
-        raise ResourceCapError(f"global dimension {dim} exceeds the dense path's cap {GLOBAL_DIM_CAP}; "
+        raise ResourceCapError(f"global dimension {_count(dim)} exceeds the dense path's cap {GLOBAL_DIM_CAP}; "
                                "a diagonal factor or two pure factors avoid the dense path")
     rho_s0, rho_e0 = (functools.reduce(np.kron, f) for f in factors)
     dims = (spec.dim_system, spec.dim_env)

@@ -7,11 +7,11 @@ diagonal in the common S^z eigenbasis:
 
     E(s) = - sum_ij J_ij s_i s_j + sum_i h_i s_i
 
-The coupling matrix is plugged into the double sum literally, so each
-unordered bond contributes twice: a matrix entry K between two sites means a
-physical bond energy 2K. The nearest-neighbor builders store the bare entry
-J per ordered pair, which is the convention under which the closed-form
-witness expressions of :mod:`spindeph.closedforms` hold.
+The coupling matrix, held by blocks (:class:`EnsembleSpec`), is plugged into
+the double sum literally, so each unordered bond contributes twice: an entry
+K between two sites means a physical bond energy 2K. The nearest-neighbor
+builders store the bare entry J per ordered pair, the convention under which
+the closed-form witness expressions of :mod:`spindeph.closedforms` hold.
 
 Spin-z values are stored as twice their physical value (integers), so all
 configuration arithmetic is exact.
@@ -20,8 +20,9 @@ configuration arithmetic is exact.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+import math
+from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -39,6 +40,12 @@ PRODUCT_ENV_HINT = (
 
 class ResourceCapError(RuntimeError):
     """Raised when an enumeration would exceed the configured cap."""
+
+
+def _count(n: int) -> str:
+    """n in decimal, or as a power of ten past 100 digits (Python refuses
+    to print integers of more than 4300 digits)."""
+    return str(n) if n < 10**100 else f"about 10^{int(n.bit_length() * math.log10(2))}"
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -63,57 +70,69 @@ class SpinConfig:
     def site_count(self) -> int:
         return len(self.twice_values)
 
-    def validate(self, twice_spin: int):
-        for v in self.twice_values:
-            if abs(v) > twice_spin or (twice_spin - v) % 2 != 0:
-                raise ValueError(
-                    f"spin value {v}/2 invalid for a spin-{twice_spin}/2 site"
-                )
+    def validate(self, twice_spin: int) -> np.ndarray:
+        """Each site's level (twice_spin - v) // 2, 0 for +S, once every value is checked."""
+        v = np.array(self.twice_values, dtype=np.int64)
+        bad = (np.abs(v) > twice_spin) | ((twice_spin - v) % 2 != 0)
+        if bad.any():
+            raise ValueError(f"spin value {v[bad][0]}/2 invalid for a spin-{twice_spin}/2 site")
+        return (twice_spin - v) // 2
 
 
-@dataclass(frozen=True)
 class EnsembleSpec:
-    """N spin-S sites, symmetric coupling matrix, longitudinal fields.
+    """N spin-S sites, a symmetric coupling matrix held by blocks, longitudinal fields.
 
     Sites 0..n_system-1 are the subsystem, the remaining n_total-n_system
     sites the environment. Couplings and fields are in units of a caller
-    declared reference energy (hbar = 1).
+    declared reference energy (hbar = 1). The constructor checks an N x N
+    coupling matrix and keeps its blocks: ``system_couplings`` (p x p),
+    ``cross_couplings`` (J_cross, p x (N-p), all the dynamics reads) and
+    ``env_couplings``, which :func:`ensemble_from_model` builds on first
+    read. It and the assembled N x N ``couplings`` are read under
+    DEFAULT_ENUM_CAP entries. Instances are immutable.
     """
 
-    n_total: int
-    n_system: int
-    twice_spin: int
-    couplings: np.ndarray
-    fields: np.ndarray
-    # the energy tables of the system, the environment and the whole
-    # ensemble, each built on first use and kept, read-only
-    _system_energies: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    _env_energies: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    _energies: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not 1 <= self.n_system < self.n_total:
-            raise ValueError("need 1 <= n_system < n_total")
-        if self.twice_spin < 1:
-            raise ValueError("twice_spin must be >= 1")
-        j = np.array(self.couplings, dtype=float)
-        if j.shape != (self.n_total, self.n_total):
-            raise ValueError(f"couplings must be {self.n_total}x{self.n_total}")
+    def __init__(self, n_total: int, n_system: int, twice_spin: int, couplings, fields=0.0):
+        j = np.array(couplings, dtype=float)
+        if j.shape != (n_total, n_total):
+            raise ValueError(f"couplings must be {n_total}x{n_total}")
         if not np.all(np.isfinite(j)):
             raise ValueError("couplings must be finite")
         if not np.array_equal(j, j.T):
             raise ValueError("couplings must be symmetric")
         if np.any(np.diag(j) != 0.0):
             raise ValueError("couplings must have zero diagonal")
-        h = np.array(self.fields, dtype=float)
+        p = n_system
+        self._set(n_total, n_system, twice_spin, j[:p, :p], j[:p, p:], j[p:, p:], fields)
+
+    @classmethod
+    def _of_blocks(cls, n_total, n_system, twice_spin, system, cross, env, fields) -> "EnsembleSpec":
+        """The ensemble of the three blocks; ``env`` may be a function that builds its block."""
+        return cls.__new__(cls)._set(n_total, n_system, twice_spin, system, cross, env, fields)
+
+    def _set(self, n_total, n_system, twice_spin, system, cross, env, fields) -> "EnsembleSpec":
+        if not 1 <= n_system < n_total:
+            raise ValueError("need 1 <= n_system < n_total")
+        if twice_spin < 1:
+            raise ValueError("twice_spin must be >= 1")
+        h = np.array(fields, dtype=float)
         if h.ndim == 0:
-            h = np.full(self.n_total, float(h))
-        if h.shape != (self.n_total,):
-            raise ValueError(f"fields must have length {self.n_total}")
+            h = np.full(n_total, float(h))
+        if h.shape != (n_total,):
+            raise ValueError(f"fields must have length {n_total}")
         if not np.all(np.isfinite(h)):
             raise ValueError("fields must be finite")
-        object.__setattr__(self, "couplings", _as_readonly(j))
-        object.__setattr__(self, "fields", _as_readonly(h))
+        # the energy tables of the system, the environment and the whole
+        # ensemble are built on first use and kept (see _kept), read-only
+        self.__dict__.update(
+            n_total=n_total, n_system=n_system, twice_spin=twice_spin, fields=_as_readonly(h),
+            system_couplings=_as_readonly(system), cross_couplings=_as_readonly(cross),
+            _env_couplings=env if callable(env) else _as_readonly(env),
+            _system_energies=None, _env_energies=None, _energies=None)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"EnsembleSpec is immutable; cannot set {name!r}")
 
     @property
     def n_env(self) -> int:
@@ -133,9 +152,27 @@ class EnsembleSpec:
         return self.levels**self.n_env
 
     @property
-    def cross_couplings(self) -> np.ndarray:
-        """System-to-environment block of the coupling matrix, shape (p, N-p)."""
-        return self.couplings[: self.n_system, self.n_system :]
+    def env_couplings(self) -> np.ndarray:
+        """Environment block of the coupling matrix, (N-p) x (N-p), read-only, kept."""
+        _check_matrix(self.n_env, "environment block")
+        if callable(self._env_couplings):
+            self.__dict__["_env_couplings"] = _as_readonly(self._env_couplings())
+        return self._env_couplings
+
+    @property
+    def couplings(self) -> np.ndarray:
+        """The N x N coupling matrix, assembled from the blocks on each read, read-only."""
+        _check_matrix(self.n_total, "coupling matrix")
+        cross = self.cross_couplings
+        j = np.block([[self.system_couplings, cross], [cross.T, self.env_couplings]])
+        j.flags.writeable = False
+        return j
+
+
+def _check_matrix(n: int, what: str) -> None:
+    """Raise ResourceCapError when an n x n matrix has more than DEFAULT_ENUM_CAP entries."""
+    if n * n > DEFAULT_ENUM_CAP:
+        raise ResourceCapError(f"the {n} x {n} {what} has {n * n} entries, cap is {DEFAULT_ENUM_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -178,113 +215,85 @@ class NearestNeighborTorus2D:
     j: float = 1.0
 
 
-CouplingModel = Union[
-    NearestNeighborRing1D,
-    InfiniteRange,
-    PowerLawRing1D,
-    NearestNeighborTorus2D,
-]
+CouplingModel = Union[NearestNeighborRing1D, InfiniteRange, PowerLawRing1D, NearestNeighborTorus2D]
 
 
-def ring_distance(i: int, j: int, n: int) -> int:
-    """Chord distance on a ring of n sites (minimal image)."""
-    d = abs(i - j) % n
-    return min(d, n - d)
+def ring_distance(i, j, n: int):
+    """Chord distance on a ring of n sites (minimal image), of integers or integer arrays."""
+    d = np.abs(i - j) % n
+    return np.minimum(d, n - d)
 
 
-def build_coupling(model: CouplingModel, n_total: int) -> np.ndarray:
-    """Return the N x N symmetric coupling matrix for a model.
+def _entries(model: CouplingModel, n_total: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The entries J[a, b] of the model's coupling matrix at two broadcast
+    arrays of site labels, after checking the model against n_total.
 
     Ring models need n_total >= 3 so the two neighbors of a site are
     distinct; the torus needs n_total = side**2.
     """
     if n_total < 2:
         raise ValueError("need at least two sites")
-    mat = np.zeros((n_total, n_total))
-
+    if isinstance(model, (NearestNeighborRing1D, PowerLawRing1D)) and n_total < 3:
+        raise ValueError("ring needs n_total >= 3 for distinct neighbors")
     if isinstance(model, NearestNeighborRing1D):
-        if n_total < 3:
-            raise ValueError("ring needs n_total >= 3 for distinct neighbors")
-        for i in range(n_total):
-            k = (i + 1) % n_total
-            mat[i, k] = model.j
-            mat[k, i] = model.j
-    elif isinstance(model, InfiniteRange):
-        mat[:] = model.j / n_total
-        np.fill_diagonal(mat, 0.0)
-    elif isinstance(model, PowerLawRing1D):
-        if n_total < 3:
-            raise ValueError("ring needs n_total >= 3 for distinct neighbors")
+        return np.where(ring_distance(a, b, n_total) == 1, model.j, 0.0)
+    if isinstance(model, InfiniteRange):
+        return np.where(a != b, model.j / n_total, 0.0)
+    if isinstance(model, PowerLawRing1D):
         prefactor = model.j
         if model.kac_normalization:
-            total = sum(ring_distance(0, j, n_total) ** -model.alpha for j in range(1, n_total))
-            prefactor = model.j / total
-        for i in range(n_total):
-            for j in range(i + 1, n_total):
-                v = prefactor / ring_distance(i, j, n_total) ** model.alpha
-                mat[i, j] = v
-                mat[j, i] = v
-    elif isinstance(model, NearestNeighborTorus2D):
+            # math.fsum is correctly rounded, so the total is the same on every
+            # Python version (sum() compensates from 3.12 on)
+            terms = np.power(ring_distance(0, np.arange(1, n_total), n_total), -model.alpha, dtype=float)
+            prefactor = model.j / math.fsum(terms)
+        d = ring_distance(a, b, n_total)
+        return np.where(d > 0, prefactor / np.power(np.maximum(d, 1), model.alpha, dtype=float), 0.0)
+    if isinstance(model, NearestNeighborTorus2D):
         m = model.side
         if m < 2:
             raise ValueError("torus side must be >= 2")
         if n_total != m * m:
             raise ValueError(f"torus needs n_total = side**2 = {m * m}, got {n_total}")
-        for ix in range(m):
-            for iy in range(m):
-                a = ix * m + iy
-                for bx, by in ((ix, (iy + 1) % m), ((ix + 1) % m, iy)):
-                    b = bx * m + by
-                    mat[a, b] = model.j
-                    mat[b, a] = model.j
-    else:
-        raise TypeError(f"unknown coupling model {model!r}")
-    return mat
+        (ax, ay), (bx, by) = np.divmod(a, m), np.divmod(b, m)
+        bond = (ax == bx) & (ring_distance(ay, by, m) == 1) | (ay == by) & (ring_distance(ax, bx, m) == 1)
+        return np.where(bond, model.j, 0.0)
+    raise TypeError(f"unknown coupling model {model!r}")
 
 
-def torus_block_ensemble(
-    side: int,
-    block_side: int,
-    j: float = 1.0,
-    twice_spin: int = 1,
-    fields: float = 0.0,
-) -> EnsembleSpec:
+def build_coupling(model: CouplingModel, n_total: int) -> np.ndarray:
+    """The N x N symmetric coupling matrix of a model, read-only; raises
+    ResourceCapError past DEFAULT_ENUM_CAP entries (see EnsembleSpec.couplings)."""
+    return ensemble_from_model(model, n_total, 1).couplings
+
+
+def _model_ensemble(model, n_total, n_system, twice_spin, fields, labels) -> EnsembleSpec:
+    """The ensemble of a model with site k at the model's site labels[k], by blocks."""
+    system, env = labels[:n_system, None], labels[n_system:]
+    return EnsembleSpec._of_blocks(n_total, n_system, twice_spin, _entries(model, n_total, system, system.T),
+                                   _entries(model, n_total, system, env[None, :]),
+                                   lambda: _entries(model, n_total, env[:, None], env[None, :]), fields)
+
+
+def torus_block_ensemble(side: int, block_side: int, j: float = 1.0, twice_spin: int = 1,
+                         fields: Union[float, Sequence[float]] = 0.0) -> EnsembleSpec:
     """Torus ensemble with the upper-left block_side x block_side square as system.
 
     Sites are relabeled so the block occupies indices 0..block_side**2-1, as
-    required by the system-first site convention of :class:`EnsembleSpec`.
+    required by the system-first site convention of :class:`EnsembleSpec`;
+    the rest keep their order.
     """
     if not 1 <= block_side < side:
         raise ValueError("need 1 <= block_side < side")
     n = side * side
-    mat = build_coupling(NearestNeighborTorus2D(side=side, j=j), n)
-    block = [ix * side + iy for ix in range(block_side) for iy in range(block_side)]
-    rest = [k for k in range(n) if k not in set(block)]
-    perm = np.array(block + rest)
-    mat = mat[np.ix_(perm, perm)]
-    return EnsembleSpec(
-        n_total=n,
-        n_system=block_side * block_side,
-        twice_spin=twice_spin,
-        couplings=mat,
-        fields=fields,
-    )
+    block = (np.arange(block_side)[:, None] * side + np.arange(block_side)).ravel()
+    return _model_ensemble(NearestNeighborTorus2D(side=side, j=j), n, block.size, twice_spin, fields,
+                           np.concatenate([block, np.setdiff1d(np.arange(n), block)]))
 
 
-def ensemble_from_model(
-    model: CouplingModel,
-    n_total: int,
-    n_system: int,
-    twice_spin: int = 1,
-    fields: Union[float, Sequence[float]] = 0.0,
-) -> EnsembleSpec:
-    return EnsembleSpec(
-        n_total=n_total,
-        n_system=n_system,
-        twice_spin=twice_spin,
-        couplings=build_coupling(model, n_total),
-        fields=fields,
-    )
+def ensemble_from_model(model: CouplingModel, n_total: int, n_system: int, twice_spin: int = 1,
+                        fields: Union[float, Sequence[float]] = 0.0) -> EnsembleSpec:
+    """The ensemble of a coupling model, built by blocks: nothing of size N x N."""
+    return _model_ensemble(model, n_total, n_system, twice_spin, fields, np.arange(n_total))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +316,7 @@ def config_matrix(site_count: int, twice_spin: int) -> np.ndarray:
     total = config_count(site_count, twice_spin)
     if total > DEFAULT_ENUM_CAP:
         raise ResourceCapError(
-            f"enumeration needs {total} configurations, cap is {DEFAULT_ENUM_CAP}; "
+            f"enumeration needs {_count(total)} configurations, cap is {DEFAULT_ENUM_CAP}; "
             f"{PRODUCT_ENV_HINT}"
         )
     if total * site_count <= CONFIG_MEMO_ENTRIES:
@@ -333,13 +342,9 @@ _shared_config_table = functools.lru_cache(maxsize=64)(_config_table)
 
 def config_index(config: SpinConfig, twice_spin: int) -> int:
     """Lexicographic index of a configuration: its row in :func:`config_matrix`."""
-    levels = twice_spin + 1
     index = 0
-    for v in config.twice_values:
-        d = (twice_spin - v) // 2
-        if not 0 <= d < levels:
-            raise ValueError(f"twice-value {v} out of range for twice_spin={twice_spin}")
-        index = index * levels + d
+    for level in config.validate(twice_spin).tolist():
+        index = index * (twice_spin + 1) + level
     return index
 
 
@@ -356,25 +361,27 @@ def _kept(spec: EnsembleSpec, name: str, build) -> np.ndarray:
     return getattr(spec, name)
 
 
-def _energies(spec: EnsembleSpec, sites: slice) -> np.ndarray:
-    """Energies of a slice of sites alone, indexed like config_matrix."""
-    j = spec.couplings[sites, sites]
-    h = spec.fields[sites]
+def _energies(spec: EnsembleSpec, env: bool) -> np.ndarray:
+    """Energies of the system's or the environment's sites alone, indexed
+    like config_matrix; enumerating them raises past the cap first."""
+    p = spec.n_system
+    h = spec.fields[p:] if env else spec.fields[:p]
     v = config_matrix(h.size, spec.twice_spin).astype(float)
+    j = spec.env_couplings if env else spec.system_couplings
     return -0.25 * np.einsum("ci,ij,cj->c", v, j, v) + 0.5 * (v @ h)
 
 
 def system_energies(spec: EnsembleSpec) -> np.ndarray:
     """System energies for all configurations, indexed like config_matrix.
     Built once per ensemble and kept on it, read-only."""
-    return _kept(spec, "_system_energies", lambda: _energies(spec, slice(None, spec.n_system)))
+    return _kept(spec, "_system_energies", lambda: _energies(spec, False))
 
 
 def env_energies(spec: EnsembleSpec) -> np.ndarray:
     """Environment energies for all configurations, same indexing. Built
     once per ensemble and kept on it, read-only; building it enumerates the
     environment, which raises past the cap."""
-    return _kept(spec, "_env_energies", lambda: _energies(spec, slice(spec.n_system, None)))
+    return _kept(spec, "_env_energies", lambda: _energies(spec, True))
 
 
 def total_energies(spec: EnsembleSpec) -> np.ndarray:
@@ -401,14 +408,9 @@ def total_energies(spec: EnsembleSpec) -> np.ndarray:
 _MODEL_BUILDERS = {
     "nn_ring_1d": lambda d: NearestNeighborRing1D(j=float(d.get("J", 1.0))),
     "infinite_range": lambda d: InfiniteRange(j=float(d.get("J", 1.0))),
-    "power_law_ring_1d": lambda d: PowerLawRing1D(
-        j=float(d.get("J", 1.0)),
-        alpha=float(d.get("alpha", 3.0)),
-        kac_normalization=bool(d.get("kac_normalization", False)),
-    ),
-    "nn_torus_2d": lambda d: NearestNeighborTorus2D(
-        side=int(d["side"]), j=float(d.get("J", 1.0))
-    ),
+    "power_law_ring_1d": lambda d: PowerLawRing1D(j=float(d.get("J", 1.0)), alpha=float(d.get("alpha", 3.0)),
+                                                  kac_normalization=bool(d.get("kac_normalization", False))),
+    "nn_torus_2d": lambda d: NearestNeighborTorus2D(side=int(d["side"]), j=float(d.get("J", 1.0))),
 }
 
 
@@ -423,36 +425,24 @@ def ensemble_from_dict(doc: dict) -> EnsembleSpec:
     n_total = int(doc["n_total"])
     n_system = int(doc["n_system"])
     twice_spin = int(doc.get("twice_spin", 1))
+    fields = doc.get("fields", 0.0)
 
     if "couplings" in doc and "model" in doc:
         raise ValueError("ensemble document gives both 'model' and 'couplings'; keep one")
     if "couplings" in doc:
-        couplings = np.array(doc["couplings"], dtype=float)
-    elif "model" in doc:
-        mdoc = dict(doc["model"])
-        kind = mdoc.pop("type")
-        if kind == "nn_torus_2d" and "system_block_side" in mdoc:
-            block = torus_block_ensemble(
-                side=int(mdoc["side"]),
-                block_side=int(mdoc["system_block_side"]),
-                j=float(mdoc.get("J", 1.0)),
-            )
-            if block.n_system != n_system or block.n_total != n_total:
-                raise ValueError("torus block sizes inconsistent with n_total/n_system")
-            couplings = block.couplings
-        else:
-            try:
-                builder = _MODEL_BUILDERS[kind]
-            except KeyError:
-                raise ValueError(f"unknown coupling model type {kind!r}") from None
-            couplings = build_coupling(builder(mdoc), n_total)
-    else:
+        return EnsembleSpec(n_total, n_system, twice_spin, np.array(doc["couplings"], dtype=float), fields)
+    if "model" not in doc:
         raise ValueError("ensemble document needs either 'model' or 'couplings'")
-
-    return EnsembleSpec(
-        n_total=n_total,
-        n_system=n_system,
-        twice_spin=twice_spin,
-        couplings=couplings,
-        fields=doc.get("fields", 0.0),
-    )
+    mdoc = dict(doc["model"])
+    kind = mdoc.pop("type")
+    if kind == "nn_torus_2d" and "system_block_side" in mdoc:
+        block = torus_block_ensemble(side=int(mdoc["side"]), block_side=int(mdoc["system_block_side"]),
+                                     j=float(mdoc.get("J", 1.0)), twice_spin=twice_spin, fields=fields)
+        if block.n_system != n_system or block.n_total != n_total:
+            raise ValueError("torus block sizes inconsistent with n_total/n_system")
+        return block
+    try:
+        builder = _MODEL_BUILDERS[kind]
+    except KeyError:
+        raise ValueError(f"unknown coupling model type {kind!r}") from None
+    return ensemble_from_model(builder(mdoc), n_total, n_system, twice_spin, fields)

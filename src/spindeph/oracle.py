@@ -49,7 +49,7 @@ from .engine import (
     bloch_vector,
 )
 from .linalg import hermitian_eigenvalues, lu_det
-from .model import EnsembleSpec, ResourceCapError, total_energies
+from .model import EnsembleSpec, ResourceCapError, _count, total_energies
 
 SUPEROP_SYSTEM_DIM_CAP = 16
 # verify's determinant check draws up to DET_DRAWS times for one with
@@ -71,12 +71,14 @@ def _traced_phases(energies: np.ndarray, dim_system: int, env_diag: np.ndarray, 
 
 
 def oracle_reduced_state(spec: EnsembleSpec, rho_s0: np.ndarray, rho_e0: np.ndarray, t):
-    """tr_E of the globally evolved product state at t, or at each time of a 1-D grid."""
+    """tr_E of the globally evolved product state at t, or at each time of a 1-D grid
+    (ResourceCapError past the enumeration cap, before the factors are read)."""
+    energies = total_energies(spec)
     rho_s0 = np.asarray(rho_s0, dtype=complex)
     rho_e0 = np.asarray(rho_e0, dtype=complex)
     if rho_s0.shape != (spec.dim_system,) * 2 or rho_e0.shape != (spec.dim_env,) * 2:
         raise ValueError("initial factors have wrong dimensions")
-    return rho_s0 * _traced_phases(total_energies(spec), spec.dim_system, np.diagonal(rho_e0), t)
+    return rho_s0 * _traced_phases(energies, spec.dim_system, np.diagonal(rho_e0), t)
 
 
 def _bloch_matrix(traced: np.ndarray) -> np.ndarray:
@@ -113,7 +115,7 @@ def oracle_superoperator(spec: EnsembleSpec, env: EnvPopulations, t: float):
     dim = spec.dim_system
     if dim > SUPEROP_SYSTEM_DIM_CAP:
         raise ResourceCapError(
-            f"superoperator reconstruction capped at D={SUPEROP_SYSTEM_DIM_CAP}, got {dim}"
+            f"superoperator reconstruction capped at D={SUPEROP_SYSTEM_DIM_CAP}, got {_count(dim)}"
         )
     mat = _bloch_matrix(_traced_phases(total_energies(spec), dim, env.weights, t))
     return mat, lu_det(mat)
@@ -128,9 +130,7 @@ def _random_spec(rng: np.random.Generator, n_total: int, n_system: int) -> Ensem
     j = 0.5 * (j + j.T)
     np.fill_diagonal(j, 0.0)
     h = rng.uniform(-1.0, 1.0, size=n_total)
-    return EnsembleSpec(
-        n_total=n_total, n_system=n_system, twice_spin=1, couplings=j, fields=h
-    )
+    return EnsembleSpec(n_total=n_total, n_system=n_system, twice_spin=1, couplings=j, fields=h)
 
 
 def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -141,9 +141,7 @@ def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def _random_populations(rng: np.random.Generator, spec: EnsembleSpec) -> EnvPopulations:
     w = rng.uniform(0.05, 1.0, size=spec.dim_env)
-    return EnvPopulations(
-        n_sites=spec.n_env, twice_spin=spec.twice_spin, weights=w / w.sum()
-    )
+    return EnvPopulations(n_sites=spec.n_env, twice_spin=spec.twice_spin, weights=w / w.sum())
 
 
 def _det_time(ev: WitnessEvaluator, rng: np.random.Generator):

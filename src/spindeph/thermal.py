@@ -18,26 +18,22 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import EnvPopulations
-from .model import EnsembleSpec, SpinConfig, config_index, env_energies
+from .model import EnsembleSpec, SpinConfig, env_energies
 
 
 def maximally_mixed(n_env: int, twice_spin: int) -> EnvPopulations:
-    """Uniform populations: every site 1/(2S+1) on each level, one block per site."""
+    """Uniform populations: every site 1/(2S+1) on each level, one row held for all sites."""
     levels = twice_spin + 1
-    return EnvPopulations.product(twice_spin, [np.full(levels, 1.0 / levels)] * n_env)
+    return EnvPopulations._of_rows(twice_spin, np.broadcast_to(np.full(levels, 1.0 / levels), (n_env, levels)))
 
 
 def basis_state(sigma0: SpinConfig, twice_spin: int) -> EnvPopulations:
-    """All population on one computational basis configuration, one block per site.
+    """All population on one computational basis configuration: one one-hot row per site.
 
     With such an environment every dephasing factor is a pure phase and the
     witness determinant stays exactly 1: the dynamics is Markovian.
     """
-    sigma0.validate(twice_spin)
-    one_hot = np.eye(twice_spin + 1)
-    return EnvPopulations.product(
-        twice_spin, [one_hot[config_index(SpinConfig((v,)), twice_spin)] for v in sigma0.twice_values]
-    )
+    return EnvPopulations.product(twice_spin, np.eye(twice_spin + 1)[sigma0.validate(twice_spin)])
 
 
 def thermal_populations(spec: EnsembleSpec, beta: float) -> EnvPopulations:

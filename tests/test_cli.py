@@ -1036,3 +1036,34 @@ def test_negativity_threads_below_one_is_usage_error(tmp_path, capsys):
                                    "--threads", threads, "--out", str(out)], capsys)
         assert "--threads" in msg
         assert not out.exists()
+
+
+def test_ring_of_1e5_sites_refuses_what_enumerates_it_by_its_cap(tmp_path, capsys):
+    # the witness reads only J_cross; a dense-path negativity and a Gibbs
+    # state at beta = 1 need the whole ring and exit 2 naming their caps
+    doc = dict(_global_doc(_MIXED_COHERENT, {"kind": "uniform_superposition"}, n_total=10**5),
+               environment={"kind": "thermal", "beta": 1.0})
+    cfg = write_config(tmp_path, doc)
+    msg = _expect_usage_error(["negativity", "--config", cfg, "--cut", "global",
+                               "--out", str(tmp_path / "n.csv")], capsys)
+    assert "exceeds the dense path's cap 1024" in msg
+    msg = _expect_usage_error(["thermal-sweep", "--config", cfg, "--betas", "1",
+                               "--out-dir", str(tmp_path / "sweep")], capsys)
+    assert "cap is 1048576" in msg
+    assert not (tmp_path / "n.csv").exists() and not list((tmp_path / "sweep").iterdir())
+
+
+@pytest.mark.parametrize("defect", ["asymmetric", "non-finite", "diagonal"])
+def test_explicit_couplings_are_checked(tmp_path, capsys, defect):
+    j = np.zeros((6, 6))
+    j[0, 1:] = j[1:, 0] = 0.5
+    if defect == "asymmetric":
+        j[2, 3] = 0.1
+    elif defect == "non-finite":
+        j[2, 3] = j[3, 2] = float("nan")
+    else:
+        j[4, 4] = 0.2
+    ensemble = {k: v for k, v in BASE["ensemble"].items() if k != "model"}
+    cfg = write_config(tmp_path, dict(BASE, ensemble=dict(ensemble, couplings=j.tolist())))
+    msg = _expect_usage_error(["witness", "--config", cfg, "--out", str(tmp_path / "x.csv")], capsys)
+    assert {"asymmetric": "symmetric", "non-finite": "finite", "diagonal": "zero diagonal"}[defect] in msg

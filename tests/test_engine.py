@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spindeph import engine, model, thermal
+from spindeph import closedforms, engine, model, oracle, thermal
 from spindeph.dirichlet import ZERO_BLOCK, itp
 from spindeph.dirichlet import zeros as dirichlet_zeros
 from spindeph.engine import (
@@ -1129,3 +1129,29 @@ def test_dot2_is_the_sequential_twosum_loop_bitwise(values):
         got = engine._dot2(u, nu)
         assert all(np.array_equal(np.asarray(x).view(np.uint64), y.view(np.uint64))
                    for x, y in zip(got, expected)), sites
+
+
+def test_nn_ring_at_1e5_sites_costs_only_its_coupled_sites():
+    # p = 3 on a ring of 10^5 sites: 2 coupled environment sites. The spec
+    # and the environment hold O(p N) entries, the witness is the closed form,
+    # and whatever enumerates the ring refuses by its cap
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        spec = ring_spec(10**5, 3)
+        env = thermal.maximally_mixed(spec.n_env, 1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 10 * 2**20
+    series = detect_episodes(spec, env, 0.0, 2.0 * np.pi, 200)
+    away = np.abs(np.cos(series.times)) > 1e-3
+    expected = closedforms.log_det_nn_1d(3, 1.0, series.times[away])
+    # at t = 2 pi (rounded) cos(t) rounds to 1 and the closed form reads 0,
+    # where the engine keeps its true value, about -2e-30
+    assert np.all(np.abs(series.log_det[away] - expected) <= 1e-12 * np.abs(expected) + 1e-28)
+    for read in (lambda: spec.couplings, lambda: model.total_energies(spec), lambda: env.weights,
+                 lambda: oracle.oracle_reduced_state(spec, np.eye(8) / 8, np.eye(2) / 2, 0.5)):
+        with pytest.raises(ResourceCapError):
+            read()

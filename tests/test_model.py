@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import math
 import weakref
 
 import numpy as np
@@ -49,6 +50,104 @@ def test_builders_bitwise_symmetric():
     ):
         mat = model.build_coupling(m, 7)
         assert np.array_equal(mat, mat.T)
+
+
+def reference_coupling(m, n):
+    """The N x N coupling matrix of a model, entry by entry in plain loops."""
+    mat = np.zeros((n, n))
+    dist = lambda i, k, size=n: min(abs(i - k), size - abs(i - k))  # noqa: E731
+    if isinstance(m, model.NearestNeighborRing1D):
+        for i in range(n):
+            mat[i, (i + 1) % n] = mat[(i + 1) % n, i] = m.j
+    elif isinstance(m, model.InfiniteRange):
+        for i in range(n):
+            for k in range(n):
+                mat[i, k] = m.j / n if i != k else 0.0
+    elif isinstance(m, model.PowerLawRing1D):
+        prefactor = m.j
+        if m.kac_normalization:
+            prefactor = m.j / math.fsum(dist(0, k) ** -m.alpha for k in range(1, n))
+        for i in range(n):
+            for k in range(n):
+                mat[i, k] = prefactor / dist(i, k) ** m.alpha if i != k else 0.0
+    else:
+        side = m.side
+        for x in range(side):
+            for y in range(side):
+                for b in (x * side + (y + 1) % side, ((x + 1) % side) * side + y):
+                    mat[x * side + y, b] = mat[b, x * side + y] = m.j
+    return mat
+
+
+def assert_blocks(spec, ref, maxulp):
+    """The spec's three blocks and its assembled matrix against a reference
+    matrix: bitwise for maxulp 0, else within maxulp units in the last place."""
+    p = spec.n_system
+    pairs = [(spec.system_couplings, ref[:p, :p]), (spec.cross_couplings, ref[:p, p:]),
+             (spec.env_couplings, ref[p:, p:]), (spec.couplings, ref)]
+    for got, want in pairs:
+        assert got.shape == want.shape and not got.flags.writeable
+        if maxulp == 0:
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_array_max_ulp(got, want, maxulp=maxulp)
+
+
+@pytest.mark.parametrize("m, maxulp", [
+    (model.NearestNeighborRing1D(j=0.7), 0),
+    (model.InfiniteRange(j=1.3), 0),
+    (model.PowerLawRing1D(j=0.9, alpha=3.0), 0),
+    (model.PowerLawRing1D(j=0.9, alpha=2.0, kac_normalization=True), 0),
+    # at a non-integer exponent numpy's power (SIMD) and the C library's pow
+    # (the reference's) differ by up to an ulp, so an entry by up to 2 ulp,
+    # and 3 with the Kac total of such terms (N <= 150, alpha 0.5 to 2.2)
+    (model.PowerLawRing1D(j=0.9, alpha=1.5), 2),
+    (model.PowerLawRing1D(j=0.9, alpha=0.9, kac_normalization=True), 3),
+])
+def test_ring_blocks_match_a_reference_loop(m, maxulp):
+    for n in (3, 4, 7, 12, 31):
+        ref = reference_coupling(m, n)
+        for p in sorted({1, 2, n // 2, n - 1}):
+            assert_blocks(model.ensemble_from_model(m, n, p), ref, maxulp)
+        assert model.build_coupling(m, n).tobytes() == model.ensemble_from_model(m, n, 1).couplings.tobytes()
+
+
+def test_torus_blocks_match_a_reference_loop():
+    for side in (2, 3, 5):
+        m = model.NearestNeighborTorus2D(side=side, j=1.1)
+        ref = reference_coupling(m, side * side)
+        for p in (1, 3, side * side - 1):
+            assert_blocks(model.ensemble_from_model(m, side * side, p), ref, 0)
+        assert model.build_coupling(m, side * side).tobytes() == ref.tobytes()
+        # the corner block: its sites first, the others in their order
+        for block_side in range(1, side):
+            block = [x * side + y for x in range(block_side) for y in range(block_side)]
+            order = block + [k for k in range(side * side) if k not in block]
+            spec = model.torus_block_ensemble(side, block_side, j=1.1)
+            assert_blocks(spec, ref[np.ix_(order, order)], 0)
+
+
+def test_kac_prefactor_is_the_correctly_rounded_total():
+    # math.fsum, so the same bytes on every Python version; site 1 is at
+    # distance 1 from site 0, so its entry is the prefactor itself
+    for alpha in (0.0, 0.5, 1.5, 2.2, 3.0):
+        for n in range(3, 61):
+            m = model.PowerLawRing1D(j=1.3, alpha=alpha, kac_normalization=True)
+            terms = np.power(np.array([min(k, n - k) for k in range(1, n)], dtype=float), -alpha)
+            prefactor = model.ensemble_from_model(m, n, 1).cross_couplings[0, 0]
+            assert prefactor == 1.3 / math.fsum(terms) == 1.3 / math.fsum(terms[::-1])
+
+
+def test_coupling_matrix_is_capped():
+    # the N x N matrix and the environment block are read only under the
+    # cap; the blocks of the dynamics never hold more than p x N entries
+    spec = model.ensemble_from_model(model.PowerLawRing1D(alpha=1.5, kac_normalization=True), 2000, 2)
+    assert spec.cross_couplings.shape == (2, 1998)
+    for read in (lambda: spec.couplings, lambda: spec.env_couplings,
+                 lambda: model.build_coupling(model.InfiniteRange(), 1025)):
+        with pytest.raises(model.ResourceCapError, match="cap is 1048576"):
+            read()
+    assert model.ensemble_from_model(model.InfiniteRange(), 1024, 1).couplings.shape == (1024, 1024)
 
 
 def test_ring_too_small():
