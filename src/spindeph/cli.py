@@ -166,7 +166,7 @@ def _environment(cfg: dict, spec: EnsembleSpec) -> engine.EnvPopulations:
     if kind == "mixed":
         return thermal.maximally_mixed(spec.n_env, spec.twice_spin)
     if kind == "basis":
-        return thermal.basis_state(_basis_config(doc, spec.n_env, spec.twice_spin), spec.twice_spin)
+        return thermal.basis_state(_basis_config(doc, spec.n_env), spec.twice_spin)
     if kind == "thermal":
         return _thermal(spec, _beta(doc.get("beta", 0.0)))
     if kind == "explicit":
@@ -174,12 +174,12 @@ def _environment(cfg: dict, spec: EnsembleSpec) -> engine.EnvPopulations:
     raise UsageError(f"unknown environment kind {kind!r}")
 
 
-def _basis_config(doc: dict, n_sites: int, twice_spin: int) -> SpinConfig:
-    """The "config" of a "basis" document, checked against its n_sites sites."""
+def _basis_config(doc: dict, n_sites: int) -> SpinConfig:
+    """The "config" of a "basis" document, checked against its n_sites sites
+    (its values are checked where their levels are read)."""
     config = SpinConfig(tuple(doc["config"]))
     if config.site_count != n_sites:
         raise UsageError(f"basis config has {config.site_count} sites, expected {n_sites}")
-    config.validate(twice_spin)
     return config
 
 
@@ -194,7 +194,7 @@ def _state(doc: dict, n_sites: int, twice_spin: int) -> np.ndarray:
     if kind == "maximally_mixed":
         return np.tile(np.eye(levels, dtype=complex) / levels, (n_sites, 1, 1))
     if kind == "basis":
-        k = _basis_config(doc, n_sites, twice_spin).validate(twice_spin)
+        k = _basis_config(doc, n_sites).validate(twice_spin)
         sites = np.zeros((n_sites, levels, levels), dtype=complex)
         sites[np.arange(n_sites), k, k] = 1.0
         return sites

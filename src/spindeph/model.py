@@ -268,9 +268,8 @@ def build_coupling(model: CouplingModel, n_total: int) -> np.ndarray:
 
 def _model_ensemble(model, n_total, n_system, twice_spin, fields, labels) -> EnsembleSpec:
     """The ensemble of a model with site k at the model's site labels[k], by blocks."""
-    system, env = labels[:n_system, None], labels[n_system:]
-    return EnsembleSpec._of_blocks(n_total, n_system, twice_spin, _entries(model, n_total, system, system.T),
-                                   _entries(model, n_total, system, env[None, :]),
+    rows, env = _entries(model, n_total, labels[:n_system, None], labels[None, :]), labels[n_system:]
+    return EnsembleSpec._of_blocks(n_total, n_system, twice_spin, rows[:, :n_system], rows[:, n_system:],
                                    lambda: _entries(model, n_total, env[:, None], env[None, :]), fields)
 
 
