@@ -170,7 +170,8 @@ def _environment(cfg: dict, spec: EnsembleSpec) -> engine.EnvPopulations:
     if kind == "thermal":
         return _thermal(spec, _beta(doc.get("beta", 0.0)))
     if kind == "explicit":
-        return engine.EnvPopulations(spec.n_env, spec.twice_spin, weights=np.asarray(doc["weights"], dtype=float))
+        return engine.EnvPopulations(spec.n_env, spec.twice_spin,
+                                     weights=np.asarray(doc["weights"], dtype=float))
     raise UsageError(f"unknown environment kind {kind!r}")
 
 

@@ -14,13 +14,13 @@ of nu is positive.
 The environment populations are a product over independent blocks of sites
 (single sites for the mixed and basis states, all sites for a Gibbs state at
 beta > 0), so A = prod_blocks A_block, each a sum over the configurations of
-its block alone. Only the sites with a nonzero J_cross column enter: nu is
-formed over them and the environment gives its marginal on them, block by
-block, so no cost grows with the uncoupled sites. Each (class, block) is one row, built once and
-read by `factors`, `reduced_state` and the witness alike; the rows of all
-classes are evaluated at once, and a class's A is the product of its rows.
-For the mixed spin-1/2 environment a row is cos(nu_j t), which gives the
-cosine products of the closed forms.
+its block alone. Only sites with a nonzero J_cross column enter: nu is formed
+over them and the environment gives its marginal on them, block by block, so
+no cost grows with the uncoupled sites. Each (class, block) is one row, built
+once and read by `factors`, `reduced_state` and the witness alike; the rows
+of all classes are evaluated at once, and a class's A is the product of its
+rows. For the mixed spin-1/2 environment a row is cos(nu_j t), which gives
+the cosine products of the closed forms.
 
 Populations never move: the dynamics is purely dephasing. The Bloch-vector
 evolution matrix is block diagonal, one 2x2 rotation-dilation block per

@@ -344,8 +344,8 @@ def global_negativity_series(
 
     dim = spec.dim_system * spec.dim_env
     if dim > GLOBAL_DIM_CAP:
-        raise ResourceCapError(f"global dimension {_count(dim)} exceeds the dense path's cap {GLOBAL_DIM_CAP}; "
-                               "a diagonal factor or two pure factors avoid the dense path")
+        raise ResourceCapError(f"global dimension {_count(dim)} exceeds the dense path's cap "
+                               f"{GLOBAL_DIM_CAP}; a diagonal factor or two pure factors avoid the dense path")
     rho_s0, rho_e0 = (functools.reduce(np.kron, f) for f in factors)
     dims = (spec.dim_system, spec.dim_env)
     details = list(map_times(

@@ -23,8 +23,8 @@ from .model import EnsembleSpec, SpinConfig, env_energies
 
 def maximally_mixed(n_env: int, twice_spin: int) -> EnvPopulations:
     """Uniform populations: every site 1/(2S+1) on each level, one row held for all sites."""
-    levels = twice_spin + 1
-    return EnvPopulations._of_rows(twice_spin, np.broadcast_to(np.full(levels, 1.0 / levels), (n_env, levels)))
+    row = np.full(twice_spin + 1, 1.0 / (twice_spin + 1))
+    return EnvPopulations._of_rows(twice_spin, np.broadcast_to(row, (n_env, row.size)))
 
 
 def basis_state(sigma0: SpinConfig, twice_spin: int) -> EnvPopulations:

@@ -1083,8 +1083,12 @@ def test_nu_classes_as_numpy_unique():
 
     rng = np.random.default_rng(31)
     zero = EnsembleSpec(n_total=6, n_system=3, twice_spin=1, couplings=np.zeros((6, 6)), fields=0.2)
+    # one coupled site of three: nu over it alone must round as over all three
+    # (numpy's one-column product takes BLAS gemv, which rounds otherwise)
+    one = np.zeros((7, 7))
+    one[:4, 5] = one[5, :4] = np.random.default_rng(0).uniform(-1.0, 1.0, 4)
     specs = [random_spec(rng, 7, 3), random_spec(rng, 5, 2, twice_spin=2), ring_spec(14, 5),
-             ring_spec(9, 3), zero]
+             ring_spec(9, 3), zero, EnsembleSpec(n_total=7, n_system=4, twice_spin=2, couplings=one, fields=0.0)]
     for spec in specs:
         cfg = config_matrix(spec.n_system, spec.twice_spin).astype(float)
         a, b = np.triu_indices(len(cfg), k=1)
@@ -1099,6 +1103,8 @@ def test_nu_classes_as_numpy_unique():
         assert np.array_equal(mine[2], counts)
         ev = WitnessEvaluator(spec, thermal.maximally_mixed(spec.n_env, spec.twice_spin))
         assert np.array_equal(ev._pair_class, inverse.ravel())
+        rates = np.unique(np.abs(classes))
+        assert ev._dirichlet[0].tobytes() == rates[rates > 0.0].tobytes()
 
 
 def _dot2_reference(u, nu):
