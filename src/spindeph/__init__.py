@@ -20,21 +20,21 @@ _EXPORTS = {
     "closedforms": (
         "chu_vandermonde_exponent", "log_det_2d_nn", "log_det_infinite_fraction_asymptotic",
         "log_det_infinite_range", "log_det_nn_1d"),
-    "engine": (
-        "EnvPopulations", "WitnessEvaluator", "WitnessSeries", "bloch_to_density", "bloch_vector",
-        "detect_episodes"),
+    "engine": ("EnvPopulations", "WitnessEvaluator", "WitnessSeries", "detect_episodes"),
     "entanglement": (
         "GLOBAL_DIM_CAP", "NegativitySeries", "evolve_global", "global_negativity_series",
         "negativity", "negativity_details", "partial_trace_env", "partial_transpose_system",
         "system_negativity_series"),
-    "linalg": ("hermitian_eigensystem", "hermitian_eigenvalues", "lu_det", "trace_norm"),
+    "linalg": ("hermitian_eigensystem", "hermitian_eigenvalues", "lu_det"),
     "model": (
         "DEFAULT_ENUM_CAP", "CouplingModel", "EnsembleSpec", "InfiniteRange",
         "NearestNeighborRing1D", "NearestNeighborTorus2D", "PowerLawRing1D", "ResourceCapError",
-        "SpinConfig", "build_coupling", "config_index", "config_matrix", "ensemble_from_dict",
+        "SpinConfig", "build_coupling", "config_matrix", "ensemble_from_dict",
         "ensemble_from_model", "env_energies", "system_energies", "torus_block_ensemble",
         "total_energies"),
-    "oracle": ("oracle_reduced_state", "oracle_superoperator", "run_verification"),
+    "oracle": (
+        "bloch_to_density", "bloch_vector", "oracle_reduced_state", "oracle_superoperator",
+        "run_verification"),
     "qubit": (
         "MeasuresReport", "QubitState", "blp_trace_distance", "dephasing_rate",
         "measures_agreement_report"),

@@ -11,10 +11,10 @@ enters only through nu, and populations are real, so A(-nu) = conj A(nu):
 pairs fall into nu classes, the sign folded so that the first nonzero entry
 of nu is positive.
 
-The environment populations are a product over independent blocks of sites
-(single sites for the mixed and basis states, all sites for a Gibbs state at
-beta > 0), so A = prod_blocks A_block, each a sum over the configurations of
-its block alone. Only sites with a nonzero J_cross column enter: nu is formed
+The environment populations are independent sites (the mixed and basis
+states) or one block of all sites (a Gibbs state at beta > 0, explicit
+populations), so A = prod_blocks A_block, each a sum over the configurations
+of its block alone. Only sites with a nonzero J_cross column enter: nu is formed
 over them and the environment gives its marginal on them, block by block, so
 no cost grows with the uncoupled sites. Each (class, block) is one row, built
 once and read by `factors`, `reduced_state` and the witness alike; the rows
@@ -107,31 +107,22 @@ PAIRWISE_MAX = 16
 class EnvPopulations:
     """Diagonal of the initial environment state in the computational basis.
 
-    A product over independent blocks of sites: ``weights=w`` is one block
-    of all sites, w over all configurations in lexicographic order, and
-    ``blocks=[(sites, w), ...]`` lists the blocks, the first listed site
-    most significant. :meth:`product` holds one row per site and
+    One of two forms. ``EnvPopulations(n_sites, twice_spin, weights)`` is
+    one block of all sites, w over all configurations in lexicographic
+    order (Gibbs, ground-state and explicit populations). :meth:`product`
+    holds independent sites, one row each, and
     :func:`spindeph.thermal.maximally_mixed` one row for all sites. The
     reduced dynamics reads only the marginal on the coupled sites
     (:meth:`marginal`). All arrays are read-only.
     """
 
-    def __init__(self, n_sites: int, twice_spin: int, weights=None, blocks=None):
-        if (weights is None) == (blocks is None):
-            raise ValueError("give either the flat weights or the blocks")
-        sites, ws = zip(*blocks) if weights is None else ([range(n_sites)], [weights])
-        sites = [tuple(int(i) for i in s) for s in sites]
-        if sorted(i for s in sites for i in s) != list(range(n_sites)):
-            raise ValueError("blocks must partition the environment sites")
-        ws = [np.array(w, dtype=float) for w in ws]
-        sizes = [(twice_spin + 1) ** len(s) for s in sites]
-        if [w.shape for w in ws] != [(size,) for size in sizes]:
-            raise ValueError(f"need {sizes} weights, got shapes {[w.shape for w in ws]}")
-        starts = np.cumsum([0] + sizes[:-1])
-        flat = _checked_populations(np.concatenate(ws), starts)
+    def __init__(self, n_sites: int, twice_spin: int, weights):
+        w = np.array(weights, dtype=float)
+        size = (twice_spin + 1) ** n_sites
+        if w.shape != (size,):
+            raise ValueError(f"need {size} weights, got shape {w.shape}")
         self.n_sites, self.twice_spin, self._rows = int(n_sites), int(twice_spin), None
-        self._blocks = list(zip(sites, np.split(flat, starts[1:])))
-        self._weights = flat if weights is not None else None
+        self._weights = _checked_populations(w, np.zeros(1, dtype=np.intp))
 
     @classmethod
     def product(cls, twice_spin: int, marginals) -> "EnvPopulations":
@@ -147,32 +138,28 @@ class EnvPopulations:
         """Independent sites with the checked, read-only populations ``rows[i]`` of site i."""
         env = cls.__new__(cls)
         env.n_sites, env.twice_spin = len(rows), int(twice_spin)
-        env._rows, env._blocks, env._weights = rows, None, None
+        env._rows, env._weights = rows, None
         return env
 
     def marginal(self, sites) -> List[Tuple[Tuple[int, ...], np.ndarray]]:
         """The populations of some sites, given ascending, reading none of the others:
-        one (members, weights) per block that holds any of them, in block order,
-        members the positions in ``sites`` of its sites in the block's order and
-        weights their marginal populations. Over all sites, the blocks themselves."""
+        one (members, weights) per independent group that holds any of them,
+        members the positions in ``sites`` of its sites and weights their
+        marginal populations. A product gives one group per site, a flat
+        block one group of all of them."""
         if self._rows is not None:
             return [((k,), w) for k, w in enumerate(self._rows[sites])]
-        levels = self.twice_spin + 1
-        position = np.full(self.n_sites, -1)
-        position[sites] = np.arange(len(sites))
-        out = []
-        for block, w in self._blocks:
-            keep = [k for k, site in enumerate(block) if position[site] >= 0]
-            if not keep:
-                continue
-            if len(keep) < len(block):
-                # sorted sums: a configuration and its flip sum the same
-                # terms in opposite orders, and must get the same weight
-                drop = [k for k in range(len(block)) if k not in keep]
-                w = w.reshape((levels,) * len(block)).transpose(keep + drop)
-                w = np.sort(w.reshape(levels ** len(keep), -1), axis=1).sum(axis=1)
-            out.append((tuple(int(position[block[k]]) for k in keep), w))
-        return out
+        sites, w = [int(i) for i in sites], self._weights
+        if not sites:
+            return []
+        if len(sites) < self.n_sites:
+            # sorted sums: a configuration and its flip sum the same terms
+            # in opposite orders, and must get the same weight
+            levels = self.twice_spin + 1
+            drop = sorted(set(range(self.n_sites)) - set(sites))
+            w = w.reshape((levels,) * self.n_sites).transpose(sites + drop)
+            w = np.sort(w.reshape(levels ** len(sites), -1), axis=1).sum(axis=1)
+        return [(tuple(range(len(sites))), w)]
 
     @property
     def weights(self) -> np.ndarray:
@@ -183,12 +170,7 @@ class EnvPopulations:
             if total > DEFAULT_ENUM_CAP:
                 raise ResourceCapError(f"flat populations need {_count(total)} configurations, "
                                        f"cap is {DEFAULT_ENUM_CAP}; {PRODUCT_ENV_HINT}")
-            flat, order = np.ones(1), []
-            for sites, w in self.marginal(np.arange(self.n_sites)):
-                flat = np.kron(flat, w)
-                order += sites
-            shape = (self.twice_spin + 1,) * self.n_sites
-            flat = flat.reshape(shape).transpose(np.argsort(order)).ravel()
+            flat = functools.reduce(np.kron, self._rows, np.ones(1))
             flat.flags.writeable = False
             self._weights = flat
         return self._weights
@@ -210,14 +192,13 @@ def _checked_populations(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return w
 
 
-def check_pair_cap(dim: int) -> None:
-    """Raise ResourceCapError when dim configurations make more than DEFAULT_ENUM_CAP pairs."""
-    pairs = dim * (dim - 1) // 2
-    if pairs > DEFAULT_ENUM_CAP:
-        raise ResourceCapError(
-            f"{_count(dim)} system configurations make {_count(pairs)} configuration pairs, "
-            f"cap is {DEFAULT_ENUM_CAP}"
-        )
+@functools.lru_cache(maxsize=None)
+def _pairs(dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only (a, b) of the pairs a < b of dim configurations, in lexicographic order."""
+    pairs = np.triu_indices(dim, k=1)
+    for x in pairs:
+        x.flags.writeable = False
+    return pairs
 
 
 def _row_classes(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -418,12 +399,15 @@ class _Rows(NamedTuple):
 
 
 def _witness_rows(weights: np.ndarray, configs: np.ndarray, nu: np.ndarray, mult: np.ndarray,
-                  place: np.ndarray, wide: bool) -> Tuple[List[_Rows], _Rows]:
+                  place: np.ndarray, symmetric: np.ndarray, wide: bool) -> Tuple[List[_Rows], _Rows]:
     """The rows of one form, grouped by their number of distinct rates.
 
     Row (c, b), class-major, has the frequencies configs[:, b] . nu[:, c, b]
     (site-major, by :func:`_dot2`) with the weights weights[b] (0 pads), and
-    the multiplicity and place mult and place. Returns the rows of two or
+    the multiplicity and place mult and place. Where symmetric[b], weights[b]
+    is that of a flip-symmetric marginal, each frequency paired with its
+    negative at the same weight, so the rows' ws are 0 exactly; summed, the
+    +w and -w of a rate would leave an ulp. Returns the rows of two or
     more distinct frequencies by their number of rates, for `series`, and
     all rows in one group over their frequencies' rates, for `factors`.
     """
@@ -434,7 +418,7 @@ def _witness_rows(weights: np.ndarray, configs: np.ndarray, nu: np.ndarray, mult
     # differences, each an integer vector times nu; each block's once
     vectors, valid = configs, weights > 0.0
     if not wide:
-        k, l = _bloch_layout(width)[:2]  # the pairs k < l
+        k, l = _pairs(width)
         vectors = np.concatenate([configs, configs[:, :, l] - configs[:, :, k]], axis=2)
         valid = np.concatenate([valid, valid[:, k] & valid[:, l]], axis=1)
         ww = (4.0 * weights[:, k] * weights[:, l])[block]
@@ -485,6 +469,7 @@ def _witness_rows(weights: np.ndarray, configs: np.ndarray, nu: np.ndarray, mult
                               minlength=summed.size).reshape(summed.shape)
     wc /= total
     ws /= total
+    ws[:, symmetric[block]] = 0.0
     if wide:
         last[0], last[1] = -rate * wc, rate * ws
     else:
@@ -519,10 +504,14 @@ class WitnessEvaluator:
             raise ValueError("environment populations do not match the ensemble")
         self.spec = spec
         self.env = env
-        check_pair_cap(spec.dim_system)
+        # the package's one pair cap, met only where the pairs are built
+        pairs = spec.dim_system * (spec.dim_system - 1) // 2
+        if pairs > DEFAULT_ENUM_CAP:
+            raise ResourceCapError(f"{_count(spec.dim_system)} system configurations make {_count(pairs)} "
+                                   f"configuration pairs, cap is {DEFAULT_ENUM_CAP}")
         sys_cfg = config_matrix(spec.n_system, spec.twice_spin).astype(float)
         self.dim = len(sys_cfg)
-        self._a, self._b = _bloch_layout(self.dim)[:2]
+        self._a, self._b = _pairs(self.dim)
         energies = system_energies(spec)
         self.thetas = energies[self._b] - energies[self._a]
 
@@ -546,7 +535,7 @@ class WitnessEvaluator:
         # class's A is the product of its rows' factors. A row's spectrum is
         # sigma . nu over the populated configurations of the block's coupled
         # sites, weighted by their marginal populations
-        blocks = []  # (coupled sites, populated configurations, their weights)
+        blocks = []  # (coupled sites, populated configurations, their weights, flip-symmetric)
         point_sites, point_cfg, point_w = [], [], 1.0
         uniform = True  # every block's marginal on its coupled sites
         for sites, w in env.marginal(coupled):
@@ -554,7 +543,9 @@ class WitnessEvaluator:
             populated = w > 0.0
             u = config_matrix(len(sites), spec.twice_spin)[populated]
             if len(u) > 1:
-                blocks.append((list(sites), u, w[populated]))
+                # a marginal equal to its flip (index k -> len - 1 - k) makes
+                # its rows real; one site's rows are real already, two terms a rate
+                blocks.append((list(sites), u, w[populated], len(sites) > 1 and np.array_equal(w, w[::-1])))
             else:
                 # a point mass is a pure phase: all of them make one row, so
                 # that opposite phases cancel exactly, as in one configuration
@@ -562,7 +553,7 @@ class WitnessEvaluator:
                 point_cfg.append(u[0])
                 point_w *= w[populated][0]
         if point_sites:
-            blocks.append((point_sites, np.concatenate(point_cfg)[None, :], np.array([point_w])))
+            blocks.append((point_sites, np.concatenate(point_cfg)[None, :], np.array([point_w]), False))
         self._rows_per_class = len(blocks)
 
         # uniform marginals make each class's A a product of Dirichlet kernels
@@ -581,25 +572,22 @@ class WitnessEvaluator:
         place = np.arange(len(classes) * len(blocks)).reshape(len(classes), len(blocks))
         self._rows, self._factor_rows = [], []
         for wide in (False, True):
-            members = [b for b, (_, _, w) in enumerate(blocks) if (w.size > PAIRWISE_MAX) == wide]
+            members = [b for b, (_, _, w, _) in enumerate(blocks) if (w.size > PAIRWISE_MAX) == wide]
             if members:  # the form's blocks, padded with zero weights, site-major
                 width = max(blocks[b][2].size for b in members)
                 weights = np.zeros((len(members), width))
                 configs = np.zeros((max(len(blocks[b][0]) for b in members), len(members), width))
                 nus = np.zeros((len(configs), len(classes), len(members)))
-                for m, (sites, u, w) in enumerate(blocks[b] for b in members):
+                for m, (sites, u, w, _) in enumerate(blocks[b] for b in members):
                     weights[m, : w.size], configs[: len(sites), m, : w.size] = w, u.T
                     nus[: len(sites), :, m] = classes[:, sites].T
                 mult = np.repeat(counts.astype(float), len(members))
-                witness, every = _witness_rows(weights, configs, nus, mult,
-                                               place[:, members].ravel(), wide)
+                symmetric = np.array([blocks[b][3] for b in members])
+                witness, every = _witness_rows(weights, configs, nus, mult, place[:, members].ravel(),
+                                               symmetric, wide)
                 self._rows += witness
                 self._factor_rows.append(every)
         self._entries = sum(rows.rate.size for rows in self._rows)
-
-    @property
-    def pair_index(self) -> List[Tuple[int, int]]:
-        return list(zip(self._a.tolist(), self._b.tolist()))
 
     @property
     def real_factors(self) -> bool:
@@ -685,66 +673,6 @@ class WitnessEvaluator:
         """
         d = self._series(np.atleast_1d(np.asarray(t, dtype=float)), False)[1]
         return float(d[0]) if np.ndim(t) == 0 else d
-
-
-# ---------------------------------------------------------------------------
-# Bloch parametrization
-
-@functools.lru_cache(maxsize=None)
-def _bloch_layout(dim: int) -> Tuple[np.ndarray, ...]:
-    """Read-only (a, b) of the coherences a < b, l = 1..dim-1 and sqrt(2/(l(l+1)))."""
-    a, b = np.triu_indices(dim, k=1)
-    l = np.arange(1, dim)
-    layout = (a, b, l, np.sqrt(2.0 / (l * (l + 1))))
-    for x in layout:
-        x.flags.writeable = False
-    return layout
-
-
-def bloch_vector(rho: np.ndarray) -> np.ndarray:
-    """Flatten a density matrix, or each of a stack (..., D, D), into real coordinates.
-
-    Layout: (Re rho_ij, Im rho_ij) for each pair i < j in row-major order,
-    then D-1 weighted diagonal differences, then the trace. The last entry
-    is 1 for a density matrix.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[-1]
-    a, b, l, scale = _bloch_layout(dim)
-    out = np.empty(rho.shape[:-2] + (dim * dim,))
-    base = dim * (dim - 1)
-    upper = rho[..., a, b]
-    out[..., 0:base:2] = upper.real
-    out[..., 1:base:2] = upper.imag
-    diag = np.diagonal(rho, axis1=-2, axis2=-1).real
-    partial = np.cumsum(diag, axis=-1)[..., :-1]  # sum of the first l diagonal entries
-    out[..., base : dim * dim - 1] = scale * (partial - l * diag[..., 1:])
-    out[..., dim * dim - 1] = diag.sum(axis=-1)
-    return out
-
-
-def bloch_to_density(coords: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`bloch_vector` (defined for any real coordinates, or a stack (..., D^2))."""
-    coords = np.asarray(coords, dtype=float)
-    dim = int(round(np.sqrt(coords.shape[-1])))
-    if dim * dim != coords.shape[-1]:
-        raise ValueError("coordinate vector length must be a perfect square")
-    a, b, l, scale = _bloch_layout(dim)
-    rho = np.zeros(coords.shape[:-1] + (dim, dim), dtype=complex)
-    base = dim * (dim - 1)
-    upper = coords[..., 0:base:2] + 1j * coords[..., 1:base:2]
-    rho[..., a, b] = upper
-    rho[..., b, a] = np.conj(upper)
-    trace = coords[..., dim * dim - 1 :]
-    # with S_l the sum of the first l diagonal entries, c_l = S_l - l d_l,
-    # so S_l / l = trace / dim + sum_{m >= l} c_m / (m (m + 1)) and
-    # d_l = S_(l+1) / (l + 1) - c_l / (l + 1)
-    c = coords[..., base : dim * dim - 1] / scale
-    tail = np.cumsum((c / (l * (l + 1)))[..., ::-1], axis=-1)[..., ::-1]
-    mean = np.concatenate([tail, np.zeros_like(trace)], axis=-1) + trace / dim
-    diag = np.concatenate([mean[..., :1], mean[..., 1:] - c / (l + 1)], axis=-1)
-    rho[..., np.arange(dim), np.arange(dim)] = diag
-    return rho
 
 
 # ---------------------------------------------------------------------------

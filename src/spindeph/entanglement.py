@@ -24,8 +24,9 @@ of them is:
 - Schmidt: both factors are rank one. The Gram matrix of the evolved
   d_S x d_E coefficient matrix, on the smaller side (the roles swap when
   d_E < d_S), is that side's reduced state, which the engine evolves with
-  the other side's diagonal as populations, holding that side to its pair
-  cap. Its eigenvalues (`_rayleigh_eigenvalues`) are the squared Schmidt
+  the other side's diagonal as populations (independent sites when that
+  side is given as one-site states, else one flat block), holding that
+  side to its pair cap. Its eigenvalues (`_rayleigh_eigenvalues`) are the squared Schmidt
   coefficients l_i^2; the partial transpose of |psi><psi| has eigenvalues
   {l_i^2} and {+- l_i l_j}, so the trace norm is (sum_i l_i)^2.
 - dense: anything else. The global matrix is built at each time, under
@@ -334,9 +335,9 @@ def global_negativity_series(
             small, large = large, small
         # the Gram matrix is tr(rho_large) times the reduced state
         weights = np.diagonal(large, axis1=1, axis2=2).real.clip(0.0)
-        m = spec.n_env // len(large)
-        env = EnvPopulations(spec.n_env, spec.twice_spin,
-                             blocks=[(range(k * m, k * m + m), w / w.sum()) for k, w in enumerate(weights)])
+        rows = [w / w.sum() for w in weights]
+        env = (EnvPopulations.product(spec.twice_spin, rows) if len(rows) == spec.n_env
+               else EnvPopulations(spec.n_env, spec.twice_spin, rows[0]))
         ev = WitnessEvaluator(spec, env)  # refuses a smaller side past the engine's pair cap
         rho0 = functools.reduce(np.kron, small) * weights.sum(axis=1).prod()
         return _reduced_state_series(path, ev, rho0, times,

@@ -51,11 +51,6 @@ def hermitian_eigensystem(a: np.ndarray):
     return np.linalg.eigh(_checked(a))
 
 
-def trace_norm(a: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.sum(np.abs(hermitian_eigenvalues(a))))
-
-
 def lu_det(a: np.ndarray):
     """Determinant of a real square matrix, or of each of a stack (..., n, n).
 

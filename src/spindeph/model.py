@@ -298,10 +298,6 @@ def ensemble_from_model(model: CouplingModel, n_total: int, n_system: int, twice
 # ---------------------------------------------------------------------------
 # configuration enumeration
 
-def config_count(site_count: int, twice_spin: int) -> int:
-    return (twice_spin + 1) ** site_count
-
-
 def config_matrix(site_count: int, twice_spin: int) -> np.ndarray:
     """All (2S+1)**site_count configurations as an integer array of twice-values.
 
@@ -312,7 +308,7 @@ def config_matrix(site_count: int, twice_spin: int) -> np.ndarray:
     entries are shared between calls. Raises ResourceCapError past
     DEFAULT_ENUM_CAP configurations.
     """
-    total = config_count(site_count, twice_spin)
+    total = (twice_spin + 1) ** site_count
     if total > DEFAULT_ENUM_CAP:
         raise ResourceCapError(
             f"enumeration needs {_count(total)} configurations, cap is {DEFAULT_ENUM_CAP}; "
@@ -337,14 +333,6 @@ def _config_table(site_count: int, twice_spin: int) -> np.ndarray:
 
 
 _shared_config_table = functools.lru_cache(maxsize=64)(_config_table)
-
-
-def config_index(config: SpinConfig, twice_spin: int) -> int:
-    """Lexicographic index of a configuration: its row in :func:`config_matrix`."""
-    index = 0
-    for level in config.validate(twice_spin).tolist():
-        index = index * (twice_spin + 1) + level
-    return index
 
 
 # ---------------------------------------------------------------------------

@@ -484,6 +484,17 @@ def test_compare_measures_field_free_gibbs_marginal_is_real(tmp_path):
     assert np.max(np.abs(a - traced * np.exp(-1j * (energies[1] - energies[0]) * t))) < 1e-12
 
 
+def test_compare_measures_field_free_gibbs_on_a_wide_block_is_real(tmp_path):
+    # infinite range: all seven environment sites couple, one wide row of
+    # 128 configurations whose flip-symmetric weights make A exactly real
+    doc = dict(BASE, ensemble=dict(BASE["ensemble"], n_total=8, fields=0.0,
+                                   model={"type": "infinite_range", "J": 1.0}),
+               environment={"kind": "thermal", "beta": 1.0})
+    out = tmp_path / "cm.csv"
+    assert cli.main(["compare-measures", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    assert read_csv(out)[0] == MEASURES_REAL
+
+
 def test_compare_measures_flags_agree_where_a_is_tiny(tmp_path):
     # one spin on 600 couplings: |A| falls far below 1e-162 on this grid,
     # where |A|^2 d / 2 underflows in double although A is not singular
@@ -703,11 +714,58 @@ def test_verify_specs_and_seed_out_of_range_are_usage_errors(tmp_path, capsys):
 
 
 def test_system_block_over_cap_is_usage_error(tmp_path, capsys):
-    # 2^21 system configurations: rejected while the ensemble is read
+    # 2^21 system configurations: refused by the engine's pair cap before any pair is built
     doc = dict(BASE, ensemble=dict(BASE["ensemble"], n_total=23, n_system=21))
     cfg = write_config(tmp_path, doc)
     msg = _expect_usage_error(["witness", "--config", cfg, "--out", str(tmp_path / "x.csv")], capsys)
     assert "cap" in msg
+
+
+def _twelve_site_block(system_state, environment_state={"kind": "uniform_superposition"}):
+    """A 12-site block of a 14-site ring: 4096 system configurations, 8386560 pairs."""
+    return dict(_global_doc(system_state, environment_state, n_total=14),
+                ensemble=dict(BASE["ensemble"], n_total=14, n_system=12))
+
+
+def test_global_negativity_past_the_pair_cap_takes_the_small_side(tmp_path, capsys):
+    # two pure product factors: the Schmidt path evolves the 4-configuration
+    # environment's reduced state, never pairing the system's configurations.
+    # Reference: the singular values of the evolved 2^14-entry state vector
+    from spindeph.model import ensemble_from_dict, total_energies
+
+    doc = _twelve_site_block({"kind": "uniform_superposition"})
+    out = tmp_path / "x.csv"
+    assert cli.main(["negativity", "--config", write_config(tmp_path, doc), "--cut", "global",
+                     "--out", str(out)]) == 0
+    assert "(schmidt path," in capsys.readouterr().out
+    header, rows = read_csv(out)
+    energies = total_energies(ensemble_from_dict(doc["ensemble"]))
+    for t, negativity, *_ in rows:
+        psi = np.exp(-1j * energies * float(t)) / 2**7
+        lam = np.linalg.svd(psi.reshape(2**12, 4), compute_uv=False)
+        assert abs(float(negativity) - max((lam.sum() ** 2 - 1.0) / 2.0, 0.0)) <= 1e-12
+    assert len(rows) == 7 and max(float(r[1]) for r in rows) > 0.1
+
+
+def test_global_negativity_of_a_mixed_block_past_the_pair_cap(tmp_path, capsys):
+    doc = _twelve_site_block({"kind": "maximally_mixed"})
+    out = tmp_path / "x.csv"
+    assert cli.main(["negativity", "--config", write_config(tmp_path, doc), "--cut", "global",
+                     "--out", str(out)]) == 0
+    assert "(factor_spectra path, max negativity 0)" in capsys.readouterr().out
+    header, rows = read_csv(out)
+    assert len(rows) == 7 and all(float(r[1]) == 0.0 for r in rows)
+
+
+def test_commands_that_pair_up_a_block_past_the_pair_cap_are_usage_errors(tmp_path, capsys):
+    cfg = write_config(tmp_path, _twelve_site_block({"kind": "uniform_superposition"}))
+    out, sweep = tmp_path / "x.csv", tmp_path / "sweep"
+    for argv in (["witness", "--out", str(out)],
+                 ["thermal-sweep", "--betas", "0,1", "--out-dir", str(sweep)],
+                 ["negativity", "--cut", "system:1", "--out", str(out)]):
+        msg = _expect_usage_error([*argv, "--config", cfg], capsys)
+        assert "4096 system configurations make 8386560 configuration pairs" in msg
+    assert not out.exists() and not list(sweep.glob("*.csv"))
 
 
 def test_thermo_limit_system_size_out_of_range_is_usage_error(tmp_path, capsys):

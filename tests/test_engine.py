@@ -11,25 +11,17 @@ from hypothesis.extra.numpy import arrays
 from spindeph import closedforms, engine, model, oracle, thermal
 from spindeph.dirichlet import ZERO_BLOCK, itp
 from spindeph.dirichlet import zeros as dirichlet_zeros
-from spindeph.engine import (
-    EnvPopulations,
-    WitnessEvaluator,
-    _grid_episodes,
-    bloch_to_density,
-    bloch_vector,
-    detect_episodes,
-)
+from spindeph.engine import EnvPopulations, WitnessEvaluator, _grid_episodes, detect_episodes
 from spindeph.model import (
     EnsembleSpec,
     NearestNeighborRing1D,
     ResourceCapError,
     SpinConfig,
-    config_count,
-    config_index,
     config_matrix,
     ensemble_from_model,
     system_energies,
 )
+from spindeph.oracle import bloch_to_density, bloch_vector
 
 
 def ring_spec(n_total, n_system, fields=0.0, j=1.0):
@@ -55,12 +47,17 @@ def random_populations(rng, spec):
     return EnvPopulations(n_sites=spec.n_env, twice_spin=spec.twice_spin, weights=w / w.sum())
 
 
+def config_index(s, twice_spin):
+    """Lexicographic index of a configuration of twice-values: its row in config_matrix."""
+    return int(np.ravel_multi_index(SpinConfig(s).validate(twice_spin), (twice_spin + 1,) * len(s)))
+
+
 def pair_factor(ev, s, s_prime, ts):
     """A_{s,s'}(t) on a grid, from the evaluator's pair with a < b."""
-    a = config_index(SpinConfig(s), ev.spec.twice_spin)
-    b = config_index(SpinConfig(s_prime), ev.spec.twice_spin)
+    a = config_index(s, ev.spec.twice_spin)
+    b = config_index(s_prime, ev.spec.twice_spin)
     assert a < b
-    k = ev.pair_index.index((a, b))
+    k = list(zip(*np.triu_indices(ev.dim, 1))).index((a, b))
     return np.array([ev.factors(t)[k] for t in ts])
 
 
@@ -84,7 +81,7 @@ def test_spectrum_nn_ring_p1_is_cosine_squared():
     # two neighbors at J each: frequencies (-2J, 0, 2J) with weights (1/4, 1/2, 1/4)
     spec = ring_spec(6, 1, j=1.0)
     ev = WitnessEvaluator(spec, thermal.maximally_mixed(5, 1))
-    assert ev.pair_index == [(0, 1)]
+    assert np.array_equal(np.triu_indices(ev.dim, 1), [[0], [1]])
     ts = np.linspace(0, 7, 101)
     assert np.allclose(pair_factor(ev, (1,), (-1,), ts), np.cos(ts) ** 2, atol=1e-15)
 
@@ -125,7 +122,7 @@ def test_factor_basics_and_conjugate_pair():
         assert np.all(np.abs(fac) <= 1.0 + 1e-14)
         # the transposed pair evolves with the conjugate factor and phase
         rho_t = ev.reduced_state(rho0, t)
-        for k, (a, b) in enumerate(ev.pair_index):
+        for k, (a, b) in enumerate(zip(*np.triu_indices(ev.dim, 1))):
             z = fac[k] * np.exp(1j * ev.thetas[k] * t)
             assert rho_t[a, b] == pytest.approx(rho0[a, b] * z, abs=1e-15)
             assert rho_t[b, a] == np.conj(rho_t[a, b])
@@ -241,7 +238,7 @@ def test_kernel_matches_pair_enumeration(case):
     ev = WitnessEvaluator(spec, env)
     ref, dref = enumerated_pairs(spec, env.weights, KERNEL_TIMES)
     energies = system_energies(spec)
-    a, b = np.array(ev.pair_index).T
+    a, b = np.triu_indices(ev.dim, 1)
     rho0 = random_density(np.random.default_rng(0), ev.dim)
     for k, t in enumerate(KERNEL_TIMES):
         assert np.max(np.abs(ev.factors(t) - ref[k])) <= 1e-13
@@ -260,16 +257,18 @@ def test_kernel_matches_pair_enumeration(case):
 
 @st.composite
 def block_cases(draw):
-    """Random couplings and an environment of independent blocks.
+    """Random couplings and an environment of either form, with its blocks.
 
-    Spin 1/2 or 1; sites split at random into blocks of one to three sites
-    with random populations (zeros included), so a block with an uncoupled
-    site is a correlated block the kernel marginalizes. J_cross is generic,
-    has some zero columns, or vanishes.
+    Spin 1/2 or 1; either independent sites, each with random populations
+    (zeros included), or one flat block of all sites with random
+    populations (zeros included), which the kernel marginalizes onto its
+    coupled sites when some site is uncoupled. J_cross is generic, has
+    some zero columns, or vanishes.
     """
     twice_spin = draw(st.sampled_from([1, 2]))
     n_system = draw(st.integers(1, 3 if twice_spin == 1 else 2))
     n_env = draw(st.integers(2, 5 if twice_spin == 1 else 3))
+    product = draw(st.booleans())
     n = n_system + n_env
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     j = rng.uniform(-1.0, 1.0, (n, n))
@@ -283,40 +282,36 @@ def block_cases(draw):
     j = np.triu(j, 1) + np.triu(j, 1).T
     spec = EnsembleSpec(n_total=n, n_system=n_system, twice_spin=twice_spin,
                         couplings=j, fields=rng.uniform(-1.0, 1.0, n))
-    sites = rng.permutation(n_env).tolist()
-    blocks = []
-    while sites:
-        size = int(rng.integers(1, min(3, len(sites)) + 1))
-        w = rng.uniform(0.0, 1.0, (twice_spin + 1) ** size) * (rng.random((twice_spin + 1) ** size) < 0.8)
-        w[rng.integers(w.size)] += 0.1
-        blocks.append((tuple(sites[:size]), w / w.sum()))
-        sites = sites[size:]
-    return spec, blocks
+    shape = (n_env, twice_spin + 1) if product else ((twice_spin + 1) ** n_env,)
+    w = rng.uniform(0.0, 1.0, shape) * (rng.random(shape) < 0.8)
+    w[..., rng.integers(shape[-1])] += 0.1
+    w /= w.sum(axis=-1, keepdims=True)
+    if product:
+        return spec, EnvPopulations.product(twice_spin, w), [((i,), row) for i, row in enumerate(w)]
+    return spec, EnvPopulations(n_env, twice_spin, w), [(tuple(range(n_env)), w)]
 
 
 def kronecker_weights(n_env, twice_spin, blocks):
     """Flat populations of independent blocks: each configuration's weight is
     the product of its blocks' populations, configuration by configuration."""
-    flat = np.ones(config_count(n_env, twice_spin))
+    flat = np.ones((twice_spin + 1) ** n_env)
     for k, sigma in enumerate(config_matrix(n_env, twice_spin)):
         for sites, w in blocks:
-            flat[k] *= w[config_index(SpinConfig(sigma[list(sites)]), twice_spin)]
+            flat[k] *= w[config_index(sigma[list(sites)], twice_spin)]
     return flat
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(block_cases())
 def test_block_kernel_matches_flat_enumeration(case):
-    spec, blocks = case
-    env = EnvPopulations(spec.n_env, spec.twice_spin, blocks=blocks)
+    spec, env, blocks = case
     flat = kronecker_weights(spec.n_env, spec.twice_spin, blocks)
-    # blocks list their sites in random order; the flat vector is lexicographic
     assert np.allclose(env.weights, flat, rtol=1e-15, atol=0.0)
     assert not env.weights.flags.writeable
     ev = WitnessEvaluator(spec, env)
     ref, dref = enumerated_pairs(spec, flat, KERNEL_TIMES)
     energies = system_energies(spec)
-    a, b = np.array(ev.pair_index).T
+    a, b = np.triu_indices(ev.dim, 1)
     rho0 = random_density(np.random.default_rng(1), ev.dim)
     for k, t in enumerate(KERNEL_TIMES):
         assert np.max(np.abs(ev.factors(t) - ref[k])) <= 1e-13
@@ -335,6 +330,33 @@ def test_block_kernel_matches_flat_enumeration(case):
         series = detect_episodes(spec, env, 0.0, 4.0, 9)
         assert series.episodes == []
         assert not np.any(series.log_det) and not np.any(series.dlogdet_dt)
+
+
+FIELD_FREE_RINGS = [(n_total, n_system) for n_total in (8, 10, 12, 14) for n_system in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("n_total, n_system", FIELD_FREE_RINGS)
+def test_field_free_gibbs_marginals_are_flip_symmetric(n_total, n_system):
+    # H_E is even under flipping every environment spin, so the Gibbs
+    # weights equal their flip (index k -> len - 1 - k) exactly; the sorted
+    # sums keep that on the marginal of the coupled sites
+    spec = ring_spec(n_total, n_system)
+    coupled = np.flatnonzero(np.any(spec.cross_couplings != 0.0, axis=0))
+    for beta in (0.3, 1.0, 4.0):
+        env = thermal.thermal_populations(spec, beta)
+        assert np.array_equal(env.weights, env.weights[::-1])
+        ((sites, w),) = env.marginal(coupled)
+        assert sites == tuple(range(coupled.size)) and np.array_equal(w, w[::-1])
+
+
+@pytest.mark.parametrize("n_total, n_system", FIELD_FREE_RINGS)
+def test_field_free_gibbs_factors_are_exactly_real(n_total, n_system):
+    spec = ring_spec(n_total, n_system)
+    times = np.linspace(0.0, 7.0, 57)
+    for beta in (0.3, 1.0, 4.0):
+        ev = WitnessEvaluator(spec, thermal.thermal_populations(spec, beta))
+        assert ev.real_factors
+        assert not np.any(ev.factors(times).imag)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -608,7 +630,7 @@ def test_stacked_factors_and_reduced_states_equal_per_time_bitwise():
             ev = WitnessEvaluator(spec, env)
             factors = ev.factors(times)
             states = ev.reduced_state(rho0, times)
-            assert factors.shape == times.shape + (len(ev.pair_index),)
+            assert factors.shape == times.shape + (ev.dim * (ev.dim - 1) // 2,)
             assert states.shape == times.shape + rho0.shape
             for idx in np.ndindex(times.shape):
                 assert factors[idx].tobytes() == ev.factors(times[idx]).tobytes()
@@ -672,13 +694,19 @@ def test_stacked_bloch_maps_equal_per_matrix_bitwise():
 
 
 def test_bloch_layout_built_once_and_read_only():
-    from spindeph.engine import _bloch_layout
+    from spindeph.engine import _pairs
+    from spindeph.oracle import _bloch_layout
 
     layout = _bloch_layout(5)
     assert _bloch_layout(5) is layout
     assert not any(x.flags.writeable for x in layout)
     a, b, l, scale = layout
     assert np.array_equal(np.stack([a, b]), np.stack(np.triu_indices(5, k=1)))
+    # the engine's pairs, in the same order
+    pairs = _pairs(5)
+    assert _pairs(5) is pairs
+    assert not any(x.flags.writeable for x in pairs)
+    assert np.array_equal(np.stack(pairs), np.stack([a, b]))
     # one-dimensional coordinates: the trace alone
     assert bloch_to_density([0.7]) == pytest.approx(np.array([[0.7]]))
 
@@ -1068,12 +1096,8 @@ def test_env_populations_validation():
         EnvPopulations(n_sites=2, twice_spin=1, weights=np.array([0.5, 0.5, 0.1, -0.1]))
     with pytest.raises(ValueError):
         EnvPopulations(n_sites=2, twice_spin=1, weights=np.full(4, 0.3))
-    half = np.full(2, 0.5)
-    for blocks in ([((0,), half)], [((0,), half), ((0,), half)], [((0, 1), half)]):
-        with pytest.raises(ValueError):
-            EnvPopulations(n_sites=2, twice_spin=1, blocks=blocks)
-    with pytest.raises(ValueError):
-        EnvPopulations(n_sites=1, twice_spin=1)
+    with pytest.raises(ValueError, match="need 4 weights"):
+        EnvPopulations(n_sites=2, twice_spin=1, weights=np.full(2, 0.5))
 
 
 def test_nu_classes_as_numpy_unique():

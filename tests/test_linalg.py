@@ -161,11 +161,6 @@ def test_two_by_two_blocks_against_mpmath():
             assert err <= 10 * EPS * norm, (a, err / norm)
 
 
-def test_trace_norm():
-    a = np.diag([1.0, -2.0, 0.5])
-    assert linalg.trace_norm(a) == pytest.approx(3.5, abs=1e-14)
-
-
 def _assert_det_accurate(a, det):
     """det against the determinant of a from 30-digit mpmath.
 

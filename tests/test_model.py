@@ -10,6 +10,11 @@ import pytest
 from spindeph import model
 
 
+def config_index(s, twice_spin):
+    """Lexicographic index of a configuration of twice-values: its row in config_matrix."""
+    return int(np.ravel_multi_index(model.SpinConfig(s).validate(twice_spin), (twice_spin + 1,) * len(s)))
+
+
 def test_ring_coupling_n4():
     mat = model.build_coupling(model.NearestNeighborRing1D(j=2.5), 4)
     expected = np.zeros((4, 4))
@@ -171,7 +176,7 @@ def test_enumeration_matches_matrix_and_index():
         assert mat.shape == (len(expected), sites)
         for k, row in enumerate(expected):
             assert tuple(mat[k]) == row
-            assert model.config_index(model.SpinConfig(row), tw) == k
+            assert config_index(row, tw) == k
 
 
 def test_enumeration_cap():
@@ -307,7 +312,7 @@ def test_hamiltonian_interaction_examples():
         couplings=model.build_coupling(model.NearestNeighborRing1D(j=1.0), 3),
         fields=np.zeros(3),
     )
-    zero = model.config_index(model.SpinConfig((0, 0)), 2)
+    zero = config_index((0, 0), 2)
     assert interaction_table(spec1)[0, zero] == 0.0
 
 
@@ -337,8 +342,8 @@ def test_total_energy_decomposition_exhaustive():
         cross = interaction_table(spec)
         for full in model.config_matrix(n_total, 1):
             s, sigma = full[:p], full[p:]
-            a = model.config_index(model.SpinConfig(s), 1)
-            b = model.config_index(model.SpinConfig(sigma), 1)
+            a = config_index(s, 1)
+            b = config_index(sigma, 1)
             assert cross[a, b] == pytest.approx(interaction(spec, s, sigma), abs=1e-12)
             parts = es[a] + ee[b] + cross[a, b]
             assert parts == pytest.approx(double_sum(j, h, full), abs=1e-12)

@@ -3,7 +3,7 @@ import pytest
 
 from spindeph import qubit, thermal
 from spindeph.engine import WitnessEvaluator
-from spindeph.linalg import trace_norm
+from spindeph.linalg import hermitian_eigenvalues
 from spindeph.model import EnsembleSpec
 
 
@@ -144,7 +144,7 @@ def test_blp_distance_formula_and_oracle():
         d = qubit.blp_trace_distance(a_state, b_state, report_of(j_row, t).amplitude[0])
         ra = evolved(a_state, h1, j_row, t)
         rb = evolved(b_state, h1, j_row, t)
-        assert d == pytest.approx(0.5 * trace_norm(ra - rb), abs=1e-12)
+        assert d == pytest.approx(0.5 * np.abs(hermitian_eigenvalues(ra - rb)).sum(), abs=1e-12)
     assert qubit.blp_trace_distance(a_state, a_state, report_of(j_row, 1.0).amplitude[0]) == 0.0
 
 
