@@ -26,9 +26,10 @@ of them is:
   d_E < d_S), is that side's reduced state, which the engine evolves with
   the other side's diagonal as populations (independent sites when that
   side is given as one-site states, else one flat block), holding that
-  side to its pair cap. Its eigenvalues (`_rayleigh_eigenvalues`) are the squared Schmidt
-  coefficients l_i^2; the partial transpose of |psi><psi| has eigenvalues
-  {l_i^2} and {+- l_i l_j}, so the trace norm is (sum_i l_i)^2.
+  side to its pair cap. Its eigenvalues (`_rayleigh_eigenvalues`) are the
+  squared Schmidt coefficients l_i^2; the partial transpose of |psi><psi|
+  has eigenvalues {l_i^2} and {+- l_i l_j}, so the trace norm is
+  (sum_i l_i)^2.
 - dense: anything else. The global matrix is built at each time, under
   the cap, and its partial transpose diagonalized by `hermitian_eigenvalues`.
 
