@@ -38,7 +38,6 @@ run pays their import at start-up and not in the middle of its computation.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from collections import namedtuple
 from contextlib import contextmanager
@@ -54,6 +53,7 @@ from .model import (
     ResourceCapError,
     SpinConfig,
     _count,
+    _integer,
     ensemble_from_dict,
 )
 
@@ -129,7 +129,7 @@ def _grid(cfg: dict, override: str | None) -> np.ndarray:
         g = cfg.get("grid", {})
         start = float(g.get("start", 0.0))
         stop = float(g.get("stop", 2.0 * np.pi))
-        points = int(g.get("points", 1000))
+        points = _integer(g.get("points", 1000), "grid.points")
     if not np.isfinite([start, stop, stop - start]).all():
         raise UsageError("grid bounds and their span must be finite")
     if points < 2:
@@ -419,33 +419,6 @@ def _parse_cut(text: str, n_system: int):
     raise UsageError("--cut wants 'global' or 'system:<sites>'")
 
 
-@contextmanager
-def _time_map(threads: int):
-    """map over a time grid: for threads > 1 a thread pool's map, the pool
-    opened on the first call, so a path that never maps pays nothing; else
-    the builtin. The pool holds at most os.cpu_count() threads: its map
-    submits every time at once, and each thread builds its own global
-    matrix."""
-    if threads == 1:
-        yield map
-        return
-    pool = None
-
-    def pool_map(fn, *iterables):
-        nonlocal pool
-        if pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            pool = ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1))
-        return pool.map(fn, *iterables)
-
-    try:
-        yield pool_map
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-
 def cmd_negativity(args) -> int:
     if args.threads < 1:
         raise UsageError(f"--threads needs at least 1, got {args.threads}")
@@ -459,8 +432,7 @@ def cmd_negativity(args) -> int:
             raise UsageError("global negativity needs 'system_state' and 'environment_state'")
         rho_s = _state(cfg["system_state"], spec.n_system, spec.twice_spin)
         rho_e = _state(cfg["environment_state"], spec.n_env, spec.twice_spin)
-        with _time_map(args.threads) as map_times:
-            result = entanglement.global_negativity_series(spec, rho_s, rho_e, times, map_times)
+        result = entanglement.global_negativity_series(spec, rho_s, rho_e, times, args.threads)
     else:
         if "system_state" not in cfg:
             raise UsageError("system-cut negativity needs 'system_state'")

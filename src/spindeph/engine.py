@@ -9,14 +9,17 @@ a finite weighted sum of environment phases (twice-values s, sigma), with
 frequencies omega(sigma) = sigma . nu and nu = 1/2 (s - s') J_cross. A pair
 enters only through nu, and populations are real, so A(-nu) = conj A(nu):
 pairs fall into nu classes, the sign folded so that the first nonzero entry
-of nu is positive.
+of nu is positive. The classes and their multiplicities are counted over
+the (4S + 1)^p differences s - s', not formed from the pairs, which only
+`factors` and `reduced_state` lay out.
 
 The environment populations are independent sites (the mixed and basis
 states) or one block of all sites (a Gibbs state at beta > 0, explicit
 populations), so A = prod_blocks A_block, each a sum over the configurations
 of its block alone. Only sites with a nonzero J_cross column enter: nu is formed
-over them and the environment gives its marginal on them, block by block, so
-no cost grows with the uncoupled sites. Each (class, block) is one row, built
+over them and the environment gives its marginal on them as one array, a row
+per site or one for the flat block, so no cost grows with the uncoupled sites
+and no Python loop runs over sites. Each (class, block) is one row, built
 once and read by `factors`, `reduced_state` and the witness alike; the rows
 of all classes are evaluated at once, and a class's A is the product of its
 rows. For the mixed spin-1/2 environment a row is cos(nu_j t), which gives
@@ -141,17 +144,16 @@ class EnvPopulations:
         env._rows, env._weights = rows, None
         return env
 
-    def marginal(self, sites) -> List[Tuple[Tuple[int, ...], np.ndarray]]:
-        """The populations of some sites, given ascending, reading none of the others:
-        one (members, weights) per independent group that holds any of them,
-        members the positions in ``sites`` of its sites and weights their
-        marginal populations. A product gives one group per site, a flat
-        block one group of all of them."""
+    def marginal(self, sites) -> np.ndarray:
+        """The populations of some sites, given ascending, reading none of the
+        others, as one array of shape (blocks, levels^m): independent sites
+        give one row per site (m = 1), a flat block one row of the joint
+        populations of all m = len(sites) of them (no row for no site)."""
         if self._rows is not None:
-            return [((k,), w) for k, w in enumerate(self._rows[sites])]
+            return self._rows[sites]
         sites, w = [int(i) for i in sites], self._weights
         if not sites:
-            return []
+            return np.empty((0, 1))
         if len(sites) < self.n_sites:
             # sorted sums: a configuration and its flip sum the same terms
             # in opposite orders, and must get the same weight
@@ -159,7 +161,7 @@ class EnvPopulations:
             drop = sorted(set(range(self.n_sites)) - set(sites))
             w = w.reshape((levels,) * self.n_sites).transpose(sites + drop)
             w = np.sort(w.reshape(levels ** len(sites), -1), axis=1).sum(axis=1)
-        return [(tuple(range(len(sites))), w)]
+        return w[None]
 
     @property
     def weights(self) -> np.ndarray:
@@ -491,10 +493,39 @@ def _witness_rows(weights: np.ndarray, configs: np.ndarray, nu: np.ndarray, mult
     return witness, rows_of(packed, None, int(keep.sum(axis=0).max()))
 
 
+def _nu_classes(spec: EnsembleSpec, coupled: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(classes, their pair counts, each difference's class, whether its nu was flipped).
+
+    A pair a < b enters only through s_a - s_b, whose first nonzero entry is
+    positive: the first half of the lexicographic table of the (4S + 1)^p
+    differences, each made by prod_i (2S + 1 - |d_i|/2) pairs at twice-values
+    d. Classes are the distinct nu, sign folded, in lexicographic order.
+    """
+    total = (2 * spec.twice_spin + 1) ** spec.n_system
+    if total > DEFAULT_ENUM_CAP:
+        raise ResourceCapError(f"{spec.n_system} system sites make {_count(total)} configuration "
+                               f"differences, cap is {DEFAULT_ENUM_CAP}")
+    diff = config_matrix(spec.n_system, 2 * spec.twice_spin)[: total // 2]
+    cross = spec.cross_couplings[:, coupled]
+    if coupled.size == 1 < spec.n_env:
+        # numpy multiplies by one column with BLAS gemv, by more with gemm,
+        # which rounds otherwise: keep the gemm of all N - p columns
+        cross = np.pad(cross, ((0, 0), (0, 1)))
+    nu = 0.5 * (diff.astype(float) @ cross)[:, : coupled.size]
+    # sign folded (+ 0.0 turns -0.0 into 0.0 before rows are compared)
+    lead = nu[np.arange(len(nu)), (nu != 0.0).argmax(axis=1)] if coupled.size else np.zeros(len(nu))
+    flip = lead < 0.0
+    nu[flip] *= -1.0
+    classes, inverse, _ = _row_classes(nu + 0.0)
+    pairs = (spec.twice_spin + 1 - np.abs(diff) // 2).prod(axis=1)
+    return classes, np.bincount(inverse, pairs), inverse, flip
+
+
 class WitnessEvaluator:
     """Dephasing rows, one per (nu class, environment block), built once.
 
-    Pairs a < b are in lexicographic order, the Bloch coordinate layout.
+    Pairs a < b are in lexicographic order, the Bloch coordinate layout,
+    built by the first `factors` or `reduced_state` call.
     Exposes log det M, its time derivative, and full reduced states.
     Instances are immutable after construction and safe to share.
     """
@@ -502,92 +533,78 @@ class WitnessEvaluator:
     def __init__(self, spec: EnsembleSpec, env: EnvPopulations):
         if env.n_sites != spec.n_env or env.twice_spin != spec.twice_spin:
             raise ValueError("environment populations do not match the ensemble")
-        self.spec = spec
-        self.env = env
-        # the package's one pair cap, met only where the pairs are built
-        pairs = spec.dim_system * (spec.dim_system - 1) // 2
-        if pairs > DEFAULT_ENUM_CAP:
-            raise ResourceCapError(f"{_count(spec.dim_system)} system configurations make {_count(pairs)} "
-                                   f"configuration pairs, cap is {DEFAULT_ENUM_CAP}")
-        sys_cfg = config_matrix(spec.n_system, spec.twice_spin).astype(float)
-        self.dim = len(sys_cfg)
-        self._a, self._b = _pairs(self.dim)
-        energies = system_energies(spec)
-        self.thetas = energies[self._b] - energies[self._a]
+        self.spec, self.env, self.dim = spec, env, spec.dim_system
+        self._a = None  # the pair layout (_pair_layout)
+        coupled = (spec.cross_couplings != 0.0).any(axis=0).nonzero()[0]  # the others change no factor
+        classes, counts, self._difference_class, self._difference_flip = _nu_classes(spec, coupled)
 
-        # nu of every pair over the coupled sites (an uncoupled site leaves
-        # every factor unchanged), sign folded so that its first nonzero entry
-        # is positive (+ 0.0 turns -0.0 into 0.0 before rows are compared)
-        coupled = np.flatnonzero(np.any(spec.cross_couplings != 0.0, axis=0))
-        cross = spec.cross_couplings[:, coupled]
-        if coupled.size == 1 < spec.n_env:
-            # numpy multiplies by one column with BLAS gemv, by more with gemm,
-            # which rounds otherwise: keep the gemm of all N - p columns
-            cross = np.pad(cross, ((0, 0), (0, 1)))
-        nu = 0.5 * ((sys_cfg[self._a] - sys_cfg[self._b]) @ cross)[:, : coupled.size]
-        lead = nu[np.arange(len(nu)), np.argmax(nu != 0.0, axis=1)] if coupled.size else np.zeros(len(nu))
-        self._flip = lead < 0.0
-        nu[self._flip] *= -1.0
-        classes, self._pair_class, counts = _row_classes(nu + 0.0)
-        self._n_classes = len(classes)
-
-        # one row per (class, environment block with a coupled site): the
-        # class's A is the product of its rows' factors. A row's spectrum is
-        # sigma . nu over the populated configurations of the block's coupled
-        # sites, weighted by their marginal populations
-        blocks = []  # (coupled sites, populated configurations, their weights, flip-symmetric)
-        point_sites, point_cfg, point_w = [], [], 1.0
-        uniform = True  # every block's marginal on its coupled sites
-        for sites, w in env.marginal(coupled):
-            uniform = uniform and bool(np.all(w == w[0]))
-            populated = w > 0.0
-            u = config_matrix(len(sites), spec.twice_spin)[populated]
-            if len(u) > 1:
-                # a marginal equal to its flip (index k -> len - 1 - k) makes
-                # its rows real; one site's rows are real already, two terms a rate
-                blocks.append((list(sites), u, w[populated], len(sites) > 1 and np.array_equal(w, w[::-1])))
-            else:
-                # a point mass is a pure phase: all of them make one row, so
-                # that opposite phases cancel exactly, as in one configuration
-                point_sites += sites
-                point_cfg.append(u[0])
-                point_w *= w[populated][0]
-        if point_sites:
-            blocks.append((point_sites, np.concatenate(point_cfg)[None, :], np.array([point_w]), False))
-        self._rows_per_class = len(blocks)
+        # one row per (class, block of the marginal on the coupled sites), a
+        # class's A the product of its rows': sigma . nu over the block's
+        # populated configurations (taken first, in order), weighted by them
+        w = env.marginal(coupled)
+        m = coupled.size if len(w) == 1 else 1  # sites per block
+        sites = np.arange(coupled.size).reshape(len(w), m)
+        count = (w > 0.0).sum(axis=1)
+        order = (w == 0.0).argsort(axis=1, kind="stable")
+        # a point mass is a pure phase: all of them make one row, the last,
+        # so that opposite phases cancel exactly, as in one configuration
+        point = count == 1
+        place = np.arange(len(classes) * (len(w) - point.sum() + point.any())).reshape(len(classes), -1)
+        # a marginal equal to its flip (index k -> len - 1 - k) makes its rows
+        # real; one site's rows are real already, two terms a rate
+        symmetric = (w == w[:, ::-1]).all(axis=1) & (m > 1)
 
         # uniform marginals make each class's A a product of Dirichlet kernels
         # D_n(|nu_j| t), one per coupled site: the distinct nonzero |nu_j|
         # with their summed multiplicities certify the episodes
         self._dirichlet = None
-        if uniform:
+        if (w == w[:, :1]).all():
             rates, inverse = np.unique(np.abs(classes), return_inverse=True)
-            mults = np.bincount(inverse.ravel(), np.repeat(counts.astype(float), coupled.size))
+            mults = np.bincount(inverse.ravel(), counts.repeat(coupled.size))
             self._dirichlet = (rates[rates > 0.0], mults[rates > 0.0])
 
-        # the rows, class by class; a row of at most PAIRWISE_MAX populated
-        # configurations takes the pairwise form, a wider one the wide form.
-        # `series` takes the rows of two or more distinct frequencies, each
-        # with its class's multiplicity, in one pass; `factors` takes them all
-        place = np.arange(len(classes) * len(blocks)).reshape(len(classes), len(blocks))
-        self._rows, self._factor_rows = [], []
-        for wide in (False, True):
-            members = [b for b, (_, _, w, _) in enumerate(blocks) if (w.size > PAIRWISE_MAX) == wide]
-            if members:  # the form's blocks, padded with zero weights, site-major
-                width = max(blocks[b][2].size for b in members)
-                weights = np.zeros((len(members), width))
-                configs = np.zeros((max(len(blocks[b][0]) for b in members), len(members), width))
-                nus = np.zeros((len(configs), len(classes), len(members)))
-                for m, (sites, u, w, _) in enumerate(blocks[b] for b in members):
-                    weights[m, : w.size], configs[: len(sites), m, : w.size] = w, u.T
-                    nus[: len(sites), :, m] = classes[:, sites].T
-                mult = np.repeat(counts.astype(float), len(members))
-                symmetric = np.array([blocks[b][3] for b in members])
-                witness, every = _witness_rows(weights, configs, nus, mult, place[:, members].ravel(),
-                                               symmetric, wide)
-                self._rows += witness
-                self._factor_rows.append(every)
+        # a row of at most PAIRWISE_MAX populated configurations takes the
+        # pairwise form, a wider one the wide form; the point masses make one
+        # row of all their sites. `series` reads the rows of two or more
+        # distinct frequencies in one pass, `factors` reads them all
+        wide = count > PAIRWISE_MAX
+        self._rows, self._factor_rows, self._place_shape = [], [], place.shape
+        for form in (~point & ~wide, wide, point):
+            members = form.nonzero()[0]
+            if not members.size:
+                continue
+            take = order[members, : count[members].max()]
+            weights, block_sites = w[members[:, None], take], sites[members]
+            columns, sym = place[:, (~point).cumsum()[members] - 1], symmetric[members]
+            if form is point:  # a flat block is one block, independent sites are not symmetric
+                weights, block_sites = weights.prod(axis=0, keepdims=True), block_sites.reshape(1, -1)
+                columns, sym = place[:, -1:], sym[:1]
+            configs = config_matrix(m, spec.twice_spin)[take].reshape(weights.shape + (-1,)).transpose(2, 0, 1)
+            nu = classes[:, block_sites].transpose(2, 0, 1)  # u and nu of each row's sites, site-major
+            witness, every = _witness_rows(weights, np.ascontiguousarray(configs, dtype=float),
+                                           np.ascontiguousarray(nu), counts.repeat(len(weights)),
+                                           columns.ravel(), sym, form is wide)
+            self._rows += witness
+            self._factor_rows.append(every)
         self._entries = sum(rows.rate.size for rows in self._rows)
+
+    def _pair_layout(self) -> None:
+        """The pairs a < b, their energy differences thetas, classes and flips,
+        built on first use: the package's one pair cap is met here."""
+        if self._a is not None:
+            return
+        p, tw, dim = self.spec.n_system, self.spec.twice_spin, self.dim
+        pairs = dim * (dim - 1) // 2
+        if pairs > DEFAULT_ENUM_CAP:
+            raise ResourceCapError(f"{_count(dim)} system configurations make {_count(pairs)} "
+                                   f"configuration pairs, cap is {DEFAULT_ENUM_CAP}")
+        a, b = _pairs(dim)
+        # s_a - s_b is row center + f(a) - f(b) of the difference table, f
+        # the levels of a configuration read as digits in base 4S + 1
+        f = ((tw - config_matrix(p, tw)) // 2) @ (2 * tw + 1) ** np.arange(p - 1, -1, -1)
+        row, energies = self._difference_class.size + f[a] - f[b], system_energies(self.spec)
+        self.__dict__.update(_a=a, _b=b, thetas=energies[b] - energies[a],
+                             _pair_class=self._difference_class[row], _flip=self._difference_flip[row])
 
     @property
     def real_factors(self) -> bool:
@@ -606,15 +623,15 @@ class WitnessEvaluator:
         go in blocks (:func:`_time_blocks`); a time's factors do not depend
         on the other times.
         """
+        self._pair_layout()
         times = np.asarray(t, dtype=float)
         flat = times.reshape(-1)
         out = np.empty((flat.size, self._pair_class.size), dtype=complex)
         for block in _time_blocks(flat.size, sum(rows.rate.size for rows in self._factor_rows)):
             t_block = flat[block]
-            layout = np.empty((t_block.size, self._n_classes * self._rows_per_class), dtype=complex)
+            layout = np.empty((t_block.size,) + self._place_shape, dtype=complex)
             for rows in self._factor_rows:
-                layout[:, rows.place] = rows.factor(t_block).T
-            layout = layout.reshape(t_block.size, self._n_classes, self._rows_per_class)
+                layout.reshape(t_block.size, -1)[:, rows.place] = rows.factor(t_block).T
             out[block] = layout.prod(axis=-1)[:, self._pair_class]
         out = np.where(self._flip, out.conj(), out)
         return out.reshape(times.shape + out.shape[-1:])
@@ -625,6 +642,7 @@ class WitnessEvaluator:
         if rho0.shape != (self.dim, self.dim):
             raise ValueError(f"state must be {self.dim}x{self.dim}")
         t = np.asarray(t, dtype=float)
+        self._pair_layout()
         a, b = self._a, self._b
         rho = np.broadcast_to(rho0, t.shape + rho0.shape).copy()
         upper = rho0[a, b] * (self.factors(t) * np.exp(1j * self.thetas * t[..., None]))
@@ -695,13 +713,6 @@ class WitnessSeries:
     in_episode: np.ndarray
 
 
-def _det_from_log(log_det: np.ndarray) -> np.ndarray:
-    det = np.zeros_like(log_det)
-    ok = log_det > DET_UNDERFLOW_LOG
-    det[ok] = np.exp(log_det[ok])
-    return det
-
-
 def _grid_episodes(ev: WitnessEvaluator, times, log_det, dlogdet) -> List[Tuple[float, float]]:
     """Episodes from the signs of the derivative on the grid, boundaries refined.
 
@@ -760,11 +771,5 @@ def detect_episodes(
     last = np.searchsorted(starts, times, side="left") - 1
     in_episode = (last >= 0) & (times < ends[last]) & np.isfinite(log_det)
 
-    return WitnessSeries(
-        times=times,
-        log_det=log_det,
-        det=_det_from_log(log_det),
-        dlogdet_dt=dlogdet,
-        episodes=episodes,
-        in_episode=in_episode,
-    )
+    det = np.where(log_det > DET_UNDERFLOW_LOG, np.exp(log_det), 0.0)
+    return WitnessSeries(times, log_det, det, dlogdet, episodes, in_episode)

@@ -42,7 +42,8 @@ Schmidt path and this one cut their grids into stacks by the engine's
 from __future__ import annotations
 
 import functools
-from typing import Callable, NamedTuple, Optional, Tuple
+import os
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -283,8 +284,10 @@ def _path_and_data(factors):
     return "dense", None
 
 
-def _reduced_state_series(path: str, ev: WitnessEvaluator, rho0, times, details) -> NegativitySeries:
-    """``details`` of ev's reduced states of rho0, in stacks cut by `_time_blocks`."""
+def _reduced_state_series(path: str, ev: WitnessEvaluator, blocks, times, details, scale=1.0) -> NegativitySeries:
+    """``details`` of ev's reduced states of scale x kron(blocks), in stacks cut by `_time_blocks`."""
+    ev._pair_layout()  # the pair cap, met before rho0 is built
+    rho0 = functools.reduce(np.kron, blocks) * scale
     times = np.atleast_1d(np.asarray(times, dtype=float))
     columns = np.empty((times.size, 3))
     for block in _time_blocks(times.size, ev.dim**2):
@@ -297,15 +300,15 @@ def global_negativity_series(
     rho_s0,
     rho_e0,
     times,
-    map_times: Callable = map,
+    threads: int = 1,
 ) -> NegativitySeries:
     """Negativity across the system|environment cut of the evolved rho_S x rho_E.
 
     The path is chosen once from the factors (see the module docstring)
     and named in the series' ``path``. Any Hermitian factors are accepted,
-    as matrices or as one-site states. ``map_times`` maps the per-time
-    function of the dense path over the grid (for example a thread pool's
-    map); the structured paths do not use it.
+    as matrices or as one-site states. With ``threads`` > 1 the dense path,
+    and only it, maps its times over a pool of at most os.cpu_count()
+    threads, each building its own global matrix.
     """
     factors = [_blocks(rho) for rho in (rho_s0, rho_e0)]
     for f, n in zip(factors, (spec.n_system, spec.n_env)):
@@ -339,10 +342,10 @@ def global_negativity_series(
         rows = [w / w.sum() for w in weights]
         env = (EnvPopulations.product(spec.twice_spin, rows) if len(rows) == spec.n_env
                else EnvPopulations(spec.n_env, spec.twice_spin, rows[0]))
-        ev = WitnessEvaluator(spec, env)  # refuses a smaller side past the engine's pair cap
-        rho0 = functools.reduce(np.kron, small) * weights.sum(axis=1).prod()
-        return _reduced_state_series(path, ev, rho0, times,
-                                     lambda states: _schmidt_details(_rayleigh_eigenvalues(states)))
+        ev = WitnessEvaluator(spec, env)  # its reduced states hold a smaller side to the pair cap
+        return _reduced_state_series(path, ev, small, times,
+                                     lambda states: _schmidt_details(_rayleigh_eigenvalues(states)),
+                                     weights.sum(axis=1).prod())
 
     dim = spec.dim_system * spec.dim_env
     if dim > GLOBAL_DIM_CAP:
@@ -350,9 +353,17 @@ def global_negativity_series(
                                f"{GLOBAL_DIM_CAP}; a diagonal factor or two pure factors avoid the dense path")
     rho_s0, rho_e0 = (functools.reduce(np.kron, f) for f in factors)
     dims = (spec.dim_system, spec.dim_env)
-    details = list(map_times(
-        lambda t: negativity_details(evolve_global(spec, rho_s0, rho_e0, t), dims), times
-    ))
+
+    def at(t):
+        return negativity_details(evolve_global(spec, rho_s0, rho_e0, t), dims)
+
+    if threads == 1:
+        details = list(map(at, times))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
+            details = list(pool.map(at, times))
     return NegativitySeries(path, *np.vstack(details).reshape(-1, 3).T)
 
 
@@ -375,7 +386,7 @@ def system_negativity_series(
         raise ValueError("cut must leave sites on both sides")
     ev = WitnessEvaluator(spec, env)
     dims = (spec.levels**cut_sites, spec.levels ** (spec.n_system - cut_sites))
-    return _reduced_state_series("reduced-state", ev, functools.reduce(np.kron, _blocks(rho_s0)), times,
+    return _reduced_state_series("reduced-state", ev, _blocks(rho_s0), times,
                                  lambda states: np.stack(negativity_details(states, dims), axis=-1))
 
 

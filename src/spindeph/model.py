@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -48,6 +49,13 @@ def _count(n: int) -> str:
     return str(n) if n < 10**100 else f"about 10^{int(n.bit_length() * math.log10(2))}"
 
 
+def _integer(value, key: str) -> int:
+    """An integral number (6, or 6.0) as an int; 6.7 or "6" raise a ValueError naming key."""
+    if isinstance(value, float) and value.is_integer() or isinstance(value, numbers.Integral):
+        return int(value)
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.flags.writeable = False
@@ -64,7 +72,7 @@ class SpinConfig:
     twice_values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "twice_values", tuple(int(v) for v in self.twice_values))
+        object.__setattr__(self, "twice_values", tuple(_integer(v, "each config entry") for v in self.twice_values))
 
     @property
     def site_count(self) -> int:
@@ -396,8 +404,8 @@ _MODEL_BUILDERS = {
     "nn_ring_1d": lambda d: NearestNeighborRing1D(j=float(d.get("J", 1.0))),
     "infinite_range": lambda d: InfiniteRange(j=float(d.get("J", 1.0))),
     "power_law_ring_1d": lambda d: PowerLawRing1D(j=float(d.get("J", 1.0)), alpha=float(d.get("alpha", 3.0)),
-                                                  kac_normalization=bool(d.get("kac_normalization", False))),
-    "nn_torus_2d": lambda d: NearestNeighborTorus2D(side=int(d["side"]), j=float(d.get("J", 1.0))),
+                                                  kac_normalization=d.get("kac_normalization", False)),
+    "nn_torus_2d": lambda d: NearestNeighborTorus2D(side=_integer(d["side"], "side"), j=float(d.get("J", 1.0))),
 }
 
 
@@ -409,9 +417,9 @@ def ensemble_from_dict(doc: dict) -> EnsembleSpec:
     A torus model may carry "system_block_side" to select the corner-block
     system layout.
     """
-    n_total = int(doc["n_total"])
-    n_system = int(doc["n_system"])
-    twice_spin = int(doc.get("twice_spin", 1))
+    n_total = _integer(doc["n_total"], "n_total")
+    n_system = _integer(doc["n_system"], "n_system")
+    twice_spin = _integer(doc.get("twice_spin", 1), "twice_spin")
     fields = doc.get("fields", 0.0)
 
     if "couplings" in doc and "model" in doc:
@@ -422,8 +430,11 @@ def ensemble_from_dict(doc: dict) -> EnsembleSpec:
         raise ValueError("ensemble document needs either 'model' or 'couplings'")
     mdoc = dict(doc["model"])
     kind = mdoc.pop("type")
+    if not isinstance(mdoc.get("kac_normalization", False), bool):  # bool("false") is True
+        raise ValueError(f"kac_normalization must be true or false, got {mdoc['kac_normalization']!r}")
     if kind == "nn_torus_2d" and "system_block_side" in mdoc:
-        block = torus_block_ensemble(side=int(mdoc["side"]), block_side=int(mdoc["system_block_side"]),
+        block = torus_block_ensemble(side=_integer(mdoc["side"], "side"),
+                                     block_side=_integer(mdoc["system_block_side"], "system_block_side"),
                                      j=float(mdoc.get("J", 1.0)), twice_spin=twice_spin, fields=fields)
         if block.n_system != n_system or block.n_total != n_total:
             raise ValueError("torus block sizes inconsistent with n_total/n_system")

@@ -325,7 +325,9 @@ def test_thermal_sweep_enumerates_the_environment_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, dict(BASE, ensemble=dict(BASE["ensemble"], n_total=8, n_system=2)))
     assert cli.main(["thermal-sweep", "--config", cfg, "--betas", "0.5,1,3,inf",
                      "--out-dir", str(tmp_path / "sweep")]) == 0
-    assert len(built) == 2  # one table for the system, one for the environment
+    # one table for the environment; the witness builds no system table,
+    # which only the pair layout of factors and reduced states reads
+    assert built == [True]
 
 
 def test_thermal_sweep_empty_betas(tmp_path):
@@ -580,7 +582,10 @@ def test_threads_are_capped_at_the_cpu_count(tmp_path, monkeypatch, capsys):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-        def shutdown(self):
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
             pass
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
@@ -714,11 +719,15 @@ def test_verify_specs_and_seed_out_of_range_are_usage_errors(tmp_path, capsys):
 
 
 def test_system_block_over_cap_is_usage_error(tmp_path, capsys):
-    # 2^21 system configurations: refused by the engine's pair cap before any pair is built
+    # 2^21 system configurations: refused by the engine's cap on the table of
+    # configuration differences before any is built
     doc = dict(BASE, ensemble=dict(BASE["ensemble"], n_total=23, n_system=21))
     cfg = write_config(tmp_path, doc)
     msg = _expect_usage_error(["witness", "--config", cfg, "--out", str(tmp_path / "x.csv")], capsys)
     assert "cap" in msg
+    # the table of the 3^21 configuration differences, not an environment enumeration
+    assert "21 system sites make 10460353203 configuration differences" in msg
+    assert "product environment" not in msg
 
 
 def _twelve_site_block(system_state, environment_state={"kind": "uniform_superposition"}):
@@ -758,14 +767,72 @@ def test_global_negativity_of_a_mixed_block_past_the_pair_cap(tmp_path, capsys):
 
 
 def test_commands_that_pair_up_a_block_past_the_pair_cap_are_usage_errors(tmp_path, capsys):
+    # the reduced states of a 4096-configuration block pair up its configurations
+    cfg = write_config(tmp_path, _twelve_site_block({"kind": "uniform_superposition"}))
+    out = tmp_path / "x.csv"
+    msg = _expect_usage_error(["negativity", "--cut", "system:1", "--out", str(out), "--config", cfg], capsys)
+    assert "4096 system configurations make 8386560 configuration pairs" in msg
+    assert not out.exists()
+
+
+def test_witness_and_sweep_of_a_block_past_the_pair_cap(tmp_path, capsys):
+    # the witness counts the nu classes over the 3^12 configuration
+    # differences and never pairs the 4096 configurations up: log det is
+    # 2^24 log|cos t| (closedforms.log_det_nn_1d)
+    from spindeph import closedforms
+
     cfg = write_config(tmp_path, _twelve_site_block({"kind": "uniform_superposition"}))
     out, sweep = tmp_path / "x.csv", tmp_path / "sweep"
-    for argv in (["witness", "--out", str(out)],
-                 ["thermal-sweep", "--betas", "0,1", "--out-dir", str(sweep)],
-                 ["negativity", "--cut", "system:1", "--out", str(out)]):
-        msg = _expect_usage_error([*argv, "--config", cfg], capsys)
-        assert "4096 system configurations make 8386560 configuration pairs" in msg
-    assert not out.exists() and not list(sweep.glob("*.csv"))
+    assert cli.main(["witness", "--closed-form", "nn1d", "--out", str(out), "--config", cfg]) == 0
+    assert cli.main(["thermal-sweep", "--betas", "0", "--out-dir", str(sweep), "--config", cfg]) == 0
+    capsys.readouterr()
+    for path in (out, sweep / "witness_beta_0.csv"):
+        _, rows = read_csv(path)
+        t, log_det = np.array([[float(r[0]), float(r[1])] for r in rows]).T
+        ok = np.abs(np.cos(t)) > 1e-3
+        assert len(rows) == 7 and ok.any()
+        assert np.allclose(log_det[ok], closedforms.log_det_nn_1d(12, 1.0, t[ok]), rtol=1e-12, atol=0.0)
+
+
+def _edited(doc, key, value):
+    """BASE with one value set: an ensemble key, a model key, "points" or "config"."""
+    doc = json.loads(json.dumps(doc))
+    if key == "points":
+        doc["grid"] = dict(doc["grid"], points=value)
+    elif key == "config":
+        doc["environment"] = {"kind": "basis", "config": [value, -1, 1, -1, 1]}
+    elif key in doc["ensemble"]:
+        doc["ensemble"][key] = value
+    else:
+        doc["ensemble"]["model"][key] = value
+    return doc
+
+
+_TORUS = dict(BASE, ensemble=dict(BASE["ensemble"], n_total=16, model={"type": "nn_torus_2d", "side": 4}))
+_TORUS_BLOCK = dict(BASE, ensemble=dict(BASE["ensemble"], n_total=25, n_system=4,
+                                        model={"type": "nn_torus_2d", "side": 5, "system_block_side": 2}))
+_KAC = dict(BASE, ensemble=dict(BASE["ensemble"], model={"type": "power_law_ring_1d", "alpha": 3.0}))
+
+
+@pytest.mark.parametrize("doc, key, bad, good", [
+    (BASE, "n_total", 6.7, 6.0),
+    (BASE, "n_system", 1.9, 1.0),
+    (BASE, "config", 1.5, 1.0),
+    (BASE, "points", 10.9, 10.0),
+    (_TORUS, "side", 4.6, 4.0),
+    (_TORUS_BLOCK, "system_block_side", 2.2, 2.0),
+    (_KAC, "kac_normalization", "false", False),
+])
+def test_config_values_are_never_truncated_or_coerced(tmp_path, capsys, doc, key, bad, good):
+    # int() would read 6.7 as 6 and bool() would read "false" as true, and
+    # the run would exit 0; an integral float such as 6.0 still reads as 6
+    out = tmp_path / "x.csv"
+    msg = _expect_usage_error(["witness", "--config", write_config(tmp_path, _edited(doc, key, bad)),
+                               "--out", str(out)], capsys)
+    assert key in msg and repr(bad) in msg
+    assert not out.exists()
+    assert cli.main(["witness", "--config", write_config(tmp_path, _edited(doc, key, good), "good.json"),
+                     "--out", str(out)]) == 0
 
 
 def test_thermo_limit_system_size_out_of_range_is_usage_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 from importlib import resources
 from unittest import mock
 
@@ -345,8 +346,8 @@ def test_field_free_gibbs_marginals_are_flip_symmetric(n_total, n_system):
     for beta in (0.3, 1.0, 4.0):
         env = thermal.thermal_populations(spec, beta)
         assert np.array_equal(env.weights, env.weights[::-1])
-        ((sites, w),) = env.marginal(coupled)
-        assert sites == tuple(range(coupled.size)) and np.array_equal(w, w[::-1])
+        (w,) = env.marginal(coupled)  # one row: the flat block's joint populations
+        assert w.shape == (2**coupled.size,) and np.array_equal(w, w[::-1])
 
 
 @pytest.mark.parametrize("n_total, n_system", FIELD_FREE_RINGS)
@@ -578,9 +579,12 @@ def test_bisection_with_zeros_of_A_and_a_root_in_one_grid_interval():
 
 
 def test_pair_count_over_cap_raises():
-    # 2^11 system configurations fit the enumeration cap, their pairs do not
+    # 2^11 system configurations fit the enumeration cap, their pairs do not:
+    # the witness never pairs them up, the first factors call does
+    ev = WitnessEvaluator(ring_spec(12, 11), thermal.maximally_mixed(1, 1))
+    assert -np.inf < ev.log_det(0.5) < 0.0
     with pytest.raises(ResourceCapError, match="2096128 configuration pairs"):
-        WitnessEvaluator(ring_spec(12, 11), thermal.maximally_mixed(1, 1))
+        ev.factors(0.0)
 
 
 def test_flat_populations_cap_names_the_product_environment():
@@ -1126,9 +1130,105 @@ def test_nu_classes_as_numpy_unique():
         assert np.array_equal(mine[1], inverse.ravel())
         assert np.array_equal(mine[2], counts)
         ev = WitnessEvaluator(spec, thermal.maximally_mixed(spec.n_env, spec.twice_spin))
+        ev.factors(0.0)  # the pair layout is built by the first factors call
         assert np.array_equal(ev._pair_class, inverse.ravel())
         rates = np.unique(np.abs(classes))
         assert ev._dirichlet[0].tobytes() == rates[rates > 0.0].tobytes()
+
+
+def _classes_of_pairs(spec):
+    """Test-local nu classes of the enumerated pairs a < b: (classes, counts, pair classes, flips)."""
+    coupled = np.flatnonzero(np.any(spec.cross_couplings != 0.0, axis=0))
+    cfg = config_matrix(spec.n_system, spec.twice_spin).astype(float)
+    a, b = np.triu_indices(len(cfg), k=1)
+    nu = 0.5 * ((cfg[a] - cfg[b]) @ spec.cross_couplings)[:, coupled]
+    lead = nu[np.arange(len(nu)), np.argmax(nu != 0.0, axis=1)] if coupled.size else np.zeros(len(nu))
+    nu[lead < 0.0] *= -1.0
+    classes, inverse, counts = np.unique(nu + 0.0, axis=0, return_inverse=True, return_counts=True)
+    return coupled, classes, counts, inverse.ravel(), lead < 0.0
+
+
+@pytest.mark.parametrize("twice_spin", [1, 2, 3])
+def test_nu_classes_are_counted_over_the_configuration_differences(twice_spin):
+    # classes and counts from the (4S + 1)^p differences equal those of the
+    # enumerated pairs, with uncoupled system sites and with zero couplings
+    from spindeph.engine import _nu_classes
+
+    rng = np.random.default_rng(40 + twice_spin)
+    specs = []
+    for p in (1, 2, 3):
+        spec = random_spec(rng, p + 4, p, twice_spin)
+        j = spec.couplings.copy()
+        j[p - 1, p:] = j[p:, p - 1] = 0.0  # the last system site is uncoupled
+        j[:p, p + 1] = j[p + 1, :p] = 0.0  # and one environment site
+        specs += [spec, EnsembleSpec(p + 4, p, twice_spin, j, 0.3), EnsembleSpec(p + 4, p, twice_spin, 0 * j)]
+    specs.append(ring_spec(9, 4) if twice_spin == 1 else ensemble_from_model(
+        NearestNeighborRing1D(j=0.7), 7, 3, twice_spin))
+    for spec in specs:
+        coupled, classes, counts, pair_class, flip = _classes_of_pairs(spec)
+        mine = _nu_classes(spec, coupled)
+        assert mine[0].tobytes() == classes.tobytes() and mine[0].shape == classes.shape
+        assert np.array_equal(mine[1], counts) and mine[1].sum() == spec.dim_system * (spec.dim_system - 1) // 2
+        ev = WitnessEvaluator(spec, thermal.maximally_mixed(spec.n_env, spec.twice_spin))
+        ev.factors(0.0)
+        assert np.array_equal(ev._pair_class, pair_class) and np.array_equal(ev._flip, flip)
+
+
+def test_thousands_of_one_site_blocks_against_a_sum_over_sites():
+    # a spin-1 product environment of 1,500 coupled sites, a fifth of them
+    # one-hot and a fifth with one zero population, seen by one spin 1: the
+    # classes nu = J_cross (two pairs) and 2 J_cross (one pair), and
+    # log det = sum_classes n sum_j log|sum_k w_k e^{i sigma_k nu_j t}|^2, each
+    # term log1p(-x) with x = 1 - |A|^2 = sum_{k<l} 4 w_k w_l sin^2((sigma_k - sigma_l) nu_j t / 2)
+    rng = np.random.default_rng(44)
+    n_env = 1500
+    rows = rng.uniform(0.05, 1.0, size=(n_env, 3))
+    rows[::5] = np.eye(3)[rng.integers(0, 3, size=n_env // 5)]
+    rows[1::5, 1] = 0.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    j = np.zeros((n_env + 1, n_env + 1))
+    j[0, 1:] = j[1:, 0] = rng.uniform(0.2, 1.0, size=n_env) / 50.0
+    spec = EnsembleSpec(n_env + 1, 1, 2, j)
+    ev = WitnessEvaluator(spec, EnvPopulations.product(2, rows))
+    times = np.linspace(0.1, 3.0, 30)
+    sigma = np.array([2.0, 0.0, -2.0])
+    k, l = np.triu_indices(3, 1)
+    reference = []
+    for t in times:
+        terms = []
+        for n, nu in ((2, j[0, 1:]), (1, 2.0 * j[0, 1:])):
+            x = 4.0 * rows[:, k] * rows[:, l] * np.sin((sigma[k] - sigma[l]) * nu[:, None] * t / 2.0) ** 2
+            terms += (n * np.log1p(-x.sum(axis=1))).tolist()
+        reference.append(math.fsum(terms))
+    log_det, _ = ev.series(times)
+    assert np.max(np.abs(log_det - reference) / np.abs(reference)) <= 1e-12
+    # one pairwise row per spread site, and the one-hot sites make one pure phase
+    assert ev._place_shape == (2, n_env - n_env // 5 + 1)
+
+
+def test_evaluator_build_makes_no_call_per_coupled_site():
+    # the Python and C calls of a build, counted by sys.setprofile after a
+    # warm-up build (shared tables): a Kac power-law ring with p = 1 couples
+    # every site, and its build makes as many calls at N = 20,000 as at 1,000
+    import sys
+
+    def calls(n_total):
+        spec = ensemble_from_model(model.PowerLawRing1D(alpha=3.0, kac_normalization=True), n_total, 1)
+        env = thermal.maximally_mixed(spec.n_env, 1)
+        WitnessEvaluator(spec, env)
+        seen = [0]
+
+        def count(frame, event, arg):
+            seen[0] += event in ("call", "c_call")
+
+        sys.setprofile(count)
+        try:
+            WitnessEvaluator(spec, env)
+        finally:
+            sys.setprofile(None)
+        return seen[0]
+
+    assert calls(1000) == calls(20000)
 
 
 def _dot2_reference(u, nu):

@@ -189,11 +189,11 @@ def test_thermal_single_coupled_site_is_magnetized():
     # a Gibbs block with one coupled site is a magnetized two-level row
     spec = model.ensemble_from_model(model.NearestNeighborRing1D(j=1.0), 3, 2, fields=0.7)
     gibbs = thermal.thermal_populations(spec, 1.3)
-    (block,) = gibbs.marginal([0])
+    (marginal,) = gibbs.marginal([0])
     ev = WitnessEvaluator(spec, gibbs)
     times = np.linspace(0.0, 6.0, 121)[1:]
     log_det, dlog_det = ev.series(times)
-    reference = product_reference(spec, [block[1]], times)
+    reference = product_reference(spec, [marginal], times)
     assert max(scaled_error(x, r[0], r[2]) for x, r in zip(log_det, reference)) <= 3.0
     assert max(scaled_error(d, r[1], r[3]) for d, r in zip(dlog_det, reference)) <= 3.0
 
@@ -231,7 +231,8 @@ def gibbs_reference(spec, env, times, dps=80):
         classes[key] = classes.get(key, 0) + 1
     with mpmath.workdps(dps):
         blocks = []
-        for block_sites, weights in env.marginal(np.arange(env.n_sites)):  # the blocks
+        rows = env.marginal(np.arange(env.n_sites))  # one per block: a site, or all sites
+        for block_sites, weights in zip(np.arange(env.n_sites).reshape(len(rows), -1).tolist(), rows):
             keep = [k for k, site in enumerate(block_sites) if site in coupled]
             marginal = {}
             for cfg, w in zip(config_matrix(len(block_sites), spec.twice_spin), weights):
