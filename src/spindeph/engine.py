@@ -527,7 +527,7 @@ class WitnessEvaluator:
     Pairs a < b are in lexicographic order, the Bloch coordinate layout,
     built by the first `factors` or `reduced_state` call.
     Exposes log det M, its time derivative, and full reduced states.
-    Instances are immutable after construction and safe to share.
+    Instances are safe to share: only that layout is set after construction.
     """
 
     def __init__(self, spec: EnsembleSpec, env: EnvPopulations):
@@ -589,8 +589,8 @@ class WitnessEvaluator:
         self._entries = sum(rows.rate.size for rows in self._rows)
 
     def _pair_layout(self) -> None:
-        """The pairs a < b, their energy differences thetas, classes and flips,
-        built on first use: the package's one pair cap is met here."""
+        """The pairs a < b, their energy differences thetas, classes and flips, built on
+        first use and set in one update, which a sharing thread sees whole; the pair cap is met here."""
         if self._a is not None:
             return
         p, tw, dim = self.spec.n_system, self.spec.twice_spin, self.dim

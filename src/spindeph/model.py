@@ -50,8 +50,8 @@ def _count(n: int) -> str:
 
 
 def _integer(value, key: str) -> int:
-    """An integral number (6, or 6.0) as an int; 6.7 or "6" raise a ValueError naming key."""
-    if isinstance(value, float) and value.is_integer() or isinstance(value, numbers.Integral):
+    """An integral number (6, or 6.0) as an int; 6.7, "6" or true raise a ValueError naming key."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) or isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"{key} must be an integer, got {value!r}")
 

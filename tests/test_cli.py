@@ -817,6 +817,7 @@ _KAC = dict(BASE, ensemble=dict(BASE["ensemble"], model={"type": "power_law_ring
 @pytest.mark.parametrize("doc, key, bad, good", [
     (BASE, "n_total", 6.7, 6.0),
     (BASE, "n_system", 1.9, 1.0),
+    (BASE, "n_system", True, 1),  # bool is an int subclass: true would read as 1
     (BASE, "config", 1.5, 1.0),
     (BASE, "points", 10.9, 10.0),
     (_TORUS, "side", 4.6, 4.0),
@@ -824,8 +825,8 @@ _KAC = dict(BASE, ensemble=dict(BASE["ensemble"], model={"type": "power_law_ring
     (_KAC, "kac_normalization", "false", False),
 ])
 def test_config_values_are_never_truncated_or_coerced(tmp_path, capsys, doc, key, bad, good):
-    # int() would read 6.7 as 6 and bool() would read "false" as true, and
-    # the run would exit 0; an integral float such as 6.0 still reads as 6
+    # int() would read 6.7 as 6 and true as 1, bool() would read "false" as
+    # true, and the run would exit 0; an integral float such as 6.0 still reads as 6
     out = tmp_path / "x.csv"
     msg = _expect_usage_error(["witness", "--config", write_config(tmp_path, _edited(doc, key, bad)),
                                "--out", str(out)], capsys)
