@@ -17,7 +17,14 @@ strictly from +inf to -inf. Each zero t = k pi / (n nu), k not a multiple of
 n, opens one episode, which ends at the one root of the derivative before
 the next zero. The episode list is then exact, whatever the time grid.
 The roots of all brackets are found together by ITP on the pole-free
-derivative times the distances to both zeros.
+derivative times the distances to both zeros. The derivative has a closed
+form from the same rates,
+
+    d log det/dt = 2 sum_nu mult(nu) nu (log D_n)'(nu t),
+
+with :func:`log_derivative` the kernel's log-derivative: ITP reads only its
+sign outside its tolerance, which the closed form gives as accurately as
+the engine's rows, at a fraction of their cost.
 
 :func:`itp` also refines the episode boundaries of the grid route, sign
 changes of the derivative between grid points.
@@ -70,6 +77,24 @@ def zeros(nu, mult, levels: int, t_start: float, t_stop: float):
         yield z, residues
 
 
+def log_derivative(x: np.ndarray, levels: int) -> np.ndarray:
+    """(log D_n)'(x) = D_n'(x) / D_n(x) elementwise, n = levels.
+
+    n D_n(x) = [n odd] + 2 sum_m cos(m x) over m = n - 1, n - 3, ... > 0,
+    so D_n'/D_n = -sum_m m sin(m x) / ([n odd]/2 + sum_m cos(m x)): -tan x
+    at n = 2. Finite at the removable singularities x = k pi, where the
+    equal n cot(n x) - cot(x) cancels catastrophically; non-finite where the
+    denominator is an exact zero.
+    """
+    if levels == 2:
+        return -np.tan(x)
+    num, den = np.zeros(x.shape), np.full(x.shape, 0.5 * (levels % 2))
+    for m in range(levels - 1, 0, -2):
+        num += m * np.sin(m * x)
+        den += np.cos(m * x)
+    return -num / den
+
+
 def itp(fun, lo, hi, g_lo, g_hi, poles: bool = False) -> np.ndarray:
     """A root of fun in each bracket (lo, hi) of the arrays, all brackets together.
 
@@ -85,8 +110,9 @@ def itp(fun, lo, hi, g_lo, g_hi, poles: bool = False) -> np.ndarray:
     a non-finite value marks a singular point, across which fun changes
     sign, and the bracket narrows from above. With poles=True fun falls from
     +inf to -inf between poles at lo and hi, and g = fun (t - lo) (hi - t) /
-    (hi - lo) is pole-free, its end values the residues there; an exact zero
-    of A (NaN) belongs to the nearer pole.
+    (hi - lo) is pole-free, its end values the residues there; a non-finite
+    fun (an exact zero of the denominator of a kernel's log-derivative, see
+    :func:`log_derivative`) belongs to the nearer pole.
     """
     width = hi - lo
     left, right = lo.copy(), hi.copy()
@@ -109,7 +135,7 @@ def itp(fun, lo, hi, g_lo, g_hi, poles: bool = False) -> np.ndarray:
         t = np.where(np.abs(est - mid) <= radius, est, mid - sigma * radius)
         f = fun(t)
         if poles:
-            f = np.where(np.isnan(f), np.where(t < mid, np.inf, -np.inf), f)
+            f = np.where(np.isfinite(f), f, np.where(t < mid, np.inf, -np.inf))
             with np.errstate(invalid="ignore"):
                 g = f * (t - lo[open_]) * (hi[open_] - t) / width[open_]
         else:

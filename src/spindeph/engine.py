@@ -55,16 +55,20 @@ Episodes are certified where every coupled site has uniform populations
 (the maximally mixed environment, and Gibbs at beta = 0): A is then a
 product of Dirichlet kernels, its zeros are known in closed form, and each
 opens one episode whose end is the one root of the derivative before the
-next zero (see :mod:`spindeph.dirichlet`). Elsewhere episode boundaries are
-the sign changes of the derivative between grid points. Both routes refine
-their brackets with the one ITP root finder of :mod:`spindeph.dirichlet`,
-all brackets together, one evaluation per round at every open bracket; each
-bracket keeps its own stopping rule.
+next zero (see :mod:`spindeph.dirichlet`). Those roots are refined on the
+closed form of the derivative over the kernels' merged rates
+(`_dirichlet_dlog_det`), not on the rows: the root finder reads only its
+sign, while `series` keeps the rows for a log det accurate to a few eps also
+next to zeros of A. Elsewhere episode boundaries are the sign changes of
+the derivative between grid points, refined on the rows (`dlog_det`). Both
+routes refine their brackets with the one ITP root finder of
+:mod:`spindeph.dirichlet`, all brackets together, one evaluation per round
+at every open bracket; each bracket keeps its own stopping rule.
 
 One helper, `_time_blocks`, cuts every time grid of the package into
-blocks: `factors` and `series` here, the stacks of reduced states in
-:mod:`spindeph.entanglement` and of traced phases in :mod:`spindeph.oracle`.
-No time's values depend on its block.
+blocks: `factors`, `series` and the closed-form derivative here, the
+stacks of reduced states in :mod:`spindeph.entanglement` and of traced
+phases in :mod:`spindeph.oracle`. No time's values depend on its block.
 """
 
 from __future__ import annotations
@@ -733,6 +737,23 @@ def _grid_episodes(ev: WitnessEvaluator, times, log_det, dlogdet) -> List[Tuple[
     return list(zip(edges[::2], edges[1::2]))
 
 
+def _dirichlet_dlog_det(rates: np.ndarray, mult: np.ndarray, levels: int, times: np.ndarray) -> np.ndarray:
+    """d/dt log det M at an array of times, where A is a product of Dirichlet kernels.
+
+    2 sum_r mult_r rate_r (log D_n)'(rate_r t) over the merged rates of
+    ``WitnessEvaluator._dirichlet`` (:func:`dirichlet.log_derivative`), summed
+    in index order (:func:`_ordered_sum`) in blocks of times
+    (:func:`_time_blocks`, rates x floor(n/2) entries a time): a time's value
+    depends neither on the other times nor on BLAS.
+    """
+    weight = (2.0 * mult * rates)[:, None]
+    out = np.empty(times.shape)
+    for block in _time_blocks(times.size, rates.size * (levels // 2)):
+        with np.errstate(divide="ignore", invalid="ignore"):  # exact zeros of A
+            out[block] = _ordered_sum(weight * dirichlet.log_derivative(rates[:, None] * times[block], levels))
+    return out
+
+
 def detect_episodes(
     spec: EnsembleSpec,
     env: EnvPopulations,
@@ -762,8 +783,9 @@ def detect_episodes(
     if ev._dirichlet is None:
         episodes = _grid_episodes(ev, times, log_det, dlogdet)
     else:
-        episodes = dirichlet.episodes(ev.dlog_det, *ev._dirichlet, spec.twice_spin + 1,
-                                      t_start, t_stop, dlogdet[0], dlogdet[-1])
+        levels = spec.twice_spin + 1
+        episodes = dirichlet.episodes(functools.partial(_dirichlet_dlog_det, *ev._dirichlet, levels),
+                                      *ev._dirichlet, levels, t_start, t_stop, dlogdet[0], dlogdet[-1])
 
     # the episodes are disjoint and ascending: a time lies in the last one
     # starting before it, if that one has not ended

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from importlib import resources
@@ -1004,6 +1005,52 @@ def test_certified_brackets_batched_equal_one_at_a_time_bitwise():
               for i in range(lo.size)]
     assert batched.tolist() == single
     assert np.all((lo < batched) & (batched < hi))
+
+
+@pytest.mark.parametrize("twice_spin", [1, 2, 3])
+@pytest.mark.parametrize("flat", [False, True])
+def test_closed_form_derivative_matches_the_evaluator(twice_spin, flat):
+    # away from the zeros of A (|A| > 1e-3 on every pair) and the poles
+    # (|d log det/dt| <= 1e6) the closed form and the Dekker rows agree to
+    # 1e-8 relative; the largest gap over 20 other seeds of each case was 7e-11
+    n_system, n = (2, 5) if twice_spin == 1 else (1, 4)
+    rng = np.random.default_rng(11 + twice_spin)
+    j = rng.uniform(-1.5, 1.5, (n, n))
+    j = np.triu(j, 1) + np.triu(j, 1).T
+    spec = EnsembleSpec(n_total=n, n_system=n_system, twice_spin=twice_spin, couplings=j, fields=np.zeros(n))
+    env = (EnvPopulations(spec.n_env, twice_spin, np.full(spec.dim_env, 1.0 / spec.dim_env)) if flat
+           else thermal.maximally_mixed(spec.n_env, twice_spin))
+    ev = WitnessEvaluator(spec, env)
+    times = np.linspace(0.0, 6.0, 301)
+    rows = ev.dlog_det(times)
+    closed = engine._dirichlet_dlog_det(*ev._dirichlet, twice_spin + 1, times)
+    keep = (np.abs(ev.factors(times)).min(axis=1) > 1e-3) & (np.abs(rows) <= 1e6)
+    assert keep.sum() >= 200
+    assert closed[keep] == pytest.approx(rows[keep], rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("twice_spin", [1, 3])
+def test_closed_form_brackets_batched_equal_one_at_a_time_bitwise(twice_spin):
+    # test_certified_brackets_batched_equal_one_at_a_time_bitwise on the
+    # closed-form root function that the certified route refines
+    spec = seed5_spec() if twice_spin == 1 else random_spec(np.random.default_rng(5), 8, 2, twice_spin)
+    ev = WitnessEvaluator(spec, thermal.maximally_mixed(spec.n_env, twice_spin))
+    fun = functools.partial(engine._dirichlet_dlog_det, *ev._dirichlet, twice_spin + 1)
+    (z, residues), *_ = dirichlet_zeros(*ev._dirichlet, twice_spin + 1, 0.0, 3.0)
+    lo, hi, r_lo, r_hi = z[:-1], z[1:], residues[:-1], -residues[1:]
+    assert lo.size >= 56
+    batched = itp(fun, lo, hi, r_lo, r_hi, poles=True)
+    single = [itp(fun, lo[i : i + 1], hi[i : i + 1], r_lo[i : i + 1], r_hi[i : i + 1], poles=True)[0]
+              for i in range(lo.size)]
+    assert batched.tolist() == single
+    assert np.all((lo < batched) & (batched < hi))
+
+
+def test_certified_episodes_take_no_evaluator_derivative(monkeypatch):
+    # the ends are refined on the closed form; the rows run only on the grid
+    calls = counted_dlog_det(monkeypatch)
+    assert len(detect_episodes(seed5_spec(), thermal.maximally_mixed(8, 1), 0.0, 3.0, 200).episodes) == 56
+    assert calls == []
 
 
 @st.composite

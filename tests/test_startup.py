@@ -175,3 +175,23 @@ def test_verify_report_does_not_depend_on_the_blas_thread_count(tmp_path):
         assert run.returncode == 0, run.stderr
         texts.append(out.read_text())
     assert texts[0] == texts[1]
+
+
+def test_certified_episodes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the closed-form root function sums its 1,521 rates in index order,
+    # so the episode ends keep their bits under one and two BLAS threads
+    rng = np.random.default_rng(120)
+    j = np.triu(rng.uniform(-1.0, 1.0, (120, 120)), 1)
+    doc = dict(SINGLE_SPIN, grid={"start": 0.0, "stop": 3.0, "points": 50},
+               ensemble={"n_total": 120, "n_system": 3, "twice_spin": 1,
+                         "couplings": (j + j.T).tolist(), "fields": 0.0})
+    cfg = write_config(tmp_path, doc)
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"episodes-{threads}.json"
+        run = subprocess.run([sys.executable, "-m", "spindeph.cli", "witness", "--config", cfg,
+                              "--out", str(tmp_path / f"w-{threads}.csv"), "--episodes", str(out)],
+                             capture_output=True, text=True, env=dict(ENV, OPENBLAS_NUM_THREADS=threads))
+        assert run.returncode == 0, run.stderr
+        texts.append(out.read_text())
+    assert texts[0] == texts[1] and texts[0].count("[") > 800
