@@ -178,8 +178,10 @@ def test_verify_report_does_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 def test_certified_episodes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # the closed-form root function sums its 1,521 rates in index order,
-    # so the episode ends keep their bits under one and two BLAS threads
+    # the whole episode file of a 1,521-rate ensemble keeps its bits under
+    # one and two BLAS threads; the index-order sum over rates is guarded by
+    # the bitwise batch test in test_engine.py, since a gemv over the rates
+    # gives the same bits under both thread counts here too
     rng = np.random.default_rng(120)
     j = np.triu(rng.uniform(-1.0, 1.0, (120, 120)), 1)
     doc = dict(SINGLE_SPIN, grid={"start": 0.0, "stop": 3.0, "points": 50},
